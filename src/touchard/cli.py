@@ -106,14 +106,16 @@ def load_error_rows(text: str) -> list[ErrorRow]:
 # table commands
 
 def _exact_scaled(n: int, x: BigReal, triangle, ctx) -> ExactValue:
-    return scaled_touchard(n - 1, wrap_real(-raw(x), ctx), triangle, ctx)
+    with mp.workdps(ctx.digits):  # -x exactly, not rounded to the ambient precision
+        z = wrap_real(-raw(x), ctx)
+    return scaled_touchard(n - 1, z, triangle, ctx)
 
 
 def cmd_table1(n_list=None, m_list=None, digits: int | None = None) -> str:
     n_list = list(DEFAULT_N_TABLE1 if n_list is None else n_list)
     m_list = list(DEFAULT_M_TABLE1 if m_list is None else m_list)
     ctx = mk_context(digits)
-    triangle = build_triangle(max(n_list) - 1)
+    triangle = build_triangle(max(n_list) - 1, keep=[n - 1 for n in n_list])
     bm = default_bm(max(12, max(m_list)))
     rows = []
     for n in n_list:
@@ -130,7 +132,7 @@ def cmd_table2(xi_list=None, n_list=None, digits: int | None = None) -> str:
     xi_list = list(DEFAULT_XI_TABLE2 if xi_list is None else xi_list)
     n_list = list(DEFAULT_N_TABLE2 if n_list is None else n_list)
     ctx = mk_context(digits)
-    triangle = build_triangle(max(n_list) - 1)
+    triangle = build_triangle(max(n_list) - 1, keep=[n - 1 for n in n_list])
     rows = []
     for xi in xi_list:
         xi_br = real_from(xi, ctx)
@@ -147,13 +149,17 @@ def cmd_table2(xi_list=None, n_list=None, digits: int | None = None) -> str:
 # ---------------------------------------------------------------------------
 # point evaluation
 
+def _error_entry(exc: TouchardError) -> dict:
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
 def _method_entry(fn, exact: BigReal, ctx) -> dict:
     try:
         value = fn()
         return {"value": value.to_str(),
                 "rel_err": _sci(_relative_error(exact, value, ctx).value, 4)}
     except TouchardError as exc:
-        return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        return _error_entry(exc)
 
 
 def cmd_eval(n: int, xi, digits: int | None = None) -> dict:
@@ -169,7 +175,7 @@ def cmd_eval(n: int, xi, digits: int | None = None) -> dict:
         mu = wrap_real(1 / (mp.e * xiv), ctx)
         near_coalescence = abs(xiv - 1) < THEOREM1_XI_WINDOW
         outside_band = abs(raw(mu) * mp.e - 1) > POINCARE_BAND
-    triangle = build_triangle(n - 1)
+    triangle = build_triangle(n - 1, keep=[n - 1])
     exact = _exact_scaled(n, x, triangle, ctx)
     report = {
         "n": n,
@@ -187,13 +193,15 @@ def cmd_eval(n: int, xi, digits: int | None = None) -> dict:
     if near_coalescence:
         report["methods"]["theorem1"] = _method_entry(
             lambda: theorem1_eval(n, 6, ctx), exact.value, ctx)
-    report["methods"]["theorem2"] = _method_entry(
-        lambda: theorem2_eval(n, xi_br, ctx), exact.value, ctx)
-    if outside_band:
-        report["methods"]["poincare"] = _method_entry(
-            lambda: leading_order(n, mu, ctx).value, exact.value, ctx)
     try:
         ing = uniform_ingredients(xi_br, ctx)
+    except TouchardError as exc:
+        report["methods"]["theorem2"] = _error_entry(exc)
+        report["saddles"] = _error_entry(exc)
+    else:
+        report["methods"]["theorem2"] = _method_entry(
+            lambda: theorem2_eval(n, xi_br, ctx, ingredients=ing),
+            exact.value, ctx)
         report["saddles"] = {
             "kind": ing.saddles.kind.value,
             "t0": ing.saddles.t0.to_str(),
@@ -203,9 +211,9 @@ def cmd_eval(n: int, xi, digits: int | None = None) -> dict:
             "A0": ing.A0.to_str(),
             "B0": ing.B0.to_str(),
         }
-    except TouchardError as exc:
-        report["saddles"] = {"error": {"type": type(exc).__name__,
-                                       "message": str(exc)}}
+    if outside_band:
+        report["methods"]["poincare"] = _method_entry(
+            lambda: leading_order(n, mu, ctx).value, exact.value, ctx)
     return report
 
 

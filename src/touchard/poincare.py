@@ -93,10 +93,11 @@ def self_test(ctx: PrecisionContext | None = None):
 
     ctx = mk_context(60) if ctx is None else ctx
     mu = real_from("0.2", ctx)
-    tri = build_triangle(199)
+    ladder = (50, 100, 200)
+    tri = build_triangle(ladder[-1] - 1, keep=[n - 1 for n in ladder])
     errs = []
     with mp.workdps(ctx.digits + 10):
-        for n in (50, 100, 200):
+        for n in ladder:
             x = wrap_real(mpf(n) / raw(mu), ctx)
             exact = scaled_touchard(n - 1, wrap_real(-raw(x), ctx), tri, ctx)
             approx = leading_order(n, mu, ctx)

@@ -1,18 +1,38 @@
 """Exact reference evaluation of the exponential polynomials.
 
 T_n(z) = sum_k S(n,k) z^k with S(n,k) the Stirling numbers of the second
-kind, plus the scaled variant T_n(z)/n!. For negative z the sum alternates
-and loses a problem-dependent number of leading digits, so evaluation is
-adaptive: double the working precision until two successive sums agree,
-and report how many digits cancelled.
+kind, plus the scaled variant T_n(z)/n!.
+
+Rows come from one rolling pass of S(n,k) = k S(n-1,k) + S(n-1,k-1) in
+Python ints that keeps only the rows a caller asks for: row n costs O(n^2)
+integer operations but only two rows are alive at a time.
+
+A sum is one Horner pass at working precision d. The standard rounding
+bound for Horner's rule (Higham, Accuracy and Stability of Numerical
+Algorithms, sec. 5.1)
+
+    |fl(T_n(z)) - T_n(z)| <= gamma_2n T_n(|z|),   gamma_m = m u / (1 - m u),
+
+is checked at run time with u <= 10^-d: the value is accepted when
+4(n+1) 10^-d T_n(|z|) <= 10^-(digits+10) |T_n(z)|, so it carries
+digits + 10 correct significant digits before the final rounding. The
+error scale T_n(|z|) = sum_k S(n,k) |z|^k is summed alongside from the
+logarithms of its terms in floats; their error of about 1e-11 is far inside
+the factor of two by which 4(n+1) exceeds the 2n+1 roundings of the pass and
+the division by n!. For negative z the sum alternates and loses
+log10(T_n(|z|)/|T_n(z)|) digits. When the check fails the pass reruns at a
+precision sized from that measured loss, or at twice the precision when the
+loss swamped the pass and could not be measured. cancellation_digits
+reports log10 of the largest term over |T_n(z)|, rounded up.
 
 A second, structurally independent path (the binomial recurrence
 T_{k+1}(z) = z * sum_j C(k,j) T_j(z)) is provided purely as a cross-check
-oracle for the triangle sum.
+oracle for the row sum; it keeps the double-and-compare gate.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -20,20 +40,27 @@ from mpmath import mp, mpf
 from .errors import CapacityError, PrecisionExhaustedError
 from .numkernel import BigReal, PrecisionContext, raw, wrap_real
 
-N_MAX_LIMIT = 10000
+# Largest row index a triangle may hold. `touchard eval --n 4000` takes 15 s
+# and 42 MiB at 120 digits, and time grows like n^2.7 (README, "Size limit").
+N_MAX_LIMIT = 4000
 
 
 @dataclass(frozen=True)
 class StirlingTriangle:
+    """The rows of S(n,k) that were kept, by row index n <= n_max."""
+
     n_max: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: Mapping[int, tuple[int, ...]]
+
+    def row(self, n: int) -> tuple[int, ...]:
+        if n not in self.rows:
+            raise CapacityError(f"row {n} not held by the triangle "
+                                f"(n_max={self.n_max}, {len(self.rows)} rows kept)")
+        return self.rows[n]
 
     def s(self, n: int, k: int) -> int:
-        if not (0 <= n <= self.n_max):
-            raise CapacityError(f"row {n} outside triangle (n_max={self.n_max})")
-        if not (0 <= k <= n):
-            return 0
-        return self.rows[n][k]
+        row = self.row(n)
+        return row[k] if 0 <= k <= n else 0
 
 
 @dataclass(frozen=True)
@@ -43,18 +70,26 @@ class ExactValue:
     verified: bool
 
 
-def build_triangle(n_max: int) -> StirlingTriangle:
+def build_triangle(n_max: int, keep: Iterable[int] | None = None) -> StirlingTriangle:
+    """Rows 0..n_max of the triangle, holding only the rows named in keep.
+
+    keep=None holds every row. The rolling pass stops at the largest kept row.
+    """
     if not (0 <= n_max <= N_MAX_LIMIT):
         raise CapacityError(f"n_max must lie in [0, {N_MAX_LIMIT}], got {n_max}")
-    rows = [(1,)]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-        row = [0] * (n + 1)
-        for k in range(1, n):
-            row[k] = k * prev[k] + prev[k - 1]
-        row[n] = 1  # S(n,n): only the all-singletons partition
-        rows.append(tuple(row))
-    return StirlingTriangle(n_max=n_max, rows=tuple(rows))
+    wanted = range(n_max + 1) if keep is None else frozenset(keep)
+    outside = sorted(n for n in wanted if not 0 <= n <= n_max)
+    if outside:
+        raise CapacityError(f"rows {outside} outside the triangle [0, {n_max}]")
+    rows = {}
+    row = [1]
+    for n in range(max(wanted, default=-1) + 1):
+        if n:
+            # S(n,n) = 1: only the all-singletons partition
+            row = [0, *[k * a + b for k, a, b in zip(range(1, n), row[1:], row)], 1]
+        if n in wanted:
+            rows[n] = tuple(row)
+    return StirlingTriangle(n_max=n_max, rows=rows)
 
 
 def _escalate(eval_at, ctx: PrecisionContext, what: str):
@@ -83,21 +118,48 @@ def _escalate(eval_at, ctx: PrecisionContext, what: str):
         last_two=(prev, cur))
 
 
-def _triangle_sum(n: int, zv: mpf, triangle: StirlingTriangle, dps: int):
-    """Returns (sum_k S(n,k) z^k, max term magnitude) at dps."""
-    row = triangle.rows[n]
-    with mp.workdps(dps):
-        total = mpf(0)
-        biggest = mpf(0)
-        p = mpf(1)
-        for k in range(n + 1):
-            term = row[k] * p
-            total += term
-            a = abs(term)
-            if a > biggest:
-                biggest = a
-            p *= zv
-        return total, biggest
+def _certified_sum(row: tuple[int, ...], zv: mpf, ctx: PrecisionContext,
+                   what: str):
+    """(T_n(z), max_k |S(n,k) z^k|, dps) with T_n(z) certified at dps.
+
+    Reruns at most ctx.max_escalations times; an exact zero is accepted when
+    two rounds in a row give it.
+    """
+    n = len(row) - 1
+    target = ctx.digits + 10
+    slack = math.log10(4 * (n + 1))  # the rounding bound's 4(n+1) factor
+    d = target + math.ceil(slack)
+    if zv == 0:
+        return mpf(row[0]), mpf(row[0]), d
+    with mp.workdps(20):
+        lz = float(mp.log(abs(zv)))
+    # natural logs of the terms S(n,k) |z|^k, and log10 T_n(|z|)
+    logs = {k: math.log(s) + k * lz for k, s in enumerate(row) if s}
+    top = max(logs.values())
+    log_scale = (top + math.log(math.fsum(math.exp(v - top)
+                                          for v in logs.values()))) / math.log(10)
+    prev = None
+    for rerun in range(ctx.max_escalations + 1):
+        with mp.workdps(d):
+            total = mpf(0)
+            for s in reversed(row):
+                total = total * zv + s
+            loss = log_scale - float(mp.log10(abs(total))) if total else math.inf
+            if loss + slack + target <= d or total == prev == 0:
+                # the largest term, from the candidates within float rounding
+                biggest = max(row[k] * abs(zv) ** k for k, v in logs.items()
+                              if v >= top - 1e-6)
+                return total, biggest, d
+        if rerun == ctx.max_escalations:
+            break
+        prev = total
+        # a loss this close to d was not measured, only bounded below
+        d = (math.ceil(target + slack + loss) + 1 if slack + loss <= d - 1
+             else 2 * d)
+    raise PrecisionExhaustedError(
+        f"{what}: sum not certified to {target} digits after "
+        f"{ctx.max_escalations} reruns (last working precision {d})",
+        last_two=(prev, total))
 
 
 def _cancellation(total, biggest, dps: int) -> int:
@@ -113,14 +175,8 @@ def _cancellation(total, biggest, dps: int) -> int:
 
 def touchard_exact(n: int, z: BigReal, triangle: StirlingTriangle,
                    ctx: PrecisionContext) -> ExactValue:
-    if not (0 <= n <= triangle.n_max):
-        raise CapacityError(f"n={n} outside triangle (n_max={triangle.n_max})")
-    zv = raw(z)
-
-    def eval_at(dps):
-        return _triangle_sum(n, zv, triangle, dps)
-
-    total, biggest, dps = _escalate(eval_at, ctx, f"touchard_exact(n={n})")
+    total, biggest, dps = _certified_sum(triangle.row(n), raw(z), ctx,
+                                         f"touchard_exact(n={n})")
     return ExactValue(value=wrap_real(total, ctx),
                       cancellation_digits=_cancellation(total, biggest, dps),
                       verified=True)
@@ -129,17 +185,10 @@ def touchard_exact(n: int, z: BigReal, triangle: StirlingTriangle,
 def scaled_touchard(n: int, z: BigReal, triangle: StirlingTriangle,
                     ctx: PrecisionContext) -> ExactValue:
     """T_n(z)/n!, dividing by the exact integer factorial last."""
-    if not (0 <= n <= triangle.n_max):
-        raise CapacityError(f"n={n} outside triangle (n_max={triangle.n_max})")
-    zv = raw(z)
-    fact = math.factorial(n)
-
-    def eval_at(dps):
-        return _triangle_sum(n, zv, triangle, dps)
-
-    total, biggest, dps = _escalate(eval_at, ctx, f"scaled_touchard(n={n})")
+    total, biggest, dps = _certified_sum(triangle.row(n), raw(z), ctx,
+                                         f"scaled_touchard(n={n})")
     with mp.workdps(dps):
-        scaled = total / fact
+        scaled = total / math.factorial(n)
     return ExactValue(value=wrap_real(scaled, ctx),
                       cancellation_digits=_cancellation(total, biggest, dps),
                       verified=True)
@@ -167,6 +216,4 @@ def touchard_recurrence(n: int, z: BigReal, ctx: PrecisionContext) -> BigReal:
 
 def bell_number(triangle: StirlingTriangle, n: int) -> int:
     """Row sum of the triangle: the number of set partitions of n elements."""
-    if not (0 <= n <= triangle.n_max):
-        raise CapacityError(f"n={n} outside triangle (n_max={triangle.n_max})")
-    return sum(triangle.rows[n])
+    return sum(triangle.row(n))

@@ -1,11 +1,12 @@
 """CLI surface: CSV determinism, JSON schemas, routing, exit codes."""
 import json
+import time
 
 import pytest
 from mpmath import mp, mpf
 
-from touchard import (DomainError, InternalConsistencyError,
-                      PrecisionExhaustedError)
+from touchard import (N_MAX_LIMIT, DomainError, InternalConsistencyError,
+                      PrecisionExhaustedError, SolverError)
 from touchard.cli import (CSV_HEADER, cmd_bm, cmd_contours, cmd_eval,
                           cmd_table1, cmd_table2, load_error_rows, main,
                           make_row, rows_to_csv)
@@ -100,6 +101,36 @@ class TestEval:
         with pytest.raises(DomainError):
             cmd_eval(50, "-1", digits=40)
 
+    @staticmethod
+    def _patch_ingredients(monkeypatch, fn):
+        # theorem2_eval looks the name up in uniform, cmd_eval in cli
+        monkeypatch.setattr("touchard.cli.uniform_ingredients", fn)
+        monkeypatch.setattr("touchard.uniform.uniform_ingredients", fn)
+
+    def test_one_uniform_ingredients_call(self, monkeypatch):
+        from touchard.uniform import uniform_ingredients
+        calls = []
+
+        def counted(*a, **k):
+            calls.append(a)
+            return uniform_ingredients(*a, **k)
+        self._patch_ingredients(monkeypatch, counted)
+        report = cmd_eval(50, "0.9", digits=40)
+        assert len(calls) == 1
+        assert "value" in report["methods"]["theorem2"]
+        assert report["saddles"]["kind"] == "conjugate_pair"
+
+    def test_ingredients_error_fills_theorem2_and_saddles(self, monkeypatch):
+        def boom(*a, **k):
+            raise SolverError("no certified saddle")
+        self._patch_ingredients(monkeypatch, boom)
+        report = cmd_eval(50, "0.9", digits=40)
+        want = {"error": {"type": "SolverError",
+                          "message": "no certified saddle"}}
+        assert report["methods"]["theorem2"] == want
+        assert report["saddles"] == want
+        assert "value" in report["methods"]["poincare"]
+
 
 class TestContoursJson:
     def test_schema_and_rounding(self):
@@ -172,6 +203,13 @@ class TestMain:
     def test_domain_errors_exit_2(self, argv, capsys):
         assert main(argv) == 2
         assert "touchard: error:" in capsys.readouterr().err
+
+    def test_row_beyond_size_limit_exits_2_at_once(self, capsys):
+        # n - 1 = N_MAX_LIMIT + 1: refused before any row is built
+        start = time.monotonic()
+        assert main(["eval", "--n", str(N_MAX_LIMIT + 2), "--xi", "1"]) == 2
+        assert time.monotonic() - start < 1
+        assert str(N_MAX_LIMIT) in capsys.readouterr().err
 
     def test_exhaustion_exit_3(self, monkeypatch, capsys):
         def boom(*a, **k):

@@ -145,14 +145,15 @@ class TestEvaluation:
         with pytest.raises(CapacityError):
             touchard_recurrence(10001, real_from(1, ctx60), ctx60)
 
-    def test_precision_exhaustion_raises(self, triangle120):
-        # ~21 digits cancel at the n=121 table point; with a 30-digit context
-        # and a single allowed escalation the double-and-compare gate cannot
-        # reach agreement and must say so rather than return garbage
+    def test_precision_exhaustion_raises(self):
+        # ~55 digits cancel at x = 300 e. With a 30-digit context the first
+        # round (44 digits) cannot measure that loss, and the one allowed
+        # rerun, at twice the precision, falls short of the 98 digits the
+        # certificate needs: it must say so rather than return garbage
         ctx = mk_context(30, max_escalations=1)
         with mp.workdps(50):
-            z = wrap_real(-121 * mp.e, ctx)
+            z = wrap_real(-300 * mp.e, ctx)
         with pytest.raises(PrecisionExhaustedError) as exc:
-            scaled_touchard(120, z, triangle120, ctx)
+            scaled_touchard(299, z, build_triangle(299, keep=[299]), ctx)
         assert exc.value.exit_code == 3
         assert exc.value.last_two is not None
