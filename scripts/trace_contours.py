@@ -12,13 +12,13 @@ import pathlib
 from touchard.cli import cmd_contours
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--xi", nargs="+", default=["1", "1.8", "0.8"])
     ap.add_argument("--step", default=None)
     ap.add_argument("--outdir", default="artifacts")
     ap.add_argument("--digits", type=int, default=None)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for xi in args.xi:

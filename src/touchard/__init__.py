@@ -18,9 +18,8 @@ from .errors import (BranchError, CapacityError, DomainError,
                      SeriesConsistencyError, SolverError, StepError,
                      TouchardError)
 from .numkernel import (DEFAULT_DIGITS, MIN_DIGITS, BigComplex, BigReal,
-                        PrecisionContext, const_e, const_pi, default_digits,
-                        elementary, gamma, mk_context, real_from, wrap_complex,
-                        wrap_real)
+                        PrecisionContext, default_digits, elementary, gamma,
+                        mk_context, real_from, wrap_complex, wrap_real)
 from .poincare import PoincareRegime, PoincareResult, leading_order
 from .saddle import (PhaseParams, SaddleKind, SaddlePair,
                      coalescence_tolerance, lambert_w0, lambert_wm1, psi,
@@ -45,7 +44,7 @@ __all__ = [
     "RegimeError", "SeriesConsistencyError", "SolverError", "StepError",
     "TouchardError",
     "DEFAULT_DIGITS", "MIN_DIGITS", "BigComplex", "BigReal",
-    "PrecisionContext", "const_e", "const_pi", "default_digits", "elementary",
+    "PrecisionContext", "default_digits", "elementary",
     "gamma", "mk_context", "real_from", "wrap_complex", "wrap_real",
     "PoincareRegime", "PoincareResult", "leading_order",
     "PhaseParams", "SaddleKind", "SaddlePair", "coalescence_tolerance",

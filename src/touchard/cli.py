@@ -114,6 +114,8 @@ def _exact_scaled(n: int, x: BigReal, triangle, ctx) -> ExactValue:
 def cmd_table1(n_list=None, m_list=None, digits: int | None = None) -> str:
     n_list = list(DEFAULT_N_TABLE1 if n_list is None else n_list)
     m_list = list(DEFAULT_M_TABLE1 if m_list is None else m_list)
+    if not n_list or not m_list:
+        raise DomainError("table1 needs a non-empty --n and --m list")
     ctx = mk_context(digits)
     triangle = build_triangle(max(n_list) - 1, keep=[n - 1 for n in n_list])
     bm = default_bm(max(12, max(m_list)))
@@ -131,6 +133,8 @@ def cmd_table1(n_list=None, m_list=None, digits: int | None = None) -> str:
 def cmd_table2(xi_list=None, n_list=None, digits: int | None = None) -> str:
     xi_list = list(DEFAULT_XI_TABLE2 if xi_list is None else xi_list)
     n_list = list(DEFAULT_N_TABLE2 if n_list is None else n_list)
+    if not n_list:
+        raise DomainError("table2 needs a non-empty --n list")
     ctx = mk_context(digits)
     triangle = build_triangle(max(n_list) - 1, keep=[n - 1 for n in n_list])
     rows = []
@@ -225,6 +229,9 @@ _EMIT_CTX = mk_context(30)  # plot-ready rounding for emitted polylines
 
 def contours_to_json(cs: ContourSet) -> dict:
     def r30(v) -> str:
+        _, _, exp, bc = v._mpf_  # a normal double prints as _sci would
+        if 0 <= bc <= 53 and -1000 < exp < 900:
+            return f"{float(v):.29e}@30"
         return wrap_real(v, _EMIT_CTX).to_str()
 
     return {

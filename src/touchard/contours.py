@@ -4,16 +4,25 @@ Level curves of Im psi through the saddles, traced with the unit-speed flow
 
     dt/ds = -conj(psi'(t)) / |psi'(t)|   (descent; + for ascent)
 
-so that d(psi)/ds = -|psi'| is real and Im psi is a first integral. The
-integrator is classical RK4 followed by a one-dimensional Newton projection
-back onto the level set,
+so that d(psi)/ds = -|psi'| is real and Im psi is a first integral. Each
+step is classical RK4 followed by a one-dimensional Newton projection back
+onto the level set,
 
-    t <- t + i conj(psi'(t)) (c - Im psi(t)) / |psi'(t)|^2,
+    t <- t + i conj(psi'(t)) (c - Im psi(t)) / |psi'(t)|^2.
 
-which keeps the recorded drift of Im psi orders of magnitude below the
-10^-8 budget regardless of step size. Steps ramp up geometrically from a
-1e-8 launch offset so the first recorded motion resolves the local steepest
-directions to well under 1e-6 radians.
+A step is retried at half the size when it makes no headway, when the
+projection cannot land it, or when Re psi moves against the flow. Steps
+ramp up geometrically from a 1e-8 launch offset so the first recorded
+motion resolves the local steepest directions to well under 1e-6 radians.
+
+One step loop serves two number types. It starts on mpc at ctx.digits + 10,
+because at the double saddle |psi'| is about 1e-16 at the launch offset,
+which doubles would lose to cancellation. Once |psi'| >= 1e-6 the same loop
+goes on over Python complex. Points after the saddle are recorded as
+doubles. The projection tolerance max(1e-12, 16 eps |e^t/mu|), with eps the
+type's machine epsilon, is one doubles can meet near Re t = 8.4. Im psi is
+re-computed on every emitted point at 30 digits (|Im psi| < 1e4 in the
+frame leaves 17 orders of margin); a drift over 1e-8 raises StepError.
 
 Paths stop at the frame Re t in (-8.5, 8.4), |Im t| <= 7.5 (generous around
 the Im t = +/- pi asymptotes), at |t| < 0.05 near the logarithmic
@@ -21,24 +30,27 @@ singularity, on reaching another saddle, or at the arclength cap.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
 from .errors import DomainError, StepError
-from .numkernel import (BigComplex, BigReal, PrecisionContext,
+from .numkernel import (MIN_DIGITS, BigComplex, BigReal, PrecisionContext,
                         log_branched_raw, raw, wrap_complex, wrap_real)
 from .saddle import PhaseParams, SaddleKind, SaddlePair, solve_saddles
 
-RE_MAX = mpf("8.4")
-RE_MIN = mpf("-8.5")
-IM_MAX = mpf("7.5")
-R_MIN = mpf("0.05")
-LAUNCH_OFFSET = mpf("1e-8")
-RAMP = mpf("1.3")
+RE_MAX = 8.4
+RE_MIN = -8.5
+IM_MAX = 7.5
+R_MIN = 0.05
+LAUNCH_OFFSET = 1e-8
+RAMP = 1.3
 DRIFT_BUDGET = mpf("1e-8")
-_PROJ_TOL = mpf("1e-12")
-_SADDLE_FIELD_TOL = mpf("1e-6")
+_PROJ_TOL = 1e-12
+# |psi'| under this is a saddle's neighbourhood: there a path stops, and
+# a launch stays in mpmath until it has left it
+_SADDLE_FIELD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -59,110 +71,122 @@ class ContourSet:
     polylines: tuple[ContourPolyline, ...]
 
 
-def _project(t, c, inv_mu, h):
-    """Newton steps onto Im psi = c; None means the step must shrink."""
-    for _ in range(8):
-        p = -mp.exp(t) * inv_mu - log_branched_raw(t)
-        eps = c - mp.im(p)
-        if abs(eps) <= _PROJ_TOL:
-            return t
-        d = -mp.exp(t) * inv_mu - 1 / t
-        ad2 = abs(d) ** 2
-        if ad2 == 0:
-            return None
-        delta = 1j * mp.conj(d) * eps / ad2
-        if abs(delta) > h / 2:
-            return None
-        t = t + delta
-    return None
+def _log_branched_double(z: complex) -> complex:
+    """log_branched_raw over Python complex."""
+    w = cmath.log(z)
+    return w + 2j * cmath.pi if w.imag < 0 else w
+
+
+@dataclass(frozen=True)
+class _Flow:
+    """The flow on Im psi = c over mpc or complex, which share + * / abs
+    .real .imag .conjugate(); exp, log and machine epsilon are the type's."""
+
+    c: object
+    inv_mu: object
+    sign: int  # -1 descent, +1 ascent
+    exp: object
+    log: object
+    eps: object
+
+    def psi(self, t):
+        return -self.exp(t) * self.inv_mu - self.log(t)
+
+    def dpsi(self, t):
+        return -self.exp(t) * self.inv_mu - 1 / t
+
+    def direction(self, d):
+        a = abs(d)
+        if a == 0:
+            raise StepError("flow evaluated exactly at a stationary point")
+        return self.sign * d.conjugate() / a
+
+    def project(self, t, h):
+        """Newton steps onto Im psi = c: (t, psi(t)), or None to shrink h."""
+        for _ in range(8):
+            et = self.exp(t) * self.inv_mu
+            p = -et - self.log(t)
+            miss = self.c - p.imag
+            if abs(miss) <= max(_PROJ_TOL, 16 * self.eps * abs(et)):
+                return t, p
+            d = -et - 1 / t
+            ad2 = abs(d) ** 2
+            if ad2 == 0:
+                return None
+            delta = 1j * d.conjugate() * miss / ad2
+            if abs(delta) > h / 2:
+                return None
+            t = t + delta
+        return None
 
 
 def _trace(saddle_t, theta, kind, inv_mu, ctx: PrecisionContext,
            step, max_len) -> ContourPolyline:
-    sign = mpf(-1) if kind == "descent" else mpf(1)
-
-    def field(t):
-        d = -mp.exp(t) * inv_mu - 1 / t
-        a = abs(d)
-        if a == 0:
-            raise StepError("flow evaluated exactly at a stationary point")
-        return sign * mp.conj(d) / a
-
+    sign = -1 if kind == "descent" else 1
+    max_iters = int(max_len / step) * 8 + 600
+    step, max_len = float(step), float(max_len)
     with mp.workdps(ctx.digits + 10):
         c = mp.im(-mp.exp(saddle_t) * inv_mu - log_branched_raw(saddle_t))
-        pts = [saddle_t]
+        precise = flow = _Flow(c, inv_mu, sign, mp.exp, log_branched_raw,
+                               mp.eps)
         t = saddle_t + LAUNCH_OFFSET * mp.expjpi(theta / mp.pi)
-        proj = _project(t, c, inv_mu, LAUNCH_OFFSET)
-        t = t if proj is None else proj
-        pts.append(t)
-        h = LAUNCH_OFFSET
-        arclen = LAUNCH_OFFSET
-        stop = "max_len"
-        max_iters = int(max_len / step) * 8 + 600
+        t, p = flow.project(t, LAUNCH_OFFSET) or (t, flow.psi(t))
+        pts, re_psi = [saddle_t, complex(t)], p.real
+        h = arclen = LAUNCH_OFFSET
         for _ in range(max_iters):
-            if arclen >= max_len:
-                stop = "max_len"
+            d0 = flow.dpsi(t)
+            if flow is precise and abs(d0) >= _SADDLE_FIELD_TOL:
+                flow = _Flow(float(c), float(inv_mu), sign, cmath.exp,
+                             _log_branched_double, 2.0 ** -52)
+                t, d0, re_psi = complex(t), complex(d0), float(re_psi)
+            stop = ("max_len" if arclen >= max_len
+                    else "re_max" if t.real > RE_MAX
+                    else "re_min" if t.real < RE_MIN
+                    else "im_max" if abs(t.imag) > IM_MAX
+                    else "origin" if abs(t) < R_MIN
+                    else "saddle" if arclen > 0.3 and abs(d0) < _SADDLE_FIELD_TOL
+                    else None)
+            if stop:
                 break
-            re_t, im_t = mp.re(t), mp.im(t)
-            if re_t > RE_MAX:
-                stop = "re_max"
-                break
-            if re_t < RE_MIN:
-                stop = "re_min"
-                break
-            if abs(im_t) > IM_MAX:
-                stop = "im_max"
-                break
-            if abs(t) < R_MIN:
-                stop = "origin"
-                break
-            d0 = -mp.exp(t) * inv_mu - 1 / t
-            if arclen > mpf("0.3") and abs(d0) < _SADDLE_FIELD_TOL:
-                stop = "saddle"
-                break
-            k1 = field(t)
-            k2 = field(t + h / 2 * k1)
-            k3 = field(t + h / 2 * k2)
-            k4 = field(t + h * k3)
+            k1 = flow.direction(d0)
+            k2 = flow.direction(flow.dpsi(t + h / 2 * k1))
+            k3 = flow.direction(flow.dpsi(t + h / 2 * k2))
+            k4 = flow.direction(flow.dpsi(t + h * k3))
             t_new = t + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if abs(t_new - t) < h / 2:
-                # the field reversed inside the step: closing on a saddle
+            headway = abs(t_new - t) >= h / 2
+            proj = flow.project(t_new, h)
+            if proj is None and headway:
                 h = h / 2
-                if h < mpf("1e-9"):
-                    stop = "saddle"
-                    break
-                continue
-            proj = _project(t_new, c, inv_mu, h)
-            if proj is None:
-                h = h / 2
-                if h < step * mpf("2") ** -24:
+                if h < step * 2.0 ** -24:
                     raise StepError(
                         "step too large to hold the Im psi drift; retry "
                         "with a smaller --step")
                 continue
-            t = proj
-            pts.append(t)
+            if not headway or sign * (proj[1].real - re_psi) < 0:
+                # overshot, or closing on a saddle where the field reverses
+                h = h / 2
+                if h < 1e-9:
+                    stop = "saddle"
+                    break
+                continue
+            t, re_psi = proj[0], proj[1].real
+            pts.append(complex(t))
             arclen += h
             h = min(h * RAMP, step)
         else:
             stop = "iteration_cap"
 
-        drift = mpf(0)
-        for p in pts:
-            dv = abs(mp.im(-mp.exp(p) * inv_mu - log_branched_raw(p)) - c)
-            if dv > drift:
-                drift = dv
-        if drift >= DRIFT_BUDGET:
-            raise StepError(
-                f"Im psi drift {mp.nstr(drift, 3)} exceeds the 1e-8 budget; "
-                "retry with a smaller --step")
-        theta_f = float(theta)
-
+    points = tuple(wrap_complex(p, ctx) for p in pts)
+    with mp.workdps(MIN_DIGITS):
+        drift = max(abs(precise.psi(raw(p)).imag - c) for p in points)
+    if drift >= DRIFT_BUDGET:
+        raise StepError(
+            f"Im psi drift {mp.nstr(drift, 3)} exceeds the 1e-8 budget; "
+            "retry with a smaller --step")
     return ContourPolyline(
-        saddle=wrap_complex(saddle_t, ctx), kind=kind,
-        points=tuple(wrap_complex(p, ctx) for p in pts),
+        saddle=points[0], kind=kind, points=points,
         im_psi_drift=wrap_real(drift, ctx),
-        launch_theta=theta_f, stop_reason=stop)
+        launch_theta=float(theta), stop_reason=stop)
 
 
 def _norm_theta(th):

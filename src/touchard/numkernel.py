@@ -112,28 +112,8 @@ class BigComplex:
     def conjugate(self) -> "BigComplex":
         return BigComplex(self.re, wrap_real(-self.im.value, self.im.ctx))
 
-    def abs2(self) -> BigReal:
-        # |z|^2 = re^2 + im^2, evaluated at working precision
-        ctx = self.ctx
-        with mp.workdps(ctx.digits):
-            v = self.re.value ** 2 + self.im.value ** 2
-        return BigReal(v, ctx)
-
     def to_str(self) -> str:
         return f"({self.re.to_str()},{self.im.to_str()})"
-
-    @classmethod
-    def parse(cls, text: str) -> "BigComplex":
-        t = text.strip()
-        if not (t.startswith("(") and t.endswith(")")):
-            raise DomainError(f"not a serialized BigComplex: {text!r}")
-        parts = t[1:-1].split(",")
-        if len(parts) != 2:
-            raise DomainError(f"not a serialized BigComplex: {text!r}")
-        return cls(BigReal.parse(parts[0]), BigReal.parse(parts[1]))
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re.value), float(self.im.value))
 
 
 def _sci(v: mpf, d: int) -> str:
@@ -189,16 +169,6 @@ def raw(x):
     if isinstance(x, BigComplex):
         return x.value
     return x
-
-
-def const_e(ctx: PrecisionContext) -> BigReal:
-    with mp.workdps(ctx.digits):
-        return BigReal(+mp.e, ctx)
-
-
-def const_pi(ctx: PrecisionContext) -> BigReal:
-    with mp.workdps(ctx.digits):
-        return BigReal(+mp.pi, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ from mpmath import mp, mpf
 from touchard import (N_MAX_LIMIT, DomainError, InternalConsistencyError,
                       PrecisionExhaustedError, SolverError)
 from touchard.cli import (CSV_HEADER, cmd_bm, cmd_contours, cmd_eval,
-                          cmd_table1, cmd_table2, load_error_rows, main,
-                          make_row, rows_to_csv)
-from touchard.numkernel import mk_context, raw, real_from
+                          cmd_table1, cmd_table2, contours_to_json,
+                          load_error_rows, main, make_row, rows_to_csv)
+from touchard.contours import contour_set
+from touchard.numkernel import mk_context, raw, real_from, wrap_real
 
 
 class TestTables:
@@ -150,6 +151,19 @@ class TestContoursJson:
         b = json.dumps(cmd_contours("1.8", digits=40), sort_keys=True)
         assert a == b
 
+    def test_coordinates_match_30_digit_rounding(self, ctx40):
+        # coordinates that are doubles skip the mpmath formatter; they must
+        # print the same bytes, and the real axis' zero without a sign
+        cs = contour_set("1", ctx40)
+        report = contours_to_json(cs)
+        ctx30 = mk_context(30)
+        for pl, out in zip(cs.polylines, report["polylines"]):
+            assert out["points"] == [
+                [wrap_real(p.re.value, ctx30).to_str(),
+                 wrap_real(p.im.value, ctx30).to_str()] for p in pl.points]
+        assert report["polylines"][2]["points"][-1][1] == \
+            "0." + "0" * 29 + "e+00@30"
+
 
 class TestBmJson:
     def test_schema(self):
@@ -199,6 +213,9 @@ class TestMain:
         ["table1", "--digits", "10", "--n", "12", "--m", "0"],
         ["bm", "--max", "-1"],
         ["contours", "--xi", "1", "--step", "-1", "--digits", "40"],
+        ["table1", "--n", ","],
+        ["table1", "--m", ","],
+        ["table2", "--n", ","],
     ])
     def test_domain_errors_exit_2(self, argv, capsys):
         assert main(argv) == 2

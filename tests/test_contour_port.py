@@ -86,3 +86,13 @@ def test_launch_directions(traced):
             d = mp.arg(raw(pl.points[3]) - raw(pl.saddle)) - pl.launch_theta
             d = (d + mp.pi) % (2 * mp.pi) - mp.pi
             assert abs(d) < mpf("1e-6")
+
+
+def test_coarse_step_keeps_re_psi_monotone(ctx40):
+    # at step 2.0 RK4 overshoots the origin on the xi = 1 ascent towards it;
+    # the step must be refused, not recorded as a step back
+    cs = contour_set("1", ctx40, step=2.0)
+    with mp.workdps(50):
+        mu = raw(cs.mu)
+        for pl in cs.polylines:
+            assert re_psi_backtrack(pl, mu) <= MONOTONE_SLACK
