@@ -18,18 +18,16 @@ from .errors import (BranchError, CapacityError, DomainError,
                      SeriesConsistencyError, SolverError, StepError,
                      TouchardError)
 from .numkernel import (DEFAULT_DIGITS, MIN_DIGITS, BigComplex, BigReal,
-                        PrecisionContext, default_digits, elementary, gamma,
-                        mk_context, real_from, wrap_complex, wrap_real)
+                        PrecisionContext, default_digits, mk_context,
+                        real_from, wrap_complex, wrap_real)
 from .poincare import PoincareRegime, PoincareResult, leading_order
 from .saddle import (PhaseParams, SaddleKind, SaddlePair,
-                     coalescence_tolerance, lambert_w0, lambert_wm1, psi,
-                     psi_derivs, solve_saddles)
+                     coalescence_tolerance, solve_saddles)
 from .stirling import (N_MAX_LIMIT, ExactValue, StirlingTriangle, bell_number,
-                       build_triangle, scaled_touchard, touchard_exact,
-                       touchard_recurrence)
-from .uniform import (UniformIngredients, branch_continuity_check,
-                      coalescence_limit_values, compute_A0_B0,
-                      compute_zeta_beta, theorem2_eval, uniform_ingredients)
+                       build_triangle, scaled_touchard, touchard_exact)
+from .uniform import (UniformIngredients, coalescence_limit_values,
+                      compute_A0_B0, compute_zeta_beta, theorem2_eval,
+                      uniform_ingredients)
 
 __version__ = "0.1.0"
 
@@ -44,16 +42,14 @@ __all__ = [
     "RegimeError", "SeriesConsistencyError", "SolverError", "StepError",
     "TouchardError",
     "DEFAULT_DIGITS", "MIN_DIGITS", "BigComplex", "BigReal",
-    "PrecisionContext", "default_digits", "elementary",
-    "gamma", "mk_context", "real_from", "wrap_complex", "wrap_real",
+    "PrecisionContext", "default_digits", "mk_context", "real_from",
+    "wrap_complex", "wrap_real",
     "PoincareRegime", "PoincareResult", "leading_order",
     "PhaseParams", "SaddleKind", "SaddlePair", "coalescence_tolerance",
-    "lambert_w0", "lambert_wm1", "psi", "psi_derivs", "solve_saddles",
+    "solve_saddles",
     "N_MAX_LIMIT", "ExactValue", "StirlingTriangle", "bell_number",
     "build_triangle", "scaled_touchard", "touchard_exact",
-    "touchard_recurrence",
-    "UniformIngredients", "branch_continuity_check",
-    "coalescence_limit_values", "compute_A0_B0", "compute_zeta_beta",
-    "theorem2_eval", "uniform_ingredients",
+    "UniformIngredients", "coalescence_limit_values", "compute_A0_B0",
+    "compute_zeta_beta", "theorem2_eval", "uniform_ingredients",
     "__version__",
 ]

@@ -23,7 +23,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .coalescence import _BM_CHECK, default_bm, theorem1_eval
 from .contours import ContourSet, contour_set

@@ -51,6 +51,11 @@ _PROJ_TOL = 1e-12
 # |psi'| under this is a saddle's neighbourhood: there a path stops, and
 # a launch stays in mpmath until it has left it
 _SADDLE_FIELD_TOL = 1e-6
+# Largest max_len/step a contour set may ask for: time and memory grow like
+# 1/step. At the default max_len = 40 this is step = 0.000625, where
+# `touchard contours --xi 0.8` takes 12-14 s and 111 MiB at 120 digits
+# (README, "Size limit").
+MAX_LEN_OVER_STEP = 64000
 
 
 @dataclass(frozen=True)
@@ -231,6 +236,11 @@ def contour_set(xi, ctx: PrecisionContext, step=None,
             raise DomainError(f"step must be positive, got {mp.nstr(step, 5)}")
         if max_len <= step:
             raise DomainError("max_len must exceed the step size")
+        if max_len / step > MAX_LEN_OVER_STEP:
+            raise DomainError(
+                f"max_len/step = {mp.nstr(max_len / step, 5)} exceeds the "
+                f"limit {MAX_LEN_OVER_STEP}; use a larger --step or a smaller "
+                "--max-len")
         inv_mu = 1 / raw(params.mu)
     saddles = solve_saddles(params, ctx)
     lines = tuple(_trace(sv, th, kind, inv_mu, ctx, step, max_len)

@@ -4,11 +4,12 @@ Wraps mpmath behind small immutable value types (BigReal, BigComplex) that
 remember the PrecisionContext they were produced under. Every public
 operation pins its working precision with ``mp.workdps`` so results never
 depend on ambient global state; repeated calls with identical inputs are
-bit-identical.
+bit-identical. Elementary and special functions are mpmath's own, called
+by each module under its pinned precision.
 
-The one non-standard primitive is ``log_branched``: the logarithm with
-arg z in [0, 2pi), cut along the positive real axis approached from above.
-That branch choice is what makes the phase function take the value
+The one function the kernel adds is ``log_branched_raw``: the logarithm
+with arg z in [0, 2pi), cut along the positive real axis approached from
+above. That branch choice is what makes the phase function take the value
 -1 - i*pi at t = -1 and keeps conjugate saddle pairs on a single sheet.
 """
 from __future__ import annotations
@@ -18,7 +19,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, InvalidPrecisionError
@@ -172,7 +172,7 @@ def raw(x):
 
 
 # ---------------------------------------------------------------------------
-# elementary functions
+# branched logarithm
 
 def log_branched_raw(z) -> mpc:
     """log with arg z in [0, 2pi); cut along [0, inf) approached from above."""
@@ -183,59 +183,3 @@ def log_branched_raw(z) -> mpc:
     if mp.im(w) < 0:
         w += 2j * mp.pi
     return w
-
-
-def _cbrt_raw(z) -> mpc:
-    # real arguments keep the real (sign-preserving) cube root; everything
-    # else gets the principal branch
-    z = mpc(z)
-    if z.imag == 0:
-        r = mp.cbrt(abs(z.real))
-        return mpc(-r) if z.real < 0 else mpc(r)
-    return mpc(mp.cbrt(z))
-
-
-_ELEMENTARY = ("exp", "log_branched", "sqrt", "cbrt", "pow_real", "sin", "cos")
-
-
-def elementary(fn: str, z, ctx: PrecisionContext,
-               exponent: BigReal | None = None) -> BigComplex:
-    """Dispatch an elementary function at ctx precision.
-
-    ``z`` may be BigReal or BigComplex; the result is always BigComplex.
-    ``exponent`` is consumed only by pow_real.
-    """
-    if fn not in _ELEMENTARY:
-        raise DomainError(f"unknown elementary function {fn!r}")
-    with mp.workdps(ctx.digits + _GUARD):
-        zv = mpc(raw(z))
-        if fn == "exp":
-            w = mp.exp(zv)
-        elif fn == "log_branched":
-            w = log_branched_raw(zv)
-        elif fn == "sqrt":
-            w = mp.sqrt(zv)
-        elif fn == "cbrt":
-            w = _cbrt_raw(zv)
-        elif fn == "pow_real":
-            if exponent is None:
-                raise DomainError("pow_real needs an exponent")
-            p = raw(exponent)
-            if zv == 0 and p < 0:
-                raise DomainError("pow_real: zero base with negative exponent")
-            w = mp.power(zv, p)
-        elif fn == "sin":
-            w = mp.sin(zv)
-        else:
-            w = mp.cos(zv)
-    return wrap_complex(w, ctx)
-
-
-def gamma(x: BigReal, ctx: PrecisionContext) -> BigReal:
-    """Gamma for positive real arguments (all the library ever needs)."""
-    xv = raw(x)
-    if xv <= 0:
-        raise DomainError(f"gamma requires a positive argument, got {xv}")
-    with mp.workdps(ctx.digits + _GUARD):
-        g = mpmath.gamma(xv)
-    return wrap_real(g, ctx)

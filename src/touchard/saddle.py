@@ -1,11 +1,15 @@
-"""Phase function psi(t; mu) = -e^t/mu - log t and its saddle equation.
+"""Saddles of the phase psi(t; mu) = -e^t/mu - log t.
 
-Saddles solve t e^t = -mu. Writing mu = 1/(e xi), the solution set changes
-character at xi = 1: a pair of real roots for xi > 1 (both Lambert-W
-branches of -mu), a double root at t = -1 for xi = 1, and a complex
-conjugate pair for xi < 1.
+Saddles solve t e^t = -mu, so they are Lambert W values of -mu. Writing
+mu = 1/(e xi), the solution set changes character at xi = 1: the real pair
+W_0(-mu), W_-1(-mu) for xi > 1, a double root at t = -1 for xi = 1, and
+for xi < 1 the conjugate pair W_0(-mu) and its conjugate, W_0 taking the
+upper one below -1/e (Corless et al., Adv. Comput. Math. 5, 1996). Both
+come from mpmath.lambertw at digits + 15, and the rounded values are
+certified by their residual |t e^t + mu|.
 
-The logarithm is the branched one from numkernel (arg in [0, 2pi)), so
+At a saddle psi reduces to 1/t - log t and psi'' to (1 + t)/t^2. The
+logarithm is the branched one from numkernel (arg in [0, 2pi)), so
 psi(-1; 1/e) = -1 - i pi and Im(psi(t) + psi(conj t)) = -2 pi off the axis.
 """
 from __future__ import annotations
@@ -17,7 +21,7 @@ from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, InternalConsistencyError, SolverError
 from .numkernel import (BigComplex, BigReal, PrecisionContext, log_branched_raw,
-                        raw, wrap_complex, wrap_real)
+                        wrap_complex, wrap_real)
 
 
 class SaddleKind(enum.Enum):
@@ -70,35 +74,13 @@ class SaddlePair:
 
 
 # ---------------------------------------------------------------------------
-# phase function
+# phase function at a saddle
 
 def _check_off_cut(tv: mpc):
     if tv == 0:
         raise DomainError("psi is singular at t = 0")
     if tv.imag == 0 and tv.real >= 0:
         raise DomainError(f"t = {tv} lies on the branch cut [0, inf)")
-
-
-def psi(t: BigComplex | BigReal, mu: BigReal, ctx: PrecisionContext) -> BigComplex:
-    with mp.workdps(ctx.digits + 10):
-        tv = mpc(raw(t))
-        _check_off_cut(tv)
-        w = -mp.exp(tv) / raw(mu) - log_branched_raw(tv)
-    return wrap_complex(w, ctx)
-
-
-def psi_derivs(t: BigComplex | BigReal, mu: BigReal, ctx: PrecisionContext):
-    """(psi', psi'', psi''', psi'''') at t; the log contributes (-1)^j (j-1)!/t^j."""
-    if raw(t) == 0:
-        raise DomainError("psi derivatives are singular at t = 0")
-    with mp.workdps(ctx.digits + 10):
-        tv = mpc(raw(t))
-        g = -mp.exp(tv) / raw(mu)  # every derivative of -e^t/mu
-        d1 = g - 1 / tv
-        d2 = g + 1 / tv ** 2
-        d3 = g - 2 / tv ** 3
-        d4 = g + 6 / tv ** 4
-    return tuple(wrap_complex(v, ctx) for v in (d1, d2, d3, d4))
 
 
 def psi_reduced_raw(tv: mpc) -> mpc:
@@ -113,87 +95,10 @@ def psi2_at_saddle_raw(tv: mpc) -> mpc:
 
 
 # ---------------------------------------------------------------------------
-# Lambert W, both real branches
-
-def _halley_w(y: mpf, w: mpf, dps: int, boost: int = 0) -> mpf:
-    # boost buys back the digits the branch-point conditioning eats:
-    # f'(W) ~ sqrt(2(1 + e y))/e, so the step noise is 10^-dps / sqrt(q)
-    with mp.workdps(dps + boost):
-        limit = mpf(10) ** (-(dps - 3))
-        for _ in range(200):
-            ew = mp.exp(w)
-            f = w * ew - y
-            denom = ew * (w + 1) - (w + 2) * f / (2 * w + 2)
-            dw = f / denom
-            w = w - dw
-            if abs(dw) <= limit * (1 + abs(w)):
-                return w
-    raise SolverError(f"Lambert W iteration did not converge for y={mp.nstr(y, 8)}")
-
-
-def _branch_point_seed(q: mpf, sign: int) -> mpf:
-    # series around y = -1/e in p = sign*sqrt(2(1 + e y))
-    p = sign * mp.sqrt(2 * q)
-    return -1 + p - p ** 2 / 3 + 11 * p ** 3 / 72
-
-
-def _lambert(y: BigReal | mpf, ctx: PrecisionContext, branch: int) -> BigReal:
-    yv = raw(y)
-    dps = ctx.digits + 15
-    with mp.workdps(dps + 10):
-        if yv >= 0:
-            raise DomainError(f"Lambert W branches need y in [-1/e, 0), got {yv}")
-        q = 1 + mp.e * mpf(yv)  # distance past the branch point, scaled
-        if q < -mpf(10) ** (-(ctx.digits - 20)):
-            raise DomainError(f"y={mp.nstr(mpf(yv), 8)} lies below -1/e")
-        if q <= 0:
-            return wrap_real(mpf(-1), ctx)
-        boost = 0 if q >= mpf("0.01") else int(-mp.log10(q) / 2) + 2
-        if branch == 0:
-            seed = _branch_point_seed(q, +1) if q < mpf("0.5") else mpf(yv)
-        else:
-            if q < mpf("0.5"):
-                seed = _branch_point_seed(q, -1)
-            else:
-                l1 = mp.log(-mpf(yv))
-                seed = l1 - mp.log(-l1)
-        yv = mpf(yv)  # convert ints/floats while precision is still pinned
-    w = _halley_w(yv, seed, dps, boost)
-    return wrap_real(w, ctx)
-
-
-def lambert_w0(y: BigReal | mpf, ctx: PrecisionContext) -> BigReal:
-    """Principal branch: the root in [-1, 0)."""
-    return _lambert(y, ctx, 0)
-
-
-def lambert_wm1(y: BigReal | mpf, ctx: PrecisionContext) -> BigReal:
-    """Lower branch: the root in (-inf, -1]."""
-    return _lambert(y, ctx, -1)
-
-
-# ---------------------------------------------------------------------------
 # saddle solver
 
 def coalescence_tolerance(ctx: PrecisionContext) -> mpf:
     return mpf(10) ** (-(ctx.digits - 15))
-
-
-def _newton_conjugate(mu: mpf, xi: mpf, dps: int) -> mpc:
-    with mp.workdps(dps):
-        t = mpc(-1, mp.sqrt(2 * (1 / xi - 1)))  # local model of the split pair
-        limit = mpf(10) ** (-(dps - 3))
-        for _ in range(200):
-            et = mp.exp(t)
-            f = t * et + mu
-            dt = f / ((1 + t) * et)
-            t = t - dt
-            if abs(dt) <= limit * (1 + abs(t)):
-                if mp.im(t) < 0:
-                    t = mp.conj(t)
-                return t
-    raise SolverError(f"conjugate saddle Newton stalled at xi={mp.nstr(xi, 8)}, "
-                      f"last iterate {mp.nstr(t, 8)}")
 
 
 def solve_saddles(params: PhaseParams, ctx: PrecisionContext) -> SaddlePair:
@@ -218,12 +123,13 @@ def solve_saddles(params: PhaseParams, ctx: PrecisionContext) -> SaddlePair:
             rw = wrap_real(r, ctx)
             return SaddlePair(SaddleKind.DOUBLE, tw, tw, rw, rw)
 
+        # W_0(-mu) is the smaller real saddle above -1/e and the upper one
+        # of the conjugate pair below it
+        t0 = mpc(mp.lambertw(-mu, 0))
         if xi > 1:
-            t0 = mpc(lambert_w0(-mu, ctx).value)
-            t1 = mpc(lambert_wm1(-mu, ctx).value)
+            t1 = mpc(mp.lambertw(-mu, -1))
             kind = SaddleKind.REAL_PAIR
         else:
-            t0 = _newton_conjugate(mu, xi, dps)
             t1 = mp.conj(t0)
             kind = SaddleKind.CONJUGATE_PAIR
 

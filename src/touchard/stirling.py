@@ -24,10 +24,6 @@ log10(T_n(|z|)/|T_n(z)|) digits. When the check fails the pass reruns at a
 precision sized from that measured loss, or at twice the precision when the
 loss swamped the pass and could not be measured. cancellation_digits
 reports log10 of the largest term over |T_n(z)|, rounded up.
-
-A second, structurally independent path (the binomial recurrence
-T_{k+1}(z) = z * sum_j C(k,j) T_j(z)) is provided purely as a cross-check
-oracle for the row sum; it keeps the double-and-compare gate.
 """
 from __future__ import annotations
 
@@ -90,32 +86,6 @@ def build_triangle(n_max: int, keep: Iterable[int] | None = None) -> StirlingTri
         if n in wanted:
             rows[n] = tuple(row)
     return StirlingTriangle(n_max=n_max, rows=rows)
-
-
-def _escalate(eval_at, ctx: PrecisionContext, what: str):
-    """Double-and-compare until two successive evaluations agree.
-
-    eval_at(dps) must return (value, aux) computed entirely at dps. Agreement
-    means relative coincidence to ctx.digits - 10 significant digits, which is
-    the accuracy the returned value is then certified for.
-    """
-    tol_exp = -(ctx.digits - 10)
-    d = ctx.digits
-    prev, _ = eval_at(d)
-    for _ in range(ctx.max_escalations):
-        cur, aux = eval_at(2 * d)
-        with mp.workdps(2 * d):
-            if prev == cur == 0:
-                return cur, aux, 2 * d
-            scale = max(abs(prev), abs(cur))
-            if scale != 0 and abs(prev - cur) <= mpf(10) ** tol_exp * scale:
-                return cur, aux, 2 * d
-        d *= 2
-        prev = cur
-    raise PrecisionExhaustedError(
-        f"{what}: no agreement to {ctx.digits - 10} digits after "
-        f"{ctx.max_escalations} escalations (last working precision {d})",
-        last_two=(prev, cur))
 
 
 def _certified_sum(row: tuple[int, ...], zv: mpf, ctx: PrecisionContext,
@@ -192,26 +162,6 @@ def scaled_touchard(n: int, z: BigReal, triangle: StirlingTriangle,
     return ExactValue(value=wrap_real(scaled, ctx),
                       cancellation_digits=_cancellation(total, biggest, dps),
                       verified=True)
-
-
-def touchard_recurrence(n: int, z: BigReal, ctx: PrecisionContext) -> BigReal:
-    """Independent path via T_{k+1}(z) = z * sum_j C(k,j) T_j(z). O(n^2)."""
-    if not (0 <= n <= N_MAX_LIMIT):
-        raise CapacityError(f"n must lie in [0, {N_MAX_LIMIT}], got {n}")
-    zv = raw(z)
-
-    def eval_at(dps):
-        with mp.workdps(dps):
-            t = [mpf(1)]
-            for k in range(n):
-                acc = mpf(0)
-                for j in range(k + 1):
-                    acc += math.comb(k, j) * t[j]
-                t.append(zv * acc)
-            return t[n], None
-
-    total, _, _ = _escalate(eval_at, ctx, f"touchard_recurrence(n={n})")
-    return wrap_real(total, ctx)
 
 
 def bell_number(triangle: StirlingTriangle, n: int) -> int:

@@ -36,8 +36,8 @@ from .airy import airy
 from .errors import BranchError, DomainError
 from .numkernel import (BigComplex, BigReal, PrecisionContext, raw,
                         wrap_complex, wrap_real)
-from .saddle import (PhaseParams, SaddleKind, SaddlePair, coalescence_tolerance,
-                     psi2_at_saddle_raw, psi_reduced_raw, solve_saddles)
+from .saddle import (PhaseParams, SaddleKind, SaddlePair, psi2_at_saddle_raw,
+                     psi_reduced_raw, solve_saddles)
 
 
 @dataclass(frozen=True)
@@ -154,28 +154,3 @@ def theorem2_eval(n: int, xi, ctx: PrecisionContext,
         value = (-1) ** (n - 1) * mp.exp(x + nn * mp.re(ing.beta.value)) * brace
     return wrap_real(value, ctx)
 
-
-def branch_continuity_check(ctx: PrecisionContext | None = None) -> None:
-    """Ladder check that A0, B0 flow into their xi = 1 closed forms.
-
-    Raises BranchError when the square-root branch selection drifts. Cheap
-    enough to run at the start of a sweep; results for the default context
-    are cached by the caller if needed.
-    """
-    from .numkernel import mk_context
-
-    ctx = mk_context(40) if ctx is None else ctx
-    a_lim, b_lim, _ = coalescence_limit_values(ctx)
-    with mp.workdps(ctx.digits):
-        prev_gap = mpf("inf")
-        for k in range(2, 7):
-            for side in (1, -1):
-                xi = 1 + side * mpf(10) ** (-k)
-                ing = uniform_ingredients(xi, ctx)
-                gap = max(abs(ing.A0.value - a_lim.value),
-                          abs(ing.B0.value - b_lim.value))
-                if gap > max(prev_gap * 4, mpf("1e-30")):
-                    raise BranchError(
-                        f"A0/B0 ladder diverges from the coalescence values "
-                        f"at xi={mp.nstr(xi, 8)} (gap {mp.nstr(gap, 3)})")
-            prev_gap = gap

@@ -10,7 +10,7 @@ from touchard import (N_MAX_LIMIT, DomainError, InternalConsistencyError,
 from touchard.cli import (CSV_HEADER, cmd_bm, cmd_contours, cmd_eval,
                           cmd_table1, cmd_table2, contours_to_json,
                           load_error_rows, main, make_row, rows_to_csv)
-from touchard.contours import contour_set
+from touchard.contours import MAX_LEN_OVER_STEP, contour_set
 from touchard.numkernel import mk_context, raw, real_from, wrap_real
 
 
@@ -227,6 +227,28 @@ class TestMain:
         assert main(["eval", "--n", str(N_MAX_LIMIT + 2), "--xi", "1"]) == 2
         assert time.monotonic() - start < 1
         assert str(N_MAX_LIMIT) in capsys.readouterr().err
+
+    def test_contour_beyond_size_limit_exits_2_at_once(self, capsys):
+        # max_len/step = 4e7: refused before any path is traced
+        start = time.monotonic()
+        assert main(["contours", "--xi", "1", "--step", "1e-6"]) == 2
+        assert time.monotonic() - start < 1
+        assert str(MAX_LEN_OVER_STEP) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["contours", "--xi", "0.1"],
+        ["eval", "--n", "100", "--xi", "0.02"],
+        ["eval", "--n", "100", "--xi", "1e-40"],
+    ])
+    def test_far_below_coalescence_succeeds(self, argv, capsys):
+        # the conjugate saddles far from xi = 1 certify at 120 digits
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        if argv[0] == "eval":
+            assert "error" not in payload["saddles"]
+            assert payload["saddles"]["kind"] == "conjugate_pair"
+        else:
+            assert payload["saddle_kind"] == "conjugate_pair"
 
     def test_exhaustion_exit_3(self, monkeypatch, capsys):
         def boom(*a, **k):

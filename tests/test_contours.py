@@ -3,7 +3,7 @@ import pytest
 from mpmath import mp, mpf
 
 from touchard import DomainError, SaddleKind, mk_context
-from touchard.contours import DRIFT_BUDGET, contour_set
+from touchard.contours import DRIFT_BUDGET, MAX_LEN_OVER_STEP, contour_set
 from touchard.numkernel import raw
 
 
@@ -154,6 +154,11 @@ class TestControls:
             contour_set("1", ctx40, step=-0.1)
         with pytest.raises(DomainError):
             contour_set("1", ctx40, step=0.5, max_len=0.5)
+        # max_len/step over the size cap, refused before any path is traced
+        for step, max_len in ((1e-6, None), ("0.000624", None),
+                              ("0.1", 0.1 * MAX_LEN_OVER_STEP + 1)):
+            with pytest.raises(DomainError, match="max_len/step"):
+                contour_set("1", ctx40, step=step, max_len=max_len)
 
     def test_large_step_still_meets_budget(self, ctx40):
         # projection halving must absorb a coarse nominal step

@@ -1,14 +1,15 @@
-"""Numeric kernel: serialization, branch choice, elementary accuracy."""
+"""Numeric kernel: serialization, branch choice, pinned precision."""
+from fractions import Fraction
+
 import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from touchard import (DomainError, InvalidPrecisionError, elementary, gamma,
-                      mk_context, wrap_real)
+from touchard import DomainError, InvalidPrecisionError, mk_context, wrap_real
 from touchard.numkernel import (BigReal, _sci, default_digits,
-                                log_branched_raw, raw, real_from, wrap_complex)
+                                log_branched_raw, real_from, wrap_complex)
 
 
 def tol(ctx, slack):
@@ -45,13 +46,14 @@ class TestContext:
 class TestSerialization:
     def test_sqrt2_roundtrip_at_50(self):
         ctx = mk_context(50)
-        v = elementary("sqrt", real_from(2, ctx), ctx)
-        s = v.re.to_str()
+        with mp.workdps(60):
+            v = wrap_real(mp.sqrt(2), ctx)
+        s = v.to_str()
         assert s.startswith("1.4142135623730950488")
         assert s.endswith("@50")
         back = BigReal.parse(s)
         with mp.workdps(60):
-            assert abs(back.value - v.re.value) <= tol(ctx, 2) * abs(v.re.value)
+            assert abs(back.value - v.value) <= tol(ctx, 2) * abs(v.value)
 
     def test_string_roundtrip_is_identity(self):
         ctx = mk_context(30)
@@ -124,93 +126,22 @@ class TestElementary:
                complex(4, 3)]
         for z in pts:
             zb = wrap_complex(z, ctx60)
-            w = elementary("log_branched", zb, ctx60)
-            back = elementary("exp", w, ctx60)
             with mp.workdps(70):
-                assert abs(back.value - zb.value) <= tol(ctx60, 5) * abs(zb.value)
-
-    def test_sqrt_against_newton_oracle(self, ctx60):
-        for xs in ("2", "3.75", "1e10"):
-            x = real_from(xs, ctx60)
-            got = elementary("sqrt", x, ctx60)
-            with mp.workdps(130):
-                # Newton iteration from scratch as an independent oracle
-                r = mpf(xs)
-                y = r if r < 1 else r / 2
-                for _ in range(200):
-                    y = (y + r / y) / 2
-                assert abs(got.re.value - y) <= tol(ctx60, 5) * y
-            assert got.im.value == 0
-
-    def test_cbrt_sign_preserving(self, ctx60):
-        v = elementary("cbrt", real_from(-8, ctx60), ctx60)
-        with mp.workdps(70):
-            assert abs(v.re.value + 2) < tol(ctx60, 5)
-            assert v.im.value == 0
-
-    def test_pow_real_guard(self, ctx60):
-        with pytest.raises(DomainError):
-            elementary("pow_real", real_from(0, ctx60), ctx60,
-                       exponent=real_from(-1, ctx60))
-        with pytest.raises(DomainError):
-            elementary("pow_real", real_from(2, ctx60), ctx60)
-
-    def test_unknown_function(self, ctx60):
-        with pytest.raises(DomainError):
-            elementary("tanh", real_from(1, ctx60), ctx60)
-
-    @given(st.floats(min_value=0.01, max_value=50))
-    def test_sin_cos_pythagoras(self, x):
-        ctx = mk_context(40)
-        s = elementary("sin", real_from(x, ctx), ctx)
-        c = elementary("cos", real_from(x, ctx), ctx)
-        with mp.workdps(50):
-            assert abs(s.re.value ** 2 + c.re.value ** 2 - 1) < tol(ctx, 5)
-
-
-class TestGamma:
-    def test_positive_only(self, ctx60):
-        for bad in (0, -1, -0.5):
-            with pytest.raises(DomainError):
-                gamma(real_from(bad, ctx60), ctx60)
-
-    def test_half_integer(self, ctx60):
-        g = gamma(real_from("0.5", ctx60), ctx60)
-        with mp.workdps(70):
-            assert abs(g.value - mp.sqrt(mp.pi)) <= tol(ctx60, 5) * g.value
-
-    def test_quadrature_oracle_one_third(self):
-        # Gamma(1/3) = 3 int_0^1 exp(-s^3) ds + int_1^inf t^(-2/3) exp(-t) dt;
-        # the substitution removes the endpoint singularity so quad converges
-        ctx = mk_context(40)
-        with mp.workdps(60):
-            g = gamma(real_from(mpf(1) / 3, ctx), ctx)
-            head = 3 * mpmath.quad(lambda s: mp.exp(-s ** 3), [0, 1])
-            tail = mpmath.quad(lambda t: t ** (mpf(-2) / 3) * mp.exp(-t),
-                               [1, mp.inf])
-            oracle = head + tail
-            assert abs(g.value - oracle) <= mpf(10) ** -30 * oracle
-
-    @given(st.floats(min_value=0.1, max_value=40))
-    def test_recurrence(self, x):
-        ctx = mk_context(40)
-        with mp.workdps(50):
-            # x + 1 must be formed at full precision; the float sum would
-            # shift the argument by ~1e-15 and drag Gamma with it
-            a = gamma(real_from(mpf(x) + 1, ctx), ctx)
-            b = gamma(real_from(x, ctx), ctx)
-            assert abs(a.value - mpf(x) * b.value) <= tol(ctx, 6) * a.value
+                back = mp.exp(log_branched_raw(zb.value))
+                assert abs(back - zb.value) <= tol(ctx60, 5) * abs(zb.value)
 
 
 class TestDeterminism:
     def test_ambient_dps_does_not_leak(self):
+        # 1/3 is formed at the context's precision, not the ambient one
         ctx = mk_context(45)
         old = mp.dps
         try:
             mp.dps = 7
-            a = elementary("exp", real_from("1.25", ctx), ctx)
+            a = real_from(Fraction(1, 3), ctx)
         finally:
             mp.dps = old
-        b = elementary("exp", real_from("1.25", ctx), ctx)
-        assert a.re.value == b.re.value
-        assert a.re.to_str() == b.re.to_str()
+        b = real_from(Fraction(1, 3), ctx)
+        assert a.value == b.value
+        assert a.to_str() == b.to_str()
+        assert a.to_str().startswith("3." + "3" * 44)

@@ -1,130 +1,163 @@
-"""Phase function, Lambert W branches, saddle classification."""
-import mpmath
+"""Phase function at a saddle, Lambert W branches, saddle classification."""
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from touchard import (DomainError, InternalConsistencyError, PhaseParams,
-                      SaddleKind, mk_context, psi, psi_derivs, real_from,
-                      solve_saddles, wrap_complex, wrap_real)
-from touchard.saddle import (coalescence_tolerance, lambert_w0, lambert_wm1,
-                             psi2_at_saddle_raw, psi_reduced_raw)
-from touchard.numkernel import raw
+                      SaddleKind, mk_context, real_from, solve_saddles)
+from touchard.saddle import (coalescence_tolerance, psi2_at_saddle_raw,
+                             psi_reduced_raw)
+from touchard.numkernel import log_branched_raw, raw
 
 
 def tol(ctx, slack):
     return mpf(10) ** (-(ctx.digits - slack))
 
 
+def bisect_saddle(mu, lo, hi):
+    """The root of t e^t = -mu in [lo, hi], bisected at working precision."""
+    lo_positive = lo * mp.exp(lo) + mu > 0
+    for _ in range(mp.prec + 20):
+        mid = (lo + hi) / 2
+        if (mid * mp.exp(mid) + mu > 0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def newton_polish(t, mu, dps):
+    """Newton on t e^t + mu = 0 at dps digits, started from t.
+
+    Near the double root the last steps only stir rounding noise of about
+    10^-dps / |t - other root|, so the loop runs a fixed count and then
+    asks for half the digits to have settled.
+    """
+    with mp.workdps(dps):
+        t = mpc(t)
+        for _ in range(30):
+            dt = (t * mp.exp(t) + mu) / ((1 + t) * mp.exp(t))
+            t -= dt
+        assert abs(dt) <= mpf(10) ** -(dps // 2) * abs(t), \
+            f"Newton did not settle near {mp.nstr(t, 8)}"
+    return t
+
+
 @pytest.fixture(scope="module")
 def mu_coal(ctx60):
     # mu = 1/e at working precision
     with mp.workdps(70):
-        return wrap_real(1 / mp.e, ctx60)
+        return real_from(1 / mp.e, ctx60)
 
 
 class TestPhase:
-    def test_value_at_double_saddle(self, ctx60, mu_coal):
+    def test_value_at_double_saddle(self, ctx60):
         # the branch choice is what puts -pi (not +pi) in the imaginary part
-        w = psi(real_from(-1, ctx60), mu_coal, ctx60)
         with mp.workdps(70):
-            assert abs(w.value - (-1 - 1j * mp.pi)) < tol(ctx60, 5)
+            w = psi_reduced_raw(-1)
+            assert abs(w - (-1 - 1j * mp.pi)) < tol(ctx60, 5)
 
     def test_derivatives_at_double_saddle(self, ctx60, mu_coal):
-        d1, d2, d3, d4 = psi_derivs(real_from(-1, ctx60), mu_coal, ctx60)
+        # psi = -e^t/mu - log t: each derivative of -e^t/mu is -e^t/mu, and
+        # the log adds (-1)^j (j-1)!/t^j. At t = -1, mu = 1/e the first part
+        # is -1, so psi' = psi'' = 0, psi''' = 1 and psi'''' = 5
         with mp.workdps(70):
-            assert abs(d1.value) < tol(ctx60, 5)
-            assert abs(d2.value) < tol(ctx60, 5)
-            assert abs(d3.value - 1) < tol(ctx60, 5)
-            assert abs(d4.value - 5) < tol(ctx60, 5)
+            t = mpf(-1)
+            g = -mp.exp(t) / raw(mu_coal)
+            assert abs(g - 1 / t) < tol(ctx60, 5)
+            assert abs(g + 1 / t ** 2) < tol(ctx60, 5)
+            assert abs(g - 2 / t ** 3 - 1) < tol(ctx60, 5)
+            assert abs(g + 6 / t ** 4 - 5) < tol(ctx60, 5)
+            assert psi2_at_saddle_raw(t) == 0
 
-    def test_cut_rejected(self, ctx60, mu_coal):
+    def test_cut_rejected(self):
         with pytest.raises(DomainError):
-            psi(real_from(2, ctx60), mu_coal, ctx60)
+            psi_reduced_raw(2)
         with pytest.raises(DomainError):
-            psi(real_from(0, ctx60), mu_coal, ctx60)
+            psi_reduced_raw(0)
 
     @given(st.floats(min_value=-3, max_value=3),
            st.floats(min_value=0.05, max_value=3))
     def test_conjugate_branch_identity(self, re, im):
-        # Im(psi(t) + psi(conj t)) = -2 pi off the real axis
+        # Im(psi(t) + psi(conj t)) = -2 pi off the real axis: e^t/mu and 1/t
+        # are conjugate-symmetric, and the branched logs add up to 2 pi i
         ctx = mk_context(40)
-        mu = real_from("0.25", ctx)
-        t = wrap_complex(mpc(re, im), ctx)
-        a = psi(t, mu, ctx)
-        b = psi(t.conjugate(), mu, ctx)
         with mp.workdps(50):
-            assert abs(mp.im(a.value + b.value) + 2 * mp.pi) < tol(ctx, 8)
+            t = mpc(re, im)
+            s = psi_reduced_raw(t) + psi_reduced_raw(mp.conj(t))
+            assert abs(mp.im(s) + 2 * mp.pi) < tol(ctx, 8)
+            logs = log_branched_raw(t) + log_branched_raw(mp.conj(t))
+            assert abs(mp.im(logs) - 2 * mp.pi) < tol(ctx, 8)
 
     def test_reduced_phase_identity_at_saddles(self, ctx60):
-        # 1/t - log t equals psi at any solution of t e^t = -mu
+        # 1/t - log t equals psi at any solution of t e^t = -mu, and
+        # (1 + t)/t^2 equals psi'' there
         params = PhaseParams.from_xi("0.85", ctx60)
         pair = solve_saddles(params, ctx60)
-        full = psi(pair.t0, params.mu, ctx60)
         with mp.workdps(70):
-            assert abs(full.value - psi_reduced_raw(raw(pair.t0))) < tol(ctx60, 8)
-            p2 = psi2_at_saddle_raw(raw(pair.t0))
-        d1, d2, _, _ = psi_derivs(pair.t0, params.mu, ctx60)
-        with mp.workdps(70):
-            assert abs(d2.value - p2) < tol(ctx60, 8)
+            t, mu = raw(pair.t0), raw(params.mu)
+            full = -mp.exp(t) / mu - log_branched_raw(t)
+            assert abs(full - psi_reduced_raw(t)) < tol(ctx60, 8)
+            d2 = -mp.exp(t) / mu + 1 / t ** 2
+            assert abs(d2 - psi2_at_saddle_raw(t)) < tol(ctx60, 8)
 
 
 class TestLambert:
     def test_examples_against_mpmath(self, ctx60):
-        for ys in ("-0.2", "-0.35", "-0.01"):
-            y = real_from(ys, ctx60)
-            w0 = lambert_w0(y, ctx60)
-            wm = lambert_wm1(y, ctx60)
+        # each real saddle on its branch interval, against mpmath's
+        # bracketing root finder: t0 = W_0(-mu) in (-1, 0), t1 = W_-1(-mu)
+        for ms in ("0.2", "0.35", "0.01"):
+            params = PhaseParams.from_mu(ms, ctx60)
+            pair = solve_saddles(params, ctx60)
+            assert pair.kind is SaddleKind.REAL_PAIR
             with mp.workdps(80):
-                assert abs(w0.value - mpmath.lambertw(mpf(ys), 0)) < tol(ctx60, 8)
-                assert abs(wm.value - mpmath.lambertw(mpf(ys), -1)) < tol(ctx60, 8)
+                mu = raw(params.mu)
+
+                def f(t):
+                    return t * mp.exp(t) + mu
+                w0 = mp.findroot(f, (mpf(-1), mpf(0)), solver="illinois")
+                wm = mp.findroot(f, (mpf(-50), mpf(-1)), solver="illinois")
+                assert abs(raw(pair.t0) - w0) < tol(ctx60, 8)
+                assert abs(raw(pair.t1) - wm) < tol(ctx60, 8)
 
     def test_bisection_oracle(self, ctx60):
-        # fully independent check: bisect w e^w = y on each branch interval
+        # fully independent check: bisect t e^t = -mu on each branch interval
+        params = PhaseParams.from_xi("1.5", ctx60)
+        pair = solve_saddles(params, ctx60)
         with mp.workdps(80):
-            y = mpf("-0.15")
-            lo, hi = mpf(-1), mpf(0)
-            for _ in range(260):
-                mid = (lo + hi) / 2
-                if mid * mp.exp(mid) < y:
-                    lo = mid
-                else:
-                    hi = mid
-            w0_ref = (lo + hi) / 2
-            got = lambert_w0(real_from("-0.15", ctx60), ctx60)
-            assert abs(raw(got) - w0_ref) < tol(ctx60, 10)
+            mu = raw(params.mu)
+            t0_ref = bisect_saddle(mu, mpf(-1), mpf(0))
+            t1_ref = bisect_saddle(mu, mpf(-10), mpf(-1))
+            assert abs(raw(pair.t0) - t0_ref) < tol(ctx60, 10)
+            assert abs(raw(pair.t1) - t1_ref) < tol(ctx60, 10)
 
-    @given(st.floats(min_value=-0.367, max_value=-1e-4))
-    def test_residuals_and_ranges(self, yf):
+    @given(st.floats(min_value=1e-4, max_value=0.367))
+    def test_residuals_and_ranges(self, mf):
         ctx = mk_context(40)
-        y = real_from(yf, ctx)
-        w0 = lambert_w0(y, ctx)
-        wm = lambert_wm1(y, ctx)
-        assert -1 <= raw(w0) < 0
-        assert raw(wm) <= -1
+        params = PhaseParams.from_mu(mf, ctx)
+        pair = solve_saddles(params, ctx)
+        assert pair.kind is SaddleKind.REAL_PAIR
+        t0, t1 = raw(pair.t0), raw(pair.t1)
+        assert t0.imag == 0 and t1.imag == 0
+        assert -1 <= t0.real < 0
+        assert t1.real <= -1
         with mp.workdps(60):
-            for w in (raw(w0), raw(wm)):
-                assert abs(w * mp.exp(w) - raw(y)) < tol(ctx, 9) * abs(raw(y))
-
-    def test_domain_errors(self, ctx60):
-        with pytest.raises(DomainError):
-            lambert_w0(real_from("0.1", ctx60), ctx60)
-        with pytest.raises(DomainError):
-            lambert_wm1(real_from("-0.4", ctx60), ctx60)  # below -1/e
+            mu = raw(params.mu)
+            for t in (t0, t1):
+                assert abs(t * mp.exp(t) + mu) < tol(ctx, 9) * mu
 
     def test_branch_point(self, ctx60):
-        # at (or guard-close below) y = -1/e both branches collapse to -1
+        # just outside the snap window, at xi = 1 + eps, the real roots
+        # straddle -1 symmetrically by sqrt(2 q), with q = 1 - 1/xi the
+        # scaled distance of -mu past the branch point -1/e
         with mp.workdps(80):
-            at = wrap_real(-1 / mp.e - mpf("1e-50"), ctx60)
-            above = wrap_real(-1 / mp.e + mpf("1e-44"), ctx60)
-        assert raw(lambert_w0(at, ctx60)) == -1
-        assert raw(lambert_wm1(at, ctx60)) == -1
-        # just above the branch point the roots straddle -1 symmetrically
-        w0 = raw(lambert_w0(above, ctx60))
-        wm = raw(lambert_wm1(above, ctx60))
+            xi = 1 + 10 * coalescence_tolerance(ctx60)
+            half_gap = mp.sqrt(2 * (1 - 1 / xi))
+        pair = solve_saddles(PhaseParams.from_xi(xi, ctx60), ctx60)
+        assert pair.kind is SaddleKind.REAL_PAIR
         with mp.workdps(80):
-            half_gap = mp.sqrt(2 * mp.e * mpf("1e-44"))
+            w0, wm = raw(pair.t0).real, raw(pair.t1).real
             assert wm < -1 < w0
             assert abs((w0 + 1) - half_gap) < half_gap / 100
             assert abs((wm + 1) + half_gap) < half_gap / 100
@@ -188,16 +221,49 @@ class TestSolve:
             s = psi_reduced_raw(t0) + psi_reduced_raw(t1)
             assert abs(mp.im(s) + 2 * mp.pi) < tol(ctx60, 8)
 
-    def test_split_scale_near_coalescence(self, ctx60):
-        # |t0 + 1| tracks sqrt(2|1/xi - 1|) within a factor of two
-        for k in (2, 3, 4):
+    def test_split_scale_near_coalescence(self, ctx120):
+        # |t0 + 1| tracks sqrt(2|1/xi - 1|) within a factor of two, and both
+        # saddles match a 400-digit Newton polish to all but two digits, up
+        # to the edge of the snap window (1e-105 at 120 digits)
+        for k in (2, 3, 4, 30, 40, 45, 50, 60, 80, 100, 104):
             for sgn in (1, -1):
-                with mp.workdps(80):
+                with mp.workdps(150):
                     xi = 1 + sgn * mpf(10) ** -k
                     pred = mp.sqrt(2 * abs(1 / xi - 1))
-                pair = solve_saddles(PhaseParams.from_xi(xi, ctx60), ctx60)
-                gap = abs(raw(pair.t0) + 1)
-                assert pred / 2 < gap < pred * 2
+                params = PhaseParams.from_xi(xi, ctx120)
+                pair = solve_saddles(params, ctx120)
+                assert pair.kind is (SaddleKind.REAL_PAIR if sgn > 0
+                                     else SaddleKind.CONJUGATE_PAIR)
+                with mp.workdps(150):
+                    gap = abs(raw(pair.t0) + 1)
+                    assert pred / 2 < gap < pred * 2
+                for t in (raw(pair.t0), raw(pair.t1)):
+                    ref = newton_polish(t, raw(params.mu), 400)
+                    with mp.workdps(400):
+                        assert abs(t - ref) <= tol(ctx120, 2) * abs(ref), \
+                            f"xi = 1 {'+-'[sgn < 0]} 1e-{k}"
+
+    @pytest.mark.parametrize("digits", [40, 120])
+    def test_certified_across_the_range(self, digits):
+        # xi = m 10^e from 1e-300 to 3.7e295: every pair certifies and
+        # lands on the right sheet
+        ctx = mk_context(digits)
+        for e in range(-300, 301, 7):
+            for m in ("1", "3.7"):
+                params = PhaseParams.from_xi(f"{m}e{e}", ctx)
+                pair = solve_saddles(params, ctx)
+                t0, t1 = raw(pair.t0), raw(pair.t1)
+                with mp.workdps(digits + 20):
+                    bound = tol(ctx, 10) * raw(params.mu)
+                    assert raw(pair.residual0) <= bound
+                    assert raw(pair.residual1) <= bound
+                with mp.workdps(digits + 20):
+                    if e < 0:
+                        assert pair.kind is SaddleKind.CONJUGATE_PAIR
+                        assert t0.imag > 0 and t1 == mp.conj(t0)
+                    else:
+                        assert pair.kind is SaddleKind.REAL_PAIR
+                        assert t1.real < -1 < t0.real < 0
 
     @given(st.floats(min_value=0.3, max_value=3))
     def test_classification_and_residuals(self, xf):

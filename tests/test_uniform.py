@@ -6,8 +6,31 @@ from touchard import (BranchError, DomainError, SaddleKind, mk_context,
                       scaled_touchard, theorem1_eval, theorem2_eval,
                       uniform_ingredients, wrap_real)
 from touchard.numkernel import raw
-from touchard.uniform import (branch_continuity_check, coalescence_limit_values,
-                              compute_A0_B0)
+from touchard.uniform import coalescence_limit_values, compute_A0_B0
+
+
+def branch_continuity_check():
+    """Ladder check that A0, B0 flow into their xi = 1 closed forms.
+
+    Walks xi = 1 +/- 10^-k for k = 2..6 at 40 digits and raises BranchError
+    when the gap to the limits stops shrinking, as a wrong square-root
+    branch would make it.
+    """
+    ctx = mk_context(40)
+    a_lim, b_lim, _ = coalescence_limit_values(ctx)
+    with mp.workdps(ctx.digits):
+        prev_gap = mpf("inf")
+        for k in range(2, 7):
+            for side in (1, -1):
+                xi = 1 + side * mpf(10) ** (-k)
+                ing = uniform_ingredients(xi, ctx)
+                gap = max(abs(ing.A0.value - a_lim.value),
+                          abs(ing.B0.value - b_lim.value))
+                if gap > max(prev_gap * 4, mpf("1e-30")):
+                    raise BranchError(
+                        f"A0/B0 ladder diverges from the coalescence values "
+                        f"at xi={mp.nstr(xi, 8)} (gap {mp.nstr(gap, 3)})")
+            prev_gap = gap
 
 
 class TestCoalescenceLimit:
