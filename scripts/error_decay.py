@@ -52,7 +52,7 @@ def truncation_sweep(n: int, max_order: int, ctx) -> None:
         print(f"{m},{mp.nstr(rel, 6)}")
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--mu", default="0.2")
     ap.add_argument("--n-ladder", type=int, nargs="+",
@@ -60,7 +60,7 @@ def main() -> None:
     ap.add_argument("--n", type=int, default=121)
     ap.add_argument("--max-order", type=int, default=12)
     ap.add_argument("--digits", type=int, default=None)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     ctx = mk_context(args.digits)
     poincare_sweep(args.mu, args.n_ladder, ctx)
     print()

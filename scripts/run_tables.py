@@ -12,11 +12,11 @@ import pathlib
 from touchard.cli import cmd_table1, cmd_table2
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="artifacts")
     ap.add_argument("--digits", type=int, default=None)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "table1.csv").write_text(cmd_table1(digits=args.digits))

@@ -7,7 +7,7 @@ leading-order forms (poincare.leading_order), all over a small
 arbitrary-precision kernel (numkernel) with deterministic, context-pinned
 rounding.
 """
-from .airy import ABS_Z_LIMIT, AiryMethod, AiryValue, airy, switchover
+from .airy import ABS_Z_LIMIT, AiryMethod, AiryValue, airy
 from .coalescence import (DEFAULT_ORDER, BmTable, ForwardSeries,
                           RationalSeries, compute_bm, default_bm,
                           forward_series, revert_series, theorem1_eval)
@@ -32,7 +32,7 @@ from .uniform import (UniformIngredients, coalescence_limit_values,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABS_Z_LIMIT", "AiryMethod", "AiryValue", "airy", "switchover",
+    "ABS_Z_LIMIT", "AiryMethod", "AiryValue", "airy",
     "DEFAULT_ORDER", "BmTable", "ForwardSeries", "RationalSeries",
     "compute_bm", "default_bm", "forward_series", "revert_series",
     "theorem1_eval",

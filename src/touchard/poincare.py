@@ -79,34 +79,3 @@ def leading_order(n: int, mu, ctx: PrecisionContext) -> PoincareResult:
         return PoincareResult(value=wrap_real(value, ctx), regime=regime,
                               t0_used=wrap_complex(t0, ctx))
 
-
-def self_test(ctx: PrecisionContext | None = None):
-    """Falsify the unit leading coefficient if it is wrong.
-
-    With c_0 = 1 correct, the relative error at mu = 0.2 must decay like
-    1/n; the halving ratios err(2n)/err(n) at n = 50, 100, 200 are required
-    to land in [0.3, 0.7]. Returns the two ratios; raises otherwise.
-    """
-    from .errors import InternalConsistencyError
-    from .numkernel import mk_context
-    from .stirling import build_triangle, scaled_touchard
-
-    ctx = mk_context(60) if ctx is None else ctx
-    mu = real_from("0.2", ctx)
-    ladder = (50, 100, 200)
-    tri = build_triangle(ladder[-1] - 1, keep=[n - 1 for n in ladder])
-    errs = []
-    with mp.workdps(ctx.digits + 10):
-        for n in ladder:
-            x = wrap_real(mpf(n) / raw(mu), ctx)
-            exact = scaled_touchard(n - 1, wrap_real(-raw(x), ctx), tri, ctx)
-            approx = leading_order(n, mu, ctx)
-            errs.append(abs(raw(approx.value) / raw(exact.value) - 1))
-        ratios = (float(errs[1] / errs[0]), float(errs[2] / errs[1]))
-    for r in ratios:
-        if not (0.3 <= r <= 0.7):
-            raise InternalConsistencyError(
-                f"leading-order error does not decay like 1/n "
-                f"(halving ratios {ratios}); the unit leading coefficient "
-                "assumption is falsified")
-    return ratios

@@ -9,7 +9,7 @@ One published cell is a misprint: Table 2 at (xi = 1.01, n = 81) prints
 5.300e-3 where the two-term uniform formula gives 5.296e-3. Criterion 2 checks
 that cell against TABLE2_ERRATA instead; the evidence is
 test_table2_erratum_independent_oracle, which re-derives the cell without the
-package's saddle, Airy or Stirling code.
+package's code. It shares only mpmath's lambertw and airyai with the package.
 """
 import math
 import time
@@ -20,13 +20,13 @@ from touchard import (airy, bell_number, build_triangle, default_bm,
                       forward_series, mk_context, real_from, scaled_touchard,
                       solve_saddles, theorem1_eval, theorem2_eval,
                       touchard_exact, wrap_real)
-from touchard.airy import second_derivative_series
 from touchard.coalescence import _BM_CHECK
 from touchard.contours import contour_set
 from touchard.numkernel import raw
-from touchard.poincare import self_test
 from touchard.saddle import PhaseParams, SaddleKind, psi_reduced_raw
 
+from airy_oracle import airy_maclaurin
+from leading_order_decay import halving_ratios
 from recurrence_oracle import touchard_recurrence
 
 from fractions import Fraction
@@ -321,7 +321,7 @@ def test_criterion_6_saddle_certificates():
 
 
 def test_criterion_7_leading_order_decay():
-    ratios = self_test(mk_context(60))
+    ratios = halving_ratios(mk_context(60))
     assert all(0.3 <= r <= 0.7 for r in ratios), \
         f"criterion 7: FAIL - halving ratios {ratios} outside [0.3, 0.7]"
     print(f"criterion 7: PASS - error halving ratios {tuple(round(r, 3) for r in ratios)}")
@@ -341,9 +341,8 @@ def test_criterion_8_airy_quality():
             "criterion 8: FAIL - Ai'(0) closed form"
         worst = mpf(0)
         for z in (-5, -2, -1, 0, 1, 2, 5):
-            zb = real_from(z, ctx)
-            resid = abs(raw(second_derivative_series(zb, ctx))
-                        - z * raw(airy(zb, ctx).ai))
+            resid = abs(airy_maclaurin(z, DIGITS)[2]
+                        - z * raw(airy(real_from(z, ctx), ctx).ai))
             worst = max(worst, resid)
         assert worst < tol12, \
             f"criterion 8: FAIL - ODE residual {mp.nstr(worst, 3)} >= {mp.nstr(tol12, 3)}"

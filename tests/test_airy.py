@@ -1,14 +1,15 @@
-"""Airy kernel: closed forms, ODE residual, method routing and agreement."""
+"""Airy kernel: closed forms, the Maclaurin oracle, the ODE residual and the
+Wronskian across the whole supported range."""
 import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from touchard import (DomainError, airy, AiryMethod, mk_context,
-                      real_from, switchover)
-from touchard.airy import second_derivative_series
+from touchard import DomainError, airy, mk_context, real_from
 from touchard.numkernel import raw
+
+from airy_oracle import airy_maclaurin
 
 
 def tol(digits, slack):
@@ -23,7 +24,6 @@ class TestClosedForms:
             aip0 = -(3 ** (mpf(-1) / 3)) / mpmath.gamma(mpf(1) / 3)
             assert abs(raw(got.ai) - ai0) < tol(120, 8) * abs(ai0)
             assert abs(raw(got.ai_prime) - aip0) < tol(120, 8) * abs(aip0)
-        assert got.method is AiryMethod.MACLAURIN
 
     def test_reference_points(self, ctx60):
         a1 = airy(real_from(1, ctx60), ctx60)
@@ -34,14 +34,16 @@ class TestClosedForms:
 
 
 class TestOracle:
-    @pytest.mark.parametrize("z", ["-200.5", "-30", "-12", "-2", "0",
-                                   "1", "5", "12", "30", "200"])
+    """airy against the Maclaurin oracle, which does not use mpmath.airyai.
+    Past |z| = 30 the oracle needs hundreds of guard digits; the Wronskian
+    test covers that range."""
+
+    @pytest.mark.parametrize("z", ["-30", "-12", "-2", "0",
+                                   "1", "5", "12", "30"])
     def test_against_mpmath_grid(self, z, ctx60):
         got = airy(real_from(z, ctx60), ctx60)
+        ref, refp, _ = airy_maclaurin(z, 90)
         with mp.workdps(90):
-            w = mpf(z)
-            ref = mpmath.airyai(w)
-            refp = mpmath.airyai(w, 1)
             floor = mpf(10) ** -40  # oscillatory zeros make pure relative tests unfair
             assert abs(raw(got.ai) - ref) <= tol(60, 8) * max(abs(ref), floor)
             assert abs(raw(got.ai_prime) - refp) <= tol(60, 8) * max(abs(refp), floor)
@@ -50,19 +52,18 @@ class TestOracle:
     def test_against_mpmath_property(self, zf):
         ctx = mk_context(40)
         got = airy(real_from(zf, ctx), ctx)
+        ref, _, _ = airy_maclaurin(zf, 60)
         with mp.workdps(60):
-            ref = mpmath.airyai(mpf(zf))
             assert abs(raw(got.ai) - ref) <= tol(40, 8) * max(abs(ref), mpf("1e-25"))
 
 
 class TestInvariants:
     @pytest.mark.parametrize("z", [-5, -2, -1, 0, 1, 2, 5])
     def test_ode_residual_on_grid(self, z, ctx60):
-        zb = real_from(z, ctx60)
-        val = airy(zb, ctx60)
-        app = second_derivative_series(zb, ctx60)
+        val = airy(real_from(z, ctx60), ctx60)
+        _, _, app = airy_maclaurin(z, 60)
         with mp.workdps(80):
-            assert abs(raw(app) - mpf(z) * raw(val.ai)) < tol(60, 12)
+            assert abs(app - mpf(z) * raw(val.ai)) < tol(60, 12)
 
     def test_positive_decay(self, ctx60):
         grid = ["0", "0.5", "1", "2", "4", "8", "16", "32"]
@@ -73,32 +74,26 @@ class TestInvariants:
         assert all(raw(airy(real_from(z, ctx60), ctx60).ai_prime) < 0
                    for z in grid)
 
-    def test_method_agreement_at_switchover(self, ctx60):
-        s = switchover(ctx60)
-        for sign in (1, -1):
-            z = real_from(sign * s, ctx60)
-            a = airy(z, ctx60, switchover_abs=s * 2)   # forces the series
-            b = airy(z, ctx60, switchover_abs=s / 2)   # forces the expansion
-            assert a.method is AiryMethod.MACLAURIN
-            assert b.method is not AiryMethod.MACLAURIN
-            with mp.workdps(80):
-                assert abs(raw(a.ai) - raw(b.ai)) <= tol(60, 0) ** mpf("0.5") * abs(raw(a.ai))
-                assert abs(raw(a.ai_prime) - raw(b.ai_prime)) \
-                    <= tol(60, 0) ** mpf("0.5") * abs(raw(a.ai_prime))
-
-    def test_method_routing(self, ctx60):
-        s = switchover(ctx60)
-        assert airy(real_from(s / 2, ctx60), ctx60).method is AiryMethod.MACLAURIN
-        assert airy(real_from(s * 2, ctx60), ctx60).method is AiryMethod.ASYMPTOTIC_POS
-        assert airy(real_from(-s * 2, ctx60), ctx60).method is AiryMethod.ASYMPTOTIC_NEG
-
     def test_range_limit(self, ctx60):
         with pytest.raises(DomainError):
             airy(real_from("1.5e6", ctx60), ctx60)
 
     def test_deep_asymptotic_range(self, ctx60):
-        # far beyond the switchover the expansion must still deliver digits
+        # deep in the decaying tail the guard digits must still cover the rounding
         got = airy(real_from(90000, ctx60), ctx60)
         with mp.workdps(90):
             ref = mpmath.airyai(mpf(90000))
             assert abs(raw(got.ai) - ref) <= tol(60, 8) * abs(ref)
+
+    @pytest.mark.parametrize("digits", [40, 120, 300])
+    def test_wronskian_across_the_range(self, digits):
+        # Ai Bi' - Ai' Bi = 1/pi, with Bi from mpmath.airybi at the same z
+        ctx = mk_context(digits)
+        for z in ("-1e6", "-999999.37", "-2000", "-200.5", "-41", "-30", "0",
+                  "25", "34", "41", "200", "1e5", "1e6"):
+            zb = real_from(z, ctx)
+            val = airy(zb, ctx)
+            with mp.workdps(digits + 20):
+                bi, bip = mpmath.airybi(raw(zb)), mpmath.airybi(raw(zb), 1)
+                w = raw(val.ai) * bip - raw(val.ai_prime) * bi
+                assert abs(w - 1 / mp.pi) <= tol(digits, 8), f"z = {z}"

@@ -5,7 +5,8 @@ from mpmath import mp, mpf
 from touchard import (DomainError, PoincareRegime, RegimeError, leading_order,
                       mk_context, scaled_touchard, wrap_real)
 from touchard.numkernel import raw
-from touchard.poincare import self_test
+
+from leading_order_decay import halving_ratios
 
 
 class TestRouting:
@@ -73,7 +74,7 @@ class TestAccuracy:
 
 class TestSelfTest:
     def test_ratios_certify_unit_coefficient(self):
-        ratios = self_test()
+        ratios = halving_ratios()
         assert len(ratios) == 2
         for r in ratios:
             assert 0.3 <= r <= 0.7

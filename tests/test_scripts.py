@@ -3,6 +3,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from touchard.cli import cmd_table1, cmd_table2, load_error_rows
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -23,3 +25,23 @@ def test_trace_contours_writes_reloadable_json(tmp_path, capsys):
     for pl in report["polylines"]:
         assert float(pl["im_psi_drift"]) < 1e-8
         assert all(c.endswith("@30") for pt in pl["points"] for c in pt)
+
+
+
+def test_run_tables_writes_the_cli_tables(tmp_path, capsys):
+    load_script("run_tables").main(["--outdir", str(tmp_path), "--digits", "40"])
+    out = capsys.readouterr().out
+    for name, cmd in (("table1", cmd_table1), ("table2", cmd_table2)):
+        path = tmp_path / f"{name}.csv"
+        assert f"wrote {path}" in out
+        text = path.read_text()
+        assert text == cmd(digits=40)
+        assert len(load_error_rows(text)) == len(text.splitlines()) - 1
+
+
+def test_error_decay_prints_both_studies(capsys):
+    load_script("error_decay").main(["--n-ladder", "50", "100", "--n", "50",
+                                     "--max-order", "4", "--digits", "40"])
+    out = capsys.readouterr().out
+    assert "# poincare, mu = 0.2" in out
+    assert "# coalescence series truncation, n = 50" in out
