@@ -8,9 +8,7 @@ arbitrary-precision kernel (numkernel) with deterministic, context-pinned
 rounding.
 """
 from .airy import ABS_Z_LIMIT, AiryMethod, AiryValue, airy
-from .coalescence import (DEFAULT_ORDER, BmTable, ForwardSeries,
-                          RationalSeries, compute_bm, default_bm,
-                          forward_series, revert_series, theorem1_eval)
+from .coalescence import DEFAULT_ORDER, MAX_ORDER, default_bm, theorem1_eval
 from .contours import ContourPolyline, ContourSet, contour_set
 from .errors import (BranchError, CapacityError, DomainError,
                      InternalConsistencyError, InvalidPrecisionError,
@@ -23,8 +21,8 @@ from .numkernel import (DEFAULT_DIGITS, MIN_DIGITS, BigComplex, BigReal,
 from .poincare import PoincareRegime, PoincareResult, leading_order
 from .saddle import (PhaseParams, SaddleKind, SaddlePair,
                      coalescence_tolerance, solve_saddles)
-from .stirling import (N_MAX_LIMIT, ExactValue, StirlingTriangle, bell_number,
-                       build_triangle, scaled_touchard, touchard_exact)
+from .stirling import (N_MAX_LIMIT, ExactValue, StirlingTriangle,
+                       build_triangle, scaled_touchard)
 from .uniform import (UniformIngredients, coalescence_limit_values,
                       compute_A0_B0, compute_zeta_beta, theorem2_eval,
                       uniform_ingredients)
@@ -33,9 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ABS_Z_LIMIT", "AiryMethod", "AiryValue", "airy",
-    "DEFAULT_ORDER", "BmTable", "ForwardSeries", "RationalSeries",
-    "compute_bm", "default_bm", "forward_series", "revert_series",
-    "theorem1_eval",
+    "DEFAULT_ORDER", "MAX_ORDER", "default_bm", "theorem1_eval",
     "ContourPolyline", "ContourSet", "contour_set",
     "BranchError", "CapacityError", "DomainError", "InternalConsistencyError",
     "InvalidPrecisionError", "OrderError", "PrecisionExhaustedError",
@@ -47,8 +43,8 @@ __all__ = [
     "PoincareRegime", "PoincareResult", "leading_order",
     "PhaseParams", "SaddleKind", "SaddlePair", "coalescence_tolerance",
     "solve_saddles",
-    "N_MAX_LIMIT", "ExactValue", "StirlingTriangle", "bell_number",
-    "build_triangle", "scaled_touchard", "touchard_exact",
+    "N_MAX_LIMIT", "ExactValue", "StirlingTriangle", "build_triangle",
+    "scaled_touchard",
     "UniformIngredients", "coalescence_limit_values", "compute_A0_B0",
     "compute_zeta_beta", "theorem2_eval", "uniform_ingredients",
     "__version__",

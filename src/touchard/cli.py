@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .coalescence import _BM_CHECK, default_bm, theorem1_eval
+from .coalescence import (_BM_CHECK, _sin_third, check_order, default_bm,
+                          theorem1_eval)
 from .contours import ContourSet, contour_set
 from .errors import DomainError, InternalConsistencyError, TouchardError
 from .numkernel import (BigReal, PrecisionContext, _sci, mk_context, raw,
@@ -116,16 +117,17 @@ def cmd_table1(n_list=None, m_list=None, digits: int | None = None) -> str:
     m_list = list(DEFAULT_M_TABLE1 if m_list is None else m_list)
     if not n_list or not m_list:
         raise DomainError("table1 needs a non-empty --n and --m list")
+    for m in m_list:
+        check_order(m)
     ctx = mk_context(digits)
     triangle = build_triangle(max(n_list) - 1, keep=[n - 1 for n in n_list])
-    bm = default_bm(max(12, max(m_list)))
     rows = []
     for n in n_list:
         with mp.workdps(ctx.digits + 10):
             x = wrap_real(n * mp.e, ctx)
         exact = _exact_scaled(n, x, triangle, ctx)
         for m in m_list:
-            approx = theorem1_eval(n, m, ctx, bm=bm)
+            approx = theorem1_eval(n, m, ctx)
             rows.append(make_row(n, real_from(m, ctx), exact.value, approx, ctx))
     return rows_to_csv(rows)
 
@@ -260,16 +262,13 @@ def cmd_contours(xi, digits: int | None = None, step=None, max_len=None) -> dict
 
 
 def cmd_bm(max_order: int = 12) -> dict:
-    if max_order < 0:
-        raise DomainError(f"max order must be >= 0, got {max_order}")
-    table = default_bm(max_order)
     entries = []
-    for m, b in enumerate(table.B):
+    for m, b in enumerate(default_bm(max_order)):
         entries.append({
             "m": m,
             "numerator": str(b.numerator),
             "denominator": str(b.denominator),
-            "contributes": not table.zero_mask[m],
+            "contributes": _sin_third(m) != 0,
             "cross_checked": m in _BM_CHECK,
         })
     return {"order": max_order, "entries": entries}

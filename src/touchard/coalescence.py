@@ -1,16 +1,23 @@
-"""Double-saddle machinery at mu = 1/e, in exact rational arithmetic.
+"""Double-saddle series at mu = 1/e, with exact rational coefficients.
 
 About t = -1 the phase expands as
 
-    psi(t) - psi(-1) = sum_{j>=3} (1/j - 1/j!) tau^j,   tau = t + 1,
+    psi(t) - psi(-1) = sum_{j>=3} f_j tau^j,   f_j = 1/j - 1/j!,   tau = t + 1,
 
 with the orders 1 and 2 killed by the double saddle. Setting
-w = psi(t) - psi(-1) and v = (6w)^{1/3}, the inverse branch is a power
-series tau(v) = sum_m a_m v^{m+1} with a_0 = 1, found order by order.
-Term-wise integration of e^{-n w} against d tau across the two contour
-branches w = e^{-/+ i pi} u turns each a_m into a descending-power
-contribution with coefficient B_m = (-1)^m (m+1) a_m; the branch factors
-combine into sin(pi(m+1)/3), which kills every m = 2 (mod 3).
+w = psi(t) - psi(-1) and v = (6w)^{1/3} gives v^3 = tau^3 g(tau) with
+g(tau) = 6 sum_j f_{j+3} tau^j and g(0) = 1, so v = tau g(tau)^{1/3}.
+Lagrange inversion (Flajolet and Sedgewick, Analytic Combinatorics,
+Thm A.2) inverts this in closed form: tau(v) = sum_m a_m v^{m+1} with
+(m+1) a_m = [tau^m] g(tau)^{-(m+1)/3}. Term-wise integration of e^{-n w}
+against d tau across the two contour branches w = e^{-/+ i pi} u turns
+each a_m into a descending-power contribution with coefficient
+
+    B_m = (-1)^m (m+1) a_m = (-1)^m [tau^m] g(tau)^{-(m+1)/3};
+
+the branch factors combine into sin(pi(m+1)/3), which kills every
+m = 2 (mod 3). The power of g comes from J.C.P. Miller's recurrence
+(Knuth, TAOCP vol. 2, sec. 4.7), all in Fractions.
 
 The evaluator computes, for x = n e,
 
@@ -20,7 +27,7 @@ The evaluator computes, for x = n e,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 
 import mpmath
@@ -30,9 +37,11 @@ from .errors import OrderError, SeriesConsistencyError
 from .numkernel import BigReal, PrecisionContext, wrap_real
 
 DEFAULT_ORDER = 12
+# Largest series order. `touchard bm --max 150` takes 10.5 s and 20 MiB,
+# and time grows about like m^3.4 (README, "Size limit").
+MAX_ORDER = 150
 
-# reference values for the first coefficients, used as a build-stopping
-# cross-check on the reversion bookkeeping
+# reference values for the first coefficients, a build-stopping cross-check
 _BM_CHECK = {
     0: Fraction(1),
     1: Fraction(5, 6),
@@ -42,136 +51,39 @@ _BM_CHECK = {
 }
 
 
-@dataclass(frozen=True)
-class ForwardSeries:
-    """coeffs[j] multiplies tau^j; entries below j=3 are zero."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-
-@dataclass(frozen=True)
-class RationalSeries:
-    """tau(v) = sum_m coeffs[m] v^{m+1}."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-
-@dataclass(frozen=True)
-class BmTable:
-    B: tuple[Fraction, ...]
-    zero_mask: tuple[bool, ...]  # True where m = 2 (mod 3): non-contributing
-
-    @property
-    def order(self) -> int:
-        return len(self.B) - 1
-
-
-def forward_series(order: int) -> ForwardSeries:
-    """Taylor coefficients of -e^(tau) - log(-1 + tau) about tau = 0.
-
-    The exponential contributes -tau^j/j!, the log contributes +tau^j/j
-    (constants and the i pi from the branch drop out of the difference
-    psi(t) - psi(-1)).
-    """
-    if order < 3:
-        raise OrderError(f"forward series needs order >= 3, got {order}")
-    coeffs = [Fraction(0)]
-    fact = 1
-    for j in range(1, order + 1):
-        fact *= j
-        coeffs.append(Fraction(1, j) - Fraction(1, fact))
-    if coeffs[1] != 0 or coeffs[2] != 0:
-        raise SeriesConsistencyError("orders 1 and 2 survived the double saddle")
-    return ForwardSeries(coeffs=tuple(coeffs))
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction], trunc: int) -> list[Fraction]:
-    out = [Fraction(0)] * (trunc + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > trunc:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > trunc:
-                break
-            if bj != 0:
-                out[i + j] += ai * bj
-    return out
-
-
-def _compose_forward(fwd: ForwardSeries, tau: list[Fraction], trunc: int) -> list[Fraction]:
-    """sum_j f_j tau(v)^j truncated at v^trunc (tau has no constant term)."""
-    acc = [Fraction(0)] * (trunc + 1)
-    power = [Fraction(1)] + [Fraction(0)] * trunc
-    for j in range(1, fwd.order + 1):
-        power = _poly_mul(power, tau, trunc)
-        fj = fwd.coeffs[j]
-        if fj != 0:
-            for i in range(trunc + 1):
-                acc[i] += fj * power[i]
-        if all(c == 0 for c in power):
-            break
-    return acc
-
-
-def revert_series(fwd: ForwardSeries, order: int) -> RationalSeries:
-    """Solve sum_j f_j tau^j = v^3/6 for tau(v) = sum_m a_m v^{m+1}.
-
-    At each new order r the unknown a_r enters the v^{3+r} coefficient
-    only through 3 f_3 a_0^2 a_r = a_r/2, so a_r = -2 * (residual).
-    """
-    if fwd.order < order + 3:
-        raise OrderError(
-            f"reversion to order {order} needs forward order >= {order + 3}, "
-            f"have {fwd.order}")
-    a = [Fraction(1)]
-    for r in range(1, order + 1):
-        trunc = r + 3
-        tau = [Fraction(0)] * (trunc + 1)
-        for m, am in enumerate(a):
-            tau[m + 1] = am
-        acc = _compose_forward(fwd, tau, trunc)
-        a.append(-2 * acc[3 + r])
-    rev = RationalSeries(coeffs=tuple(a))
-    _verify_roundtrip(fwd, rev)
-    return rev
-
-
-def _verify_roundtrip(fwd: ForwardSeries, rev: RationalSeries):
-    trunc = rev.order + 3
-    tau = [Fraction(0)] * (trunc + 1)
-    for m, am in enumerate(rev.coeffs):
-        tau[m + 1] = am
-    acc = _compose_forward(fwd, tau, trunc)
-    expect = [Fraction(0)] * (trunc + 1)
-    expect[3] = Fraction(1, 6)
-    if acc != expect:
-        raise SeriesConsistencyError(
-            "reverted series does not reproduce w = v^3/6: "
-            f"residual coefficients {[str(c) for c in acc if c != 0][:4]}")
-
-
-def compute_bm(rev: RationalSeries) -> BmTable:
-    """B_m = (-1)^m (m+1) a_m, cross-checked against the reference list."""
-    B = tuple((-1) ** m * (m + 1) * am for m, am in enumerate(rev.coeffs))
-    for m, want in _BM_CHECK.items():
-        if m <= rev.order and B[m] != want:
-            raise SeriesConsistencyError(
-                f"B_{m} = {B[m]} disagrees with the reference value {want}")
-    mask = tuple(m % 3 == 2 for m in range(len(B)))
-    return BmTable(B=B, zero_mask=mask)
+def check_order(order: int) -> None:
+    if not 0 <= order <= MAX_ORDER:
+        raise OrderError(f"series order must lie in [0, {MAX_ORDER}], got {order}")
 
 
 @functools.lru_cache(maxsize=None)
-def default_bm(order: int = DEFAULT_ORDER) -> BmTable:
-    return compute_bm(revert_series(forward_series(order + 3), order))
+def _lagrange_coeff(m: int) -> Fraction:
+    """[tau^m] g(tau)^alpha with alpha = -(m+1)/3, so that B_m = (-1)^m times it.
+
+    Miller's recurrence for h = g^alpha: h_0 = 1 and
+    h_i = (1/i) sum_{j=1..i} ((alpha + 1) j - i) g_j h_{i-j}, with the
+    factor written over 3 so that it stays an integer: 3(alpha + 1) = 2 - m.
+    Cached per m, so tables of different orders share their work.
+    """
+    g = [6 * (Fraction(1, j + 3) - Fraction(1, math.factorial(j + 3)))
+         for j in range(m + 1)]
+    h = [Fraction(1)]
+    for i in range(1, m + 1):
+        h.append(sum(((2 - m) * j - 3 * i) * g[j] * h[i - j]
+                     for j in range(1, i + 1)) / (3 * i))
+    return h[m]
+
+
+@functools.lru_cache(maxsize=None)
+def default_bm(order: int = DEFAULT_ORDER) -> tuple[Fraction, ...]:
+    """B_0..B_order by Lagrange inversion, cross-checked against _BM_CHECK."""
+    check_order(order)
+    B = tuple((-1) ** m * _lagrange_coeff(m) for m in range(order + 1))
+    for m, want in _BM_CHECK.items():
+        if m <= order and B[m] != want:
+            raise SeriesConsistencyError(
+                f"B_{m} = {B[m]} disagrees with the reference value {want}")
+    return B
 
 
 def _sin_third(m: int) -> int:
@@ -184,14 +96,12 @@ def _sin_third(m: int) -> int:
     return 0
 
 
-def theorem1_eval(n: int, order: int, ctx: PrecisionContext,
-                  bm: BmTable | None = None) -> BigReal:
+def theorem1_eval(n: int, order: int, ctx: PrecisionContext) -> BigReal:
     """Descending-powers approximation of T^_{n-1}(-x) at exact coalescence x = n e."""
     if n < 2:
         raise OrderError(f"n must be >= 2, got {n}")
-    table = default_bm() if bm is None else bm
-    if order > table.order:
-        raise OrderError(f"order {order} exceeds the B_m table ({table.order})")
+    check_order(order)
+    bm = default_bm(max(order, DEFAULT_ORDER))
     with mp.workdps(ctx.digits + 10):
         x = n * mp.e
         rt3_half = mp.sqrt(3) / 2
@@ -200,7 +110,7 @@ def theorem1_eval(n: int, order: int, ctx: PrecisionContext,
             chi = _sin_third(m)
             if chi == 0:
                 continue
-            bmv = mpf(table.B[m].numerator) / table.B[m].denominator
+            bmv = mpf(bm[m].numerator) / bm[m].denominator
             term = ((-1) ** m * bmv * mpmath.gamma(mpf(m + 1) / 3)
                     * chi * rt3_half / (mpf(n) / 6) ** (mpf(m + 1) / 3))
             total += term

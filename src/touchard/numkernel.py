@@ -47,19 +47,15 @@ def default_digits() -> int:
 @dataclass(frozen=True)
 class PrecisionContext:
     digits: int
-    max_escalations: int = 8
 
 
-def mk_context(digits: int | None = None, max_escalations: int = 8) -> PrecisionContext:
+def mk_context(digits: int | None = None) -> PrecisionContext:
     if digits is None:
         digits = default_digits()
     if not isinstance(digits, int) or isinstance(digits, bool) or digits < MIN_DIGITS:
         raise InvalidPrecisionError(
             f"working precision must be an integer >= {MIN_DIGITS}, got {digits!r}")
-    if not isinstance(max_escalations, int) or max_escalations < 1:
-        raise InvalidPrecisionError(
-            f"max_escalations must be a positive integer, got {max_escalations!r}")
-    return PrecisionContext(digits=digits, max_escalations=max_escalations)
+    return PrecisionContext(digits=digits)
 
 
 # ---------------------------------------------------------------------------

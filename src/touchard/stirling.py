@@ -1,7 +1,7 @@
-"""Exact reference evaluation of the exponential polynomials.
+"""Exact reference evaluation of the scaled exponential polynomials T_n(z)/n!.
 
 T_n(z) = sum_k S(n,k) z^k with S(n,k) the Stirling numbers of the second
-kind, plus the scaled variant T_n(z)/n!.
+kind; the sum is divided by the exact integer n! last.
 
 Rows come from one rolling pass of S(n,k) = k S(n-1,k) + S(n-1,k-1) in
 Python ints that keeps only the rows a caller asks for: row n costs O(n^2)
@@ -22,8 +22,9 @@ the factor of two by which 4(n+1) exceeds the 2n+1 roundings of the pass and
 the division by n!. For negative z the sum alternates and loses
 log10(T_n(|z|)/|T_n(z)|) digits. When the check fails the pass reruns at a
 precision sized from that measured loss, or at twice the precision when the
-loss swamped the pass and could not be measured. cancellation_digits
-reports log10 of the largest term over |T_n(z)|, rounded up.
+loss swamped the pass and could not be measured, at most MAX_ESCALATIONS
+times. cancellation_digits reports log10 of the largest term over |T_n(z)|,
+rounded up.
 """
 from __future__ import annotations
 
@@ -39,6 +40,8 @@ from .numkernel import BigReal, PrecisionContext, raw, wrap_real
 # Largest row index a triangle may hold. `touchard eval --n 4000` takes 15 s
 # and 42 MiB at 120 digits, and time grows like n^2.7 (README, "Size limit").
 N_MAX_LIMIT = 4000
+# Reruns a certified sum may make before PrecisionExhaustedError.
+MAX_ESCALATIONS = 8
 
 
 @dataclass(frozen=True)
@@ -88,11 +91,10 @@ def build_triangle(n_max: int, keep: Iterable[int] | None = None) -> StirlingTri
     return StirlingTriangle(n_max=n_max, rows=rows)
 
 
-def _certified_sum(row: tuple[int, ...], zv: mpf, ctx: PrecisionContext,
-                   what: str):
+def _certified_sum(row: tuple[int, ...], zv: mpf, ctx: PrecisionContext):
     """(T_n(z), max_k |S(n,k) z^k|, dps) with T_n(z) certified at dps.
 
-    Reruns at most ctx.max_escalations times; an exact zero is accepted when
+    Reruns at most MAX_ESCALATIONS times; an exact zero is accepted when
     two rounds in a row give it.
     """
     n = len(row) - 1
@@ -109,7 +111,7 @@ def _certified_sum(row: tuple[int, ...], zv: mpf, ctx: PrecisionContext,
     log_scale = (top + math.log(math.fsum(math.exp(v - top)
                                           for v in logs.values()))) / math.log(10)
     prev = None
-    for rerun in range(ctx.max_escalations + 1):
+    for rerun in range(MAX_ESCALATIONS + 1):
         with mp.workdps(d):
             total = mpf(0)
             for s in reversed(row):
@@ -120,15 +122,15 @@ def _certified_sum(row: tuple[int, ...], zv: mpf, ctx: PrecisionContext,
                 biggest = max(row[k] * abs(zv) ** k for k, v in logs.items()
                               if v >= top - 1e-6)
                 return total, biggest, d
-        if rerun == ctx.max_escalations:
+        if rerun == MAX_ESCALATIONS:
             break
         prev = total
         # a loss this close to d was not measured, only bounded below
         d = (math.ceil(target + slack + loss) + 1 if slack + loss <= d - 1
              else 2 * d)
     raise PrecisionExhaustedError(
-        f"{what}: sum not certified to {target} digits after "
-        f"{ctx.max_escalations} reruns (last working precision {d})",
+        f"scaled_touchard(n={n}): sum not certified to {target} digits after "
+        f"{MAX_ESCALATIONS} reruns (last working precision {d})",
         last_two=(prev, total))
 
 
@@ -143,27 +145,13 @@ def _cancellation(total, biggest, dps: int) -> int:
         return max(0, int(mp.ceil(c)))
 
 
-def touchard_exact(n: int, z: BigReal, triangle: StirlingTriangle,
-                   ctx: PrecisionContext) -> ExactValue:
-    total, biggest, dps = _certified_sum(triangle.row(n), raw(z), ctx,
-                                         f"touchard_exact(n={n})")
-    return ExactValue(value=wrap_real(total, ctx),
-                      cancellation_digits=_cancellation(total, biggest, dps),
-                      verified=True)
-
-
 def scaled_touchard(n: int, z: BigReal, triangle: StirlingTriangle,
                     ctx: PrecisionContext) -> ExactValue:
     """T_n(z)/n!, dividing by the exact integer factorial last."""
-    total, biggest, dps = _certified_sum(triangle.row(n), raw(z), ctx,
-                                         f"scaled_touchard(n={n})")
+    total, biggest, dps = _certified_sum(triangle.row(n), raw(z), ctx)
     with mp.workdps(dps):
         scaled = total / math.factorial(n)
     return ExactValue(value=wrap_real(scaled, ctx),
                       cancellation_digits=_cancellation(total, biggest, dps),
                       verified=True)
 
-
-def bell_number(triangle: StirlingTriangle, n: int) -> int:
-    """Row sum of the triangle: the number of set partitions of n elements."""
-    return sum(triangle.row(n))

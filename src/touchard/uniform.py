@@ -111,7 +111,7 @@ def compute_A0_B0(saddles: SaddlePair, zeta: BigReal, ctx: PrecisionContext):
 
 
 def coalescence_limit_values(ctx: PrecisionContext):
-    """(A0, B0, beta) at xi = 1, from the cubic map's derivatives at u = 0.
+    """(A0, B0) at xi = 1, from the cubic map's derivatives at u = 0.
 
     With g(u) = dt/du: A0 = g(0) = (2/psi'''(-1))^{1/3} and
     B0 = g'(0) = t''(0) = -(psi''''(-1)/(6 psi'''(-1))) (2/psi'''(-1))^{2/3}.
@@ -121,8 +121,7 @@ def coalescence_limit_values(ctx: PrecisionContext):
         p3, p4 = mpf(1), mpf(5)
         tp = (2 / p3) ** (mpf(1) / 3)
         tpp = -(p4 / (6 * p3)) * (2 / p3) ** (mpf(2) / 3)
-        beta = mpc(-1) - 1j * mp.pi
-    return wrap_real(tp, ctx), wrap_real(tpp, ctx), wrap_complex(beta, ctx)
+    return wrap_real(tp, ctx), wrap_real(tpp, ctx)
 
 
 def uniform_ingredients(xi, ctx: PrecisionContext) -> UniformIngredients:
@@ -130,7 +129,7 @@ def uniform_ingredients(xi, ctx: PrecisionContext) -> UniformIngredients:
     saddles = solve_saddles(params, ctx)
     zeta, beta = compute_zeta_beta(saddles, ctx)
     if saddles.kind is SaddleKind.DOUBLE:
-        a0, b0, beta = coalescence_limit_values(ctx)
+        a0, b0 = coalescence_limit_values(ctx)
     else:
         a0, b0 = compute_A0_B0(saddles, zeta, ctx)
     return UniformIngredients(xi=params.xi, zeta=zeta, beta=beta,

@@ -16,16 +16,16 @@ import time
 
 from mpmath import mp, mpf
 
-from touchard import (airy, bell_number, build_triangle, default_bm,
-                      forward_series, mk_context, real_from, scaled_touchard,
-                      solve_saddles, theorem1_eval, theorem2_eval,
-                      touchard_exact, wrap_real)
+from touchard import (airy, build_triangle, default_bm, mk_context,
+                      real_from, scaled_touchard, solve_saddles, theorem1_eval,
+                      theorem2_eval, wrap_real)
 from touchard.coalescence import _BM_CHECK
 from touchard.contours import contour_set
 from touchard.numkernel import raw
 from touchard.saddle import PhaseParams, SaddleKind, psi_reduced_raw
 
 from airy_oracle import airy_maclaurin
+from bm_oracle import forward_series
 from leading_order_decay import halving_ratios
 from recurrence_oracle import touchard_recurrence
 
@@ -141,14 +141,13 @@ def test_criterion_1_table1_cells():
     ctx = mk_context(DIGITS)
     start = time.monotonic()
     triangle = build_triangle(120)
-    bm = default_bm()
     margins = {}
     with mp.workdps(DIGITS + 20):
         for n in (50, 80, 121):
             x = wrap_real(n * mp.e, ctx)
             exact = scaled_touchard(n - 1, wrap_real(-raw(x), ctx), triangle, ctx)
             for m in (0, 1, 3, 4, 6):
-                rel = rel_against_exact(theorem1_eval(n, m, ctx, bm=bm), exact)
+                rel = rel_against_exact(theorem1_eval(n, m, ctx), exact)
                 margins[(n, m)] = ulp_margin(rel, TABLE1_PRINTED[(n, m)])
     elapsed = time.monotonic() - start
     worst = max(margins.items(), key=lambda kv: abs(kv[1]))
@@ -237,12 +236,12 @@ def test_criterion_3_exact_rationals():
     expected_f = {3: Fraction(1, 6), 4: Fraction(5, 24), 5: Fraction(23, 120),
                   6: Fraction(119, 720), 7: Fraction(719, 5040)}
     for j, want in expected_f.items():
-        assert fwd.coeffs[j] == want, \
-            f"criterion 3: FAIL - f_{j} = {fwd.coeffs[j]} != {want}"
+        assert fwd[j] == want, \
+            f"criterion 3: FAIL - f_{j} = {fwd[j]} != {want}"
     table = default_bm()
     for m, want in _BM_CHECK.items():
-        assert table.B[m] == want, \
-            f"criterion 3: FAIL - B_{m} = {table.B[m]} != {want}"
+        assert table[m] == want, \
+            f"criterion 3: FAIL - B_{m} = {table[m]} != {want}"
     assert set(_BM_CHECK) == {0, 1, 3, 4, 6}
     print("criterion 3: PASS - forward coefficients and B_m exact")
 
@@ -275,17 +274,20 @@ def test_criterion_5_exact_value_cross_checks():
         worst = mpf(0)
         for n, x in pairs:
             z = wrap_real(-x, ctx)
-            a = touchard_exact(n - 1, z, triangle, ctx)
+            a = raw(scaled_touchard(n - 1, z, triangle, ctx).value) \
+                * math.factorial(n - 1)
             b = touchard_recurrence(n - 1, raw(z), ctx.digits)
-            scale = max(abs(raw(a.value)), mpf(1))
-            worst = max(worst, abs(raw(a.value) - b) / scale)
+            scale = max(abs(a), mpf(1))
+            worst = max(worst, abs(a - b) / scale)
         assert worst < tol, \
             f"criterion 5: FAIL - triangle vs recurrence gap {mp.nstr(worst, 3)}"
     bells = aitken_bells(60)
     one = real_from(1, ctx)
     for n in range(61):
-        row_sum = bell_number(triangle, n)
-        poly = int(raw(touchard_exact(n, one, triangle, ctx).value))
+        row_sum = sum(triangle.row(n))
+        with mp.workdps(DIGITS + 20):
+            poly = int(mp.nint(raw(scaled_touchard(n, one, triangle, ctx).value)
+                               * math.factorial(n)))
         assert row_sum == bells[n] == poly, \
             f"criterion 5: FAIL - row sum identity breaks at n={n}"
     print(f"criterion 5: PASS - 23 evaluation pairs agree "

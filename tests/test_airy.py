@@ -16,6 +16,19 @@ def tol(digits, slack):
     return mpf(10) ** (-(digits - slack))
 
 
+def envelope(z, power):
+    """max(1, |z|)^power / sqrt(pi) for z < 0, else 0.
+
+    On z < 0 Ai and Ai' swing through zeros inside the envelopes
+    |z|^(-1/4)/sqrt(pi) and |z|^(1/4)/sqrt(pi), so errors there are measured
+    against the envelope (capped at |z| = 1, where the asymptotic form stops
+    holding); on z >= 0 they have no zeros and the check stays relative,
+    down to the e^(-(2/3) z^(3/2)) decay.
+    """
+    z = mpf(z)
+    return max(1, abs(z)) ** power / mp.sqrt(mp.pi) if z < 0 else 0
+
+
 class TestClosedForms:
     def test_origin(self, ctx120):
         got = airy(real_from(0, ctx120), ctx120)
@@ -44,9 +57,10 @@ class TestOracle:
         got = airy(real_from(z, ctx60), ctx60)
         ref, refp, _ = airy_maclaurin(z, 90)
         with mp.workdps(90):
-            floor = mpf(10) ** -40  # oscillatory zeros make pure relative tests unfair
-            assert abs(raw(got.ai) - ref) <= tol(60, 8) * max(abs(ref), floor)
-            assert abs(raw(got.ai_prime) - refp) <= tol(60, 8) * max(abs(refp), floor)
+            assert abs(raw(got.ai) - ref) <= \
+                tol(60, 8) * max(abs(ref), envelope(z, mpf(-0.25)))
+            assert abs(raw(got.ai_prime) - refp) <= \
+                tol(60, 8) * max(abs(refp), envelope(z, mpf(0.25)))
 
     @given(st.floats(min_value=-40, max_value=40))
     def test_against_mpmath_property(self, zf):
@@ -54,7 +68,8 @@ class TestOracle:
         got = airy(real_from(zf, ctx), ctx)
         ref, _, _ = airy_maclaurin(zf, 60)
         with mp.workdps(60):
-            assert abs(raw(got.ai) - ref) <= tol(40, 8) * max(abs(ref), mpf("1e-25"))
+            assert abs(raw(got.ai) - ref) <= \
+                tol(40, 8) * max(abs(ref), envelope(zf, mpf(-0.25)))
 
 
 class TestInvariants:

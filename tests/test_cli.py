@@ -5,8 +5,9 @@ import time
 import pytest
 from mpmath import mp, mpf
 
-from touchard import (N_MAX_LIMIT, DomainError, InternalConsistencyError,
-                      PrecisionExhaustedError, SolverError)
+from touchard import (MAX_ORDER, N_MAX_LIMIT, DomainError,
+                      InternalConsistencyError, PrecisionExhaustedError,
+                      SolverError)
 from touchard.cli import (CSV_HEADER, cmd_bm, cmd_contours, cmd_eval,
                           cmd_table1, cmd_table2, contours_to_json,
                           load_error_rows, main, make_row, rows_to_csv)
@@ -216,9 +217,16 @@ class TestMain:
         ["table1", "--n", ","],
         ["table1", "--m", ","],
         ["table2", "--n", ","],
+        ["bm", "--max", str(MAX_ORDER + 1)],
+        ["table1", "--m=-1"],
+        ["table1", "--m=-1,0"],
+        ["table1", "--n", "50", "--m", f"0,{MAX_ORDER + 1}"],
     ])
     def test_domain_errors_exit_2(self, argv, capsys):
+        # refused before any row or coefficient is built
+        start = time.monotonic()
         assert main(argv) == 2
+        assert time.monotonic() - start < 1
         assert "touchard: error:" in capsys.readouterr().err
 
     def test_row_beyond_size_limit_exits_2_at_once(self, capsys):

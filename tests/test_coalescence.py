@@ -1,26 +1,33 @@
-"""Exact-rational series machinery and the descending-powers evaluator."""
+"""Exact-rational coefficients B_m and the descending-powers evaluator.
+
+TestForward and TestReversion check the reversion oracle (tests/bm_oracle.py)
+itself; TestBmTable checks the package's Lagrange-inversion table against it.
+"""
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from touchard import (OrderError, SeriesConsistencyError, compute_bm,
-                      default_bm, forward_series, mk_context, revert_series,
-                      scaled_touchard, theorem1_eval, wrap_real)
-from touchard.coalescence import RationalSeries, _compose_forward, _verify_roundtrip
+from touchard import (MAX_ORDER, OrderError, SeriesConsistencyError,
+                      default_bm, mk_context, scaled_touchard, theorem1_eval,
+                      wrap_real)
+from touchard import coalescence
 from touchard.numkernel import raw
+
+from bm_oracle import (compose_forward, forward_series, reverted_bm,
+                       revert_series, verify_roundtrip)
 
 
 class TestForward:
     def test_known_coefficients(self):
         fwd = forward_series(8)
-        assert fwd.coeffs[1] == 0 and fwd.coeffs[2] == 0
-        assert fwd.coeffs[3] == Fraction(1, 6)
-        assert fwd.coeffs[4] == Fraction(5, 24)
-        assert fwd.coeffs[5] == Fraction(23, 120)
-        assert fwd.coeffs[6] == Fraction(119, 720)
-        assert fwd.coeffs[7] == Fraction(719, 5040)
+        assert fwd[1] == 0 and fwd[2] == 0
+        assert fwd[3] == Fraction(1, 6)
+        assert fwd[4] == Fraction(5, 24)
+        assert fwd[5] == Fraction(23, 120)
+        assert fwd[6] == Fraction(119, 720)
+        assert fwd[7] == Fraction(719, 5040)
 
     def test_order_floor(self):
         with pytest.raises(OrderError):
@@ -30,18 +37,18 @@ class TestForward:
 class TestReversion:
     def test_leading_coefficients(self):
         rev = revert_series(forward_series(9), 6)
-        assert rev.coeffs[0] == Fraction(1)
-        assert rev.coeffs[1] == Fraction(-5, 12)
-        assert rev.coeffs[2] == Fraction(11, 80)
+        assert rev[0] == Fraction(1)
+        assert rev[1] == Fraction(-5, 12)
+        assert rev[2] == Fraction(11, 80)
 
     def test_roundtrip_is_exact(self):
         fwd = forward_series(12)
         rev = revert_series(fwd, 9)
-        trunc = rev.order + 3
+        trunc = len(rev) + 2
         tau = [Fraction(0)] * (trunc + 1)
-        for m, am in enumerate(rev.coeffs):
+        for m, am in enumerate(rev):
             tau[m + 1] = am
-        acc = _compose_forward(fwd, tau, trunc)
+        acc = compose_forward(fwd, tau, trunc)
         assert acc[3] == Fraction(1, 6)
         assert all(c == 0 for i, c in enumerate(acc) if i != 3)
 
@@ -56,12 +63,12 @@ class TestReversion:
 
                 def f(tau):
                     return sum(mpf(c.numerator) / c.denominator * tau ** j
-                               for j, c in enumerate(fwd.coeffs)) - w
+                               for j, c in enumerate(fwd)) - w
 
                 root = mpmath.findroot(f, v)
                 series = sum(mpf(a.numerator) / a.denominator * v ** (m + 1)
-                             for m, a in enumerate(rev.coeffs))
-                assert abs(root - series) < abs(v) ** (rev.order + 2) * 10
+                             for m, a in enumerate(rev))
+                assert abs(root - series) < abs(v) ** (len(rev) + 1) * 10
 
     def test_insufficient_forward_order(self):
         with pytest.raises(OrderError):
@@ -69,45 +76,50 @@ class TestReversion:
 
     def test_corrupted_series_fails_roundtrip(self):
         fwd = forward_series(9)
-        rev = revert_series(fwd, 6)
-        bad = list(rev.coeffs)
+        bad = revert_series(fwd, 6)
         bad[4] += Fraction(1, 7)
         with pytest.raises(SeriesConsistencyError):
-            _verify_roundtrip(fwd, RationalSeries(coeffs=tuple(bad)))
+            verify_roundtrip(fwd, bad)
 
 
 class TestBmTable:
     def test_reference_values(self):
         table = default_bm(6)
-        assert table.B[0] == Fraction(1)
-        assert table.B[1] == Fraction(5, 6)
-        assert table.B[3] == Fraction(1463, 6480)
-        assert table.B[4] == Fraction(126827, 1088640)
-        assert table.B[6] == Fraction(4732223, 167961600)
+        assert table[0] == Fraction(1)
+        assert table[1] == Fraction(5, 6)
+        assert table[3] == Fraction(1463, 6480)
+        assert table[4] == Fraction(126827, 1088640)
+        assert table[6] == Fraction(4732223, 167961600)
 
     def test_relation_to_reversion(self):
-        rev = revert_series(forward_series(12), 9)
-        table = compute_bm(rev)
-        for m, am in enumerate(rev.coeffs):
-            assert table.B[m] == (-1) ** m * (m + 1) * am
+        # Lagrange inversion and the reversion oracle agree exactly
+        assert default_bm(40) == reverted_bm(40)
 
     def test_zero_mask(self):
-        table = default_bm()
-        for m, dead in enumerate(table.zero_mask):
-            assert dead == (m % 3 == 2)
+        # sin(pi(m+1)/3) kills exactly the orders m = 2 (mod 3)
+        for m in range(3 * 6):
+            assert (coalescence._sin_third(m) == 0) == (m % 3 == 2)
         # masked entries are still real coefficients, just sin-killed
-        assert table.B[2] == Fraction(33, 80)
+        assert default_bm()[2] == Fraction(33, 80)
 
-    def test_corrupted_coefficient_detected(self):
-        rev = revert_series(forward_series(9), 6)
-        bad = list(rev.coeffs)
-        bad[1] = Fraction(-1, 2)
+    def test_corrupted_coefficient_detected(self, monkeypatch):
+        exact = coalescence._lagrange_coeff
+
+        def corrupted(m):
+            return exact(m) + (Fraction(1, 7) if m == 4 else 0)
+
+        monkeypatch.setattr(coalescence, "_lagrange_coeff", corrupted)
         with pytest.raises(SeriesConsistencyError):
-            compute_bm(RationalSeries(coeffs=tuple(bad)))
+            default_bm.__wrapped__(6)  # past the cache
 
     def test_default_table_cached(self):
         assert default_bm() is default_bm()
-        assert default_bm().order == 12
+        assert len(default_bm()) == 13
+
+    @pytest.mark.parametrize("order", [-1, MAX_ORDER + 1])
+    def test_order_out_of_range(self, order):
+        with pytest.raises(OrderError):
+            default_bm(order)
 
 
 class TestEvaluator:
@@ -149,10 +161,14 @@ class TestEvaluator:
             assert all(a > b for a, b in zip(rels, rels[1:]))
 
     def test_order_beyond_table(self, ctx60):
-        with pytest.raises(OrderError):
-            theorem1_eval(50, 13, ctx60)
-        with pytest.raises(OrderError):
-            theorem1_eval(50, 7, ctx60, bm=default_bm(6))
+        for order in (-3, -1, MAX_ORDER + 1):
+            with pytest.raises(OrderError):
+                theorem1_eval(50, order, ctx60)
+        # past DEFAULT_ORDER the evaluator builds the longer table itself;
+        # B_14 is sin-killed like B_2
+        assert theorem1_eval(50, 12, ctx60).to_str() != \
+            theorem1_eval(50, 13, ctx60).to_str() == \
+            theorem1_eval(50, 14, ctx60).to_str()
 
     def test_small_n_rejected(self, ctx60):
         with pytest.raises(OrderError):

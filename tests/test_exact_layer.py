@@ -12,8 +12,9 @@ import tracemalloc
 import pytest
 from mpmath import mp, mpf
 
-from touchard import (CapacityError, bell_number, build_triangle, mk_context,
-                      scaled_touchard, touchard_exact, wrap_real)
+from touchard import (CapacityError, build_triangle, mk_context,
+                      scaled_touchard, wrap_real)
+from touchard import stirling
 from touchard.cli import cmd_eval, cmd_table1
 from touchard.numkernel import BigReal, raw
 
@@ -88,9 +89,9 @@ class TestKeptRows:
         with pytest.raises(CapacityError):
             tri.s(5, 1)
         with pytest.raises(CapacityError):
-            bell_number(tri, 9)
+            tri.row(9)
         with pytest.raises(CapacityError):
-            touchard_exact(3, one, tri, ctx60)
+            scaled_touchard(3, one, tri, ctx60)
         with pytest.raises(CapacityError):
             scaled_touchard(7, one, tri, ctx60)
 
@@ -127,10 +128,11 @@ class TestCertifiedSum:
             assert_close(raw(got.value), want, mpf(10) ** -(DIGITS - 1))
             assert got.cancellation_digits == cancel, (n, x.to_str())
 
-    def test_old_exhaustion_input_now_certifies(self):
+    def test_old_exhaustion_input_now_certifies(self, monkeypatch):
         # the n = 121 table point at 30 digits exhausted the double-and-
         # compare gate with one escalation; one measured rerun certifies it
-        ctx = mk_context(30, max_escalations=1)
+        monkeypatch.setattr(stirling, "MAX_ESCALATIONS", 1)
+        ctx = mk_context(30)
         tri = build_triangle(120, keep=[120])
         with mp.workdps(50):
             z = wrap_real(-121 * mp.e, ctx)

@@ -38,10 +38,6 @@ class TestContext:
         with pytest.raises(InvalidPrecisionError):
             mk_context(bad)
 
-    def test_max_escalations_validated(self):
-        with pytest.raises(InvalidPrecisionError):
-            mk_context(40, max_escalations=0)
-
 
 class TestSerialization:
     def test_sqrt2_roundtrip_at_50(self):

@@ -17,7 +17,7 @@ def branch_continuity_check():
     branch would make it.
     """
     ctx = mk_context(40)
-    a_lim, b_lim, _ = coalescence_limit_values(ctx)
+    a_lim, b_lim = coalescence_limit_values(ctx)
     with mp.workdps(ctx.digits):
         prev_gap = mpf("inf")
         for k in range(2, 7):
@@ -68,7 +68,7 @@ class TestIngredients:
         assert raw(below.zeta) < 0
 
     def test_amplitudes_real_and_continuous(self, ctx60):
-        a_lim, b_lim, _ = coalescence_limit_values(ctx60)
+        a_lim, b_lim = coalescence_limit_values(ctx60)
         with mp.workdps(70):
             for xi in ("0.99", "1.01"):
                 ing = uniform_ingredients(xi, ctx60)
@@ -86,7 +86,7 @@ class TestIngredients:
         branch_continuity_check()  # raises BranchError on a bad branch
 
     def test_ladder_converges(self, ctx60):
-        a_lim, b_lim, _ = coalescence_limit_values(ctx60)
+        a_lim, b_lim = coalescence_limit_values(ctx60)
         with mp.workdps(70):
             gaps = []
             for k in (2, 3, 4):
