@@ -20,7 +20,7 @@ from touchard.numkernel import raw
 
 
 def poincare_sweep(mu_str: str, n_values, ctx) -> None:
-    tri = build_triangle(max(n_values) - 1, keep=[n - 1 for n in n_values])
+    tri = build_triangle([n - 1 for n in n_values])
     mu = real_from(mu_str, ctx)
     print(f"# poincare, mu = {mu_str}")
     print("n,rel_err,n_times_rel_err")
@@ -36,7 +36,7 @@ def poincare_sweep(mu_str: str, n_values, ctx) -> None:
 
 
 def truncation_sweep(n: int, max_order: int, ctx) -> None:
-    tri = build_triangle(n - 1, keep=[n - 1])
+    tri = build_triangle([n - 1])
     with mp.workdps(ctx.digits + 10):
         x = wrap_real(n * mp.e, ctx)
         mz = wrap_real(-raw(x), ctx)

@@ -19,8 +19,8 @@ from .numkernel import (DEFAULT_DIGITS, MIN_DIGITS, BigComplex, BigReal,
                         PrecisionContext, default_digits, mk_context,
                         real_from, wrap_complex, wrap_real)
 from .poincare import PoincareRegime, PoincareResult, leading_order
-from .saddle import (PhaseParams, SaddleKind, SaddlePair,
-                     coalescence_tolerance, solve_saddles)
+from .saddle import (SaddleKind, SaddlePair, coalescence_tolerance,
+                     mu_from_xi, solve_saddles)
 from .stirling import (N_MAX_LIMIT, ExactValue, StirlingTriangle,
                        build_triangle, scaled_touchard)
 from .uniform import (UniformIngredients, coalescence_limit_values,
@@ -41,7 +41,7 @@ __all__ = [
     "PrecisionContext", "default_digits", "mk_context", "real_from",
     "wrap_complex", "wrap_real",
     "PoincareRegime", "PoincareResult", "leading_order",
-    "PhaseParams", "SaddleKind", "SaddlePair", "coalescence_tolerance",
+    "SaddleKind", "SaddlePair", "coalescence_tolerance", "mu_from_xi",
     "solve_saddles",
     "N_MAX_LIMIT", "ExactValue", "StirlingTriangle", "build_triangle",
     "scaled_touchard",

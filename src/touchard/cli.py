@@ -31,13 +31,13 @@ from .contours import ContourSet, contour_set
 from .errors import DomainError, InternalConsistencyError, TouchardError
 from .numkernel import (BigReal, PrecisionContext, _sci, mk_context, raw,
                         real_from, wrap_real)
-from .poincare import leading_order
+from .poincare import EXCLUSION_HALF_WIDTH, leading_order
+from .saddle import mu_from_xi
 from .stirling import ExactValue, build_triangle, scaled_touchard
 from .uniform import theorem2_eval, uniform_ingredients
 
 CSV_HEADER = "n,param,exact,approx,rel_err"
 THEOREM1_XI_WINDOW = 0.02
-POINCARE_BAND = 0.05
 
 DEFAULT_N_TABLE1 = (50, 80, 121)
 DEFAULT_M_TABLE1 = (0, 1, 3, 4, 6)
@@ -120,7 +120,7 @@ def cmd_table1(n_list=None, m_list=None, digits: int | None = None) -> str:
     for m in m_list:
         check_order(m)
     ctx = mk_context(digits)
-    triangle = build_triangle(max(n_list) - 1, keep=[n - 1 for n in n_list])
+    triangle = build_triangle([n - 1 for n in n_list])
     rows = []
     for n in n_list:
         with mp.workdps(ctx.digits + 10):
@@ -138,7 +138,7 @@ def cmd_table2(xi_list=None, n_list=None, digits: int | None = None) -> str:
     if not n_list:
         raise DomainError("table2 needs a non-empty --n list")
     ctx = mk_context(digits)
-    triangle = build_triangle(max(n_list) - 1, keep=[n - 1 for n in n_list])
+    triangle = build_triangle([n - 1 for n in n_list])
     rows = []
     for xi in xi_list:
         xi_br = real_from(xi, ctx)
@@ -173,15 +173,13 @@ def cmd_eval(n: int, xi, digits: int | None = None) -> dict:
         raise DomainError(f"n must be >= 2, got {n}")
     ctx = mk_context(digits)
     xi_br = real_from(xi, ctx)
-    if raw(xi_br) <= 0:
-        raise DomainError(f"xi must be positive, got {raw(xi_br)}")
+    mu = mu_from_xi(xi_br, ctx)
     with mp.workdps(ctx.digits + 10):
         xiv = raw(xi_br)
         x = wrap_real(n * mp.e * xiv, ctx)
-        mu = wrap_real(1 / (mp.e * xiv), ctx)
         near_coalescence = abs(xiv - 1) < THEOREM1_XI_WINDOW
-        outside_band = abs(raw(mu) * mp.e - 1) > POINCARE_BAND
-    triangle = build_triangle(n - 1, keep=[n - 1])
+        outside_band = abs(raw(mu) * mp.e - 1) > EXCLUSION_HALF_WIDTH
+    triangle = build_triangle([n - 1])
     exact = _exact_scaled(n, x, triangle, ctx)
     report = {
         "n": n,
@@ -230,28 +228,29 @@ _EMIT_CTX = mk_context(30)  # plot-ready rounding for emitted polylines
 
 
 def contours_to_json(cs: ContourSet) -> dict:
-    def r30(v) -> str:
-        _, _, exp, bc = v._mpf_  # a normal double prints as _sci would
-        if 0 <= bc <= 53 and -1000 < exp < 900:
-            return f"{float(v):.29e}@30"
-        return wrap_real(v, _EMIT_CTX).to_str()
+    def d30(v: float) -> str:
+        # a double's 30 significant digits as _sci prints them, zero unsigned
+        return f"{v or 0.0:.29e}@30"
+
+    def polyline(pl) -> dict:
+        # points[0] is the saddle, printed from its full-precision value
+        saddle = [wrap_real(v.value, _EMIT_CTX).to_str()
+                  for v in (pl.saddle.re, pl.saddle.im)]
+        return {
+            "saddle": saddle,
+            "kind": pl.kind,
+            "launch_theta": pl.launch_theta,
+            "stop_reason": pl.stop_reason,
+            "im_psi_drift": _sci(pl.im_psi_drift.value, 4),
+            "points": [saddle, *([d30(p.real), d30(p.imag)]
+                                 for p in pl.points[1:])],
+        }
 
     return {
         "xi": cs.xi.to_str(),
         "mu": cs.mu.to_str(),
         "saddle_kind": cs.saddle_kind.value,
-        "polylines": [
-            {
-                "saddle": [r30(pl.saddle.re.value), r30(pl.saddle.im.value)],
-                "kind": pl.kind,
-                "launch_theta": pl.launch_theta,
-                "stop_reason": pl.stop_reason,
-                "im_psi_drift": _sci(pl.im_psi_drift.value, 4),
-                "points": [[r30(p.re.value), r30(p.im.value)]
-                           for p in pl.points],
-            }
-            for pl in cs.polylines
-        ],
+        "polylines": [polyline(pl) for pl in cs.polylines],
     }
 
 

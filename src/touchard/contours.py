@@ -18,15 +18,21 @@ motion resolves the local steepest directions to well under 1e-6 radians.
 One step loop serves two number types. It starts on mpc at ctx.digits + 10,
 because at the double saddle |psi'| is about 1e-16 at the launch offset,
 which doubles would lose to cancellation. Once |psi'| >= 1e-6 the same loop
-goes on over Python complex. Points after the saddle are recorded as
-doubles. The projection tolerance max(1e-12, 16 eps |e^t/mu|), with eps the
-type's machine epsilon, is one doubles can meet near Re t = 8.4. Im psi is
-re-computed on every emitted point at 30 digits (|Im psi| < 1e4 in the
-frame leaves 17 orders of margin); a drift over 1e-8 raises StepError.
+goes on over Python complex. A polyline's points are Python complex:
+point 0 is the saddle rounded to a double, and the rest are the doubles the
+loop stepped to. The projection tolerance max(1e-12, 16 eps |e^t/mu|), with
+eps the type's machine epsilon, is one doubles can meet near Re t = 8.4.
+Im psi is re-computed on every emitted point at 30 digits (|Im psi| < 1e4
+in the frame leaves 17 orders of margin); a drift over 1e-8 raises
+StepError.
 
 Paths stop at the frame Re t in (-8.5, 8.4), |Im t| <= 7.5 (generous around
 the Im t = +/- pi asymptotes), at |t| < 0.05 near the logarithmic
-singularity, on reaching another saddle, or at the arclength cap.
+singularity, on reaching another saddle, or at the arclength cap. There are
+at most two saddles, at known places, so a step whose chord passes within
+h of the other one and takes Re psi past that saddle's value is halved
+rather than taken: a coarse step would otherwise jump the saddle the path
+should stop at and run on along the saddle's own descent or ascent path.
 """
 from __future__ import annotations
 
@@ -37,8 +43,9 @@ from mpmath import mp, mpf
 
 from .errors import DomainError, StepError
 from .numkernel import (MIN_DIGITS, BigComplex, BigReal, PrecisionContext,
-                        log_branched_raw, raw, wrap_complex, wrap_real)
-from .saddle import PhaseParams, SaddleKind, SaddlePair, solve_saddles
+                        log_branched_raw, raw, real_from, wrap_complex,
+                        wrap_real)
+from .saddle import SaddleKind, SaddlePair, mu_from_xi, solve_saddles
 
 RE_MAX = 8.4
 RE_MIN = -8.5
@@ -62,7 +69,7 @@ MAX_LEN_OVER_STEP = 64000
 class ContourPolyline:
     saddle: BigComplex
     kind: str  # "descent" or "ascent"
-    points: tuple[BigComplex, ...]
+    points: tuple[complex, ...]  # points[0] is the saddle, rounded to a double
     im_psi_drift: BigReal
     launch_theta: float
     stop_reason: str
@@ -125,7 +132,14 @@ class _Flow:
         return None
 
 
-def _trace(saddle_t, theta, kind, inv_mu, ctx: PrecisionContext,
+def _passes(t, t_new, s, h) -> bool:
+    """Whether the chord from t to t_new passes s between its ends, within h."""
+    d, w = t_new - t, s - t
+    u = (w * d.conjugate()).real / abs(d) ** 2
+    return 0 < u < 1 and abs(w - u * d) < h
+
+
+def _trace(saddle_t, theta, kind, inv_mu, other, ctx: PrecisionContext,
            step, max_len) -> ContourPolyline:
     sign = -1 if kind == "descent" else 1
     max_iters = int(max_len / step) * 8 + 600
@@ -137,6 +151,8 @@ def _trace(saddle_t, theta, kind, inv_mu, ctx: PrecisionContext,
         t = saddle_t + LAUNCH_OFFSET * mp.expjpi(theta / mp.pi)
         t, p = flow.project(t, LAUNCH_OFFSET) or (t, flow.psi(t))
         pts, re_psi = [saddle_t, complex(t)], p.real
+        if other is not None:
+            re_other = float(flow.psi(other).real)
         h = arclen = LAUNCH_OFFSET
         for _ in range(max_iters):
             d0 = flow.dpsi(t)
@@ -167,8 +183,12 @@ def _trace(saddle_t, theta, kind, inv_mu, ctx: PrecisionContext,
                         "step too large to hold the Im psi drift; retry "
                         "with a smaller --step")
                 continue
-            if not headway or sign * (proj[1].real - re_psi) < 0:
-                # overshot, or closing on a saddle where the field reverses
+            if (not headway or sign * (proj[1].real - re_psi) < 0
+                    or (other is not None
+                        and sign * (proj[1].real - re_other) > 0
+                        and _passes(t, proj[0], other, h))):
+                # overshot, closing on a saddle where the field reverses, or
+                # jumped the other saddle onto a path that leaves it
                 h = h / 2
                 if h < 1e-9:
                     stop = "saddle"
@@ -181,15 +201,15 @@ def _trace(saddle_t, theta, kind, inv_mu, ctx: PrecisionContext,
         else:
             stop = "iteration_cap"
 
-    points = tuple(wrap_complex(p, ctx) for p in pts)
     with mp.workdps(MIN_DIGITS):
-        drift = max(abs(precise.psi(raw(p)).imag - c) for p in points)
+        drift = max(abs(precise.psi(p).imag - c) for p in pts)
     if drift >= DRIFT_BUDGET:
         raise StepError(
             f"Im psi drift {mp.nstr(drift, 3)} exceeds the 1e-8 budget; "
             "retry with a smaller --step")
     return ContourPolyline(
-        saddle=points[0], kind=kind, points=points,
+        saddle=wrap_complex(saddle_t, ctx), kind=kind,
+        points=(complex(saddle_t), *pts[1:]),
         im_psi_drift=wrap_real(drift, ctx),
         launch_theta=float(theta), stop_reason=stop)
 
@@ -228,7 +248,7 @@ def launch_plan(saddles: SaddlePair, ctx: PrecisionContext):
 def contour_set(xi, ctx: PrecisionContext, step=None,
                 max_len=None) -> ContourSet:
     """Trace every principal steepest path through the saddles at this xi."""
-    params = PhaseParams.from_xi(xi, ctx)
+    mu = mu_from_xi(xi, ctx)
     with mp.workdps(ctx.digits + 10):
         step = mpf("0.05") if step is None else mpf(step)
         max_len = mpf(40) if max_len is None else mpf(max_len)
@@ -241,9 +261,12 @@ def contour_set(xi, ctx: PrecisionContext, step=None,
                 f"max_len/step = {mp.nstr(max_len / step, 5)} exceeds the "
                 f"limit {MAX_LEN_OVER_STEP}; use a larger --step or a smaller "
                 "--max-len")
-        inv_mu = 1 / raw(params.mu)
-    saddles = solve_saddles(params, ctx)
-    lines = tuple(_trace(sv, th, kind, inv_mu, ctx, step, max_len)
+        inv_mu = 1 / raw(mu)
+    saddles = solve_saddles(mu, ctx)
+    t0, t1 = raw(saddles.t0), raw(saddles.t1)
+    lines = tuple(_trace(sv, th, kind, inv_mu,
+                         None if t0 == t1 else complex(t1 if sv == t0 else t0),
+                         ctx, step, max_len)
                   for sv, kind, th in launch_plan(saddles, ctx))
-    return ContourSet(xi=params.xi, mu=params.mu, saddle_kind=saddles.kind,
+    return ContourSet(xi=real_from(xi, ctx), mu=mu, saddle_kind=saddles.kind,
                       polylines=lines)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_float
 
 from .errors import DomainError, InvalidPrecisionError
 
@@ -159,11 +160,15 @@ def real_from(x, ctx: PrecisionContext) -> BigReal:
 
 
 def raw(x):
-    """Unwrap to a plain mpf/mpc for internal arithmetic."""
-    if isinstance(x, BigReal):
+    """Unwrap to a plain mpf/mpc for internal arithmetic.
+
+    A Python complex, such as a contour point, becomes the mpc of the same
+    value, so that abs() and the like run at the working precision.
+    """
+    if isinstance(x, (BigReal, BigComplex)):
         return x.value
-    if isinstance(x, BigComplex):
-        return x.value
+    if isinstance(x, complex):
+        return mp.make_mpc((from_float(x.real), from_float(x.imag)))
     return x
 
 

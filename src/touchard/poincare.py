@@ -26,7 +26,7 @@ from .errors import BranchError, DomainError, RegimeError
 from .numkernel import (BigComplex, BigReal, PrecisionContext,
                         log_branched_raw, raw, real_from, wrap_complex,
                         wrap_real)
-from .saddle import PhaseParams, SaddleKind, solve_saddles
+from .saddle import SaddleKind, solve_saddles
 
 EXCLUSION_HALF_WIDTH = mpf("0.05")
 
@@ -48,16 +48,13 @@ def leading_order(n: int, mu, ctx: PrecisionContext) -> PoincareResult:
     if n < 10:
         raise DomainError(f"n must be >= 10 for the leading-order form, got {n}")
     muv = raw(real_from(mu, ctx))
-    if muv <= 0:
-        raise DomainError(f"mu must be positive, got {mp.nstr(muv, 8)}")
     with mp.workdps(ctx.digits + 10):
         if abs(muv * mp.e - 1) <= EXCLUSION_HALF_WIDTH:
             raise RegimeError(
                 f"mu e = {mp.nstr(muv * mp.e, 8)} lies inside the exclusion "
                 f"band |mu e - 1| <= {mp.nstr(EXCLUSION_HALF_WIDTH, 2)}; "
                 "use the uniform approximation there")
-        params = PhaseParams.from_mu(muv, ctx)
-        saddles = solve_saddles(params, ctx)
+        saddles = solve_saddles(muv, ctx)
         t0 = raw(saddles.t0)
         x = mpf(n) / muv
         power = mp.exp(-(n - 1) * log_branched_raw(t0))

@@ -1,7 +1,10 @@
 """Saddles of the phase psi(t; mu) = -e^t/mu - log t.
 
-Saddles solve t e^t = -mu, so they are Lambert W values of -mu. Writing
-mu = 1/(e xi), the solution set changes character at xi = 1: the real pair
+Saddles solve t e^t = -mu, so they are Lambert W values of -mu. mu = n/x
+is the phase's one parameter; a caller that holds xi = x/(n e) instead
+converts it with mu_from_xi, the one place that does. solve_saddles takes mu
+alone and classifies the pair by xi = 1/(e mu), recomputed at digits + 15.
+The solution set changes character at xi = 1: the real pair
 W_0(-mu), W_-1(-mu) for xi > 1, a double root at t = -1 for xi = 1, and
 for xi < 1 the conjugate pair W_0(-mu) and its conjugate, W_0 taking the
 upper one below -1/e (Corless et al., Adv. Comput. Math. 5, 1996). Both
@@ -21,47 +24,13 @@ from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, InternalConsistencyError, SolverError
 from .numkernel import (BigComplex, BigReal, PrecisionContext, log_branched_raw,
-                        wrap_complex, wrap_real)
+                        raw, real_from, wrap_complex, wrap_real)
 
 
 class SaddleKind(enum.Enum):
     REAL_PAIR = "real_pair"
     DOUBLE = "double"
     CONJUGATE_PAIR = "conjugate_pair"
-
-
-@dataclass(frozen=True)
-class PhaseParams:
-    """mu and xi tied together by mu * e * xi = 1."""
-
-    mu: BigReal
-    xi: BigReal
-
-    def __post_init__(self):
-        ctx = self.mu.ctx
-        with mp.workdps(ctx.digits + 10):
-            err = abs(self.mu.value * mp.e * self.xi.value - 1)
-            if err > mpf(10) ** (-(ctx.digits - 10)):
-                raise InternalConsistencyError(
-                    f"mu*e*xi deviates from 1 by {mp.nstr(err, 3)}")
-
-    @classmethod
-    def from_xi(cls, xi, ctx: PrecisionContext) -> "PhaseParams":
-        with mp.workdps(ctx.digits + 10):
-            xv = mpf(xi) if not isinstance(xi, BigReal) else xi.value
-            if xv <= 0:
-                raise DomainError(f"xi must be positive, got {xv}")
-            mv = 1 / (mp.e * xv)
-        return cls(mu=wrap_real(mv, ctx), xi=wrap_real(xv, ctx))
-
-    @classmethod
-    def from_mu(cls, mu, ctx: PrecisionContext) -> "PhaseParams":
-        with mp.workdps(ctx.digits + 10):
-            mv = mpf(mu) if not isinstance(mu, BigReal) else mu.value
-            if mv <= 0:
-                raise DomainError(f"mu must be positive, got {mv}")
-            xv = 1 / (mp.e * mv)
-        return cls(mu=wrap_real(mv, ctx), xi=wrap_real(xv, ctx))
 
 
 @dataclass(frozen=True)
@@ -101,10 +70,22 @@ def coalescence_tolerance(ctx: PrecisionContext) -> mpf:
     return mpf(10) ** (-(ctx.digits - 15))
 
 
-def solve_saddles(params: PhaseParams, ctx: PrecisionContext) -> SaddlePair:
-    mu, xi = params.mu.value, params.xi.value
-    dps = ctx.digits + 15
-    with mp.workdps(dps):
+def mu_from_xi(xi, ctx: PrecisionContext) -> BigReal:
+    """mu = 1/(e xi), computed at digits + 10 and rounded to ctx."""
+    with mp.workdps(ctx.digits + 10):
+        xv = mpf(raw(xi))
+        if xv <= 0:
+            raise DomainError(f"xi must be positive, got {xv}")
+        return wrap_real(1 / (mp.e * xv), ctx)
+
+
+def solve_saddles(mu, ctx: PrecisionContext) -> SaddlePair:
+    """The saddle pair of psi(t; mu), classified by xi = 1/(e mu)."""
+    mu = raw(real_from(mu, ctx))
+    if mu <= 0:
+        raise DomainError(f"mu must be positive, got {mp.nstr(mu, 8)}")
+    with mp.workdps(ctx.digits + 15):
+        xi = 1 / (mp.e * mu)
         res_bound = mpf(10) ** (-(ctx.digits - 10)) * mu
 
         def residual(tv) -> mpf:

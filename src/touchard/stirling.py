@@ -3,9 +3,10 @@
 T_n(z) = sum_k S(n,k) z^k with S(n,k) the Stirling numbers of the second
 kind; the sum is divided by the exact integer n! last.
 
-Rows come from one rolling pass of S(n,k) = k S(n-1,k) + S(n-1,k-1) in
-Python ints that keeps only the rows a caller asks for: row n costs O(n^2)
-integer operations but only two rows are alive at a time.
+build_triangle(keep) makes one rolling pass of
+S(n,k) = k S(n-1,k) + S(n-1,k-1) in Python ints up to max(keep) and keeps
+only the rows named in keep: row n costs O(n^2) integer operations but only
+two rows are alive at a time. Rows outside [0, N_MAX_LIMIT] are refused.
 
 A sum is one Horner pass at working precision d. The standard rounding
 bound for Horner's rule (Higham, Accuracy and Stability of Numerical
@@ -46,20 +47,15 @@ MAX_ESCALATIONS = 8
 
 @dataclass(frozen=True)
 class StirlingTriangle:
-    """The rows of S(n,k) that were kept, by row index n <= n_max."""
+    """The rows of S(n,k) that were kept, by row index n."""
 
-    n_max: int
     rows: Mapping[int, tuple[int, ...]]
 
     def row(self, n: int) -> tuple[int, ...]:
         if n not in self.rows:
             raise CapacityError(f"row {n} not held by the triangle "
-                                f"(n_max={self.n_max}, {len(self.rows)} rows kept)")
+                                f"({len(self.rows)} rows kept)")
         return self.rows[n]
-
-    def s(self, n: int, k: int) -> int:
-        row = self.row(n)
-        return row[k] if 0 <= k <= n else 0
 
 
 @dataclass(frozen=True)
@@ -69,17 +65,12 @@ class ExactValue:
     verified: bool
 
 
-def build_triangle(n_max: int, keep: Iterable[int] | None = None) -> StirlingTriangle:
-    """Rows 0..n_max of the triangle, holding only the rows named in keep.
-
-    keep=None holds every row. The rolling pass stops at the largest kept row.
-    """
-    if not (0 <= n_max <= N_MAX_LIMIT):
-        raise CapacityError(f"n_max must lie in [0, {N_MAX_LIMIT}], got {n_max}")
-    wanted = range(n_max + 1) if keep is None else frozenset(keep)
-    outside = sorted(n for n in wanted if not 0 <= n <= n_max)
+def build_triangle(keep: Iterable[int]) -> StirlingTriangle:
+    """The rows named in keep, from one rolling pass up to the largest."""
+    wanted = frozenset(keep)
+    outside = sorted(n for n in wanted if not 0 <= n <= N_MAX_LIMIT)
     if outside:
-        raise CapacityError(f"rows {outside} outside the triangle [0, {n_max}]")
+        raise CapacityError(f"rows {outside} outside [0, {N_MAX_LIMIT}]")
     rows = {}
     row = [1]
     for n in range(max(wanted, default=-1) + 1):
@@ -88,7 +79,7 @@ def build_triangle(n_max: int, keep: Iterable[int] | None = None) -> StirlingTri
             row = [0, *[k * a + b for k, a, b in zip(range(1, n), row[1:], row)], 1]
         if n in wanted:
             rows[n] = tuple(row)
-    return StirlingTriangle(n_max=n_max, rows=rows)
+    return StirlingTriangle(rows=rows)
 
 
 def _certified_sum(row: tuple[int, ...], zv: mpf, ctx: PrecisionContext):

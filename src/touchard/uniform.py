@@ -25,19 +25,27 @@ Amplitudes: with g(u) = dt/du and psi''(t_j) = (1 + t_j)/t_j^2,
 At xi = 1 everything has a finite limit: A0 = 2^{1/3},
 B0 = -(5/6) 2^{2/3}, Re beta = -1; the evaluator switches to those closed
 forms inside the coalescence tolerance.
+
+Just outside it psi(t1) - psi(t0) ~ |xi - 1|^{3/2} cancels
+1.5 log10(1/|xi - 1|) digits of zeta, and g(+) - g(-) another
+0.5 log10(1/|xi - 1|) of B0. uniform_ingredients therefore works at
+ctx.digits + max(0, ceil(2 log10(1/|xi - 1|)) - 5) digits and rounds every
+field back to ctx; for |xi - 1| >= 0.01 that widens by nothing.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
 from .airy import airy
 from .errors import BranchError, DomainError
-from .numkernel import (BigComplex, BigReal, PrecisionContext, raw,
-                        wrap_complex, wrap_real)
-from .saddle import (PhaseParams, SaddleKind, SaddlePair, psi2_at_saddle_raw,
-                     psi_reduced_raw, solve_saddles)
+from .numkernel import (BigComplex, BigReal, PrecisionContext, mk_context,
+                        raw, real_from, wrap_complex, wrap_real)
+from .saddle import (SaddleKind, SaddlePair, coalescence_tolerance,
+                     mu_from_xi, psi2_at_saddle_raw, psi_reduced_raw,
+                     solve_saddles)
 
 
 @dataclass(frozen=True)
@@ -124,15 +132,41 @@ def coalescence_limit_values(ctx: PrecisionContext):
     return wrap_real(tp, ctx), wrap_real(tpp, ctx)
 
 
+def _extra_digits(xi, ctx: PrecisionContext) -> int:
+    """Digits that zeta and B0 cancel near xi = 1 (module docstring).
+
+    Zero inside the snap window, where the closed forms take over. log10
+    comes from the mpf's binary mantissa and exponent, because |xi - 1| can
+    lie below the smallest double.
+    """
+    with mp.workdps(ctx.digits + 10):
+        gap = abs(mpf(raw(xi)) - 1)
+        if gap <= coalescence_tolerance(ctx):
+            return 0
+    log10_gap = math.log10(gap.man) + gap.exp * math.log10(2)
+    return max(0, math.ceil(-2 * log10_gap) - 5)
+
+
+def _round_to(v, ctx: PrecisionContext):
+    wrap = wrap_complex if isinstance(v, BigComplex) else wrap_real
+    return wrap(v.value, ctx)
+
+
 def uniform_ingredients(xi, ctx: PrecisionContext) -> UniformIngredients:
-    params = PhaseParams.from_xi(xi, ctx)
-    saddles = solve_saddles(params, ctx)
-    zeta, beta = compute_zeta_beta(saddles, ctx)
+    """zeta, beta, A0, B0 and the saddles, computed wide and rounded to ctx."""
+    extra = _extra_digits(xi, ctx)
+    wide = mk_context(ctx.digits + extra)
+    saddles = solve_saddles(mu_from_xi(xi, wide), wide)
+    zeta, beta = compute_zeta_beta(saddles, wide)
     if saddles.kind is SaddleKind.DOUBLE:
-        a0, b0 = coalescence_limit_values(ctx)
+        a0, b0 = coalescence_limit_values(wide)
     else:
-        a0, b0 = compute_A0_B0(saddles, zeta, ctx)
-    return UniformIngredients(xi=params.xi, zeta=zeta, beta=beta,
+        a0, b0 = compute_A0_B0(saddles, zeta, wide)
+    if extra:
+        saddles = SaddlePair(saddles.kind, *(_round_to(v, ctx) for v in (
+            saddles.t0, saddles.t1, saddles.residual0, saddles.residual1)))
+        zeta, beta, a0, b0 = (_round_to(v, ctx) for v in (zeta, beta, a0, b0))
+    return UniformIngredients(xi=real_from(xi, ctx), zeta=zeta, beta=beta,
                               A0=a0, B0=b0, saddles=saddles)
 
 

@@ -31,4 +31,4 @@ def ctx40():
 @pytest.fixture(scope="session")
 def triangle120():
     # rows up to n=120: every exact value required by the error tables
-    return build_triangle(120)
+    return build_triangle(range(121))

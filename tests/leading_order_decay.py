@@ -18,7 +18,7 @@ def halving_ratios(ctx=None):
     """(err(100)/err(50), err(200)/err(100)) at mu = 0.2, 60 digits by default."""
     ctx = mk_context(60) if ctx is None else ctx
     mu = real_from("0.2", ctx)
-    tri = build_triangle(LADDER[-1] - 1, keep=[n - 1 for n in LADDER])
+    tri = build_triangle([n - 1 for n in LADDER])
     errs = []
     with mp.workdps(ctx.digits + 10):
         for n in LADDER:

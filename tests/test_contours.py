@@ -118,6 +118,20 @@ class TestRealPair:
         for pl in cs.polylines:
             assert raw(pl.im_psi_drift) < DRIFT_BUDGET
 
+    @pytest.mark.parametrize("step", [0.5, 1.0])
+    def test_coarse_step_stops_at_the_inner_saddle(self, ctx40, step):
+        # the outer saddle's descent towards t0 must stop there, not jump it
+        # and run on along t0's own descent wing
+        cs = contour_set("1.8", ctx40, step=step)
+        t0 = next(raw(pl.saddle) for pl in cs.polylines
+                  if raw(pl.saddle).real > -1)
+        [pl] = [pl for pl in cs.polylines
+                if pl.kind == "descent" and raw(pl.saddle).real < -1
+                and pl.points[3].real > pl.points[0].real]
+        assert pl.stop_reason == "saddle"
+        with mp.workdps(50):
+            assert abs(raw(pl.points[-1]) - t0) < mpf("1e-6")
+
 
 class TestConjugatePair:
     @pytest.fixture
@@ -171,8 +185,4 @@ class TestControls:
         b = contour_set("1.8", ctx40)
         for pa, pb in zip(a.polylines, b.polylines):
             assert pa.stop_reason == pb.stop_reason
-            assert len(pa.points) == len(pb.points)
-            assert [p.re.to_str() for p in pa.points] == \
-                   [p.re.to_str() for p in pb.points]
-            assert [p.im.to_str() for p in pa.points] == \
-                   [p.im.to_str() for p in pb.points]
+            assert pa.points == pb.points

@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from touchard import (DomainError, InternalConsistencyError, PhaseParams,
-                      SaddleKind, mk_context, real_from, solve_saddles)
+from touchard import (DomainError, SaddleKind, mk_context, mu_from_xi,
+                      real_from, solve_saddles)
 from touchard.saddle import (coalescence_tolerance, psi2_at_saddle_raw,
                              psi_reduced_raw)
 from touchard.numkernel import log_branched_raw, raw
@@ -93,10 +93,10 @@ class TestPhase:
     def test_reduced_phase_identity_at_saddles(self, ctx60):
         # 1/t - log t equals psi at any solution of t e^t = -mu, and
         # (1 + t)/t^2 equals psi'' there
-        params = PhaseParams.from_xi("0.85", ctx60)
-        pair = solve_saddles(params, ctx60)
+        mu = mu_from_xi("0.85", ctx60)
+        pair = solve_saddles(mu, ctx60)
         with mp.workdps(70):
-            t, mu = raw(pair.t0), raw(params.mu)
+            t, mu = raw(pair.t0), raw(mu)
             full = -mp.exp(t) / mu - log_branched_raw(t)
             assert abs(full - psi_reduced_raw(t)) < tol(ctx60, 8)
             d2 = -mp.exp(t) / mu + 1 / t ** 2
@@ -108,11 +108,11 @@ class TestLambert:
         # each real saddle on its branch interval, against mpmath's
         # bracketing root finder: t0 = W_0(-mu) in (-1, 0), t1 = W_-1(-mu)
         for ms in ("0.2", "0.35", "0.01"):
-            params = PhaseParams.from_mu(ms, ctx60)
-            pair = solve_saddles(params, ctx60)
+            mu = real_from(ms, ctx60)
+            pair = solve_saddles(mu, ctx60)
             assert pair.kind is SaddleKind.REAL_PAIR
             with mp.workdps(80):
-                mu = raw(params.mu)
+                mu = raw(mu)
 
                 def f(t):
                     return t * mp.exp(t) + mu
@@ -123,10 +123,10 @@ class TestLambert:
 
     def test_bisection_oracle(self, ctx60):
         # fully independent check: bisect t e^t = -mu on each branch interval
-        params = PhaseParams.from_xi("1.5", ctx60)
-        pair = solve_saddles(params, ctx60)
+        mu = mu_from_xi("1.5", ctx60)
+        pair = solve_saddles(mu, ctx60)
         with mp.workdps(80):
-            mu = raw(params.mu)
+            mu = raw(mu)
             t0_ref = bisect_saddle(mu, mpf(-1), mpf(0))
             t1_ref = bisect_saddle(mu, mpf(-10), mpf(-1))
             assert abs(raw(pair.t0) - t0_ref) < tol(ctx60, 10)
@@ -135,15 +135,15 @@ class TestLambert:
     @given(st.floats(min_value=1e-4, max_value=0.367))
     def test_residuals_and_ranges(self, mf):
         ctx = mk_context(40)
-        params = PhaseParams.from_mu(mf, ctx)
-        pair = solve_saddles(params, ctx)
+        mu = real_from(mf, ctx)
+        pair = solve_saddles(mu, ctx)
         assert pair.kind is SaddleKind.REAL_PAIR
         t0, t1 = raw(pair.t0), raw(pair.t1)
         assert t0.imag == 0 and t1.imag == 0
         assert -1 <= t0.real < 0
         assert t1.real <= -1
         with mp.workdps(60):
-            mu = raw(params.mu)
+            mu = raw(mu)
             for t in (t0, t1):
                 assert abs(t * mp.exp(t) + mu) < tol(ctx, 9) * mu
 
@@ -154,7 +154,7 @@ class TestLambert:
         with mp.workdps(80):
             xi = 1 + 10 * coalescence_tolerance(ctx60)
             half_gap = mp.sqrt(2 * (1 - 1 / xi))
-        pair = solve_saddles(PhaseParams.from_xi(xi, ctx60), ctx60)
+        pair = solve_saddles(mu_from_xi(xi, ctx60), ctx60)
         assert pair.kind is SaddleKind.REAL_PAIR
         with mp.workdps(80):
             w0, wm = raw(pair.t0).real, raw(pair.t1).real
@@ -165,25 +165,21 @@ class TestLambert:
 
 class TestParams:
     def test_from_xi_consistency(self, ctx60):
-        p = PhaseParams.from_xi("1.3", ctx60)
+        mu = mu_from_xi("1.3", ctx60)
         with mp.workdps(70):
-            assert abs(raw(p.mu) * mp.e * raw(p.xi) - 1) < tol(ctx60, 9)
+            assert abs(raw(mu) * mp.e * mpf("1.3") - 1) < tol(ctx60, 9)
 
     def test_rejects_nonpositive(self, ctx60):
         for bad in ("0", "-2"):
             with pytest.raises(DomainError):
-                PhaseParams.from_xi(bad, ctx60)
+                mu_from_xi(bad, ctx60)
             with pytest.raises(DomainError):
-                PhaseParams.from_mu(bad, ctx60)
-
-    def test_mismatched_pair_rejected(self, ctx60):
-        with pytest.raises(InternalConsistencyError):
-            PhaseParams(mu=real_from("0.3", ctx60), xi=real_from("1.1", ctx60))
+                solve_saddles(bad, ctx60)
 
 
 class TestSolve:
     def test_double(self, ctx60):
-        pair = solve_saddles(PhaseParams.from_xi(1, ctx60), ctx60)
+        pair = solve_saddles(mu_from_xi(1, ctx60), ctx60)
         assert pair.kind is SaddleKind.DOUBLE
         assert raw(pair.t0) == -1
         assert raw(pair.t1) == -1
@@ -191,12 +187,12 @@ class TestSolve:
     def test_snap_window(self, ctx60):
         eps = coalescence_tolerance(ctx60) / 2
         with mp.workdps(80):
-            pair = solve_saddles(PhaseParams.from_xi(1 + eps, ctx60), ctx60)
+            pair = solve_saddles(mu_from_xi(1 + eps, ctx60), ctx60)
         assert pair.kind is SaddleKind.DOUBLE
 
     def test_real_pair(self, ctx60):
-        params = PhaseParams.from_xi("1.5", ctx60)
-        pair = solve_saddles(params, ctx60)
+        mu = mu_from_xi("1.5", ctx60)
+        pair = solve_saddles(mu, ctx60)
         assert pair.kind is SaddleKind.REAL_PAIR
         t0, t1 = raw(pair.t0), raw(pair.t1)
         assert t0.imag == 0 and t1.imag == 0
@@ -204,13 +200,13 @@ class TestSolve:
         assert t1.real < -1
         assert abs(t0) < abs(t1)
         with mp.workdps(70):
-            mu = raw(params.mu)
+            mu = raw(mu)
             for t in (t0, t1):
                 assert abs(t * mp.exp(t) + mu) < tol(ctx60, 10) * mu
 
     def test_conjugate_pair(self, ctx60):
-        params = PhaseParams.from_xi("0.9", ctx60)
-        pair = solve_saddles(params, ctx60)
+        mu = mu_from_xi("0.9", ctx60)
+        pair = solve_saddles(mu, ctx60)
         assert pair.kind is SaddleKind.CONJUGATE_PAIR
         t0, t1 = raw(pair.t0), raw(pair.t1)
         assert t0.imag > 0
@@ -230,15 +226,15 @@ class TestSolve:
                 with mp.workdps(150):
                     xi = 1 + sgn * mpf(10) ** -k
                     pred = mp.sqrt(2 * abs(1 / xi - 1))
-                params = PhaseParams.from_xi(xi, ctx120)
-                pair = solve_saddles(params, ctx120)
+                mu = mu_from_xi(xi, ctx120)
+                pair = solve_saddles(mu, ctx120)
                 assert pair.kind is (SaddleKind.REAL_PAIR if sgn > 0
                                      else SaddleKind.CONJUGATE_PAIR)
                 with mp.workdps(150):
                     gap = abs(raw(pair.t0) + 1)
                     assert pred / 2 < gap < pred * 2
                 for t in (raw(pair.t0), raw(pair.t1)):
-                    ref = newton_polish(t, raw(params.mu), 400)
+                    ref = newton_polish(t, raw(mu), 400)
                     with mp.workdps(400):
                         assert abs(t - ref) <= tol(ctx120, 2) * abs(ref), \
                             f"xi = 1 {'+-'[sgn < 0]} 1e-{k}"
@@ -250,11 +246,11 @@ class TestSolve:
         ctx = mk_context(digits)
         for e in range(-300, 301, 7):
             for m in ("1", "3.7"):
-                params = PhaseParams.from_xi(f"{m}e{e}", ctx)
-                pair = solve_saddles(params, ctx)
+                mu = mu_from_xi(f"{m}e{e}", ctx)
+                pair = solve_saddles(mu, ctx)
                 t0, t1 = raw(pair.t0), raw(pair.t1)
                 with mp.workdps(digits + 20):
-                    bound = tol(ctx, 10) * raw(params.mu)
+                    bound = tol(ctx, 10) * raw(mu)
                     assert raw(pair.residual0) <= bound
                     assert raw(pair.residual1) <= bound
                 with mp.workdps(digits + 20):
@@ -268,10 +264,10 @@ class TestSolve:
     @given(st.floats(min_value=0.3, max_value=3))
     def test_classification_and_residuals(self, xf):
         ctx = mk_context(40)
-        params = PhaseParams.from_xi(xf, ctx)
-        pair = solve_saddles(params, ctx)
+        mu = mu_from_xi(xf, ctx)
+        pair = solve_saddles(mu, ctx)
         with mp.workdps(50):
-            mu = raw(params.mu)
+            mu = raw(mu)
             bound = tol(ctx, 10) * mu
             if pair.kind is not SaddleKind.DOUBLE:
                 for t in (raw(pair.t0), raw(pair.t1)):

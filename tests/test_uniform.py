@@ -149,6 +149,22 @@ class TestEvaluator:
         with pytest.raises(DomainError):
             theorem2_eval(1, "1", ctx60)
 
+    @pytest.mark.parametrize("digits", [40, 120, 300])
+    def test_full_precision_near_coalescence(self, digits):
+        # zeta cancels 1.5 log10(1/|xi - 1|) digits and B0 another 0.5 just
+        # outside the snap window; the value must still carry all digits
+        ctx, ref = mk_context(digits), mk_context(2 * digits + 200)
+        for k in sorted({3, 10, digits // 2, digits - 30, digits - 16}):
+            for sgn in (1, -1):
+                with mp.workdps(digits):
+                    xi = 1 + sgn * mpf(10) ** -k
+                got = raw(theorem2_eval(100, xi, ctx))
+                want = raw(theorem2_eval(100, xi, ref))
+                with mp.workdps(ref.digits):
+                    err = abs(got / want - 1)
+                assert err < mpf(10) ** -(digits - 2), \
+                    f"xi = 1 {'+-'[sgn < 0]} 1e-{k}: off by {mp.nstr(err, 3)}"
+
     def test_ingredients_reuse(self, ctx60):
         ing = uniform_ingredients("1.1", ctx60)
         a = theorem2_eval(100, "1.1", ctx60, ingredients=ing)
