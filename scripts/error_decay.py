@@ -14,13 +14,12 @@ import argparse
 
 from mpmath import mp
 
-from touchard import (build_triangle, leading_order, mk_context, real_from,
-                      scaled_touchard, theorem1_eval, wrap_real)
+from touchard import (leading_order, mk_context, real_from, scaled_touchard,
+                      theorem1_eval, wrap_real)
 from touchard.numkernel import raw
 
 
 def poincare_sweep(mu_str: str, n_values, ctx) -> None:
-    tri = build_triangle([n - 1 for n in n_values])
     mu = real_from(mu_str, ctx)
     print(f"# poincare, mu = {mu_str}")
     print("n,rel_err,n_times_rel_err")
@@ -28,7 +27,7 @@ def poincare_sweep(mu_str: str, n_values, ctx) -> None:
         with mp.workdps(ctx.digits + 10):
             x = wrap_real(n / raw(mu), ctx)
             mz = wrap_real(-raw(x), ctx)
-        exact = scaled_touchard(n - 1, mz, tri, ctx)
+        exact = scaled_touchard(n - 1, mz, ctx)
         approx = leading_order(n, mu, ctx)
         with mp.workdps(ctx.digits):
             rel = abs(raw(approx.value) / raw(exact.value) - 1)
@@ -36,11 +35,10 @@ def poincare_sweep(mu_str: str, n_values, ctx) -> None:
 
 
 def truncation_sweep(n: int, max_order: int, ctx) -> None:
-    tri = build_triangle([n - 1])
     with mp.workdps(ctx.digits + 10):
         x = wrap_real(n * mp.e, ctx)
         mz = wrap_real(-raw(x), ctx)
-    exact = scaled_touchard(n - 1, mz, tri, ctx)
+    exact = scaled_touchard(n - 1, mz, ctx)
     print(f"# coalescence series truncation, n = {n}")
     print("order,rel_err")
     for m in range(max_order + 1):

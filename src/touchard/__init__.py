@@ -1,6 +1,6 @@
 """High-precision asymptotics of Touchard polynomials near saddle coalescence.
 
-Exact reference values come from the Stirling triangle (stirling module);
+Exact reference values come from a certified row-free sum (stirling module);
 the asymptotic side provides the coalescence series (theorem1_eval), the
 uniform Airy-type approximation (theorem2_eval), and the non-uniform
 leading-order forms (poincare.leading_order), all over a small

@@ -33,7 +33,7 @@ from .numkernel import (BigReal, PrecisionContext, _sci, mk_context, raw,
                         real_from, wrap_real)
 from .poincare import EXCLUSION_HALF_WIDTH, leading_order
 from .saddle import mu_from_xi
-from .stirling import ExactValue, build_triangle, scaled_touchard
+from .stirling import ExactValue, scaled_touchard
 from .uniform import theorem2_eval, uniform_ingredients
 
 CSV_HEADER = "n,param,exact,approx,rel_err"
@@ -106,10 +106,10 @@ def load_error_rows(text: str) -> list[ErrorRow]:
 # ---------------------------------------------------------------------------
 # table commands
 
-def _exact_scaled(n: int, x: BigReal, triangle, ctx) -> ExactValue:
+def _exact_scaled(n: int, x: BigReal, ctx) -> ExactValue:
     with mp.workdps(ctx.digits):  # -x exactly, not rounded to the ambient precision
         z = wrap_real(-raw(x), ctx)
-    return scaled_touchard(n - 1, z, triangle, ctx)
+    return scaled_touchard(n - 1, z, ctx)
 
 
 def cmd_table1(n_list=None, m_list=None, digits: int | None = None) -> str:
@@ -120,12 +120,11 @@ def cmd_table1(n_list=None, m_list=None, digits: int | None = None) -> str:
     for m in m_list:
         check_order(m)
     ctx = mk_context(digits)
-    triangle = build_triangle([n - 1 for n in n_list])
     rows = []
     for n in n_list:
         with mp.workdps(ctx.digits + 10):
             x = wrap_real(n * mp.e, ctx)
-        exact = _exact_scaled(n, x, triangle, ctx)
+        exact = _exact_scaled(n, x, ctx)
         for m in m_list:
             approx = theorem1_eval(n, m, ctx)
             rows.append(make_row(n, real_from(m, ctx), exact.value, approx, ctx))
@@ -138,7 +137,6 @@ def cmd_table2(xi_list=None, n_list=None, digits: int | None = None) -> str:
     if not n_list:
         raise DomainError("table2 needs a non-empty --n list")
     ctx = mk_context(digits)
-    triangle = build_triangle([n - 1 for n in n_list])
     rows = []
     for xi in xi_list:
         xi_br = real_from(xi, ctx)
@@ -146,7 +144,7 @@ def cmd_table2(xi_list=None, n_list=None, digits: int | None = None) -> str:
         for n in n_list:
             with mp.workdps(ctx.digits + 10):
                 x = wrap_real(n * mp.e * raw(xi_br), ctx)
-            exact = _exact_scaled(n, x, triangle, ctx)
+            exact = _exact_scaled(n, x, ctx)
             approx = theorem2_eval(n, xi_br, ctx, ingredients=ing)
             rows.append(make_row(n, xi_br, exact.value, approx, ctx))
     return rows_to_csv(rows)
@@ -179,8 +177,7 @@ def cmd_eval(n: int, xi, digits: int | None = None) -> dict:
         x = wrap_real(n * mp.e * xiv, ctx)
         near_coalescence = abs(xiv - 1) < THEOREM1_XI_WINDOW
         outside_band = abs(raw(mu) * mp.e - 1) > EXCLUSION_HALF_WIDTH
-    triangle = build_triangle([n - 1])
-    exact = _exact_scaled(n, x, triangle, ctx)
+    exact = _exact_scaled(n, x, ctx)
     report = {
         "n": n,
         "xi": xi_br.to_str(),

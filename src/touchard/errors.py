@@ -21,7 +21,7 @@ class InvalidPrecisionError(DomainError):
 
 
 class CapacityError(DomainError):
-    """Structural size limit exceeded (triangle rows, series order)."""
+    """Structural size limit exceeded (exact-sum degree, rows, series order)."""
 
 
 class OrderError(DomainError):

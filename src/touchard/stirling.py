@@ -1,31 +1,53 @@
-"""Exact reference evaluation of the scaled exponential polynomials T_n(z)/n!.
+"""Exact reference evaluation of the scaled exponential polynomials T_n(-x)/n!.
 
 T_n(z) = sum_k S(n,k) z^k with S(n,k) the Stirling numbers of the second
-kind; the sum is divided by the exact integer n! last.
+kind. The explicit formula k! S(n,k) = sum_j (-1)^(k-j) C(k,j) j^n (Graham,
+Knuth and Patashnik, Concrete Mathematics, ch. 6), summed over k with the
+two sums swapped, gives for z = -x <= 0
 
-build_triangle(keep) makes one rolling pass of
-S(n,k) = k S(n-1,k) + S(n-1,k-1) in Python ints up to max(keep) and keeps
-only the rows named in keep: row n costs O(n^2) integer operations but only
-two rows are alive at a time. Rows outside [0, N_MAX_LIMIT] are refused.
+    T_n(-x) = sum_{j=1..n} (-1)^j j^n t_j E_{n-j},
+    t_j = x^j/j!,   E_m = sum_{i<=m} t_i,
 
-A sum is one Horner pass at working precision d. The standard rounding
-bound for Horner's rule (Higham, Accuracy and Stability of Numerical
-Algorithms, sec. 5.1)
+n terms and no Stirling number. The sum divides by the exact integer n! last.
 
-    |fl(T_n(z)) - T_n(z)| <= gamma_2n T_n(|z|),   gamma_m = m u / (1 - m u),
+Every t_j, E_m and j^n is positive, so the sum runs in Python ints at p bits:
+x = man 2^exp is taken exactly from the mpf; t_j is a p-bit mantissa and an
+exponent, two floors per step; E_m is the running sum of the t_i in fixed
+point with p fraction bits; j^n is an exact pow cut to p bits; u_j = j^n t_j
+and E_m are cut to p bits; and each term u_j E_{n-j} is rounded down onto a
+common grid of 2^g. Every floor only lowers a positive quantity. t_j comes
+out low by under 4j 2^-p of itself, E_m by under (5m + 1) 2^-p (E_m >= 1
+turns the fixed point's absolute floors into relative ones), and each cut
+by under 2 2^-p, so each term is low by at most delta = (5n + 7) 2^-p of
+itself plus one grid unit. With S the alternating sum and A the sum of the
+grid terms,
 
-is checked at run time with u <= 10^-d: the value is accepted when
-4(n+1) 10^-d T_n(|z|) <= 10^-(digits+10) |T_n(z)|, so it carries
-digits + 10 correct significant digits before the final rounding. The
-error scale T_n(|z|) = sum_k S(n,k) |z|^k is summed alongside from the
-logarithms of its terms in floats; their error of about 1e-11 is far inside
-the factor of two by which 4(n+1) exceeds the 2n+1 roundings of the pass and
-the division by n!. For negative z the sum alternates and loses
-log10(T_n(|z|)/|T_n(z)|) digits. When the check fails the pass reruns at a
-precision sized from that measured loss, or at twice the precision when the
-loss swamped the pass and could not be measured, at most MAX_ESCALATIONS
-times. cancellation_digits reports log10 of the largest term over |T_n(z)|,
-rounded up.
+    |T_n(-x) - S 2^g| <= (2 delta (A + n + 1) + n + 2) 2^g,
+
+and the value is accepted when that bound is at most 10^-(digits+10) |S 2^g|,
+so it carries digits + 10 correct significant digits before the final
+rounding. p and g come from a predicted loss: log10 sum_j j^n t_j E_{n-j}
+from float logarithms, and log10 |T_n(-x)| from the saddle point
+t0 = W_0(-(n+1)/x) of the Cauchy integral, taken with mpmath's lambertw in
+floats and lowered by _ENVELOPE_MARGIN digits. The prediction only sizes
+the pass; the bound decides. When it fails, the pass reruns with both
+logarithms measured from the failed pass, at most MAX_ESCALATIONS times; a
+sum swamped by its bound is taken at the size of that bound. With
+x = man 2^exp, T_n(-x) is an integer multiple of 2^(n min(exp, 0)), so a
+sum whose bound falls below that grain with only zero inside is exactly
+zero (T_2(-1), for one).
+
+cancellation_digits is log10 of the largest Stirling term max_k S(n,k) x^k
+over |T_n(-x)|, rounded up. T_n has only real zeros (Harper, 1967), so by
+Darroch's theorem (1964) the mode of S(n,k) x^k lies within 1 of its mean
+T_{n+1}(x)/T_n(x) - x, which Dobinski's series gives in floats. k! S(n,k)
+from one below floor(mean) to one above ceil(mean) comes exactly from the
+explicit formula, in one pass over j; S(n,k) x^k is log-concave in k, so a
+local maximum is the global one, and the search walks uphill should the
+float mean ever miss it.
+
+build_triangle and StirlingTriangle are the Stirling rows of the previous
+exact layer; nothing in the package calls them.
 """
 from __future__ import annotations
 
@@ -33,16 +55,20 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
+from mpmath import fp, mp, mpc, mpf
 
-from .errors import CapacityError, PrecisionExhaustedError
+from .errors import CapacityError, DomainError, PrecisionExhaustedError
 from .numkernel import BigReal, PrecisionContext, raw, wrap_real
 
-# Largest row index a triangle may hold. `touchard eval --n 4000` takes 15 s
-# and 42 MiB at 120 digits, and time grows like n^2.7 (README, "Size limit").
-N_MAX_LIMIT = 4000
+# Largest n of an exact value. `touchard eval --n 7000` takes 12-14 s and
+# 36-38 MiB at 120 digits, and time grows like n^2.9 (README, "Size limit").
+N_MAX_LIMIT = 7000
 # Reruns a certified sum may make before PrecisionExhaustedError.
 MAX_ESCALATIONS = 8
+# Digits below the saddle envelope at which the first pass expects |T|: the
+# envelope leaves out the Gaussian prefactor and, for xi < 1, the cosine.
+_ENVELOPE_MARGIN = 3
+_LOG10_2 = math.log10(2)
 
 
 @dataclass(frozen=True)
@@ -82,67 +108,251 @@ def build_triangle(keep: Iterable[int]) -> StirlingTriangle:
     return StirlingTriangle(rows=rows)
 
 
-def _certified_sum(row: tuple[int, ...], zv: mpf, ctx: PrecisionContext):
-    """(T_n(z), max_k |S(n,k) z^k|, dps) with T_n(z) certified at dps.
+# ---------------------------------------------------------------------------
+# the fixed-point sum
 
-    Reruns at most MAX_ESCALATIONS times; an exact zero is accepted when
-    two rounds in a row give it.
+def _top(v: int, bits: int) -> tuple[int, int]:
+    """(v >> s, s) with s >= 0 the least shift that leaves at most `bits` bits."""
+    s = v.bit_length() - bits
+    return (v >> s, s) if s > 0 else (v, 0)
+
+
+def _shift(v: int, s: int) -> int:
+    """floor(v 2^s)."""
+    return v << s if s >= 0 else v >> -s
+
+
+def _grid_sum(n: int, man: int, exp: int, p: int, g: int) -> tuple[int, int]:
+    """(S, A): sum_j (-1)^j R_j and sum_j R_j over j = 1..n, where R_j is
+    j^n t_j E_{n-j} at x = man 2^exp rounded down to units of 2^g.
+
+    One pass over k makes t_k, E_k and u_k = k^n t_k. The term of j pairs
+    u_j with E_{n-j}, so both are held for 2k < n and each later k closes
+    the terms of k and of n - k: one list of about n/2 pairs of p-bit ints.
     """
-    n = len(row) - 1
+    half = (n + 1) // 2
+    held = []
+    tm, te = 1 << p, -p  # t_k = tm 2^te
+    e_fix = 0            # floor(E_k 2^p)
+    s = a = 0
+    for k in range(n + 1):
+        if k:
+            kb = k.bit_length()
+            tm, cut = _top((tm * man << kb) // k, p)
+            te += exp - kb + cut
+        e_fix += _shift(tm, te + p)
+        em, ee = _top(e_fix, p)
+        ee -= p
+        jm, je = _top(k ** n, p)
+        um, ue = _top(jm * tm, p)
+        ue += je + te
+        if k < half:
+            held.append((um, ue, em, ee))
+            continue
+        m = n - k
+        hum, hue, hem, hee = held[m] if m < half else (um, ue, em, ee)
+        r = _shift(um * hem, ue + hee - g)  # term k: u_k E_{n-k}
+        a += r
+        s += -r if k & 1 else r
+        if 0 < m < half:
+            r = _shift(hum * em, hue + ee - g)  # term n - k: u_{n-k} E_k
+            a += r
+            s += -r if m & 1 else r
+    return s, a
+
+
+def _log10_term_sum(n: int, lx: float) -> float:
+    """log10 sum_{j=1..n} j^n t_j E_{n-j} from float logarithms; lx = ln x."""
+    log_e = [0.0] * n  # ln E_m for m < n, by log-sum-exp of the ln t_i
+    lt = acc = 0.0
+    for m in range(1, n):
+        lt += lx - math.log(m)
+        hi, lo = (lt, acc) if lt > acc else (acc, lt)
+        acc = hi + math.log1p(math.exp(lo - hi))
+        log_e[m] = acc
+    logs = [n * math.log(j) + j * lx - math.lgamma(j + 1) + log_e[n - j]
+            for j in range(1, n + 1)]
+    top = max(logs)
+    total = math.fsum([math.exp(v - top) for v in logs])
+    return (top + math.log(total)) / math.log(10)
+
+
+def _log10_envelope(n: int, x: mpf) -> float:
+    """log10 of the saddle-point size of |T_n(-x)|.
+
+    T_n(-x)/n! = (1/2 pi i) oint exp(x + f(t)) dt with f(t) = -x e^t
+    - (n+1) log t, whose saddle t0 = W_0(-(n+1)/x) gives the exponent
+    x + Re f(t0) = Re(-x expm1(t0)) - (n+1) log|t0|; expm1 keeps it
+    accurate when x is large against n. The Gaussian prefactor is left out.
+
+    The exponent is stationary in t0, so t0 need not be exact: mpmath's
+    float-context lambertw, 10 to 40 times faster than its mpf one, serves
+    wherever -(n+1)/x is a float. It fails at exactly -1/e, and a relative
+    nudge of 1e-12 moves t0 off it by 1.4e-6 and the exponent by nothing.
+    """
+    with mp.workdps(15):
+        y = -(n + 1) / x
+        t0 = (mpc(fp.lambertw(float(y) * (1 + 1e-12))) if 1e-300 < -y < 1e300
+              else mp.lambertw(y))
+        v = (mp.re(-x * mp.expm1(t0)) - (n + 1) * mp.log(abs(t0))
+             + mp.loggamma(n + 1))
+        return float(v / mp.ln10)
+
+
+def _certified_sum(n: int, x: mpf, ctx: PrecisionContext) -> tuple[int, int]:
+    """(S, g) with T_n(-x) = S 2^g to digits + 10 significant digits, for
+    x > 0 and n >= 1."""
     target = ctx.digits + 10
-    slack = math.log10(4 * (n + 1))  # the rounding bound's 4(n+1) factor
-    d = target + math.ceil(slack)
-    if zv == 0:
-        return mpf(row[0]), mpf(row[0]), d
+    man, exp = x.man_exp
     with mp.workdps(20):
-        lz = float(mp.log(abs(zv)))
-    # natural logs of the terms S(n,k) |z|^k, and log10 T_n(|z|)
-    logs = {k: math.log(s) + k * lz for k, s in enumerate(row) if s}
-    top = max(logs.values())
-    log_scale = (top + math.log(math.fsum(math.exp(v - top)
-                                          for v in logs.values()))) / math.log(10)
+        lx = float(mp.log(x))
+    log_sum = _log10_term_sum(n, lx)
+    log_t = min(log_sum, _log10_envelope(n, x) - _ENVELOPE_MARGIN)
+    # T_n(-x) is an integer multiple of 2^grain, since every x^k, k <= n, is
+    grain = n * min(exp, 0)
     prev = None
     for rerun in range(MAX_ESCALATIONS + 1):
-        with mp.workdps(d):
-            total = mpf(0)
-            for s in reversed(row):
-                total = total * zv + s
-            loss = log_scale - float(mp.log10(abs(total))) if total else math.inf
-            if loss + slack + target <= d or total == prev == 0:
-                # the largest term, from the candidates within float rounding
-                biggest = max(row[k] * abs(zv) ** k for k, v in logs.items()
-                              if v >= top - 1e-6)
-                return total, biggest, d
+        p = math.ceil((target + log_sum - log_t) / _LOG10_2
+                      + math.log2(5 * n + 7)) + 2
+        g = math.floor((log_t - target) / _LOG10_2 - math.log2(n + 2)) - 2
+        s, a = _grid_sum(n, man, exp, p, g)
+        bound = ((5 * n + 7) * (a + n + 1) >> (p - 1)) + n + 3
+        if bound * 10 ** target <= abs(s):
+            return s, g
+        if grain >= g and abs(s) + bound < 1 << (grain - g):
+            return 0, g  # nothing but zero lies within the bound
         if rerun == MAX_ESCALATIONS:
             break
-        prev = total
-        # a loss this close to d was not measured, only bounded below
-        d = (math.ceil(target + slack + loss) + 1 if slack + loss <= d - 1
-             else 2 * d)
+        prev = s, g
+        # |T| >= |s| - bound once |s| >= 2 bound; below that only |T| <= 2 bound
+        log_sum = math.log10(a + n + 1) + g * _LOG10_2
+        log_t = math.log10(max(abs(s) - bound, bound)) + g * _LOG10_2
+    with mp.workdps(target):
+        last_two = (prev and mp.ldexp(*prev), mp.ldexp(s, g))
     raise PrecisionExhaustedError(
         f"scaled_touchard(n={n}): sum not certified to {target} digits after "
-        f"{MAX_ESCALATIONS} reruns (last working precision {d})",
-        last_two=(prev, total))
+        f"{MAX_ESCALATIONS} reruns (last working precision {p} bits)",
+        last_two=last_two)
 
 
-def _cancellation(total, biggest, dps: int) -> int:
-    with mp.workdps(dps):
-        if biggest == 0:
-            return 0
-        if total == 0:
-            # every digit of the largest term cancelled
-            return int(mp.floor(mp.log10(biggest))) + dps
-        c = mp.log10(biggest / abs(total))
-        return max(0, int(mp.ceil(c)))
+# ---------------------------------------------------------------------------
+# the largest Stirling term
+
+def _explicit(n: int, top: int, width: int) -> dict[int, int]:
+    """k! S(n,k) for the `width` values of k up to `top`.
+
+    One pass over j of the explicit formula at k = top sums
+    D_top(m) = top! S(m, top) for m = n .. n + width - 1: one product
+    C(top, j) j^n per j, then multiplications by j. The recurrence
+    S(m+1, k) = k S(m, k) + S(m, k-1) turns that into
+    D_{k-1}(m) = D_k(m+1)/k - D_k(m), an exact division, down to
+    k = top - width + 1.
+    """
+    sums = [0] * width
+    binom = 1  # C(top, j)
+    for j in range(top + 1):
+        v = binom * j ** n
+        if (top - j) & 1:
+            v = -v
+        for i in range(width):
+            sums[i] += v
+            v *= j
+        binom = binom * (top - j) // (j + 1)
+    found = {}
+    for k in range(top, top - width, -1):
+        found[k] = sums[0]
+        sums = [b // k - a for a, b in zip(sums, sums[1:])]
+    return found
 
 
-def scaled_touchard(n: int, z: BigReal, triangle: StirlingTriangle,
-                    ctx: PrecisionContext) -> ExactValue:
-    """T_n(z)/n!, dividing by the exact integer factorial last."""
-    total, biggest, dps = _certified_sum(triangle.row(n), raw(z), ctx)
-    with mp.workdps(dps):
+def _mode_mean(n: int, x: mpf, lx: float) -> float:
+    """The mean of k under the weights S(n,k) x^k, in floats.
+
+    It is T_{n+1}(x)/T_n(x) - x, and by Dobinski's formula
+    T_n(x) = e^-x sum_j j^n x^j/j!, so it is the mean of j under
+    w_j = j^n x^j/j!, less x. ln w_j is concave in j, and its peak, the
+    first j with w_{j+1} < w_j, lies in [1, x + n]: a bisection finds it,
+    and the sum runs outward from there until the weights fall below e^-40
+    of the peak. From x = C(n,2) up the mode is n, since
+    S(n,n-1) x^(n-1) <= S(n,n) x^n there, and n is returned.
+    """
+    if x >= n * (n - 1) // 2:
+        return float(n)
+    lo, hi = 1, int(x) + n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if n * math.log1p(1 / mid) + lx < math.log(mid + 1):
+            hi = mid
+        else:
+            lo = mid + 1
+
+    def log_w(j: int) -> float:
+        return n * math.log(j) + j * lx - math.lgamma(j + 1)
+
+    # ln w_j falls like (j - lo)^2/(2 sigma^2); a stride of sigma/4 changes
+    # sum_j w_j and sum_j j w_j by the same factor, up to e^-300 (Poisson
+    # summation), so the mean is unchanged
+    stride = max(1, int(0.25 / math.sqrt(n / lo ** 2 + 1 / lo)))
+    top = log_w(lo)
+    s0 = s1 = 0.0
+    for j, step in ((lo, stride), (lo - stride, -stride)):
+        while j >= 1 and (lw := log_w(j) - top) > -40:
+            w = math.exp(lw)
+            s0 += w
+            s1 += j * w
+            j += step
+    return s1 / s0 - float(x)
+
+
+def _largest_term(n: int, x: mpf, lx: float) -> mpf:
+    """max_k S(n,k) x^k for n >= 1, at the working precision.
+
+    The mode is floor(mean) or ceil(mean) (Darroch), so the window from one
+    below the first to one above the second shows it as a local maximum.
+    """
+    mean = _mode_mean(n, x, lx)
+    lo = min(n, max(1, math.floor(mean) - 1))
+    hi = max(lo, min(n, math.ceil(mean) + 1))
+
+    def terms(top: int, width: int) -> dict[int, mpf]:
+        return {k: d * x ** k / math.factorial(k)
+                for k, d in _explicit(n, top, width).items()}
+
+    window = terms(hi, hi - lo + 1)
+    while True:
+        best = max(window, key=window.get)
+        if best == min(window) > 1:
+            window.update(terms(best - 1, 1))
+        elif best == max(window) < n:
+            window.update(terms(best + 1, 1))
+        else:
+            return window[best]
+
+
+# ---------------------------------------------------------------------------
+# public entry point
+
+def scaled_touchard(n: int, z: BigReal, ctx: PrecisionContext) -> ExactValue:
+    """T_n(z)/n! for finite z <= 0, dividing by the exact integer factorial last."""
+    if not 0 <= n <= N_MAX_LIMIT:
+        raise CapacityError(f"n = {n} outside [0, {N_MAX_LIMIT}]")
+    zv = raw(z)
+    if not mp.isfinite(zv) or zv > 0:
+        raise DomainError(f"scaled_touchard needs a finite z <= 0, "
+                          f"got {mp.nstr(zv, 8)}")
+    if n == 0 or zv == 0:
+        return ExactValue(value=wrap_real(int(n == 0), ctx),
+                          cancellation_digits=0, verified=True)
+    x = mp.fneg(zv, exact=True)
+    s, g = _certified_sum(n, x, ctx)
+    with mp.workdps(ctx.digits + 10):
+        biggest = _largest_term(n, x, float(mp.log(x)))
+        total = mp.ldexp(s, g)
+        if s == 0:
+            # every digit of the largest term down to the grid cancelled
+            cancel = int(mp.floor(mp.log10(biggest))) - math.floor(g * _LOG10_2)
+        else:
+            cancel = max(0, int(mp.ceil(mp.log10(biggest / abs(total)))))
         scaled = total / math.factorial(n)
-    return ExactValue(value=wrap_real(scaled, ctx),
-                      cancellation_digits=_cancellation(total, biggest, dps),
+    return ExactValue(value=wrap_real(scaled, ctx), cancellation_digits=cancel,
                       verified=True)
-

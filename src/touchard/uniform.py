@@ -24,13 +24,16 @@ Amplitudes: with g(u) = dt/du and psi''(t_j) = (1 + t_j)/t_j^2,
 
 At xi = 1 everything has a finite limit: A0 = 2^{1/3},
 B0 = -(5/6) 2^{2/3}, Re beta = -1; the evaluator switches to those closed
-forms inside the coalescence tolerance.
+forms inside the snap window |xi - 1| <= 10^-(digits+5), where they differ
+from the true values by about 120 |xi - 1|, below the context's last digit.
 
-Just outside it psi(t1) - psi(t0) ~ |xi - 1|^{3/2} cancels
+Outside it psi(t1) - psi(t0) ~ |xi - 1|^{3/2} cancels
 1.5 log10(1/|xi - 1|) digits of zeta, and g(+) - g(-) another
 0.5 log10(1/|xi - 1|) of B0. uniform_ingredients therefore works at
 ctx.digits + max(0, ceil(2 log10(1/|xi - 1|)) - 5) digits and rounds every
-field back to ctx; for |xi - 1| >= 0.01 that widens by nothing.
+field back to ctx; for |xi - 1| >= 0.01 that widens by nothing. The widened
+context's own coalescence tolerance lies far inside |xi - 1|, so
+solve_saddles there returns the two distinct saddles.
 """
 from __future__ import annotations
 
@@ -43,9 +46,8 @@ from .airy import airy
 from .errors import BranchError, DomainError
 from .numkernel import (BigComplex, BigReal, PrecisionContext, mk_context,
                         raw, real_from, wrap_complex, wrap_real)
-from .saddle import (SaddleKind, SaddlePair, coalescence_tolerance,
-                     mu_from_xi, psi2_at_saddle_raw, psi_reduced_raw,
-                     solve_saddles)
+from .saddle import (SaddleKind, SaddlePair, mu_from_xi, psi2_at_saddle_raw,
+                     psi_reduced_raw, solve_saddles)
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ def _extra_digits(xi, ctx: PrecisionContext) -> int:
     """
     with mp.workdps(ctx.digits + 10):
         gap = abs(mpf(raw(xi)) - 1)
-        if gap <= coalescence_tolerance(ctx):
+        if gap <= mpf(10) ** -(ctx.digits + 5):
             return 0
     log10_gap = math.log10(gap.man) + gap.exp * math.log10(2)
     return max(0, math.ceil(-2 * log10_gap) - 5)

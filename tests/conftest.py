@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from touchard import build_triangle, mk_context
+from touchard import mk_context
 
 settings.register_profile(
     "touchard",
@@ -26,9 +26,3 @@ def ctx120():
 @pytest.fixture(scope="session")
 def ctx40():
     return mk_context(40)
-
-
-@pytest.fixture(scope="session")
-def triangle120():
-    # rows up to n=120: every exact value required by the error tables
-    return build_triangle(range(121))

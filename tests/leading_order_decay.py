@@ -7,8 +7,8 @@ flat instead.
 """
 from mpmath import mp, mpf
 
-from touchard import (build_triangle, leading_order, mk_context, real_from,
-                      scaled_touchard, wrap_real)
+from touchard import (leading_order, mk_context, real_from, scaled_touchard,
+                      wrap_real)
 from touchard.numkernel import raw
 
 LADDER = (50, 100, 200)
@@ -18,12 +18,11 @@ def halving_ratios(ctx=None):
     """(err(100)/err(50), err(200)/err(100)) at mu = 0.2, 60 digits by default."""
     ctx = mk_context(60) if ctx is None else ctx
     mu = real_from("0.2", ctx)
-    tri = build_triangle([n - 1 for n in LADDER])
     errs = []
     with mp.workdps(ctx.digits + 10):
         for n in LADDER:
             x = wrap_real(mpf(n) / raw(mu), ctx)
-            exact = scaled_touchard(n - 1, wrap_real(-raw(x), ctx), tri, ctx)
+            exact = scaled_touchard(n - 1, wrap_real(-raw(x), ctx), ctx)
             approx = leading_order(n, mu, ctx)
             errs.append(abs(raw(approx.value) / raw(exact.value) - 1))
         return (float(errs[1] / errs[0]), float(errs[2] / errs[1]))

@@ -16,7 +16,7 @@ import time
 
 from mpmath import mp, mpf
 
-from touchard import (airy, build_triangle, default_bm, mk_context,
+from touchard import (airy, default_bm, mk_context,
                       real_from, scaled_touchard, solve_saddles, theorem1_eval,
                       theorem2_eval, wrap_real)
 from touchard.coalescence import _BM_CHECK
@@ -28,6 +28,7 @@ from airy_oracle import airy_maclaurin
 from bm_oracle import forward_series
 from leading_order_decay import halving_ratios
 from recurrence_oracle import touchard_recurrence
+from stirling_oracle import integer_scaled_touchard, stirling2_row
 
 from fractions import Fraction
 
@@ -75,15 +76,6 @@ def ulp_margin(rel, printed: str):
 
 def rel_against_exact(approx, exact):
     return abs(raw(approx) - raw(exact.value)) / abs(raw(exact.value))
-
-
-def stirling2_row(m: int) -> list:
-    """S(m, k) for k = 0..m, from S(j, k) = k S(j-1, k) + S(j-1, k-1) in ints."""
-    row = [1]
-    for j in range(1, m + 1):
-        row = [0] + [k * (row[k] if k < j else 0) + row[k - 1]
-                     for k in range(1, j + 1)]
-    return row
 
 
 def oracle_table2_rel(xi: str, n: int, dps: int):
@@ -140,12 +132,11 @@ def aitken_bells(n_max: int) -> list:
 def test_criterion_1_table1_cells():
     ctx = mk_context(DIGITS)
     start = time.monotonic()
-    triangle = build_triangle([49, 79, 120])
     margins = {}
     with mp.workdps(DIGITS + 20):
         for n in (50, 80, 121):
             x = wrap_real(n * mp.e, ctx)
-            exact = scaled_touchard(n - 1, wrap_real(-raw(x), ctx), triangle, ctx)
+            exact = scaled_touchard(n - 1, wrap_real(-raw(x), ctx), ctx)
             for m in (0, 1, 3, 4, 6):
                 rel = rel_against_exact(theorem1_eval(n, m, ctx), exact)
                 margins[(n, m)] = ulp_margin(rel, TABLE1_PRINTED[(n, m)])
@@ -161,7 +152,6 @@ def test_criterion_1_table1_cells():
 def test_criterion_2_table2_cells():
     ctx = mk_context(DIGITS)
     start = time.monotonic()
-    triangle = build_triangle([80, 99])
     reference = {**TABLE2_PRINTED, **TABLE2_ERRATA}
     margins = {}
     computed = {}
@@ -171,7 +161,7 @@ def test_criterion_2_table2_cells():
             xi_br = real_from(xi, ctx)
             for n in (81, 100):
                 x = wrap_real(-n * mp.e * raw(xi_br), ctx)
-                exact = scaled_touchard(n - 1, x, triangle, ctx)
+                exact = scaled_touchard(n - 1, x, ctx)
                 rel = rel_against_exact(theorem2_eval(n, xi_br, ctx), exact)
                 computed[(xi, n)] = rel
                 margins[(xi, n)] = ulp_margin(rel, reference[(xi, n)])
@@ -214,7 +204,7 @@ def test_table2_erratum_independent_oracle():
         n = cell[1]
         xi_br = real_from(cell[0], ctx)
         x = wrap_real(-n * mp.e * raw(xi_br), ctx)
-        exact = scaled_touchard(n - 1, x, build_triangle([n - 1]), ctx)
+        exact = scaled_touchard(n - 1, x, ctx)
         pkg = rel_against_exact(theorem2_eval(n, xi_br, ctx), exact)
         assert abs(pkg / rel - 1) < mpf("1e-10"), \
             f"package {mp.nstr(pkg, 15)} vs oracle {mp.nstr(rel, 15)}"
@@ -263,7 +253,6 @@ def test_criterion_4_seam_consistency():
 
 def test_criterion_5_exact_value_cross_checks():
     ctx = mk_context(DIGITS)
-    triangle = build_triangle(range(121))
     with mp.workdps(DIGITS + 20):
         pairs = [(n, n * mp.e) for n in (50, 80, 121)]
         for xi in ("0.80", "0.90", "0.95", "0.99", "1.00",
@@ -274,19 +263,20 @@ def test_criterion_5_exact_value_cross_checks():
         worst = mpf(0)
         for n, x in pairs:
             z = wrap_real(-x, ctx)
-            a = raw(scaled_touchard(n - 1, z, triangle, ctx).value) \
+            a = raw(scaled_touchard(n - 1, z, ctx).value) \
                 * math.factorial(n - 1)
             b = touchard_recurrence(n - 1, raw(z), ctx.digits)
             scale = max(abs(a), mpf(1))
             worst = max(worst, abs(a - b) / scale)
         assert worst < tol, \
-            f"criterion 5: FAIL - triangle vs recurrence gap {mp.nstr(worst, 3)}"
+            f"criterion 5: FAIL - exact sum vs recurrence gap {mp.nstr(worst, 3)}"
     bells = aitken_bells(60)
     one = real_from(1, ctx)
     for n in range(61):
-        row_sum = sum(triangle.row(n))
+        # z = 1 lies outside the package's domain: the oracle sums it
+        row_sum = sum(stirling2_row(n))
         with mp.workdps(DIGITS + 20):
-            poly = int(mp.nint(raw(scaled_touchard(n, one, triangle, ctx).value)
+            poly = int(mp.nint(integer_scaled_touchard(n, raw(one))[0]
                                * math.factorial(n)))
         assert row_sum == bells[n] == poly, \
             f"criterion 5: FAIL - row sum identity breaks at n={n}"

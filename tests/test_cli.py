@@ -232,7 +232,7 @@ class TestMain:
         assert "touchard: error:" in capsys.readouterr().err
 
     def test_row_beyond_size_limit_exits_2_at_once(self, capsys):
-        # n - 1 = N_MAX_LIMIT + 1: refused before any row is built
+        # n - 1 = N_MAX_LIMIT + 1: refused before any sum is made
         start = time.monotonic()
         assert main(["eval", "--n", str(N_MAX_LIMIT + 2), "--xi", "1"]) == 2
         assert time.monotonic() - start < 1

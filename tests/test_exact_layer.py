@@ -1,52 +1,34 @@
-"""Kept-row triangle and certified sums against exact integer arithmetic.
+"""The row-free exact layer against the integer Stirling-row oracle.
 
-The oracle here is integer Horner at the exact dyadic value of the argument:
-z = p / q with q a power of two, so T_m(z) q^m = sum_k S(m,k) p^k q^(m-k) is
-an integer, and so is every term. Values and cancellation digits are then
-exact, with no working precision involved.
+The oracle (tests/stirling_oracle.py) sums the integer row by Horner at the
+exact dyadic value of the argument, so its values and cancellation digits
+involve no working precision. TestKeptRows covers the row builder that
+perfbench/tracer.py still wraps; the package no longer calls it.
 """
-import math
 import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from touchard import (CapacityError, build_triangle, mk_context,
-                      scaled_touchard, wrap_real)
+from touchard import (CapacityError, PrecisionExhaustedError, build_triangle,
+                      mk_context, scaled_touchard, wrap_real)
 from touchard import stirling
 from touchard.cli import cmd_eval, cmd_table1
 from touchard.numkernel import BigReal, raw
+
+from stirling_oracle import integer_scaled_touchard, stirling2_row
 
 DIGITS = 120
 TABLE1_N = (50, 80, 121)
 TABLE2_XI = ("0.80", "0.90", "0.95", "0.99", "1.00",
              "1.01", "1.05", "1.10", "1.20", "1.40")
 TABLE2_N = (81, 100)
-
-
-def integer_scaled_touchard(row, z):
-    """(T_m(z)/m! at 400 digits, cancellation digits), both from integers.
-
-    The cancellation is the least c >= 0 with max_k |S(m,k) z^k| <= 10^c |T_m(z)|.
-    """
-    m = len(row) - 1
-    sign, man, exp, _ = z._mpf_
-    p = -man if sign else man
-    q = 1
-    if exp >= 0:
-        p <<= exp
-    else:
-        q <<= -exp
-    acc = 0
-    for k in range(m, -1, -1):
-        acc = acc * p + row[k] * q ** (m - k)
-    biggest = max(s * abs(p) ** k * q ** (m - k) for k, s in enumerate(row))
-    cancel = 0
-    while 10 ** cancel * abs(acc) < biggest:
-        cancel += 1
-    with mp.workdps(400):
-        return mpf(acc) / (q ** m * math.factorial(m)), cancel
+# the points at which the Stirling-row layer was compared with its parent
+PR4_N = (50, 81, 100, 121, 300, 1000)
+PR4_XI = ("0.8", "0.9", "0.97", "1", "1.03", "1.1", "1.4")
 
 
 def table_points():
@@ -67,6 +49,12 @@ def negated(x: BigReal) -> BigReal:
         return wrap_real(-raw(x), x.ctx)
 
 
+def x_at(n: int, xi, ctx) -> BigReal:
+    """x = n e xi as the CLI rounds it."""
+    with mp.workdps(ctx.digits + 10):
+        return wrap_real(n * mp.e * mpf(xi), ctx)
+
+
 def assert_close(got, want, tol):
     with mp.workdps(400):
         assert abs(got - want) <= mpf(tol) * abs(want), \
@@ -79,21 +67,17 @@ class TestKeptRows:
         for n in range(151):
             alone = build_triangle([n])
             assert dict(alone.rows) == {n: full.row(n)}
+            assert full.row(n) == stirling2_row(n)
         some = build_triangle({3, 77, 150})
         assert dict(some.rows) == {k: full.row(k) for k in (3, 77, 150)}
 
-    def test_rows_not_kept_are_refused(self, ctx60):
+    def test_rows_not_kept_are_refused(self):
         tri = build_triangle([4, 10])
-        one = wrap_real(1, ctx60)
         assert tri.row(4)[2] == 7
         with pytest.raises(CapacityError):
             tri.row(5)
         with pytest.raises(CapacityError):
             tri.row(9)
-        with pytest.raises(CapacityError):
-            scaled_touchard(3, one, tri, ctx60)
-        with pytest.raises(CapacityError):
-            scaled_touchard(7, one, tri, ctx60)
 
     def test_one_row_holds_one_row_of_memory(self):
         tracemalloc.start()
@@ -112,27 +96,84 @@ class TestKeptRows:
 class TestCertifiedSum:
     def test_table_points_match_integer_horner(self):
         ctx = mk_context(DIGITS)
-        points = table_points()
-        tri = build_triangle({n - 1 for n, _ in points})
-        for n, x in points:
+        for n, x in table_points():
             z = negated(x)
-            got = scaled_touchard(n - 1, z, tri, ctx)
-            want, cancel = integer_scaled_touchard(tri.row(n - 1), raw(z))
+            got = scaled_touchard(n - 1, z, ctx)
+            want, cancel = integer_scaled_touchard(n - 1, raw(z))
             assert got.verified
             assert_close(raw(got.value), want, mpf(10) ** -(DIGITS - 1))
             assert got.cancellation_digits == cancel, (n, x.to_str())
+
+    @pytest.mark.parametrize("digits", [40, 120])
+    def test_pr4_points_print_the_oracle(self, digits):
+        # 6 n x 7 xi at each precision: the value string and the cancellation
+        # digits of the integer oracle, rounded to the context
+        ctx = mk_context(digits)
+        for n in PR4_N:
+            for xi in PR4_XI:
+                z = negated(x_at(n, xi, ctx))
+                got = scaled_touchard(n - 1, z, ctx)
+                want, cancel = integer_scaled_touchard(n - 1, raw(z))
+                assert got.value.to_str() == wrap_real(want, ctx).to_str(), (n, xi)
+                assert got.cancellation_digits == cancel, (n, xi)
+
+    @given(st.integers(min_value=1, max_value=200),
+           st.floats(min_value=-3, max_value=3))
+    def test_sweep_matches_the_oracle(self, n, log10_xi):
+        # xi log-uniform in [1e-3, 1e3] at 40 digits
+        ctx = mk_context(40)
+        z = negated(x_at(n + 1, mpf(10) ** log10_xi, ctx))
+        got = scaled_touchard(n, z, ctx)
+        want, cancel = integer_scaled_touchard(n, raw(z))
+        assert_close(raw(got.value), want, mpf(10) ** -39)
+        assert got.cancellation_digits == cancel
 
     def test_old_exhaustion_input_now_certifies(self, monkeypatch):
         # the n = 121 table point at 30 digits exhausted the double-and-
         # compare gate with one escalation; one measured rerun certifies it
         monkeypatch.setattr(stirling, "MAX_ESCALATIONS", 1)
         ctx = mk_context(30)
-        tri = build_triangle([120])
         with mp.workdps(50):
             z = wrap_real(-121 * mp.e, ctx)
-        got = scaled_touchard(120, z, tri, ctx)
-        want, cancel = integer_scaled_touchard(tri.row(120), raw(z))
+        got = scaled_touchard(120, z, ctx)
+        want, cancel = integer_scaled_touchard(120, raw(z))
         assert_close(raw(got.value), want, mpf(10) ** -29)
+        assert got.cancellation_digits == cancel
+
+
+class TestMisprediction:
+    # T_40(-x) has 40 real zeros; next to one, |T| lies far below the saddle
+    # envelope that sizes the first pass, so that pass cannot certify
+    N = 40
+
+    @pytest.fixture(scope="class")
+    def near_zero(self):
+        ctx = mk_context(40)
+        coeffs = stirling2_row(self.N)[::-1]
+        with mp.workdps(300):
+            def t(x):
+                return mp.polyval(coeffs, -x)
+            # T oscillates below x = N e: take the first sign change above N
+            grid = [self.N * (1 + mpf(k) / 20) for k in range(30)]
+            a, b = next((a, b) for a, b in zip(grid, grid[1:])
+                        if t(a) * t(b) < 0)
+            root = mp.findroot(t, (a, b), solver="anderson")
+            z = wrap_real(-root * (1 + mpf(10) ** -30), ctx)
+        return ctx, z
+
+    def test_no_rerun_allowed_raises(self, near_zero, monkeypatch):
+        ctx, z = near_zero
+        monkeypatch.setattr(stirling, "MAX_ESCALATIONS", 0)
+        with pytest.raises(PrecisionExhaustedError) as exc:
+            scaled_touchard(self.N, z, ctx)
+        assert exc.value.exit_code == 3
+
+    def test_default_reruns_certify(self, near_zero):
+        ctx, z = near_zero
+        got = scaled_touchard(self.N, z, ctx)
+        want, cancel = integer_scaled_touchard(self.N, raw(z))
+        assert got.verified
+        assert_close(raw(got.value), want, mpf(10) ** -39)
         assert got.cancellation_digits == cancel
 
 
@@ -142,11 +183,8 @@ class TestCliExactAtAmbientPrecision:
         n, xi = 100, "0.97"
         with mp.workprec(53):
             report = cmd_eval(n, xi)
-        ctx = mk_context(DIGITS)
-        with mp.workdps(DIGITS + 10):
-            x = wrap_real(n * mp.e * mpf(xi), ctx)
-        want, cancel = integer_scaled_touchard(
-            build_triangle([n - 1]).row(n - 1), raw(negated(x)))
+        x = x_at(n, xi, mk_context(DIGITS))
+        want, cancel = integer_scaled_touchard(n - 1, raw(negated(x)))
         assert report["x"] == x.to_str()
         assert_close(raw(BigReal.parse(report["exact"]["value"])), want, "1e-110")
         assert report["exact"]["cancellation_digits"] == cancel
@@ -155,10 +193,8 @@ class TestCliExactAtAmbientPrecision:
         with mp.workprec(53):
             csv = cmd_table1(n_list=[50, 80], m_list=[0])
         ctx = mk_context(DIGITS)
-        tri = build_triangle([49, 79])
         for line in csv.splitlines()[1:]:
             n = int(line.split(",")[0])
-            with mp.workdps(DIGITS + 10):
-                x = wrap_real(n * mp.e, ctx)
-            want, _ = integer_scaled_touchard(tri.row(n - 1), raw(negated(x)))
+            want, _ = integer_scaled_touchard(n - 1, raw(negated(x_at(n, 1, ctx))))
             assert_close(raw(BigReal.parse(line.split(",")[2])), want, "1e-110")
+

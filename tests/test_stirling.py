@@ -1,4 +1,9 @@
-"""Exact triangle, polynomial evaluation, cancellation accounting."""
+"""Stirling rows, polynomial evaluation, cancellation accounting.
+
+TestTriangle checks the integer row of the test oracle (tests/stirling_oracle.py)
+and the row builder that perfbench/tracer.py still wraps; TestEvaluation checks
+the package's row-free sum, z <= 0, and the oracle at z > 0.
+"""
 import math
 from fractions import Fraction
 
@@ -7,12 +12,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from touchard import (CapacityError, PrecisionExhaustedError, build_triangle,
-                      mk_context, real_from, scaled_touchard, wrap_real)
+from touchard import (CapacityError, DomainError, PrecisionExhaustedError,
+                      build_triangle, mk_context, real_from, scaled_touchard,
+                      wrap_real)
 from touchard import stirling
 from touchard.numkernel import raw
 
 from recurrence_oracle import touchard_recurrence
+from stirling_oracle import integer_scaled_touchard, stirling2_row
 
 
 def set_partitions(items):
@@ -36,27 +43,26 @@ def stirling_inclusion_exclusion(n, k):
 
 class TestTriangle:
     def test_brute_force_partition_counts(self):
-        tri = build_triangle(range(9))
         for n in range(1, 9):
             counts = {}
             for part in set_partitions(list(range(n))):
                 counts[len(part)] = counts.get(len(part), 0) + 1
             for k in range(1, n + 1):
-                assert tri.row(n)[k] == counts.get(k, 0)
+                assert stirling2_row(n)[k] == counts.get(k, 0)
 
     @pytest.mark.parametrize("n,k", [(10, 3), (20, 11), (30, 5), (25, 25)])
     def test_inclusion_exclusion(self, n, k):
-        tri = build_triangle([n])
         want = stirling_inclusion_exclusion(n, k)
         assert want.denominator == 1
-        assert tri.row(n)[k] == want.numerator
+        assert stirling2_row(n)[k] == want.numerator
+        # the package's explicit formula gives k! S(n,k)
+        assert stirling._explicit(n, k, 1)[k] == want.numerator * math.factorial(k)
 
     def test_known_values(self):
-        tri = build_triangle([0, 3, 4, 5])
-        assert tri.row(4)[2] == 7
-        assert tri.row(5)[3] == 25
-        assert tri.row(0)[0] == 1
-        assert tri.row(3)[0] == 0
+        assert stirling2_row(4)[2] == 7
+        assert stirling2_row(5)[3] == 25
+        assert stirling2_row(0)[0] == 1
+        assert stirling2_row(3)[0] == 0
 
     def test_row_capacity(self):
         tri = build_triangle([4])
@@ -69,7 +75,6 @@ class TestTriangle:
 
     def test_bell_numbers_vs_aitken_oracle(self):
         # independent oracle: the Bell (Aitken) triangle, pure integers
-        tri = build_triangle(range(61))
         row = [1]
         bells = [1]
         for _ in range(60):
@@ -79,33 +84,31 @@ class TestTriangle:
             row = nxt
             bells.append(row[0])
         for n in range(61):
-            assert sum(tri.row(n)) == bells[n]
+            assert sum(stirling2_row(n)) == bells[n]
 
     def test_bell_examples(self):
-        tri = build_triangle([0, 5])
-        assert sum(tri.row(0)) == 1
-        assert sum(tri.row(5)) == 52
+        assert sum(stirling2_row(0)) == 1
+        assert sum(stirling2_row(5)) == 52
 
 
 class TestEvaluation:
     def test_t2_at_minus_one_is_exact_zero(self, ctx60):
-        tri = build_triangle([2])
-        got = scaled_touchard(2, real_from(-1, ctx60), tri, ctx60)
+        got = scaled_touchard(2, real_from(-1, ctx60), ctx60)
         assert raw(got.value) == 0
         assert got.verified
         # total cancellation: the sentinel counts every digit of the big term
         assert got.cancellation_digits >= ctx60.digits
 
     def test_row_sum_is_bell(self, ctx60):
-        tri = build_triangle([40])
-        got = scaled_touchard(40, real_from(1, ctx60), tri, ctx60)
+        # z = 1 lies outside the package's domain: the oracle sums it
+        got, _ = integer_scaled_touchard(40, real_from(1, ctx60).value)
         with mp.workdps(80):
-            assert mp.nint(raw(got.value) * math.factorial(40)) == sum(tri.row(40))
+            assert mp.nint(got * math.factorial(40)) == sum(stirling2_row(40))
 
-    def test_table_point_cancellation(self, triangle120, ctx120):
+    def test_table_point_cancellation(self, ctx120):
         with mp.workdps(140):
             z = wrap_real(-121 * mp.e, ctx120)
-        got = scaled_touchard(120, z, triangle120, ctx120)
+        got = scaled_touchard(120, z, ctx120)
         assert got.verified
         assert 10 < got.cancellation_digits < 60
         # sign (-1)^(n-1) with n-1 = 120
@@ -113,25 +116,36 @@ class TestEvaluation:
 
     def test_scaled_matches_unscaled(self, ctx60):
         # against T_12(-7/2) summed exactly in rationals over the integer row
-        tri = build_triangle([12])
         z = real_from("-3.5", ctx60)
-        a = sum(s * Fraction(-7, 2) ** k for k, s in enumerate(tri.row(12)))
-        b = scaled_touchard(12, z, tri, ctx60)
+        a = sum(s * Fraction(-7, 2) ** k for k, s in enumerate(stirling2_row(12)))
+        b = scaled_touchard(12, z, ctx60)
         with mp.workdps(80):
             a = mpf(a.numerator) / a.denominator
             assert abs(a / math.factorial(12) - raw(b.value)) \
                 <= mpf(10) ** (-(ctx60.digits - 5)) * abs(raw(b.value))
 
     @given(st.integers(min_value=0, max_value=35),
-           st.floats(min_value=-30, max_value=30))
+           st.floats(min_value=-30, max_value=0))
     def test_recurrence_agrees_with_triangle(self, n, x):
         ctx = mk_context(40)
-        tri = build_triangle([n])
         z = real_from(x, ctx)
-        a = scaled_touchard(n, z, tri, ctx)
+        a = scaled_touchard(n, z, ctx)
         b = touchard_recurrence(n, raw(z), ctx.digits)
         with mp.workdps(60):
             a = raw(a.value) * math.factorial(n)
+            scale = max(abs(a), abs(b), mpf(1))
+            assert abs(a - b) <= mpf(10) ** (-(40 - 10)) * scale
+
+    @given(st.integers(min_value=0, max_value=35),
+           st.floats(min_value=0, max_value=30, exclude_min=True))
+    def test_recurrence_agrees_with_oracle_row(self, n, x):
+        # the positive half of the sweep above, on the oracle's integer row
+        ctx = mk_context(40)
+        z = real_from(x, ctx)
+        a, _ = integer_scaled_touchard(n, raw(z))
+        b = touchard_recurrence(n, raw(z), ctx.digits)
+        with mp.workdps(60):
+            a = a * math.factorial(n)
             scale = max(abs(a), abs(b), mpf(1))
             assert abs(a - b) <= mpf(10) ** (-(40 - 10)) * scale
 
@@ -139,20 +153,40 @@ class TestEvaluation:
         assert touchard_recurrence(5, mpf(1), ctx60.digits) == 52
 
     def test_capacity_checks(self, ctx60):
-        tri = build_triangle(range(6))
-        with pytest.raises(CapacityError):
-            scaled_touchard(6, real_from(1, ctx60), tri, ctx60)
+        for n in (-1, stirling.N_MAX_LIMIT + 1):
+            with pytest.raises(CapacityError) as exc:
+                scaled_touchard(n, real_from(-1, ctx60), ctx60)
+            assert exc.value.exit_code == 2
+
+    @pytest.mark.parametrize("z", ["1", "1e-30", "inf", "-inf", "nan"])
+    def test_refuses_what_the_certificate_does_not_cover(self, z, ctx60):
+        # the certificate needs every term positive: z <= 0, and finite
+        with pytest.raises(DomainError) as exc:
+            scaled_touchard(5, real_from(z, ctx60), ctx60)
+        assert exc.value.exit_code == 2
+
+    def test_zero_only_inside_the_grain(self, ctx60):
+        # T_2(-x) = x (x - 1): passes that see nothing but zero within their
+        # bound at x = 1 + 2^-300 must go on to the nonzero value, since T is
+        # a multiple of 2^-600 there, not stop at zero
+        with mp.workprec(400):
+            z = -(1 + mp.ldexp(1, -300))
+            want = z * (z + 1) / 2
+        got = scaled_touchard(2, z, ctx60)
+        with mp.workprec(400):
+            assert abs(raw(got.value) / want - 1) < mpf(10) ** -59
 
     def test_precision_exhaustion_raises(self, monkeypatch):
-        # ~55 digits cancel at x = 300 e. With a 30-digit context the first
-        # round (44 digits) cannot measure that loss, and the one allowed
-        # rerun, at twice the precision, falls short of the 98 digits the
-        # certificate needs: it must say so rather than return garbage
+        # T_2(-x) = x (x - 1) is 2^-300 at x = 1 + 2^-300, about 90 digits
+        # below its terms. With a 30-digit context a pass resolves about 40
+        # digits below what it expects, so the first pass and the one allowed
+        # rerun are both swamped by their bound: it must say so rather than
+        # return garbage
         monkeypatch.setattr(stirling, "MAX_ESCALATIONS", 1)
         ctx = mk_context(30)
-        with mp.workdps(50):
-            z = wrap_real(-300 * mp.e, ctx)
+        with mp.workprec(400):
+            z = -(1 + mp.ldexp(1, -300))
         with pytest.raises(PrecisionExhaustedError) as exc:
-            scaled_touchard(299, z, build_triangle([299]), ctx)
+            scaled_touchard(2, z, ctx)
         assert exc.value.exit_code == 3
         assert exc.value.last_two is not None
