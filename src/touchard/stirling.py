@@ -12,15 +12,17 @@ n terms and no Stirling number. The sum divides by the exact integer n! last.
 
 Every t_j, E_m and j^n is positive, so the sum runs in Python ints at p bits:
 x = man 2^exp is taken exactly from the mpf; t_j is a p-bit mantissa and an
-exponent, two floors per step; E_m is the running sum of the t_i in fixed
-point with p fraction bits; j^n is an exact pow cut to p bits; u_j = j^n t_j
-and E_m are cut to p bits; and each term u_j E_{n-j} is rounded down onto a
-common grid of 2^g. Every floor only lowers a positive quantity. t_j comes
-out low by under 4j 2^-p of itself, E_m by under (5m + 1) 2^-p (E_m >= 1
-turns the fixed point's absolute floors into relative ones), and each cut
-by under 2 2^-p, so each term is low by at most delta = (5n + 7) 2^-p of
-itself plus one grid unit. With S the alternating sum and A the sum of the
-grid terms,
+exponent, two floors per step; E_m is the running sum of the t_i, a
+mantissa of p + 2 bits and an exponent, each addition floored onto the
+grid of the larger operand; j^n is an exact pow cut to p bits; u_j = j^n t_j
+is cut to p bits; and each term u_j E_{n-j} is rounded down onto a common
+grid of 2^g. Every floor only lowers a positive quantity, and no int is
+wider than about 2p bits or the n log2 n bits of j^n, whatever the size
+of x. t_j comes out low by under 4j 2^-p of itself; an addition to E loses
+under 2^-p of the partial sum, which is at most E_m, so E_m is low by under
+5m 2^-p; and each cut loses under 2 2^-p. Each term is therefore low by at
+most delta = (5n + 3) 2^-p of itself plus one grid unit. With S the
+alternating sum and A the sum of the grid terms,
 
     |T_n(-x) - S 2^g| <= (2 delta (A + n + 1) + n + 2) 2^g,
 
@@ -47,7 +49,8 @@ local maximum is the global one, and the search walks uphill should the
 float mean ever miss it.
 
 build_triangle and StirlingTriangle are the Stirling rows of the previous
-exact layer; nothing in the package calls them.
+exact layer; nothing in the package calls them, and rows past _ROW_LIMIT,
+where their O(n^2.7) build was last measured, are refused.
 """
 from __future__ import annotations
 
@@ -63,10 +66,13 @@ from .numkernel import BigReal, PrecisionContext, raw, wrap_real
 # Largest n of an exact value. `touchard eval --n 7000` takes 12-14 s and
 # 36-38 MiB at 120 digits, and time grows like n^2.9 (README, "Size limit").
 N_MAX_LIMIT = 7000
+# Largest row build_triangle makes: row 4000 took 15 s and 42 MiB, the same
+# budget as N_MAX_LIMIT.
+_ROW_LIMIT = 4000
 # Reruns a certified sum may make before PrecisionExhaustedError.
 MAX_ESCALATIONS = 8
 # Digits below the saddle envelope at which the first pass expects |T|: the
-# envelope leaves out the Gaussian prefactor and, for xi < 1, the cosine.
+# envelope leaves out the cosine for xi < 1 and the Airy scale near xi = 1.
 _ENVELOPE_MARGIN = 3
 _LOG10_2 = math.log10(2)
 
@@ -94,9 +100,9 @@ class ExactValue:
 def build_triangle(keep: Iterable[int]) -> StirlingTriangle:
     """The rows named in keep, from one rolling pass up to the largest."""
     wanted = frozenset(keep)
-    outside = sorted(n for n in wanted if not 0 <= n <= N_MAX_LIMIT)
+    outside = sorted(n for n in wanted if not 0 <= n <= _ROW_LIMIT)
     if outside:
-        raise CapacityError(f"rows {outside} outside [0, {N_MAX_LIMIT}]")
+        raise CapacityError(f"rows {outside} outside [0, {_ROW_LIMIT}]")
     rows = {}
     row = [1]
     for n in range(max(wanted, default=-1) + 1):
@@ -132,17 +138,18 @@ def _grid_sum(n: int, man: int, exp: int, p: int, g: int) -> tuple[int, int]:
     """
     half = (n + 1) // 2
     held = []
-    tm, te = 1 << p, -p  # t_k = tm 2^te
-    e_fix = 0            # floor(E_k 2^p)
+    tm, te = 1 << (p - 1), 1 - p  # t_k = tm 2^te, tm of p bits
+    em, ee = 0, te                # E_k = em 2^ee
     s = a = 0
     for k in range(n + 1):
         if k:
             kb = k.bit_length()
             tm, cut = _top((tm * man << kb) // k, p)
             te += exp - kb + cut
-        e_fix += _shift(tm, te + p)
-        em, ee = _top(e_fix, p)
-        ee -= p
+        # E_k = E_(k-1) + t_k, both floored onto the grid that leaves the
+        # larger p + 2 bits
+        b = max(ee + em.bit_length(), te + p) - p - 2
+        em, ee = _shift(em, ee - b) + _shift(tm, te - b), b
         jm, je = _top(k ** n, p)
         um, ue = _top(jm * tm, p)
         ue += je + te
@@ -183,7 +190,12 @@ def _log10_envelope(n: int, x: mpf) -> float:
     T_n(-x)/n! = (1/2 pi i) oint exp(x + f(t)) dt with f(t) = -x e^t
     - (n+1) log t, whose saddle t0 = W_0(-(n+1)/x) gives the exponent
     x + Re f(t0) = Re(-x expm1(t0)) - (n+1) log|t0|; expm1 keeps it
-    accurate when x is large against n. The Gaussian prefactor is left out.
+    accurate when x is large against n. With x e^t0 = -(n+1)/t0,
+    f''(t0) = (n+1)(1 + t0)/t0^2, and the Gaussian prefactor
+    |t0|/sqrt(2 pi (n+1) |1 + t0|) is taken when it is below 1. Once x is
+    far above n it is about sqrt(n)/x, a loss of log10 x digits that the
+    exponent alone would miss. Near the coalescence t0 = -1 the Gaussian
+    form fails; there the factor is about n^(-1/3), and 1 stands in for it.
 
     The exponent is stationary in t0, so t0 need not be exact: mpmath's
     float-context lambertw, 10 to 40 times faster than its mpf one, serves
@@ -194,8 +206,9 @@ def _log10_envelope(n: int, x: mpf) -> float:
         y = -(n + 1) / x
         t0 = (mpc(fp.lambertw(float(y) * (1 + 1e-12))) if 1e-300 < -y < 1e300
               else mp.lambertw(y))
+        gauss = mp.log(abs(t0)) - mp.log(2 * mp.pi * (n + 1) * abs(1 + t0)) / 2
         v = (mp.re(-x * mp.expm1(t0)) - (n + 1) * mp.log(abs(t0))
-             + mp.loggamma(n + 1))
+             + mp.loggamma(n + 1) + min(gauss, 0))
         return float(v / mp.ln10)
 
 
@@ -213,10 +226,10 @@ def _certified_sum(n: int, x: mpf, ctx: PrecisionContext) -> tuple[int, int]:
     prev = None
     for rerun in range(MAX_ESCALATIONS + 1):
         p = math.ceil((target + log_sum - log_t) / _LOG10_2
-                      + math.log2(5 * n + 7)) + 2
+                      + math.log2(5 * n + 3)) + 2
         g = math.floor((log_t - target) / _LOG10_2 - math.log2(n + 2)) - 2
         s, a = _grid_sum(n, man, exp, p, g)
-        bound = ((5 * n + 7) * (a + n + 1) >> (p - 1)) + n + 3
+        bound = ((5 * n + 3) * (a + n + 1) >> (p - 1)) + n + 3
         if bound * 10 ** target <= abs(s):
             return s, g
         if grain >= g and abs(s) + bound < 1 << (grain - g):
@@ -289,13 +302,9 @@ def _mode_mean(n: int, x: mpf, lx: float) -> float:
     def log_w(j: int) -> float:
         return n * math.log(j) + j * lx - math.lgamma(j + 1)
 
-    # ln w_j falls like (j - lo)^2/(2 sigma^2); a stride of sigma/4 changes
-    # sum_j w_j and sum_j j w_j by the same factor, up to e^-300 (Poisson
-    # summation), so the mean is unchanged
-    stride = max(1, int(0.25 / math.sqrt(n / lo ** 2 + 1 / lo)))
     top = log_w(lo)
     s0 = s1 = 0.0
-    for j, step in ((lo, stride), (lo - stride, -stride)):
+    for j, step in ((lo, 1), (lo - 1, -1)):
         while j >= 1 and (lw := log_w(j) - top) > -40:
             w = math.exp(lw)
             s0 += w

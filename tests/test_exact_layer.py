@@ -5,7 +5,9 @@ exact dyadic value of the argument, so its values and cancellation digits
 involve no working precision. TestKeptRows covers the row builder that
 perfbench/tracer.py still wraps; the package no longer calls it.
 """
+import json
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -16,7 +18,7 @@ from mpmath import mp, mpf
 from touchard import (CapacityError, PrecisionExhaustedError, build_triangle,
                       mk_context, scaled_touchard, wrap_real)
 from touchard import stirling
-from touchard.cli import cmd_eval, cmd_table1
+from touchard.cli import cmd_eval, cmd_table1, main
 from touchard.numkernel import BigReal, raw
 
 from stirling_oracle import integer_scaled_touchard, stirling2_row
@@ -78,6 +80,11 @@ class TestKeptRows:
             tri.row(5)
         with pytest.raises(CapacityError):
             tri.row(9)
+
+    def test_rows_past_the_measured_limit_are_refused(self):
+        # row 4000 took 15 s to build; the row-free sum goes further
+        with pytest.raises(CapacityError):
+            build_triangle([4001])
 
     def test_one_row_holds_one_row_of_memory(self):
         tracemalloc.start()
@@ -175,6 +182,46 @@ class TestMisprediction:
         assert got.verified
         assert_close(raw(got.value), want, mpf(10) ** -39)
         assert got.cancellation_digits == cancel
+
+
+class TestFarAboveN:
+    # x = n e xi with xi up to 1e1000000: T_n(-x) has n log10 x digits, but
+    # the sum works at a size set by n and the digits alone. The strings are
+    # those of the Stirling-row layer this sum replaced, a row by Horner.
+    ROW_LAYER = {
+        "1e100000": "-1.80112228293146449187556045538496844118211548017971688"
+                    "600049302604325770631797769533987706069639325140369289"
+                    "820497183828e+99900866@120",
+        "1e1000000": "-1.80112228293146449187556045538496844118211548017971688"
+                     "600049302604325770631797769533987706069639325140369289"
+                     "820497183873e+999000866@120",
+    }
+
+    @pytest.mark.parametrize("xi", sorted(ROW_LAYER))
+    def test_eval_cost_is_set_by_n(self, xi, capsys):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert main(["eval", "--n", "1000", "--xi", xi]) == 0
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        report = json.loads(capsys.readouterr().out)
+        assert report["exact"]["value"] == self.ROW_LAYER[xi]
+        assert report["exact"]["verified"]
+        # one int of n log2 x bits would be 41 MB at 1e100000 and 415 MB at
+        # 1e1000000; an eval at n = 1000 and xi = 1 takes about 0.1 s
+        assert peak < 4 << 20, f"peak {peak} B"
+        assert elapsed < 5, f"{elapsed:.1f} s"
+
+    @pytest.mark.parametrize("xi", ["1e3", "1e10", "1e1000", "1e100000"])
+    def test_first_pass_certifies(self, xi, monkeypatch):
+        # the envelope's Gaussian prefactor, about sqrt(n)/x here, sizes the
+        # first pass; without it the envelope is log10 x digits too high
+        monkeypatch.setattr(stirling, "MAX_ESCALATIONS", 0)
+        ctx = mk_context(DIGITS)
+        assert scaled_touchard(999, negated(x_at(1000, xi, ctx)), ctx).verified
 
 
 class TestCliExactAtAmbientPrecision:
