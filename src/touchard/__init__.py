@@ -23,9 +23,7 @@ from .saddle import (SaddleKind, SaddlePair, coalescence_tolerance,
                      mu_from_xi, solve_saddles)
 from .stirling import (N_MAX_LIMIT, ExactValue, StirlingTriangle,
                        build_triangle, scaled_touchard)
-from .uniform import (UniformIngredients, coalescence_limit_values,
-                      compute_A0_B0, compute_zeta_beta, theorem2_eval,
-                      uniform_ingredients)
+from .uniform import UniformIngredients, theorem2_eval, uniform_ingredients
 
 __version__ = "0.1.0"
 
@@ -45,7 +43,6 @@ __all__ = [
     "solve_saddles",
     "N_MAX_LIMIT", "ExactValue", "StirlingTriangle", "build_triangle",
     "scaled_touchard",
-    "UniformIngredients", "coalescence_limit_values", "compute_A0_B0",
-    "compute_zeta_beta", "theorem2_eval", "uniform_ingredients",
+    "UniformIngredients", "theorem2_eval", "uniform_ingredients",
     "__version__",
 ]

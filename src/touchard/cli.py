@@ -106,10 +106,12 @@ def load_error_rows(text: str) -> list[ErrorRow]:
 # ---------------------------------------------------------------------------
 # table commands
 
-def _exact_scaled(n: int, x: BigReal, ctx) -> ExactValue:
-    with mp.workdps(ctx.digits):  # -x exactly, not rounded to the ambient precision
-        z = wrap_real(-raw(x), ctx)
-    return scaled_touchard(n - 1, z, ctx)
+def _exact_scaled(n: int, xi, ctx) -> tuple[BigReal, ExactValue]:
+    """(x, T^_{n-1}(-x)) at x = n e xi."""
+    with mp.workdps(ctx.digits + 10):
+        x = wrap_real(n * mp.e * raw(xi), ctx)
+        z = wrap_real(-x.value, ctx)  # exact: x has ctx digits
+    return x, scaled_touchard(n - 1, z, ctx)
 
 
 def cmd_table1(n_list=None, m_list=None, digits: int | None = None) -> str:
@@ -122,9 +124,7 @@ def cmd_table1(n_list=None, m_list=None, digits: int | None = None) -> str:
     ctx = mk_context(digits)
     rows = []
     for n in n_list:
-        with mp.workdps(ctx.digits + 10):
-            x = wrap_real(n * mp.e, ctx)
-        exact = _exact_scaled(n, x, ctx)
+        _, exact = _exact_scaled(n, 1, ctx)
         for m in m_list:
             approx = theorem1_eval(n, m, ctx)
             rows.append(make_row(n, real_from(m, ctx), exact.value, approx, ctx))
@@ -142,9 +142,7 @@ def cmd_table2(xi_list=None, n_list=None, digits: int | None = None) -> str:
         xi_br = real_from(xi, ctx)
         ing = uniform_ingredients(xi_br, ctx)
         for n in n_list:
-            with mp.workdps(ctx.digits + 10):
-                x = wrap_real(n * mp.e * raw(xi_br), ctx)
-            exact = _exact_scaled(n, x, ctx)
+            _, exact = _exact_scaled(n, xi_br, ctx)
             approx = theorem2_eval(n, xi_br, ctx, ingredients=ing)
             rows.append(make_row(n, xi_br, exact.value, approx, ctx))
     return rows_to_csv(rows)
@@ -173,11 +171,9 @@ def cmd_eval(n: int, xi, digits: int | None = None) -> dict:
     xi_br = real_from(xi, ctx)
     mu = mu_from_xi(xi_br, ctx)
     with mp.workdps(ctx.digits + 10):
-        xiv = raw(xi_br)
-        x = wrap_real(n * mp.e * xiv, ctx)
-        near_coalescence = abs(xiv - 1) < THEOREM1_XI_WINDOW
+        near_coalescence = abs(raw(xi_br) - 1) < THEOREM1_XI_WINDOW
         outside_band = abs(raw(mu) * mp.e - 1) > EXCLUSION_HALF_WIDTH
-    exact = _exact_scaled(n, x, ctx)
+    x, exact = _exact_scaled(n, xi_br, ctx)
     report = {
         "n": n,
         "xi": xi_br.to_str(),

@@ -264,6 +264,12 @@ def contour_set(xi, ctx: PrecisionContext, step=None,
         inv_mu = 1 / raw(mu)
     saddles = solve_saddles(mu, ctx)
     t0, t1 = raw(saddles.t0), raw(saddles.t1)
+    if abs(t0) <= LAUNCH_OFFSET:  # |t0| ~ 1/(e xi)
+        raise DomainError(
+            f"the inner saddle |t0| = {mp.nstr(abs(t0), 3)} lies within the "
+            f"launch offset {LAUNCH_OFFSET:g} of t = 0, so the launch circle "
+            "reaches the cut of the logarithm; contours need xi below about "
+            "3.68e7")
     lines = tuple(_trace(sv, th, kind, inv_mu,
                          None if t0 == t1 else complex(t1 if sv == t0 else t0),
                          ctx, step, max_len)

@@ -17,12 +17,11 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_float
 
-from .errors import DomainError, InvalidPrecisionError
+from .errors import BranchError, DomainError, InvalidPrecisionError
 
 DEFAULT_DIGITS = 120
 MIN_DIGITS = 30
@@ -106,9 +105,6 @@ class BigComplex:
         # re-round both parts to whatever the ambient precision happens to be
         return mp.make_mpc((self.re.value._mpf_, self.im.value._mpf_))
 
-    def conjugate(self) -> "BigComplex":
-        return BigComplex(self.re, wrap_real(-self.im.value, self.im.ctx))
-
     def to_str(self) -> str:
         return f"({self.re.to_str()},{self.im.to_str()})"
 
@@ -148,14 +144,11 @@ def wrap_complex(v, ctx: PrecisionContext) -> BigComplex:
 
 
 def real_from(x, ctx: PrecisionContext) -> BigReal:
-    """Build a BigReal from int, Fraction, str, float or BigReal at ctx precision."""
+    """Build a BigReal from int, str, float, mpf or BigReal at ctx precision."""
     if isinstance(x, BigReal):
         return wrap_real(x.value, ctx)
     with mp.workdps(ctx.digits + _GUARD):
-        if isinstance(x, Fraction):
-            v = mpf(x.numerator) / x.denominator
-        else:
-            v = mpf(x)
+        v = mpf(x)
     return wrap_real(v, ctx)
 
 
@@ -170,6 +163,14 @@ def raw(x):
     if isinstance(x, complex):
         return mp.make_mpc((from_float(x.real), from_float(x.imag)))
     return x
+
+
+def _require_real(v, digits: int, what: str) -> mpf:
+    """Re v, once Im v is within 10^-(digits-10) of max(1, |v|)."""
+    tol = mpf(10) ** (-(digits - 10)) * max(mpf(1), abs(v))
+    if abs(mp.im(v)) > tol:
+        raise BranchError(f"{what} has imaginary residue {mp.nstr(mp.im(v), 3)}")
+    return mp.re(v)
 
 
 # ---------------------------------------------------------------------------

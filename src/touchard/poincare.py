@@ -1,18 +1,19 @@
 """Non-uniform leading-order approximations away from mu = 1/e.
 
 For mu = n/x bounded away from 1/e the contributing saddles stay simple and
-an ordinary steepest-descent expansion applies. With x = n/mu and c_0 = 1:
+an ordinary steepest-descent expansion applies. With x = n/mu, c_0 = 1 and
+t0 the saddle W_0(-mu), both regimes take the one term
 
-    0 < mu < 1/e (t0 the real saddle of smaller modulus, in (-1, 0)):
-        T^_{n-1}(-x) ~ e^(x + n/t0) / (sqrt(2 pi (1 + t0)) t0^(n-1) sqrt(n))
+    L = e^(x + n/t0) / (sqrt(2 pi (1 + t0)) t0^(n-1) sqrt(n)).
 
-    mu > 1/e (t0 the upper conjugate saddle):
-        T^_{n-1}(-x) ~ Re[ sqrt(2) e^(x + n/t0)
-                           / (sqrt(pi (1 + t0)) t0^(n-1)) ] / sqrt(n)
+Below the band (0 < mu < 1/e) t0 is the real saddle of smaller modulus, in
+(-1, 0), and T^_{n-1}(-x) ~ L, which must be real. Above it (mu > 1/e) t0
+is the upper saddle of the conjugate pair, which adds the conjugate term,
+so T^_{n-1}(-x) ~ 2 Re L: twice its real part for the conjugate pair.
 
 Powers of the negative or complex saddle are taken through the branched
-logarithm (argument in [0, 2 pi)), which is what makes the first form real
-with the expected sign (-1)^(n-1). Accuracy degrades like O(1/n) relative
+logarithm (argument in [0, 2 pi)), which is what makes L real below the
+band, with the expected sign (-1)^(n-1). Accuracy degrades like O(1/n) relative
 error and blows up as mu e -> 1; the band |mu e - 1| <= 0.05 is refused.
 """
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .errors import BranchError, DomainError, RegimeError
-from .numkernel import (BigComplex, BigReal, PrecisionContext,
+from .errors import DomainError, RegimeError
+from .numkernel import (BigComplex, BigReal, PrecisionContext, _require_real,
                         log_branched_raw, raw, real_from, wrap_complex,
                         wrap_real)
 from .saddle import SaddleKind, solve_saddles
@@ -58,21 +59,14 @@ def leading_order(n: int, mu, ctx: PrecisionContext) -> PoincareResult:
         t0 = raw(saddles.t0)
         x = mpf(n) / muv
         power = mp.exp(-(n - 1) * log_branched_raw(t0))
+        term = mp.exp(x + n / t0) * power / mp.sqrt(2 * mp.pi * (1 + t0))
+        term = term / mp.sqrt(mpf(n))
         if saddles.kind is SaddleKind.REAL_PAIR:
             regime = PoincareRegime.BELOW
-            val = mp.exp(x + n / t0) * power / mp.sqrt(2 * mp.pi * (1 + t0))
-            val = val / mp.sqrt(mpf(n))
-            tol = mpf(10) ** (-(ctx.digits - 10)) * max(mpf(1), abs(val))
-            if abs(mp.im(val)) > tol:
-                raise BranchError(
-                    f"below-band value has imaginary residue "
-                    f"{mp.nstr(mp.im(val), 3)}")
-            value = mp.re(val)
+            value = _require_real(term, ctx.digits, "below-band value")
         else:
             regime = PoincareRegime.ABOVE
-            val = (mp.sqrt(2) * mp.exp(x + n / t0) * power
-                   / mp.sqrt(mp.pi * (1 + t0)))
-            value = mp.re(val) / mp.sqrt(mpf(n))
+            value = 2 * mp.re(term)
         return PoincareResult(value=wrap_real(value, ctx), regime=regime,
                               t0_used=wrap_complex(t0, ctx))
 

@@ -34,10 +34,12 @@ t0 = W_0(-(n+1)/x) of the Cauchy integral, taken with mpmath's lambertw in
 floats and lowered by _ENVELOPE_MARGIN digits. The prediction only sizes
 the pass; the bound decides. When it fails, the pass reruns with both
 logarithms measured from the failed pass, at most MAX_ESCALATIONS times; a
-sum swamped by its bound is taken at the size of that bound. With
-x = man 2^exp, T_n(-x) is an integer multiple of 2^(n min(exp, 0)), so a
-sum whose bound falls below that grain with only zero inside is exactly
-zero (T_2(-1), for one).
+sum swamped by its bound is taken at the size of that bound, and the next
+pass expects at least twice the failed one's loss, so that p and g both
+move even when the first pass underrates the loss by thousands of digits.
+With x = man 2^exp, T_n(-x) is an integer multiple of 2^(n min(exp, 0)),
+so a sum whose bound falls below that grain with only zero inside is
+exactly zero (T_2(-1), for one).
 
 cancellation_digits is log10 of the largest Stirling term max_k S(n,k) x^k
 over |T_n(-x)|, rounded up. T_n has only real zeros (Harper, 1967), so by
@@ -237,9 +239,12 @@ def _certified_sum(n: int, x: mpf, ctx: PrecisionContext) -> tuple[int, int]:
         if rerun == MAX_ESCALATIONS:
             break
         prev = s, g
+        loss = log_sum - log_t
         # |T| >= |s| - bound once |s| >= 2 bound; below that only |T| <= 2 bound
         log_sum = math.log10(a + n + 1) + g * _LOG10_2
         log_t = math.log10(max(abs(s) - bound, bound)) + g * _LOG10_2
+        if abs(s) < 2 * bound:
+            log_t = min(log_t, log_sum - 2 * loss)
     with mp.workdps(target):
         last_two = (prev and mp.ldexp(*prev), mp.ldexp(s, g))
     raise PrecisionExhaustedError(

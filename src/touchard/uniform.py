@@ -1,31 +1,32 @@
 """Uniform Airy approximation across the saddle coalescence.
 
-The cubic change of variable psi(t) = u^3/3 - zeta u + beta sends the two
-saddles to u = +/- zeta^{1/2} and is pinned by
+The cubic change of variable psi(t) = u^3/3 - zeta u + beta (Chester,
+Friedman and Ursell, 1957) sends the saddles t0, t1 to u = +/- zeta^{1/2}:
 
-    beta = (psi(t0) + psi(t1))/2,
-    (2/3) zeta^{3/2}    = (psi(t1) - psi(t0))/2          (xi > 1),
-    (2/3) (-zeta)^{3/2} = i (psi(t1) - psi(t0))/2        (xi < 1),
+    beta = (psi(t0) + psi(t1))/2,   (2/3) zeta^{3/2} = (psi(t1) - psi(t0))/2,
 
-using psi(t) = 1/t - log t at a saddle. Both right-hand sides are real and
-positive; zeta carries the sign of xi - 1. The two-term approximation is
+with psi(t) = 1/t - log t at a saddle. zeta has the sign of xi - 1; below
+xi = 1, zeta^{1/2} = i |zeta|^{1/2} and t0 is the upper saddle, so
+(2/3) |zeta|^{3/2}, which is (psi(t1) - psi(t0))/2 times 1 above xi = 1
+and times i below it, must come out real and positive.
+With g(u) = dt/du, psi''(t_j) = (1 + t_j)/t_j^2 and principal square roots,
+one formula gives the amplitudes of both pairs, and they must be real:
 
+    g(+/- zeta^{1/2}) = (+/- 2 zeta^{1/2}/psi''(t_{0,1}))^{1/2},
+    A0 = (g(+) + g(-))/2,   B0 = (g(+) - g(-))/(2 zeta^{1/2}),
     T^_{n-1}(-x) ~ (-1)^(n-1) e^(x + n Re beta)
         * { A0 n^{-1/3} Ai(n^{2/3} zeta) - B0 n^{-2/3} Ai'(n^{2/3} zeta) }.
 
-Amplitudes: with g(u) = dt/du and psi''(t_j) = (1 + t_j)/t_j^2,
+At xi = 1, zeta = 0 and beta = -1 - i pi, and the cubic map's derivatives
+at u = 0, with psi'''(-1) = 1 and psi''''(-1) = 5, give
 
-    xi > 1:  g(+zeta^{1/2}) = (2 zeta^{1/2}/psi''(t0))^{1/2},
-             g(-zeta^{1/2}) = (-2 zeta^{1/2}/psi''(t1))^{1/2},
-             A0 = (g(+) + g(-))/2,  B0 = (g(+) - g(-))/(2 zeta^{1/2});
-    xi < 1:  r = (i/psi''(t0))^{1/2} with t0 the upper saddle and the
-             principal square root,
-             A0 = sqrt(2) |zeta|^{1/4} Re r,  B0 = sqrt(2) |zeta|^{-1/4} Im r.
+    A0 = g(0)  = (2/psi'''(-1))^{1/3} = 2^{1/3},
+    B0 = g'(0) = -(psi''''(-1)/(6 psi'''(-1))) (2/psi'''(-1))^{2/3}
+               = -(5/6) 2^{2/3}.
 
-At xi = 1 everything has a finite limit: A0 = 2^{1/3},
-B0 = -(5/6) 2^{2/3}, Re beta = -1; the evaluator switches to those closed
-forms inside the snap window |xi - 1| <= 10^-(digits+5), where they differ
-from the true values by about 120 |xi - 1|, below the context's last digit.
+The evaluator takes these closed forms inside the snap window
+|xi - 1| <= 10^-(digits+5), where they differ from the true values by
+about 120 |xi - 1|, below the context's last digit.
 
 Outside it psi(t1) - psi(t0) ~ |xi - 1|^{3/2} cancels
 1.5 log10(1/|xi - 1|) digits of zeta, and g(+) - g(-) another
@@ -44,8 +45,8 @@ from mpmath import mp, mpc, mpf
 
 from .airy import airy
 from .errors import BranchError, DomainError
-from .numkernel import (BigComplex, BigReal, PrecisionContext, mk_context,
-                        raw, real_from, wrap_complex, wrap_real)
+from .numkernel import (BigComplex, BigReal, PrecisionContext, _require_real,
+                        mk_context, raw, real_from, wrap_complex, wrap_real)
 from .saddle import (SaddleKind, SaddlePair, mu_from_xi, psi2_at_saddle_raw,
                      psi_reduced_raw, solve_saddles)
 
@@ -60,78 +61,33 @@ class UniformIngredients:
     saddles: SaddlePair
 
 
-def _require_real(v: mpc, scale, digits: int, what: str) -> mpf:
-    tol = mpf(10) ** (-(digits - 10)) * max(mpf(1), abs(scale))
-    if abs(mp.im(v)) > tol:
-        raise BranchError(f"{what} has imaginary residue {mp.nstr(mp.im(v), 3)}")
-    return mp.re(v)
-
-
-def compute_zeta_beta(saddles: SaddlePair, ctx: PrecisionContext):
-    """(zeta, beta) from a classified saddle pair."""
+def _cubic_map(saddles: SaddlePair, ctx: PrecisionContext):
+    """(zeta, beta, A0, B0) at ctx from a classified saddle pair."""
     with mp.workdps(ctx.digits + 10):
         if saddles.kind is SaddleKind.DOUBLE:
+            zeta = wrap_real(mpf(0), ctx)
             beta = mpc(-1) - 1j * mp.pi
-            return wrap_real(mpf(0), ctx), wrap_complex(beta, ctx)
-        p0 = psi_reduced_raw(raw(saddles.t0))
-        p1 = psi_reduced_raw(raw(saddles.t1))
-        beta = (p0 + p1) / 2
-        if saddles.kind is SaddleKind.REAL_PAIR:
-            rhs = (p1 - p0) / 2
+            a0 = mpf(2) ** (mpf(1) / 3)
+            b0 = -(mpf(5) / 6) * mpf(2) ** (mpf(2) / 3)
         else:
-            # t0 is the upper-half saddle; i*(p1 - p0)/2 = Im p0 + pi > 0
-            rhs = 1j * (p1 - p0) / 2
-        rr = _require_real(rhs, rhs, ctx.digits, "zeta^{3/2} right-hand side")
-        if rr <= 0:
-            raise BranchError(
-                f"zeta right-hand side must be positive, got {mp.nstr(rr, 5)}")
-        mag = (mpf(3) / 2 * rr) ** (mpf(2) / 3)
-        zeta = mag if saddles.kind is SaddleKind.REAL_PAIR else -mag
-        return wrap_real(zeta, ctx), wrap_complex(beta, ctx)
-
-
-def compute_A0_B0(saddles: SaddlePair, zeta: BigReal, ctx: PrecisionContext):
-    """Amplitudes (A0, B0); square-root branches fixed by continuity at xi=1."""
-    zv = raw(zeta)
-    with mp.workdps(ctx.digits + 10):
-        if saddles.kind is SaddleKind.DOUBLE or zv == 0:
-            raise DomainError(
-                "inside the coalescence tolerance; use coalescence_limit_values")
-        if saddles.kind is SaddleKind.REAL_PAIR:
-            c0 = psi2_at_saddle_raw(raw(saddles.t0))
-            c1 = psi2_at_saddle_raw(raw(saddles.t1))
-            d0 = _require_real(c0, c0, ctx.digits, "psi''(t0)")
-            d1 = _require_real(c1, c1, ctx.digits, "psi''(t1)")
-            if d0 <= 0 or d1 >= 0:
+            t0, t1 = raw(saddles.t0), raw(saddles.t1)
+            p0, p1 = psi_reduced_raw(t0), psi_reduced_raw(t1)
+            beta = (p0 + p1) / 2
+            above = saddles.kind is SaddleKind.REAL_PAIR
+            unit = 1 if above else 1j  # zeta^{1/2} / |zeta|^{1/2}
+            rr = _require_real(unit * (p1 - p0) / 2, ctx.digits,
+                               "zeta^{3/2} right-hand side")
+            if rr <= 0:
                 raise BranchError(
-                    f"real-pair curvature signs wrong: psi''(t0)={mp.nstr(d0, 5)}, "
-                    f"psi''(t1)={mp.nstr(d1, 5)}")
-            sq = mp.sqrt(zv)
-            gp = mp.sqrt(2 * sq / d0)
-            gm = mp.sqrt(-2 * sq / d1)
-            a0 = (gp + gm) / 2
-            b0 = (gp - gm) / (2 * sq)
-        else:
-            c0 = psi2_at_saddle_raw(raw(saddles.t0))
-            r = mp.sqrt(1j / c0)
-            q = abs(zv) ** mpf("0.25")
-            a0 = mp.sqrt(2) * q * mp.re(r)
-            b0 = mp.sqrt(2) / q * mp.im(r)
-        return wrap_real(a0, ctx), wrap_real(b0, ctx)
-
-
-def coalescence_limit_values(ctx: PrecisionContext):
-    """(A0, B0) at xi = 1, from the cubic map's derivatives at u = 0.
-
-    With g(u) = dt/du: A0 = g(0) = (2/psi'''(-1))^{1/3} and
-    B0 = g'(0) = t''(0) = -(psi''''(-1)/(6 psi'''(-1))) (2/psi'''(-1))^{2/3}.
-    Here psi'''(-1) = 1 and psi''''(-1) = 5.
-    """
-    with mp.workdps(ctx.digits + 10):
-        p3, p4 = mpf(1), mpf(5)
-        tp = (2 / p3) ** (mpf(1) / 3)
-        tpp = -(p4 / (6 * p3)) * (2 / p3) ** (mpf(2) / 3)
-    return wrap_real(tp, ctx), wrap_real(tpp, ctx)
+                    f"zeta right-hand side must be positive, got {mp.nstr(rr, 5)}")
+            mag = (mpf(3) / 2 * rr) ** (mpf(2) / 3)
+            zeta = wrap_real(mag if above else -mag, ctx)
+            sq = unit * mp.sqrt(abs(zeta.value))
+            gp = mp.sqrt(2 * sq / psi2_at_saddle_raw(t0))
+            gm = mp.sqrt(-2 * sq / psi2_at_saddle_raw(t1))
+            a0 = _require_real((gp + gm) / 2, ctx.digits, "A0")
+            b0 = _require_real((gp - gm) / (2 * sq), ctx.digits, "B0")
+        return zeta, wrap_complex(beta, ctx), wrap_real(a0, ctx), wrap_real(b0, ctx)
 
 
 def _extra_digits(xi, ctx: PrecisionContext) -> int:
@@ -149,25 +105,18 @@ def _extra_digits(xi, ctx: PrecisionContext) -> int:
     return max(0, math.ceil(-2 * log10_gap) - 5)
 
 
-def _round_to(v, ctx: PrecisionContext):
-    wrap = wrap_complex if isinstance(v, BigComplex) else wrap_real
-    return wrap(v.value, ctx)
-
-
 def uniform_ingredients(xi, ctx: PrecisionContext) -> UniformIngredients:
     """zeta, beta, A0, B0 and the saddles, computed wide and rounded to ctx."""
     extra = _extra_digits(xi, ctx)
     wide = mk_context(ctx.digits + extra)
     saddles = solve_saddles(mu_from_xi(xi, wide), wide)
-    zeta, beta = compute_zeta_beta(saddles, wide)
-    if saddles.kind is SaddleKind.DOUBLE:
-        a0, b0 = coalescence_limit_values(wide)
-    else:
-        a0, b0 = compute_A0_B0(saddles, zeta, wide)
+    zeta, beta, a0, b0 = _cubic_map(saddles, wide)
     if extra:
-        saddles = SaddlePair(saddles.kind, *(_round_to(v, ctx) for v in (
-            saddles.t0, saddles.t1, saddles.residual0, saddles.residual1)))
-        zeta, beta, a0, b0 = (_round_to(v, ctx) for v in (zeta, beta, a0, b0))
+        t0, t1, beta = (wrap_complex(v.value, ctx)
+                        for v in (saddles.t0, saddles.t1, beta))
+        r0, r1, zeta, a0, b0 = (wrap_real(v.value, ctx) for v in (
+            saddles.residual0, saddles.residual1, zeta, a0, b0))
+        saddles = SaddlePair(saddles.kind, t0, t1, r0, r1)
     return UniformIngredients(xi=real_from(xi, ctx), zeta=zeta, beta=beta,
                               A0=a0, B0=b0, saddles=saddles)
 

@@ -186,3 +186,20 @@ class TestControls:
         for pa, pb in zip(a.polylines, b.polylines):
             assert pa.stop_reason == pb.stop_reason
             assert pa.points == pb.points
+
+    @pytest.mark.parametrize("xi", ["1e3", "1e6", "1e7", "3e7", "1e8", "1e9",
+                                    "1e12", "1e100", "1e300"])
+    def test_large_xi_traces_or_is_refused(self, xi, ctx40):
+        # the inner saddle |t0| ~ 1/(e xi) reaches the 1e-8 launch offset at
+        # xi ~ 3.68e7; past it the launch circle crosses the log cut, and a
+        # smaller step cannot help, so the set is refused up front
+        try:
+            cs = contour_set(xi, ctx40)
+        except DomainError as exc:
+            assert float(xi) > 3.6e7
+            assert "launch offset" in str(exc)
+            assert exc.exit_code == 2
+        else:
+            assert float(xi) < 3.6e7
+            for pl in cs.polylines:
+                assert raw(pl.im_psi_drift) < DRIFT_BUDGET

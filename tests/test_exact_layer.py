@@ -183,6 +183,18 @@ class TestMisprediction:
         assert_close(raw(got.value), want, mpf(10) ** -39)
         assert got.cancellation_digits == cancel
 
+    @pytest.mark.parametrize("xi", ["0.5", "1"])
+    def test_swamped_reruns_double_the_loss(self, xi, monkeypatch):
+        # with no envelope the first pass expects no cancellation at all, and
+        # about 0.19 n digits cancel; reruns sized from the swamped sum alone
+        # gained about digits + 10 each and ran out
+        ctx = mk_context(30)
+        with mp.workdps(50):
+            z = wrap_real(-600 * mp.e * mpf(xi), ctx)
+        want = scaled_touchard(599, z, ctx).value.to_str()
+        monkeypatch.setattr(stirling, "_log10_envelope", lambda n, x: mp.inf)
+        assert scaled_touchard(599, z, ctx).value.to_str() == want
+
 
 class TestFarAboveN:
     # x = n e xi with xi up to 1e1000000: T_n(-x) has n log10 x digits, but

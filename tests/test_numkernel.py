@@ -1,6 +1,4 @@
 """Numeric kernel: serialization, branch choice, pinned precision."""
-from fractions import Fraction
-
 import mpmath
 import pytest
 from hypothesis import given
@@ -129,15 +127,16 @@ class TestElementary:
 
 class TestDeterminism:
     def test_ambient_dps_does_not_leak(self):
-        # 1/3 is formed at the context's precision, not the ambient one
+        # 1/3 is parsed at the context's precision, not the ambient one
         ctx = mk_context(45)
+        third = "0." + "3" * 60
         old = mp.dps
         try:
             mp.dps = 7
-            a = real_from(Fraction(1, 3), ctx)
+            a = real_from(third, ctx)
         finally:
             mp.dps = old
-        b = real_from(Fraction(1, 3), ctx)
+        b = real_from(third, ctx)
         assert a.value == b.value
         assert a.to_str() == b.to_str()
         assert a.to_str().startswith("3." + "3" * 44)

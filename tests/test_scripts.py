@@ -27,6 +27,22 @@ def test_trace_contours_writes_reloadable_json(tmp_path, capsys):
         assert all(c.endswith("@30") for pt in pl["points"] for c in pt)
 
 
+def test_parity_set_writes_every_output(tmp_path):
+    script = load_script("parity_set")
+    script.main(["--outdir", str(tmp_path), "--digits", "40"])
+    evals = [f"eval_n{n}_xi{xi}.json" for n, xi in script.EVAL_POINTS]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["table1.csv", "table2.csv", "refusals.txt", *evals])
+    assert (tmp_path / "table1.csv").read_text() == cmd_table1(digits=40)
+    assert (tmp_path / "table2.csv").read_text() == cmd_table2(digits=40)
+    for (n, xi), name in zip(script.EVAL_POINTS, evals):
+        report = json.loads((tmp_path / name).read_text())
+        assert (report["n"], report["digits"]) == (int(n), 40)
+        assert report["exact"]["verified"]
+    codes = [line.rsplit(" ", 1)[1]
+             for line in (tmp_path / "refusals.txt").read_text().splitlines()]
+    assert codes == ["2", "2", "2"]
+
 
 def test_run_tables_writes_the_cli_tables(tmp_path, capsys):
     load_script("run_tables").main(["--outdir", str(tmp_path), "--digits", "40"])

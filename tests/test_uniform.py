@@ -2,11 +2,16 @@
 import pytest
 from mpmath import mp, mpf
 
-from touchard import (BranchError, DomainError, SaddleKind, mk_context,
-                      scaled_touchard, theorem1_eval, theorem2_eval,
-                      uniform_ingredients, wrap_real)
+from touchard import (BranchError, DomainError, SaddleKind, SaddlePair,
+                      mk_context, scaled_touchard, theorem1_eval,
+                      theorem2_eval, uniform, uniform_ingredients, wrap_real)
 from touchard.numkernel import raw
-from touchard.uniform import coalescence_limit_values, compute_A0_B0
+
+
+def coalescence_limits(ctx):
+    """(A0, B0) at xi = 1: the closed forms uniform_ingredients snaps to."""
+    ing = uniform_ingredients("1", ctx)
+    return ing.A0, ing.B0
 
 
 def branch_continuity_check():
@@ -17,7 +22,7 @@ def branch_continuity_check():
     branch would make it.
     """
     ctx = mk_context(40)
-    a_lim, b_lim = coalescence_limit_values(ctx)
+    a_lim, b_lim = coalescence_limits(ctx)
     with mp.workdps(ctx.digits):
         prev_gap = mpf("inf")
         for k in range(2, 7):
@@ -45,11 +50,6 @@ class TestCoalescenceLimit:
             assert abs(mp.re(raw(ing.beta)) + 1) < tol
             assert abs(mp.im(raw(ing.beta)) + mp.pi) < tol
 
-    def test_amplitudes_refuse_double(self, ctx60):
-        ing = uniform_ingredients("1", ctx60)
-        with pytest.raises(DomainError):
-            compute_A0_B0(ing.saddles, ing.zeta, ctx60)
-
     def test_seam_is_smooth(self, ctx60):
         # crossing the snap window must not move the value noticeably
         mid = raw(theorem2_eval(81, "1", ctx60))
@@ -68,7 +68,7 @@ class TestIngredients:
         assert raw(below.zeta) < 0
 
     def test_amplitudes_real_and_continuous(self, ctx60):
-        a_lim, b_lim = coalescence_limit_values(ctx60)
+        a_lim, b_lim = coalescence_limits(ctx60)
         with mp.workdps(70):
             for xi in ("0.99", "1.01"):
                 ing = uniform_ingredients(xi, ctx60)
@@ -85,8 +85,29 @@ class TestIngredients:
     def test_ladder_clean(self):
         branch_continuity_check()  # raises BranchError on a bad branch
 
+    @pytest.mark.parametrize("xi", ["1.2", "3", "1.0001"])
+    def test_wrong_curvature_refused(self, xi, ctx60, monkeypatch):
+        # psi'' of the wrong sign at both saddles makes A0 complex
+        psi2 = uniform.psi2_at_saddle_raw
+        monkeypatch.setattr(uniform, "psi2_at_saddle_raw", lambda t: -psi2(t))
+        with pytest.raises(BranchError):
+            uniform_ingredients(xi, ctx60)
+
+    @pytest.mark.parametrize("xi", ["1.2", "0.8"])
+    def test_swapped_saddles_refused(self, xi, ctx60, monkeypatch):
+        # the signed zeta right-hand side turns negative
+        solve = uniform.solve_saddles
+
+        def swapped(mu, ctx):
+            s = solve(mu, ctx)
+            return SaddlePair(s.kind, s.t1, s.t0, s.residual1, s.residual0)
+
+        monkeypatch.setattr(uniform, "solve_saddles", swapped)
+        with pytest.raises(BranchError):
+            uniform_ingredients(xi, ctx60)
+
     def test_ladder_converges(self, ctx60):
-        a_lim, b_lim = coalescence_limit_values(ctx60)
+        a_lim, b_lim = coalescence_limits(ctx60)
         with mp.workdps(70):
             gaps = []
             for k in (2, 3, 4):
