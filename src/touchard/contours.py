@@ -28,11 +28,15 @@ StepError.
 
 Paths stop at the frame Re t in (-8.5, 8.4), |Im t| <= 7.5 (generous around
 the Im t = +/- pi asymptotes), at |t| < 0.05 near the logarithmic
-singularity, on reaching another saddle, or at the arclength cap. There are
-at most two saddles, at known places, so a step whose chord passes within
-h of the other one and takes Re psi past that saddle's value is halved
-rather than taken: a coarse step would otherwise jump the saddle the path
-should stop at and run on along the saddle's own descent or ascent path.
+singularity, on reaching another saddle, or at the arclength cap. A saddle
+outside that frame would give paths of two points, so contour_set refuses
+it: the inner saddle |t0| ~ 1/(e xi) enters the origin disc above
+xi = 7.735, and the conjugate pair passes Re t = 8.4 below xi = 9.34e-6.
+There are at most two saddles, at known places, so a step whose chord
+passes within h of the other one and takes Re psi past that saddle's value
+is halved rather than taken: a coarse step would otherwise jump the saddle
+the path should stop at and run on along the saddle's own descent or
+ascent path.
 """
 from __future__ import annotations
 
@@ -264,12 +268,17 @@ def contour_set(xi, ctx: PrecisionContext, step=None,
         inv_mu = 1 / raw(mu)
     saddles = solve_saddles(mu, ctx)
     t0, t1 = raw(saddles.t0), raw(saddles.t1)
-    if abs(t0) <= LAUNCH_OFFSET:  # |t0| ~ 1/(e xi)
-        raise DomainError(
-            f"the inner saddle |t0| = {mp.nstr(abs(t0), 3)} lies within the "
-            f"launch offset {LAUNCH_OFFSET:g} of t = 0, so the launch circle "
-            "reaches the cut of the logarithm; contours need xi below about "
-            "3.68e7")
+    for sv in (t0, t1):
+        outside = (f"|t| < R_MIN = {R_MIN}" if abs(sv) < R_MIN
+                   else f"Re t <= RE_MIN = {RE_MIN}" if sv.real <= RE_MIN
+                   else f"Re t >= RE_MAX = {RE_MAX}" if sv.real >= RE_MAX
+                   else f"|Im t| > IM_MAX = {IM_MAX}" if abs(sv.imag) > IM_MAX
+                   else None)
+        if outside:
+            raise DomainError(
+                f"the saddle t = {mp.nstr(sv, 5)} lies outside the tracing "
+                f"frame ({outside}), so its paths would stop at once; "
+                "contours need xi in about [9.34e-6, 7.735]")
     lines = tuple(_trace(sv, th, kind, inv_mu,
                          None if t0 == t1 else complex(t1 if sv == t0 else t0),
                          ctx, step, max_len)

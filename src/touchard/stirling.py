@@ -41,14 +41,18 @@ With x = man 2^exp, T_n(-x) is an integer multiple of 2^(n min(exp, 0)),
 so a sum whose bound falls below that grain with only zero inside is
 exactly zero (T_2(-1), for one).
 
-cancellation_digits is log10 of the largest Stirling term max_k S(n,k) x^k
-over |T_n(-x)|, rounded up. T_n has only real zeros (Harper, 1967), so by
-Darroch's theorem (1964) the mode of S(n,k) x^k lies within 1 of its mean
-T_{n+1}(x)/T_n(x) - x, which Dobinski's series gives in floats. k! S(n,k)
-from one below floor(mean) to one above ceil(mean) comes exactly from the
-explicit formula, in one pass over j; S(n,k) x^k is log-concave in k, so a
-local maximum is the global one, and the search walks uphill should the
-float mean ever miss it.
+cancellation_digits is the least c >= 0 with max_k S(n,k) x^k <= 10^c
+|T_n(-x)|. T_n has only real zeros (Harper, 1967), so S(n,k) x^k is
+log-concave in k (Newton) and its mode lies within 1 of its mean
+T_{n+1}(x)/T_n(x) - x (Darroch, 1964), which Dobinski's series gives in
+floats before the sum. The sum's pass adds up the explicit formula for
+k! S(m,k) at the top of the window [floor(mean) - 1, ceil(mean) + 1] from
+the j^n it makes anyway, and an exact descent gives the rest of the window.
+A maximum on an inner edge of the window raises InternalConsistencyError.
+The terms rise to the mode and fall after it, so the alternating sums of
+the rise and of the fall have opposite signs and neither exceeds the largest
+term: for n >= 2, |T_n(-x)| < max term, and c >= 1 even where one term
+dominates to within the working precision.
 
 build_triangle and StirlingTriangle are the Stirling rows of the previous
 exact layer; nothing in the package calls them, and rows past _ROW_LIMIT,
@@ -62,11 +66,12 @@ from dataclasses import dataclass
 
 from mpmath import fp, mp, mpc, mpf
 
-from .errors import CapacityError, DomainError, PrecisionExhaustedError
+from .errors import (CapacityError, DomainError, InternalConsistencyError,
+                     PrecisionExhaustedError)
 from .numkernel import BigReal, PrecisionContext, raw, wrap_real
 
-# Largest n of an exact value. `touchard eval --n 7000` takes 12-14 s and
-# 36-38 MiB at 120 digits, and time grows like n^2.9 (README, "Size limit").
+# Largest n of an exact value. `touchard eval --n 7000` takes 12-16 s and
+# 36-40 MiB at 120 digits, and time grows like n^2.9 (README, "Size limit").
 N_MAX_LIMIT = 7000
 # Largest row build_triangle makes: row 4000 took 15 s and 42 MiB, the same
 # budget as N_MAX_LIMIT.
@@ -130,19 +135,25 @@ def _shift(v: int, s: int) -> int:
     return v << s if s >= 0 else v >> -s
 
 
-def _grid_sum(n: int, man: int, exp: int, p: int, g: int) -> tuple[int, int]:
-    """(S, A): sum_j (-1)^j R_j and sum_j R_j over j = 1..n, where R_j is
-    j^n t_j E_{n-j} at x = man 2^exp rounded down to units of 2^g.
+def _grid_sum(n: int, man: int, exp: int, p: int, g: int, top: int,
+              width: int) -> tuple[int, int, list[int]]:
+    """(S, A, D): sum_j (-1)^j R_j and sum_j R_j over j = 1..n, where R_j is
+    j^n t_j E_{n-j} at x = man 2^exp rounded down to units of 2^g, and the
+    exact D[i] = top! S(n + i, top) for i < width.
 
-    One pass over k makes t_k, E_k and u_k = k^n t_k. The term of j pairs
-    u_j with E_{n-j}, so both are held for 2k < n and each later k closes
-    the terms of k and of n - k: one list of about n/2 pairs of p-bit ints.
+    One pass over k makes t_k, E_k, u_k = k^n t_k and, for k <= top, the
+    explicit formula's term (-1)^(top-k) C(top, k) k^n, times k once for
+    each further i. The term of j pairs u_j with E_{n-j}, so both are held
+    for 2k < n and each later k closes the terms of k and of n - k: one list
+    of about n/2 pairs of p-bit ints.
     """
     half = (n + 1) // 2
     held = []
     tm, te = 1 << (p - 1), 1 - p  # t_k = tm 2^te, tm of p bits
     em, ee = 0, te                # E_k = em 2^ee
     s = a = 0
+    sums = [0] * width
+    binom = 1  # C(top, k)
     for k in range(n + 1):
         if k:
             kb = k.bit_length()
@@ -152,7 +163,14 @@ def _grid_sum(n: int, man: int, exp: int, p: int, g: int) -> tuple[int, int]:
         # larger p + 2 bits
         b = max(ee + em.bit_length(), te + p) - p - 2
         em, ee = _shift(em, ee - b) + _shift(tm, te - b), b
-        jm, je = _top(k ** n, p)
+        power = k ** n
+        if k <= top:
+            v = -binom * power if (top - k) & 1 else binom * power
+            for i in range(width):
+                sums[i] += v
+                v *= k
+            binom = binom * (top - k) // (k + 1)
+        jm, je = _top(power, p)
         um, ue = _top(jm * tm, p)
         ue += je + te
         if k < half:
@@ -167,7 +185,7 @@ def _grid_sum(n: int, man: int, exp: int, p: int, g: int) -> tuple[int, int]:
             r = _shift(hum * em, hue + ee - g)  # term n - k: u_{n-k} E_k
             a += r
             s += -r if m & 1 else r
-    return s, a
+    return s, a, sums
 
 
 def _log10_term_sum(n: int, lx: float) -> float:
@@ -214,13 +232,12 @@ def _log10_envelope(n: int, x: mpf) -> float:
         return float(v / mp.ln10)
 
 
-def _certified_sum(n: int, x: mpf, ctx: PrecisionContext) -> tuple[int, int]:
-    """(S, g) with T_n(-x) = S 2^g to digits + 10 significant digits, for
-    x > 0 and n >= 1."""
+def _certified_sum(n: int, x: mpf, lx: float, ctx: PrecisionContext,
+                   top: int, width: int) -> tuple[int, int, list[int]]:
+    """(S, g, D) with T_n(-x) = S 2^g to digits + 10 significant digits, for
+    x > 0, lx = ln x and n >= 1; D is _grid_sum's exact top! S(n + i, top)."""
     target = ctx.digits + 10
     man, exp = x.man_exp
-    with mp.workdps(20):
-        lx = float(mp.log(x))
     log_sum = _log10_term_sum(n, lx)
     log_t = min(log_sum, _log10_envelope(n, x) - _ENVELOPE_MARGIN)
     # T_n(-x) is an integer multiple of 2^grain, since every x^k, k <= n, is
@@ -230,12 +247,12 @@ def _certified_sum(n: int, x: mpf, ctx: PrecisionContext) -> tuple[int, int]:
         p = math.ceil((target + log_sum - log_t) / _LOG10_2
                       + math.log2(5 * n + 3)) + 2
         g = math.floor((log_t - target) / _LOG10_2 - math.log2(n + 2)) - 2
-        s, a = _grid_sum(n, man, exp, p, g)
+        s, a, sums = _grid_sum(n, man, exp, p, g, top, width)
         bound = ((5 * n + 3) * (a + n + 1) >> (p - 1)) + n + 3
         if bound * 10 ** target <= abs(s):
-            return s, g
+            return s, g, sums
         if grain >= g and abs(s) + bound < 1 << (grain - g):
-            return 0, g  # nothing but zero lies within the bound
+            return 0, g, sums  # nothing but zero lies within the bound
         if rerun == MAX_ESCALATIONS:
             break
         prev = s, g
@@ -255,33 +272,6 @@ def _certified_sum(n: int, x: mpf, ctx: PrecisionContext) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # the largest Stirling term
-
-def _explicit(n: int, top: int, width: int) -> dict[int, int]:
-    """k! S(n,k) for the `width` values of k up to `top`.
-
-    One pass over j of the explicit formula at k = top sums
-    D_top(m) = top! S(m, top) for m = n .. n + width - 1: one product
-    C(top, j) j^n per j, then multiplications by j. The recurrence
-    S(m+1, k) = k S(m, k) + S(m, k-1) turns that into
-    D_{k-1}(m) = D_k(m+1)/k - D_k(m), an exact division, down to
-    k = top - width + 1.
-    """
-    sums = [0] * width
-    binom = 1  # C(top, j)
-    for j in range(top + 1):
-        v = binom * j ** n
-        if (top - j) & 1:
-            v = -v
-        for i in range(width):
-            sums[i] += v
-            v *= j
-        binom = binom * (top - j) // (j + 1)
-    found = {}
-    for k in range(top, top - width, -1):
-        found[k] = sums[0]
-        sums = [b // k - a for a, b in zip(sums, sums[1:])]
-    return found
-
 
 def _mode_mean(n: int, x: mpf, lx: float) -> float:
     """The mean of k under the weights S(n,k) x^k, in floats.
@@ -318,29 +308,21 @@ def _mode_mean(n: int, x: mpf, lx: float) -> float:
     return s1 / s0 - float(x)
 
 
-def _largest_term(n: int, x: mpf, lx: float) -> mpf:
-    """max_k S(n,k) x^k for n >= 1, at the working precision.
-
-    The mode is floor(mean) or ceil(mean) (Darroch), so the window from one
-    below the first to one above the second shows it as a local maximum.
-    """
-    mean = _mode_mean(n, x, lx)
-    lo = min(n, max(1, math.floor(mean) - 1))
-    hi = max(lo, min(n, math.ceil(mean) + 1))
-
-    def terms(top: int, width: int) -> dict[int, mpf]:
-        return {k: d * x ** k / math.factorial(k)
-                for k, d in _explicit(n, top, width).items()}
-
-    window = terms(hi, hi - lo + 1)
-    while True:
-        best = max(window, key=window.get)
-        if best == min(window) > 1:
-            window.update(terms(best - 1, 1))
-        elif best == max(window) < n:
-            window.update(terms(best + 1, 1))
-        else:
-            return window[best]
+def _largest_term(n: int, x: mpf, lo: int, hi: int, sums: list[int]) -> mpf:
+    """max_k S(n,k) x^k over k = lo .. hi at the working precision, from
+    sums[i] = hi! S(n + i, hi). With D_k(m) = k! S(m, k), the recurrence
+    S(m+1, k) = k S(m, k) + S(m, k-1) gives D_{k-1}(m) = D_k(m+1)/k - D_k(m),
+    an exact division."""
+    terms = {}
+    for k in range(hi, lo - 1, -1):
+        terms[k] = sums[0] * x ** k / math.factorial(k)
+        sums = [b // k - a for a, b in zip(sums, sums[1:])]
+    best = max(terms, key=terms.get)
+    if best == lo > 1 or best == hi < n:
+        raise InternalConsistencyError(
+            f"largest Stirling term of n = {n} at k = {best}, on an inner "
+            f"edge of the window [{lo}, {hi}]: the float mean missed the mode")
+    return terms[best]
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +340,22 @@ def scaled_touchard(n: int, z: BigReal, ctx: PrecisionContext) -> ExactValue:
         return ExactValue(value=wrap_real(int(n == 0), ctx),
                           cancellation_digits=0, verified=True)
     x = mp.fneg(zv, exact=True)
-    s, g = _certified_sum(n, x, ctx)
+    with mp.workdps(20):
+        lx = float(mp.log(x))
+    mean = _mode_mean(n, x, lx)
+    lo = min(n, max(1, math.floor(mean) - 1))
+    hi = max(lo, min(n, math.ceil(mean) + 1))
+    s, g, sums = _certified_sum(n, x, lx, ctx, hi, hi - lo + 1)
     with mp.workdps(ctx.digits + 10):
-        biggest = _largest_term(n, x, float(mp.log(x)))
+        biggest = _largest_term(n, x, lo, hi, sums)
         total = mp.ldexp(s, g)
         if s == 0:
             # every digit of the largest term down to the grid cancelled
             cancel = int(mp.floor(mp.log10(biggest))) - math.floor(g * _LOG10_2)
         else:
-            cancel = max(0, int(mp.ceil(mp.log10(biggest / abs(total)))))
+            # |T| < the largest term from n = 2 on (module docstring)
+            cancel = max(int(n > 1),
+                         int(mp.ceil(mp.log10(biggest / abs(total)))))
         scaled = total / math.factorial(n)
     return ExactValue(value=wrap_real(scaled, ctx), cancellation_digits=cancel,
                       verified=True)

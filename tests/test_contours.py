@@ -187,19 +187,22 @@ class TestControls:
             assert pa.stop_reason == pb.stop_reason
             assert pa.points == pb.points
 
-    @pytest.mark.parametrize("xi", ["1e3", "1e6", "1e7", "3e7", "1e8", "1e9",
+    @pytest.mark.parametrize("xi", ["1e-8", "5e-6", "1e-5", "7.7", "7.8",
+                                    "1e3", "1e6", "1e7", "3e7", "1e8", "1e9",
                                     "1e12", "1e100", "1e300"])
     def test_large_xi_traces_or_is_refused(self, xi, ctx40):
-        # the inner saddle |t0| ~ 1/(e xi) reaches the 1e-8 launch offset at
-        # xi ~ 3.68e7; past it the launch circle crosses the log cut, and a
-        # smaller step cannot help, so the set is refused up front
+        # above xi = 7.735 the inner saddle |t0| ~ 1/(e xi) lies in the
+        # |t| < R_MIN origin disc, and below 9.34e-6 the conjugate pair lies
+        # right of RE_MAX: their paths would stop after 2 points, so the set
+        # is refused up front
         try:
             cs = contour_set(xi, ctx40)
         except DomainError as exc:
-            assert float(xi) > 3.6e7
-            assert "launch offset" in str(exc)
+            assert not 9.34e-6 < float(xi) < 7.735
+            assert "tracing frame" in str(exc)
             assert exc.exit_code == 2
         else:
-            assert float(xi) < 3.6e7
+            assert 9.34e-6 < float(xi) < 7.735
             for pl in cs.polylines:
+                assert len(pl.points) > 2, (pl.kind, pl.stop_reason)
                 assert raw(pl.im_psi_drift) < DRIFT_BUDGET

@@ -15,8 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from touchard import (CapacityError, PrecisionExhaustedError, build_triangle,
-                      mk_context, scaled_touchard, wrap_real)
+from touchard import (CapacityError, InternalConsistencyError,
+                      PrecisionExhaustedError, build_triangle, mk_context,
+                      scaled_touchard, wrap_real)
 from touchard import stirling
 from touchard.cli import cmd_eval, cmd_table1, main
 from touchard.numkernel import BigReal, raw
@@ -146,6 +147,34 @@ class TestCertifiedSum:
         want, cancel = integer_scaled_touchard(120, raw(z))
         assert_close(raw(got.value), want, mpf(10) ** -29)
         assert got.cancellation_digits == cancel
+
+
+class TestLargestTerm:
+    @pytest.mark.parametrize("digits", [40, 120])
+    @pytest.mark.parametrize("n", [2, 3, 10, 99])
+    def test_one_dominant_term_counts_one_digit(self, n, digits):
+        # one Stirling term dominates to within the working precision:
+        # k = 1 at x 10^-k, k = n at x 10^k. |T_n(-x)| is still below it
+        # for n >= 2, so the count is 1, not the 0 that rounding gives
+        ctx = mk_context(digits)
+        for k in (-400, -100, 100, 400):
+            with mp.workdps(digits + 10):
+                z = wrap_real(-(n + 1) * mp.e * mpf(10) ** k, ctx)
+            got = scaled_touchard(n, z, ctx)
+            want, cancel = integer_scaled_touchard(n, raw(z))
+            assert got.value.to_str() == wrap_real(want, ctx).to_str(), (n, k)
+            assert got.cancellation_digits == cancel == 1, (n, k)
+
+    def test_mean_off_the_window_is_an_internal_error(self, monkeypatch):
+        # a mean 3 too high leaves the mode below the window: no walk
+        mode_mean = stirling._mode_mean
+        monkeypatch.setattr(stirling, "_mode_mean",
+                            lambda n, x, lx: mode_mean(n, x, lx) + 3)
+        ctx = mk_context(40)
+        with pytest.raises(InternalConsistencyError) as exc:
+            scaled_touchard(99, negated(x_at(100, 1, ctx)), ctx)
+        assert exc.value.exit_code == 4
+        assert "n = 99" in str(exc.value)
 
 
 class TestMisprediction:

@@ -3,7 +3,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from touchard.cli import cmd_table1, cmd_table2, load_error_rows
+from touchard.cli import cmd_contours, cmd_table1, cmd_table2, load_error_rows
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -15,26 +15,23 @@ def load_script(name):
     return module
 
 
-def test_trace_contours_writes_reloadable_json(tmp_path, capsys):
-    load_script("trace_contours").main(["--xi", "1", "--outdir", str(tmp_path)])
-    report = json.loads((tmp_path / "contours_xi1.json").read_text())
-    assert report["saddle_kind"] == "double"
-    assert len(report["polylines"]) == 6
-    npts = sum(len(pl["points"]) for pl in report["polylines"])
-    assert f"(6 polylines, {npts} points)" in capsys.readouterr().out
-    for pl in report["polylines"]:
-        assert float(pl["im_psi_drift"]) < 1e-8
-        assert all(c.endswith("@30") for pt in pl["points"] for c in pt)
-
-
-def test_parity_set_writes_every_output(tmp_path):
+def test_parity_set_writes_every_output(tmp_path, capsys):
     script = load_script("parity_set")
     script.main(["--outdir", str(tmp_path), "--digits", "40"])
     evals = [f"eval_n{n}_xi{xi}.json" for n, xi in script.EVAL_POINTS]
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        ["table1.csv", "table2.csv", "refusals.txt", *evals])
-    assert (tmp_path / "table1.csv").read_text() == cmd_table1(digits=40)
-    assert (tmp_path / "table2.csv").read_text() == cmd_table2(digits=40)
+    contours = [f"contours_xi{xi}.json" for xi in script.CONTOUR_XI]
+    names = ["table1.csv", "table2.csv", "refusals.txt", *evals, *contours]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    assert f"wrote {len(names)} files" in capsys.readouterr().out
+    for name, cmd in (("table1", cmd_table1), ("table2", cmd_table2)):
+        text = (tmp_path / f"{name}.csv").read_text()
+        assert text == cmd(digits=40)
+        assert len(load_error_rows(text)) == len(text.splitlines()) - 1
+    for xi, name in zip(script.CONTOUR_XI, contours):
+        report = json.loads((tmp_path / name).read_text())
+        assert report == cmd_contours(xi, digits=40)
+        for pl in report["polylines"]:
+            assert float(pl["im_psi_drift"]) < 1e-8
     for (n, xi), name in zip(script.EVAL_POINTS, evals):
         report = json.loads((tmp_path / name).read_text())
         assert (report["n"], report["digits"]) == (int(n), 40)
@@ -42,17 +39,6 @@ def test_parity_set_writes_every_output(tmp_path):
     codes = [line.rsplit(" ", 1)[1]
              for line in (tmp_path / "refusals.txt").read_text().splitlines()]
     assert codes == ["2", "2", "2"]
-
-
-def test_run_tables_writes_the_cli_tables(tmp_path, capsys):
-    load_script("run_tables").main(["--outdir", str(tmp_path), "--digits", "40"])
-    out = capsys.readouterr().out
-    for name, cmd in (("table1", cmd_table1), ("table2", cmd_table2)):
-        path = tmp_path / f"{name}.csv"
-        assert f"wrote {path}" in out
-        text = path.read_text()
-        assert text == cmd(digits=40)
-        assert len(load_error_rows(text)) == len(text.splitlines()) - 1
 
 
 def test_error_decay_prints_both_studies(capsys):

@@ -55,8 +55,9 @@ class TestTriangle:
         want = stirling_inclusion_exclusion(n, k)
         assert want.denominator == 1
         assert stirling2_row(n)[k] == want.numerator
-        # the package's explicit formula gives k! S(n,k)
-        assert stirling._explicit(n, k, 1)[k] == want.numerator * math.factorial(k)
+        # the explicit formula in the sum's pass gives k! S(n,k), at x = 1
+        _, _, sums = stirling._grid_sum(n, 1, 0, 64, 0, k, 1)
+        assert sums == [want.numerator * math.factorial(k)]
 
     def test_known_values(self):
         assert stirling2_row(4)[2] == 7
