@@ -1,7 +1,11 @@
 """The scripts the README advertises run end to end."""
+import contextlib
 import importlib.util
+import io
 import json
 from pathlib import Path
+
+import pytest
 
 from touchard.cli import cmd_contours, cmd_table1, cmd_table2, load_error_rows
 
@@ -15,30 +19,52 @@ def load_script(name):
     return module
 
 
-def test_parity_set_writes_every_output(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def parity_set(tmp_path_factory):
+    """Run scripts/parity_set.py once at 40 digits; return (script, outdir, stdout)."""
     script = load_script("parity_set")
-    script.main(["--outdir", str(tmp_path), "--digits", "40"])
+    outdir = tmp_path_factory.mktemp("parity_set")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        script.main(["--outdir", str(outdir), "--digits", "40"])
+    return script, outdir, out.getvalue()
+
+
+def test_parity_set_writes_every_output(parity_set):
+    script, outdir, out = parity_set
     evals = [f"eval_n{n}_xi{xi}.json" for n, xi in script.EVAL_POINTS]
     contours = [f"contours_xi{xi}.json" for xi in script.CONTOUR_XI]
     names = ["table1.csv", "table2.csv", "refusals.txt", *evals, *contours]
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
-    assert f"wrote {len(names)} files" in capsys.readouterr().out
-    for name, cmd in (("table1", cmd_table1), ("table2", cmd_table2)):
-        text = (tmp_path / f"{name}.csv").read_text()
-        assert text == cmd(digits=40)
-        assert len(load_error_rows(text)) == len(text.splitlines()) - 1
-    for xi, name in zip(script.CONTOUR_XI, contours):
-        report = json.loads((tmp_path / name).read_text())
-        assert report == cmd_contours(xi, digits=40)
-        for pl in report["polylines"]:
-            assert float(pl["im_psi_drift"]) < 1e-8
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(names)
+    assert f"wrote {len(names)} files" in out
     for (n, xi), name in zip(script.EVAL_POINTS, evals):
-        report = json.loads((tmp_path / name).read_text())
+        report = json.loads((outdir / name).read_text())
         assert (report["n"], report["digits"]) == (int(n), 40)
         assert report["exact"]["verified"]
     codes = [line.rsplit(" ", 1)[1]
-             for line in (tmp_path / "refusals.txt").read_text().splitlines()]
+             for line in (outdir / "refusals.txt").read_text().splitlines()]
     assert codes == ["2", "2", "2"]
+
+
+def test_run_tables_writes_the_cli_tables(parity_set):
+    _, outdir, _ = parity_set
+    for name, cmd in (("table1", cmd_table1), ("table2", cmd_table2)):
+        text = (outdir / f"{name}.csv").read_text()
+        assert text == cmd(digits=40)
+        assert len(load_error_rows(text)) == len(text.splitlines()) - 1
+
+
+def test_trace_contours_writes_reloadable_json(parity_set):
+    script, outdir, _ = parity_set
+    for xi in script.CONTOUR_XI:
+        report = json.loads((outdir / f"contours_xi{xi}.json").read_text())
+        assert report == cmd_contours(xi, digits=40)
+        for pl in report["polylines"]:
+            assert float(pl["im_psi_drift"]) < 1e-8
+            assert all(c.endswith("@30") for pt in pl["points"] for c in pt)
+    report = json.loads((outdir / "contours_xi1.json").read_text())
+    assert report["saddle_kind"] == "double"
+    assert len(report["polylines"]) == 6
 
 
 def test_error_decay_prints_both_studies(capsys):
