@@ -15,16 +15,22 @@ projection cannot land it, or when Re psi moves against the flow. Steps
 ramp up geometrically from a 1e-8 launch offset so the first recorded
 motion resolves the local steepest directions to well under 1e-6 radians.
 
-One step loop serves two number types. It starts on mpc at ctx.digits + 10,
-because at the double saddle |psi'| is about 1e-16 at the launch offset,
-which doubles would lose to cancellation. Once |psi'| >= 1e-6 the same loop
-goes on over Python complex. A polyline's points are Python complex:
-point 0 is the saddle rounded to a double, and the rest are the doubles the
-loop stepped to. The projection tolerance max(1e-12, 16 eps |e^t/mu|), with
-eps the type's machine epsilon, is one doubles can meet near Re t = 8.4.
-Im psi is re-computed on every emitted point at 30 digits (|Im psi| < 1e4
-in the frame leaves 17 orders of margin); a drift over 1e-8 raises
-StepError.
+One step loop serves two number types. It starts on mpc at LAUNCH_DIGITS
+= 50, whatever the context's digits, because at the double saddle |psi'| is
+about 1e-16 at the launch offset, which doubles would lose to cancellation;
+about 32 digits give the direction to double accuracy. Once |psi'| >= 1e-6
+the same loop goes on over Python complex. Every point a path emits is a
+double, so its points do not depend on the context's digits. A polyline's
+points are Python complex: point 0 is the saddle rounded to a double, and
+the rest are the doubles the loop stepped to. The projection tolerance
+max(1e-12, 16 eps |e^t/mu|), with eps the type's machine epsilon, is one
+doubles can meet near Re t = 8.4. Im psi is re-computed on the exact value
+of every emitted point at 30 digits (|Im psi| < 1e4 in the frame leaves 17
+orders of margin), in real arithmetic:
+
+    Im psi(x + iy) = -e^x sin(y) / mu - arg(x + iy),   arg in [0, 2 pi);
+
+a drift over 1e-8 raises StepError.
 
 Paths stop at the frame Re t in (-8.5, 8.4), |Im t| <= 7.5 (generous around
 the Im t = +/- pi asymptotes), at |t| < 0.05 near the logarithmic
@@ -44,6 +50,9 @@ import cmath
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
+from mpmath.libmp import (dps_to_prec, from_float, mpf_add, mpf_atan2,
+                          mpf_exp, mpf_mul, mpf_neg, mpf_pi, mpf_shift,
+                          mpf_sin)
 
 from .errors import DomainError, StepError
 from .numkernel import (MIN_DIGITS, BigComplex, BigReal, PrecisionContext,
@@ -56,6 +65,7 @@ RE_MIN = -8.5
 IM_MAX = 7.5
 R_MIN = 0.05
 LAUNCH_OFFSET = 1e-8
+LAUNCH_DIGITS = 50
 RAMP = 1.3
 DRIFT_BUDGET = mpf("1e-8")
 _PROJ_TOL = 1e-12
@@ -64,8 +74,8 @@ _PROJ_TOL = 1e-12
 _SADDLE_FIELD_TOL = 1e-6
 # Largest max_len/step a contour set may ask for: time and memory grow like
 # 1/step. At the default max_len = 40 this is step = 0.000625, where
-# `touchard contours --xi 0.8` takes 12-14 s and 111 MiB at 120 digits
-# (README, "Size limit").
+# `touchard contours --xi 0.8` takes 6.5-6.8 s and 86 MiB (README, "Size
+# limit").
 MAX_LEN_OVER_STEP = 64000
 
 
@@ -136,6 +146,18 @@ class _Flow:
         return None
 
 
+def _im_psi(t: complex, inv_mu, prec):
+    """Im psi at the exact value of t = x + iy as an mpf tuple, inv_mu an mpf
+    tuple, rounded to prec bits: -e^x sin(y) inv_mu - arg, with
+    arg = atan2(y, x) moved into [0, 2 pi) as log_branched_raw takes it."""
+    x, y = from_float(t.real), from_float(t.imag)
+    arg = mpf_atan2(y, x, prec, "n")
+    if arg[0]:  # negative
+        arg = mpf_add(arg, mpf_shift(mpf_pi(prec, "n"), 1), prec, "n")
+    e_sin = mpf_mul(mpf_exp(x, prec, "n"), mpf_sin(y, prec, "n"), prec, "n")
+    return mpf_neg(mpf_add(mpf_mul(e_sin, inv_mu, prec, "n"), arg, prec, "n"))
+
+
 def _passes(t, t_new, s, h) -> bool:
     """Whether the chord from t to t_new passes s between its ends, within h."""
     d, w = t_new - t, s - t
@@ -148,13 +170,13 @@ def _trace(saddle_t, theta, kind, inv_mu, other, ctx: PrecisionContext,
     sign = -1 if kind == "descent" else 1
     max_iters = int(max_len / step) * 8 + 600
     step, max_len = float(step), float(max_len)
-    with mp.workdps(ctx.digits + 10):
+    with mp.workdps(LAUNCH_DIGITS):
         c = mp.im(-mp.exp(saddle_t) * inv_mu - log_branched_raw(saddle_t))
         precise = flow = _Flow(c, inv_mu, sign, mp.exp, log_branched_raw,
                                mp.eps)
         t = saddle_t + LAUNCH_OFFSET * mp.expjpi(theta / mp.pi)
         t, p = flow.project(t, LAUNCH_OFFSET) or (t, flow.psi(t))
-        pts, re_psi = [saddle_t, complex(t)], p.real
+        pts, re_psi = [complex(saddle_t), complex(t)], p.real
         if other is not None:
             re_other = float(flow.psi(other).real)
         h = arclen = LAUNCH_OFFSET
@@ -205,15 +227,20 @@ def _trace(saddle_t, theta, kind, inv_mu, other, ctx: PrecisionContext,
         else:
             stop = "iteration_cap"
 
+    prec = dps_to_prec(MIN_DIGITS)
+    # c keeps its LAUNCH_DIGITS value, so a drift still shows the 30-digit
+    # rounding of arg t = pi on a real axis path
     with mp.workdps(MIN_DIGITS):
-        drift = max(abs(precise.psi(p).imag - c) for p in pts)
+        inv_mu = (+inv_mu)._mpf_
+        drift = max(abs(mp.make_mpf(_im_psi(p, inv_mu, prec)) - c)
+                    for p in pts)
     if drift >= DRIFT_BUDGET:
         raise StepError(
             f"Im psi drift {mp.nstr(drift, 3)} exceeds the 1e-8 budget; "
             "retry with a smaller --step")
     return ContourPolyline(
         saddle=wrap_complex(saddle_t, ctx), kind=kind,
-        points=(complex(saddle_t), *pts[1:]),
+        points=tuple(pts),
         im_psi_drift=wrap_real(drift, ctx),
         launch_theta=float(theta), stop_reason=stop)
 
@@ -229,7 +256,9 @@ def _norm_theta(th):
 
 def launch_plan(saddles: SaddlePair, ctx: PrecisionContext):
     """(saddle value, kind, theta) launches for the current regime."""
-    with mp.workdps(ctx.digits + 10):
+    # theta at no fewer digits than the launch, so that a theta of pi on a
+    # real axis path turns into an exact -1 there at every ctx.digits
+    with mp.workdps(max(ctx.digits + 10, LAUNCH_DIGITS)):
         plan = []
         if saddles.kind is SaddleKind.DOUBLE:
             s = raw(saddles.t0)

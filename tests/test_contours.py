@@ -1,10 +1,14 @@
 """Steepest-path tracer: launch geometry, drift budget, regime topology."""
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
+from mpmath.libmp import dps_to_prec
 
-from touchard import DomainError, SaddleKind, mk_context
-from touchard.contours import DRIFT_BUDGET, MAX_LEN_OVER_STEP, contour_set
-from touchard.numkernel import raw
+from touchard import DomainError, SaddleKind, StepError, mk_context
+from touchard import contours
+from touchard.cli import _sci, cmd_contours
+from touchard.contours import (DRIFT_BUDGET, LAUNCH_DIGITS, MAX_LEN_OVER_STEP,
+                               R_MIN, _im_psi, contour_set)
+from touchard.numkernel import MIN_DIGITS, log_branched_raw, raw
 
 
 def measured_direction(pl):
@@ -206,3 +210,58 @@ class TestControls:
             for pl in cs.polylines:
                 assert len(pl.points) > 2, (pl.kind, pl.stop_reason)
                 assert raw(pl.im_psi_drift) < DRIFT_BUDGET
+
+
+def oracle_im_psi(t, mu):
+    """Im psi in complex arithmetic with the branched log, at the ambient
+    precision."""
+    return mp.im(-mp.exp(t) / mu - log_branched_raw(t))
+
+
+class TestDriftCertificate:
+    @pytest.mark.parametrize("xi", ["0.8", "1", "1.8"])
+    def test_real_drift_matches_the_complex_oracle(self, xi, ctx120):
+        cs = contour_set(xi, ctx120)
+        mu = raw(cs.mu)
+        for pl in cs.polylines:
+            with mp.workdps(LAUNCH_DIGITS):
+                c = oracle_im_psi(raw(pl.saddle), mu)
+            with mp.workdps(MIN_DIGITS):
+                drift = max(abs(oracle_im_psi(raw(p), mu) - c)
+                            for p in pl.points)
+            assert abs(drift - raw(pl.im_psi_drift)) < mpf("1e-25")
+            assert _sci(drift, 4) == _sci(raw(pl.im_psi_drift), 4)
+
+    @pytest.mark.parametrize("t", [
+        2.0, 0.3, -0.3, -5.0,  # on the real axis, either side of the origin
+        1 + 1e-300j, 1 - 1e-300j, -1 + 1e-300j, -1 - 1e-300j,
+        3 - 1e-12j, 0.5 - 1e-6j, 7 - 0.01j,  # arg t just under 2 pi
+        *(R_MIN * complex(mp.expjpi(k / 8)) for k in range(16)),
+    ])
+    def test_real_im_psi_on_the_branch_cut(self, t):
+        prec = dps_to_prec(MIN_DIGITS)
+        with mp.workdps(MIN_DIGITS):
+            mu = 1 / mp.e
+            got = mp.make_mpf(_im_psi(complex(t), (1 / mu)._mpf_, prec))
+            want = oracle_im_psi(mpc(t.real, t.imag), mu)
+            tol = mpf("1e-28") * max(1, abs(want))
+            assert abs(got - want) <= tol
+            if t.imag < 0:  # arg t is atan2 + 2 pi, in (pi, 2 pi)
+                principal = mp.im(-mp.exp(mpc(t.real, t.imag)) / mu
+                                  - mp.log(mpc(t.real, t.imag)))
+                assert abs(got - (principal - 2 * mp.pi)) <= tol
+
+    def test_drift_over_budget_is_refused(self, ctx40, monkeypatch):
+        # a loose projection lets Im psi drift ~1e-7 at xi = 1.8
+        monkeypatch.setattr(contours, "_PROJ_TOL", 1e-7)
+        with pytest.raises(StepError, match="exceeds the 1e-8 budget"):
+            contour_set("1.8", ctx40)
+
+    @pytest.mark.parametrize("xi", ["0.8", "1", "1.8"])
+    def test_paths_do_not_depend_on_digits(self, xi):
+        # paths launch at LAUNCH_DIGITS and emit doubles; only xi and mu are
+        # printed at the context's digits
+        outs = [cmd_contours(xi, digits) for digits in (30, 120, 300)]
+        for out in outs:
+            del out["xi"], out["mu"]
+        assert outs[0] == outs[1] == outs[2]
