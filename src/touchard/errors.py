@@ -37,10 +37,10 @@ class StepError(DomainError):
 
 
 class PrecisionExhaustedError(TouchardError):
-    """Escalation cap hit before two evaluations stabilised.
+    """A certified sum still failed its bound after the rerun cap.
 
-    last_two holds the final pair of disagreeing estimates so callers can
-    inspect how far apart they were.
+    The message names the sum that failed; last_two holds its estimates
+    from the last two passes (None for a pass that was not made).
     """
 
     exit_code = 3

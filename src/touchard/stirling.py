@@ -10,19 +10,10 @@ two sums swapped, gives for z = -x <= 0
 
 n terms and no Stirling number. The sum divides by the exact integer n! last.
 
-Every t_j, E_m and j^n is positive, so the sum runs in Python ints at p bits:
-x = man 2^exp is taken exactly from the mpf; t_j is a p-bit mantissa and an
-exponent, two floors per step; E_m is the running sum of the t_i, a
-mantissa of p + 2 bits and an exponent, each addition floored onto the
-grid of the larger operand; j^n is an exact pow cut to p bits; u_j = j^n t_j
-is cut to p bits; and each term u_j E_{n-j} is rounded down onto a common
-grid of 2^g. Every floor only lowers a positive quantity, and no int is
-wider than about 2p bits or the n log2 n bits of j^n, whatever the size
-of x. t_j comes out low by under 4j 2^-p of itself; an addition to E loses
-under 2^-p of the partial sum, which is at most E_m, so E_m is low by under
-5m 2^-p; and each cut loses under 2 2^-p. Each term is therefore low by at
-most delta = (5n + 3) 2^-p of itself plus one grid unit. With S the
-alternating sum and A the sum of the grid terms,
+The sum runs in Python ints at p bits in fixedpoint.grid_sum, each term
+rounded down onto a grid of 2^g; with S the alternating sum and A the sum
+of the grid terms, every term is low by at most delta = 9n 2^-p of itself
+plus one grid unit (fixedpoint's docstring counts the floors), so
 
     |T_n(-x) - S 2^g| <= (2 delta (A + n + 1) + n + 2) 2^g,
 
@@ -45,10 +36,19 @@ cancellation_digits is the least c >= 0 with max_k S(n,k) x^k <= 10^c
 |T_n(-x)|. T_n has only real zeros (Harper, 1967), so S(n,k) x^k is
 log-concave in k (Newton) and its mode lies within 1 of its mean
 T_{n+1}(x)/T_n(x) - x (Darroch, 1964), which Dobinski's series gives in
-floats before the sum. The sum's pass adds up the explicit formula for
-k! S(m,k) at the top of the window [floor(mean) - 1, ceil(mean) + 1] from
-the j^n it makes anyway, and an exact descent gives the rest of the window.
-A maximum on an inner edge of the window raises InternalConsistencyError.
+floats before the sum, together with T_n(x). The same pass sums the
+explicit formula for D_top(m) = top! S(m, top), top = ceil(mean) + 1, over
+the same cut powers with exact binomials, each term floored onto a grid of
+2^g2; a descent in the grid ints gives D_k(n) = k! S(n,k) for the rest of
+the window [floor(mean) - 1, top]. Each D carries a counted bound of the
+same kind, a cut power being low by at most (4 Omega(k) - 2) 2^-p <= delta
+of itself, and is accepted at digits + 10 digits. The explicit sum cancels
+on its own terms, about 0.43 n digits where top = n, so the pass works at
+the larger of the p that the value and the largest term ask for, the
+latter from log10 sum_k C(top,k) k^n against k! S(n,k) <= min(k^n,
+k! T_n(x)/x^k). A pass reruns until both sums are certified, each failed
+one resized from what it measured. A maximum on an inner edge of the
+window raises InternalConsistencyError.
 The terms rise to the mode and fall after it, so the alternating sums of
 the rise and of the fall have opposite signs and neither exceeds the largest
 term: for n >= 2, |T_n(-x)| < max term, and c >= 1 even where one term
@@ -64,14 +64,16 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from mpmath import fp, mp, mpc, mpf
+from mpmath import fp, mp, mpf
 
+from . import fixedpoint
 from .errors import (CapacityError, DomainError, InternalConsistencyError,
                      PrecisionExhaustedError)
 from .numkernel import BigReal, PrecisionContext, raw, wrap_real
 
-# Largest n of an exact value. `touchard eval --n 7000` takes 12-16 s and
-# 36-40 MiB at 120 digits, and time grows like n^2.9 (README, "Size limit").
+# Largest n of an exact value. `touchard eval --n 7000` takes 3.5-4.1 s and
+# 36-38 MiB at 120 digits; memory sets the cap, as --n 8000 takes 43 MiB
+# against a 42 MiB budget (README, "Size limit").
 N_MAX_LIMIT = 7000
 # Largest row build_triangle makes: row 4000 took 15 s and 42 MiB, the same
 # budget as N_MAX_LIMIT.
@@ -80,6 +82,7 @@ _ROW_LIMIT = 4000
 MAX_ESCALATIONS = 8
 # Digits below the saddle envelope at which the first pass expects |T|: the
 # envelope leaves out the cosine for xi < 1 and the Airy scale near xi = 1.
+# The first pass expects each k! S(n,k) of the window as far below its bound.
 _ENVELOPE_MARGIN = 3
 _LOG10_2 = math.log10(2)
 
@@ -122,71 +125,7 @@ def build_triangle(keep: Iterable[int]) -> StirlingTriangle:
 
 
 # ---------------------------------------------------------------------------
-# the fixed-point sum
-
-def _top(v: int, bits: int) -> tuple[int, int]:
-    """(v >> s, s) with s >= 0 the least shift that leaves at most `bits` bits."""
-    s = v.bit_length() - bits
-    return (v >> s, s) if s > 0 else (v, 0)
-
-
-def _shift(v: int, s: int) -> int:
-    """floor(v 2^s)."""
-    return v << s if s >= 0 else v >> -s
-
-
-def _grid_sum(n: int, man: int, exp: int, p: int, g: int, top: int,
-              width: int) -> tuple[int, int, list[int]]:
-    """(S, A, D): sum_j (-1)^j R_j and sum_j R_j over j = 1..n, where R_j is
-    j^n t_j E_{n-j} at x = man 2^exp rounded down to units of 2^g, and the
-    exact D[i] = top! S(n + i, top) for i < width.
-
-    One pass over k makes t_k, E_k, u_k = k^n t_k and, for k <= top, the
-    explicit formula's term (-1)^(top-k) C(top, k) k^n, times k once for
-    each further i. The term of j pairs u_j with E_{n-j}, so both are held
-    for 2k < n and each later k closes the terms of k and of n - k: one list
-    of about n/2 pairs of p-bit ints.
-    """
-    half = (n + 1) // 2
-    held = []
-    tm, te = 1 << (p - 1), 1 - p  # t_k = tm 2^te, tm of p bits
-    em, ee = 0, te                # E_k = em 2^ee
-    s = a = 0
-    sums = [0] * width
-    binom = 1  # C(top, k)
-    for k in range(n + 1):
-        if k:
-            kb = k.bit_length()
-            tm, cut = _top((tm * man << kb) // k, p)
-            te += exp - kb + cut
-        # E_k = E_(k-1) + t_k, both floored onto the grid that leaves the
-        # larger p + 2 bits
-        b = max(ee + em.bit_length(), te + p) - p - 2
-        em, ee = _shift(em, ee - b) + _shift(tm, te - b), b
-        power = k ** n
-        if k <= top:
-            v = -binom * power if (top - k) & 1 else binom * power
-            for i in range(width):
-                sums[i] += v
-                v *= k
-            binom = binom * (top - k) // (k + 1)
-        jm, je = _top(power, p)
-        um, ue = _top(jm * tm, p)
-        ue += je + te
-        if k < half:
-            held.append((um, ue, em, ee))
-            continue
-        m = n - k
-        hum, hue, hem, hee = held[m] if m < half else (um, ue, em, ee)
-        r = _shift(um * hem, ue + hee - g)  # term k: u_k E_{n-k}
-        a += r
-        s += -r if k & 1 else r
-        if 0 < m < half:
-            r = _shift(hum * em, hue + ee - g)  # term n - k: u_{n-k} E_k
-            a += r
-            s += -r if m & 1 else r
-    return s, a, sums
-
+# sizing and certifying the pass
 
 def _log10_term_sum(n: int, lx: float) -> float:
     """log10 sum_{j=1..n} j^n t_j E_{n-j} from float logarithms; lx = ln x."""
@@ -204,6 +143,25 @@ def _log10_term_sum(n: int, lx: float) -> float:
     return (top + math.log(total)) / math.log(10)
 
 
+def _log10_explicit_sum(n: int, top: int) -> float:
+    """log10 of top times the largest C(top, k) k^n, k = 1..top, a bound on
+    their sum from float logarithms.
+
+    ln C(top, k) + n ln k is concave in k, so the largest term is the first
+    whose successor is no larger: a bisection finds it.
+    """
+    lo, hi = 1, top
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if math.log((top - mid) / (mid + 1)) + n * math.log1p(1 / mid) > 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    k = lo
+    log_c = math.lgamma(top + 1) - math.lgamma(k + 1) - math.lgamma(top - k + 1)
+    return (log_c + n * math.log(k) + math.log(top)) / math.log(10)
+
+
 def _log10_envelope(n: int, x: mpf) -> float:
     """log10 of the saddle-point size of |T_n(-x)|.
 
@@ -217,75 +175,139 @@ def _log10_envelope(n: int, x: mpf) -> float:
     exponent alone would miss. Near the coalescence t0 = -1 the Gaussian
     form fails; there the factor is about n^(-1/3), and 1 stands in for it.
 
-    The exponent is stationary in t0, so t0 need not be exact: mpmath's
-    float-context lambertw, 10 to 40 times faster than its mpf one, serves
-    wherever -(n+1)/x is a float. It fails at exactly -1/e, and a relative
-    nudge of 1e-12 moves t0 off it by 1.4e-6 and the exponent by nothing.
+    The exponent is stationary in t0, so t0 need not be exact: wherever
+    -(n+1)/x is a float, mpmath's float-context lambertw, 10 to 40 times
+    faster than its mpf one, gives t0, and the rest is taken in floats, with
+    Re expm1(a + ib) = expm1(a) cos b - 2 sin(b/2)^2. lambertw fails at
+    exactly -1/e, and a relative nudge of 1e-12 moves t0 off it by 1.4e-6
+    and the exponent by nothing. Past the float range mpf at 15 digits
+    does the same.
     """
     with mp.workdps(15):
         y = -(n + 1) / x
-        t0 = (mpc(fp.lambertw(float(y) * (1 + 1e-12))) if 1e-300 < -y < 1e300
-              else mp.lambertw(y))
+        if 1e-300 < -y < 1e300:
+            t0 = complex(fp.lambertw(float(y) * (1 + 1e-12)))
+            rex = (math.expm1(t0.real) * math.cos(t0.imag)
+                   - 2 * math.sin(t0.imag / 2) ** 2)
+            gauss = (math.log(abs(t0))
+                     - math.log(2 * math.pi * (n + 1) * abs(1 + t0)) / 2)
+            v = (-float(x) * rex - (n + 1) * math.log(abs(t0))
+                 + math.lgamma(n + 1) + min(gauss, 0))
+            return v / math.log(10)
+        t0 = mp.lambertw(y)
         gauss = mp.log(abs(t0)) - mp.log(2 * mp.pi * (n + 1) * abs(1 + t0)) / 2
         v = (mp.re(-x * mp.expm1(t0)) - (n + 1) * mp.log(abs(t0))
              + mp.loggamma(n + 1) + min(gauss, 0))
         return float(v / mp.ln10)
 
 
-def _certified_sum(n: int, x: mpf, lx: float, ctx: PrecisionContext,
-                   top: int, width: int) -> tuple[int, int, list[int]]:
-    """(S, g, D) with T_n(-x) = S 2^g to digits + 10 significant digits, for
-    x > 0, lx = ln x and n >= 1; D is _grid_sum's exact top! S(n + i, top)."""
+def _remeasured(log_sum: float, log_t: float, terms: int, a: int, s: int,
+                bound: int, g: int) -> tuple[float, float]:
+    """What the next pass expects of a sum that failed: log10 of the sum of
+    its `terms` terms, a on the grid of 2^g, and log10 of its value, s
+    within bound. |T| >= |s| - bound once |s| >= 2 bound; below that only
+    |T| <= 2 bound, and the next pass expects at least twice the loss that
+    this one did."""
+    loss = log_sum - log_t
+    log_sum = math.log10(a + terms + 1) + g * _LOG10_2
+    log_t = math.log10(max(abs(s) - bound, bound)) + g * _LOG10_2
+    if abs(s) < 2 * bound:
+        log_t = min(log_t, log_sum - 2 * loss)
+    return log_sum, log_t
+
+
+def _certified_sum(n: int, x: mpf, lx: float, log_tx: float,
+                   ctx: PrecisionContext, lo: int,
+                   hi: int) -> tuple[int, int, dict[int, int], int]:
+    """(S, g, D, g2) with T_n(-x) = S 2^g and D[k] 2^g2 = k! S(n, k) for
+    k = lo .. hi, each to digits + 10 significant digits, for x > 0,
+    lx = ln x, log_tx = ln T_n(x) and n >= 1.
+
+    Both sums come from one fixedpoint.grid_sum pass at the larger of the
+    two p that their predicted losses ask for, and a pass reruns until both
+    are certified, each rerun sizing a failed sum from what that pass
+    measured. PrecisionExhaustedError names the sums that failed and carries
+    the first one's last two estimates: of T_n(-x), or of hi! S(n, hi).
+    """
     target = ctx.digits + 10
+    scale = 10 ** target
     man, exp = x.man_exp
     log_sum = _log10_term_sum(n, lx)
     log_t = min(log_sum, _log10_envelope(n, x) - _ENVELOPE_MARGIN)
+    log_b = _log10_explicit_sum(n, hi)
+    # k! S(n,k) counts the maps of n elements onto k, so it is at most k^n,
+    # and it is at most k! T_n(x)/x^k, within about 1.5 digits near the mode
+    log_d = min(min(n * math.log(k), log_tx + math.lgamma(k + 1) - k * lx)
+                for k in range(lo, hi + 1)) / math.log(10) - _ENVELOPE_MARGIN
+    width = hi - lo + 1
     # T_n(-x) is an integer multiple of 2^grain, since every x^k, k <= n, is
     grain = n * min(exp, 0)
-    prev = None
-    for rerun in range(MAX_ESCALATIONS + 1):
-        p = math.ceil((target + log_sum - log_t) / _LOG10_2
-                      + math.log2(5 * n + 3)) + 2
+    value = window = None
+    # the estimates of the passes that failed, per sum
+    history = {"the value sum": [None], "the largest-term sum": [None]}
+    for _ in range(MAX_ESCALATIONS + 1):
+        # the largest term's p and g2 leave room for the descent to lo,
+        # which can double a bound width - 1 times
+        p = max(math.ceil((target + log_sum - log_t) / _LOG10_2
+                          + math.log2(9 * n)) + 2,
+                math.ceil((target + log_b - log_d) / _LOG10_2
+                          + math.log2(9 * n)) + width + 1)
         g = math.floor((log_t - target) / _LOG10_2 - math.log2(n + 2)) - 2
-        s, a, sums = _grid_sum(n, man, exp, p, g, top, width)
-        bound = ((5 * n + 3) * (a + n + 1) >> (p - 1)) + n + 3
-        if bound * 10 ** target <= abs(s):
-            return s, g, sums
-        if grain >= g and abs(s) + bound < 1 << (grain - g):
-            return 0, g, sums  # nothing but zero lies within the bound
-        if rerun == MAX_ESCALATIONS:
-            break
-        prev = s, g
-        loss = log_sum - log_t
-        # |T| >= |s| - bound once |s| >= 2 bound; below that only |T| <= 2 bound
-        log_sum = math.log10(a + n + 1) + g * _LOG10_2
-        log_t = math.log10(max(abs(s) - bound, bound)) + g * _LOG10_2
-        if abs(s) < 2 * bound:
-            log_t = min(log_t, log_sum - 2 * loss)
+        g2 = (math.floor((log_d - target) / _LOG10_2 - math.log2(hi + 2))
+              - width - 1)
+        s, a, sums, absums = fixedpoint.grid_sum(n, man, exp, p, g, hi,
+                                                 width, g2)
+        if value is None:
+            bound = fixedpoint.bound(n, p, n, a)
+            if bound * scale <= abs(s):
+                value = s, g
+            elif grain >= g and abs(s) + bound < 1 << (grain - g):
+                value = 0, g  # nothing but zero lies within the bound
+            else:
+                history["the value sum"].append((s, g))
+                log_sum, log_t = _remeasured(log_sum, log_t, n, a, s, bound, g)
+        if window is None:
+            found = fixedpoint.descend(
+                sums, [fixedpoint.bound(n, p, hi, b) for b in absums], lo, hi)
+            if all(e * scale <= abs(d) for d, e in found.values()):
+                window = {k: d for k, (d, _) in found.items()}, g2
+            else:
+                history["the largest-term sum"].append((found[hi][0], g2))
+                # the D with the fewest certified bits sizes the rerun
+                d, e = min(found.values(), key=lambda de:
+                           abs(de[0]).bit_length() - de[1].bit_length())
+                log_b, log_d = _remeasured(log_b, log_d, hi, absums[0], d, e,
+                                           g2)
+        if value and window:
+            return *value, *window
+    failed = [what for what, done in zip(history, (value, window))
+              if done is None]
     with mp.workdps(target):
-        last_two = (prev and mp.ldexp(*prev), mp.ldexp(s, g))
+        last_two = tuple(v and mp.ldexp(*v) for v in history[failed[0]][-2:])
     raise PrecisionExhaustedError(
-        f"scaled_touchard(n={n}): sum not certified to {target} digits after "
-        f"{MAX_ESCALATIONS} reruns (last working precision {p} bits)",
-        last_two=last_two)
+        f"scaled_touchard(n={n}): {' and '.join(failed)} not certified to "
+        f"{target} digits after {MAX_ESCALATIONS} reruns (last working "
+        f"precision {p} bits)", last_two=last_two)
 
 
 # ---------------------------------------------------------------------------
 # the largest Stirling term
 
-def _mode_mean(n: int, x: mpf, lx: float) -> float:
-    """The mean of k under the weights S(n,k) x^k, in floats.
+def _mode_mean(n: int, x: mpf, lx: float) -> tuple[float, float]:
+    """The mean of k under the weights S(n,k) x^k, and ln T_n(x), in floats.
 
-    It is T_{n+1}(x)/T_n(x) - x, and by Dobinski's formula
+    The mean is T_{n+1}(x)/T_n(x) - x, and by Dobinski's formula
     T_n(x) = e^-x sum_j j^n x^j/j!, so it is the mean of j under
     w_j = j^n x^j/j!, less x. ln w_j is concave in j, and its peak, the
     first j with w_{j+1} < w_j, lies in [1, x + n]: a bisection finds it,
     and the sum runs outward from there until the weights fall below e^-40
     of the peak. From x = C(n,2) up the mode is n, since
-    S(n,n-1) x^(n-1) <= S(n,n) x^n there, and n is returned.
+    S(n,n-1) x^(n-1) <= S(n,n) x^n there, and n is returned with n ln x,
+    which ln T_n(x) exceeds by at most C(n,2)/x <= 1, as
+    S(n, n-d) <= C(n,2)^d/d!.
     """
     if x >= n * (n - 1) // 2:
-        return float(n)
+        return float(n), n * lx
     lo, hi = 1, int(x) + n
     while lo < hi:
         mid = (lo + hi) // 2
@@ -293,30 +315,30 @@ def _mode_mean(n: int, x: mpf, lx: float) -> float:
             hi = mid
         else:
             lo = mid + 1
-
-    def log_w(j: int) -> float:
-        return n * math.log(j) + j * lx - math.lgamma(j + 1)
-
-    top = log_w(lo)
+    # ln w_j = n ln j + j lx - ln j!, inline: this loop runs about 20 sqrt(x)
+    # times
+    log, lgamma = math.log, math.lgamma
+    top = n * log(lo) + lo * lx - lgamma(lo + 1)
     s0 = s1 = 0.0
     for j, step in ((lo, 1), (lo - 1, -1)):
-        while j >= 1 and (lw := log_w(j) - top) > -40:
+        while j >= 1 and (
+                lw := n * log(j) + j * lx - lgamma(j + 1) - top) > -40:
             w = math.exp(lw)
             s0 += w
             s1 += j * w
             j += step
-    return s1 / s0 - float(x)
+    return s1 / s0 - float(x), top + math.log(s0) - float(x)
 
 
-def _largest_term(n: int, x: mpf, lo: int, hi: int, sums: list[int]) -> mpf:
-    """max_k S(n,k) x^k over k = lo .. hi at the working precision, from
-    sums[i] = hi! S(n + i, hi). With D_k(m) = k! S(m, k), the recurrence
-    S(m+1, k) = k S(m, k) + S(m, k-1) gives D_{k-1}(m) = D_k(m+1)/k - D_k(m),
-    an exact division."""
+def _largest_term(n: int, x: mpf, window: dict[int, int], g2: int) -> mpf:
+    """max_k S(n,k) x^k at the working precision over the window's k, from
+    window[k] 2^g2 = k! S(n, k)."""
+    lo, hi = min(window), max(window)
     terms = {}
-    for k in range(hi, lo - 1, -1):
-        terms[k] = sums[0] * x ** k / math.factorial(k)
-        sums = [b // k - a for a, b in zip(sums, sums[1:])]
+    power = x ** lo
+    for k in range(lo, hi + 1):
+        terms[k] = mp.ldexp(window[k], g2) * power / math.factorial(k)
+        power *= x
     best = max(terms, key=terms.get)
     if best == lo > 1 or best == hi < n:
         raise InternalConsistencyError(
@@ -342,12 +364,12 @@ def scaled_touchard(n: int, z: BigReal, ctx: PrecisionContext) -> ExactValue:
     x = mp.fneg(zv, exact=True)
     with mp.workdps(20):
         lx = float(mp.log(x))
-    mean = _mode_mean(n, x, lx)
+    mean, log_tx = _mode_mean(n, x, lx)
     lo = min(n, max(1, math.floor(mean) - 1))
     hi = max(lo, min(n, math.ceil(mean) + 1))
-    s, g, sums = _certified_sum(n, x, lx, ctx, hi, hi - lo + 1)
+    s, g, window, g2 = _certified_sum(n, x, lx, log_tx, ctx, lo, hi)
     with mp.workdps(ctx.digits + 10):
-        biggest = _largest_term(n, x, lo, hi, sums)
+        biggest = _largest_term(n, x, window, g2)
         total = mp.ldexp(s, g)
         if s == 0:
             # every digit of the largest term down to the grid cancelled

@@ -9,6 +9,7 @@ import json
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -18,7 +19,7 @@ from mpmath import mp, mpf
 from touchard import (CapacityError, InternalConsistencyError,
                       PrecisionExhaustedError, build_triangle, mk_context,
                       scaled_touchard, wrap_real)
-from touchard import stirling
+from touchard import fixedpoint, stirling
 from touchard.cli import cmd_eval, cmd_table1, main
 from touchard.numkernel import BigReal, raw
 
@@ -101,6 +102,49 @@ class TestKeptRows:
         assert peak < 3 * row_bytes, f"peak {peak} B for a {row_bytes} B row"
 
 
+def trial_factors(j: int) -> list[int]:
+    """The prime factors of j >= 2 with multiplicity, by trial division."""
+    out, q = [], 2
+    while q * q <= j:
+        while j % q == 0:
+            out.append(q)
+            j //= q
+        q += 1
+    return out + [j] if j > 1 else out
+
+
+class TestCutPowers:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 30, 97, 1000])
+    def test_sieve_matches_trial_division(self, n):
+        spf = fixedpoint.smallest_prime_factors(n)
+        assert spf[:2] == [0, 1][:n + 1]
+        assert spf[2:] == [trial_factors(j)[0] for j in range(2, n + 1)]
+
+    @pytest.mark.parametrize("p", [8, 24, 64])
+    def test_small_n_within_the_stated_bound(self, p):
+        for n in range(2, 61):
+            self.check(n, p)
+
+    def test_n_999_within_the_stated_bound(self):
+        # 512 = 2^9 has the deepest product tree below 1000: 17 cuts
+        assert len(trial_factors(512)) == 9
+        self.check(999, 200)
+
+    @staticmethod
+    def check(n, p):
+        powers = list(fixedpoint.cut_powers(n, p))
+        assert len(powers) == n + 1
+        assert powers[:2] == [(0, 0), (1, 0)]
+        for j in range(2, n + 1):
+            m, e = powers[j]
+            exact = j ** n
+            omega = len(trial_factors(j))
+            assert m.bit_length() <= p, (n, j)
+            # j^n (1 - (4 Omega(j) - 2) 2^-p) < m 2^e <= j^n
+            assert 0 <= exact - (m << e), (n, j)
+            assert (exact - (m << e)) << p < (4 * omega - 2) * exact, (n, j)
+
+
 class TestCertifiedSum:
     def test_table_points_match_integer_horner(self):
         ctx = mk_context(DIGITS)
@@ -136,6 +180,19 @@ class TestCertifiedSum:
         assert_close(raw(got.value), want, mpf(10) ** -39)
         assert got.cancellation_digits == cancel
 
+    @pytest.mark.parametrize("man,exp", [(1, 0), (5, -1), (7, 3)])
+    @pytest.mark.parametrize("p", [30, 60])
+    def test_grid_sum_within_its_bound(self, man, exp, p):
+        # at a p that cuts t_j, E_m, j^n and u_j, the alternating sum lies
+        # within the counted bound of T_n(-x) 2^-g, x = man 2^exp, for odd
+        # and even n: half the terms take t_j going down from the middle
+        x = Fraction(man) * Fraction(2) ** exp
+        g = -12
+        for n in (1, 2, 3, 4, 10, 31, 64, 121):
+            exact = sum(c * (-x) ** k for k, c in enumerate(stirling2_row(n)))
+            s, a, _, _ = fixedpoint.grid_sum(n, man, exp, p, g, 1, 1, 0)
+            assert abs(s - exact * 2 ** -g) <= fixedpoint.bound(n, p, n, a), n
+
     def test_old_exhaustion_input_now_certifies(self, monkeypatch):
         # the n = 121 table point at 30 digits exhausted the double-and-
         # compare gate with one escalation; one measured rerun certifies it
@@ -168,13 +225,104 @@ class TestLargestTerm:
     def test_mean_off_the_window_is_an_internal_error(self, monkeypatch):
         # a mean 3 too high leaves the mode below the window: no walk
         mode_mean = stirling._mode_mean
-        monkeypatch.setattr(stirling, "_mode_mean",
-                            lambda n, x, lx: mode_mean(n, x, lx) + 3)
+
+        def mean_too_high(n, x, lx):
+            mean, log_tx = mode_mean(n, x, lx)
+            return mean + 3, log_tx
+
+        monkeypatch.setattr(stirling, "_mode_mean", mean_too_high)
         ctx = mk_context(40)
         with pytest.raises(InternalConsistencyError) as exc:
             scaled_touchard(99, negated(x_at(100, 1, ctx)), ctx)
         assert exc.value.exit_code == 4
         assert "n = 99" in str(exc.value)
+
+
+class TestExplicitSumCancels:
+    # From x = C(n,2) up the window's top is n, and the explicit formula
+    # n! = sum_k (-1)^(n-k) C(n,k) k^n cancels about 0.43 n digits, as much
+    # as the value's own sum, though one Stirling term dominates |T_n(-x)|.
+    # Far below n the window is a few small k, and the descent to D_1(n) = 1
+    # or D_3(n) from D_top loses about 0.3 n digits where the value loses
+    # none, so the largest term sets the pass's precision. The n = 999
+    # strings are those of the exact-power layer.
+    N999 = {
+        -400: "-6.755387404507406443725911521746086720711e-2962@40",
+        -100: "1.049062880341199709589425527276538749537e-2351@40",
+        100: "-1.801122282931464491875560455384968441174e+100766@40",
+        400: "-1.801122282931464491875560455384968441191e+400466@40",
+    }
+
+    @staticmethod
+    def z_at(n, k, ctx):
+        with mp.workdps(ctx.digits + 10):
+            return wrap_real(-(n + 1) * mp.e * mpf(10) ** k, ctx)
+
+    @staticmethod
+    def passes(monkeypatch):
+        """The (p, top) of each grid_sum pass, as they are made."""
+        made, grid_sum = [], fixedpoint.grid_sum
+
+        def counted(n, man, exp, p, g, top, width, g2):
+            made.append((p, top))
+            return grid_sum(n, man, exp, p, g, top, width, g2)
+
+        monkeypatch.setattr(fixedpoint, "grid_sum", counted)
+        return made
+
+    @pytest.mark.parametrize("k", [-400, -100, 100, 400])
+    def test_n_300_prints_the_oracle(self, k, monkeypatch):
+        ctx = mk_context(DIGITS)
+        z = self.z_at(300, k, ctx)
+        made = self.passes(monkeypatch)
+        got = scaled_touchard(300, z, ctx)
+        want, cancel = integer_scaled_touchard(300, raw(z))
+        assert got.value.to_str() == wrap_real(want, ctx).to_str()
+        assert got.cancellation_digits == cancel == 1
+        # one pass, at the top n wherever x >= C(n,2)
+        assert len(made) == 1
+        assert (made[0][1] == 300) == (k > 0)
+
+    @pytest.mark.parametrize("k", sorted(N999))
+    def test_n_999_prints_the_exact_power_layer(self, k, monkeypatch):
+        ctx = mk_context(40)
+        made = self.passes(monkeypatch)
+        got = scaled_touchard(999, self.z_at(999, k, ctx), ctx)
+        assert got.value.to_str() == self.N999[k]
+        assert got.cancellation_digits == 1
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("k", [-400, -100])
+    def test_a_prediction_far_too_low_reruns_and_certifies(self, k,
+                                                            monkeypatch):
+        # with the explicit sum predicted 1000 digits smaller, the first pass
+        # takes the value's p, some 300 digits short for the largest term
+        ctx = mk_context(40)
+        z = self.z_at(999, k, ctx)
+        explicit = stirling._log10_explicit_sum
+        monkeypatch.setattr(stirling, "_log10_explicit_sum",
+                            lambda n, top: explicit(n, top) - 1000)
+        made = self.passes(monkeypatch)
+        got = scaled_touchard(999, z, ctx)
+        assert got.value.to_str() == self.N999[k]
+        assert got.cancellation_digits == 1
+        assert 1 < len(made) <= stirling.MAX_ESCALATIONS + 1
+        assert made[0][0] < made[-1][0]
+
+    def test_a_largest_term_not_certified_names_it(self, monkeypatch):
+        ctx = mk_context(40)
+        z = self.z_at(999, -100, ctx)
+        explicit = stirling._log10_explicit_sum
+        monkeypatch.setattr(stirling, "_log10_explicit_sum",
+                            lambda n, top: explicit(n, top) - 1000)
+        monkeypatch.setattr(stirling, "MAX_ESCALATIONS", 0)
+        with pytest.raises(PrecisionExhaustedError) as exc:
+            scaled_touchard(999, z, ctx)
+        assert exc.value.exit_code == 3
+        assert "the largest-term sum not certified" in str(exc.value)
+        assert "value" not in str(exc.value)
+        assert exc.value.last_two[0] is None
+        assert exc.value.last_two[1] > 0
 
 
 class TestMisprediction:
@@ -203,6 +351,16 @@ class TestMisprediction:
         with pytest.raises(PrecisionExhaustedError) as exc:
             scaled_touchard(self.N, z, ctx)
         assert exc.value.exit_code == 3
+
+    def test_a_value_not_certified_names_it(self, near_zero, monkeypatch):
+        ctx, z = near_zero
+        monkeypatch.setattr(stirling, "MAX_ESCALATIONS", 0)
+        with pytest.raises(PrecisionExhaustedError) as exc:
+            scaled_touchard(self.N, z, ctx)
+        assert "the value sum not certified" in str(exc.value)
+        assert "largest" not in str(exc.value)
+        assert exc.value.last_two[0] is None
+        assert exc.value.last_two[1] is not None
 
     def test_default_reruns_certify(self, near_zero):
         ctx, z = near_zero

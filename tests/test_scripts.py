@@ -7,7 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from touchard import mk_context, real_from, wrap_real
 from touchard.cli import cmd_contours, cmd_table1, cmd_table2, load_error_rows
+from touchard.numkernel import raw
+
+from stirling_oracle import integer_scaled_touchard
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -73,3 +77,26 @@ def test_error_decay_prints_both_studies(capsys):
     out = capsys.readouterr().out
     assert "# poincare, mu = 0.2" in out
     assert "# coalescence series truncation, n = 50" in out
+
+
+def test_exact_sweep_subset_prints_the_oracle(tmp_path):
+    # 20 of the 600 points, the first ten with n <= 150 and the first ten
+    # above; the oracle's integer row checks the ten small ones
+    script = load_script("exact_sweep")
+    pts = script.points(1)
+    assert len(pts) == script.POINTS
+    small = [pt for pt in pts if pt[0] <= 150][:10]
+    subset = small + [pt for pt in pts if pt[0] > 150][:10]
+    script.sweep(subset, tmp_path / "sweep.txt")
+    lines = (tmp_path / "sweep.txt").read_text().splitlines()
+    assert len(lines) == 20
+    for (n, x, digits), text in zip(subset, lines):
+        head, value, cancel = text.rsplit(" ", 2)
+        assert head == f"n={n} x={x} digits={digits}:"
+        assert value.endswith(f"@{digits}")
+        if n <= 150:
+            ctx = mk_context(digits)
+            z = real_from("-" + x, ctx)
+            want, count = integer_scaled_touchard(n, raw(z))
+            assert value == wrap_real(want, ctx).to_str(), text
+            assert int(cancel) == count, text
