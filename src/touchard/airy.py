@@ -1,29 +1,71 @@
-"""Airy Ai and Ai' on the real line at arbitrary precision.
+"""Airy Ai and Ai' on the real line at arbitrary precision, by two routes.
 
-Both come from mpmath.airyai, evaluated 10 digits above the context's
-precision and rounded to it. mpmath writes them as hypergeometric functions
-(a 0F1 pair for z <= 4, the 2F0 expansion of DLMF 9.7 above) and its
-hypercomb raises the working precision until the cancellation between the
-terms is covered. The tests check the result against a Maclaurin-series
-oracle for |z| <= 40, and against the Wronskian with Bi from -1e6 to 1e6 at
-40, 120 and 300 digits. AiryValue.method names the route; there is one.
+For |z| <= Z(d) = ((3/4)(d + 10) ln 10)^(2/3), d the context's digits, both
+come from one pass over the Maclaurin series (DLMF 9.4.1-9.4.2),
+
+    Ai = c1 f - c2 g,   Ai' = c1 f' - c2 g',   c1 = Ai(0),  c2 = -Ai'(0),
+    f = 1 + w Sf,  f' = z^2 Sf',  g = z Sg,  g' = Sg',  w = z^3,
+    Sf = sum_{k>=1} F_k,  Sf' = sum_{k>=1} 3k F_k,
+    Sg = sum_{k>=0} G_k,  Sg' = sum_{k>=0} (3k+1) G_k,
+    F_1 = 1/6,  F_k = F_(k-1) w/((3k-1) 3k),
+    G_0 = 1,    G_k = G_(k-1) w/(3k (3k+1)),
+
+so that no term is divided by z. Above Z(d) they come from mpmath.airyai at
+d + 10 digits, which hypercomb sums as the 2F0 expansion of DLMF 9.7.5 there.
+Z(d) is derived, not tuned: the smallest term of 9.7.5 is about
+e^(-(4/3) z^(3/2)), which is above 10^-(d+10) below Z(d), so there mpmath
+falls back on a cancelling 0F1 pair that it retries at rising precision.
+AiryValue.method names each call's route.
+
+The pass runs in Python ints on a grid of 2^-p: z = man 2^exp is taken
+exactly, |z|^3 is cut to p bits, and each F_k and G_k is |F_k| or |G_k|
+floored, one floor a step, the sign (-1)^k (of G_k) or (-1)^(k-1) (of F_k)
+applied when it is summed. A cut or a floor only lowers a positive
+quantity. The exact terms rise to their largest and fall after it, so the
+floors of the steps before k amount to under k + 1 units together with
+under 6 (k + 1) 2^-p of the term, and the cut |z|^3 to under 2k 2^-p of
+it: term k is low by at most (8k + 6) 2^-p of itself plus k + 1 units.
+The pass stops at the first k where both new terms are 0 and the ratios of
+all later terms are at most 1/4, so the rest of each series, the weighted
+ones included, is at most twice its first dropped term. A sum of terms up to
+K with absolute sum A and weights up to W = 3K + 1 then misses its exact
+value by at most W ((16K + 13)(A + K^2) 2^-p + (K + 3)^2 + 2) units:
+_bound(), which also takes in the roundings of the combination at p + 4
+bits, with c1 and c2 from Gamma(1/3)^3 = 2^(4/3) pi^2 / (3^(1/4)
+agm(1, cos 15 deg)) (the singular value K(sin 15 deg) of the complete
+elliptic integral).
+
+p carries d + 10 digits, _SLACK digits more, and the digits the sums
+cancel, predicted as (4/3) z^(3/2)/ln 10 for z > 0 (the largest term over
+Ai) and (2/3) |z|^(3/2)/ln 10 for z < 0, where Ai and Ai' oscillate. A pass
+is accepted when its bound is at most 10^-(d+10) of |Ai| and of |Ai'|;
+near a zero of either it is not, and it reruns with p raised by the digits
+it fell short, at most MAX_RERUNS times, then raises
+PrecisionExhaustedError.
 """
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp
 
-from .errors import DomainError
+from .errors import DomainError, PrecisionExhaustedError
+from .fixedpoint import _shift, _top
 from .numkernel import BigReal, PrecisionContext, raw, wrap_real
 
 ABS_Z_LIMIT = 10 ** 6
+# Reruns the Maclaurin pass may make before PrecisionExhaustedError.
+MAX_RERUNS = 3
+_SLACK = 10  # digits p carries past d + 10 and the predicted loss
 
 
 class AiryMethod(enum.Enum):
     MPMATH = "mpmath"
+    MACLAURIN = "maclaurin"
 
 
 @dataclass(frozen=True)
@@ -33,14 +75,108 @@ class AiryValue:
     method: AiryMethod
 
 
+def maclaurin_limit(digits: int) -> float:
+    """Z(d), the largest |z| the Maclaurin pass takes at d digits."""
+    return (0.75 * (digits + 10) * math.log(10)) ** (2 / 3)
+
+
+def _loss_digits(z: float) -> float:
+    """Digits the Maclaurin sums are predicted to cancel at z."""
+    return (4 / 3 if z > 0 else 2 / 3) * abs(z) ** 1.5 / math.log(10)
+
+
+_AI0 = []  # [bits, c1, c2] at the most bits asked for so far
+
+
+def _ai0(bits: int):
+    """(Ai(0), -Ai'(0)) to at least `bits` bits, computed on first use."""
+    if not _AI0 or _AI0[0] < bits:
+        with mp.workprec(bits + 10):
+            g3 = 2 * mp.cbrt(2) * mp.pi ** 2 / (
+                mp.root(3, 4) * mp.agm(1, (mp.sqrt(6) + mp.sqrt(2)) / 4))
+            c2 = 1 / mp.cbrt(3 * g3)
+            _AI0[:] = bits, mp.sqrt(3) / (6 * mp.pi * c2), c2
+    return _AI0[1], _AI0[2]
+
+
+def _bound(k: int, a: int, p: int) -> int:
+    """Units of 2^-p by which an unweighted sum of terms up to k, with
+    absolute sum a, can miss its exact value (module docstring)."""
+    return ((16 * k + 13) * (a + k * k) >> p) + (k + 3) ** 2 + 2
+
+
+def _sums(man: int, exp: int, neg: bool, absz: float, p: int):
+    """(Sf, Sf', Sg, Sg', K, A_F, A_G) on the grid 2^-p for z = +-man 2^exp."""
+    m3, cut = _top(man ** 3, p)
+    e3 = 3 * exp + cut
+    u4 = 4 * absz ** 3 * (1 + 1e-9)  # above 4 |z|^3
+    f, g = (1 << p) // 6, 1 << p  # F_1 and G_0
+    sf, sfp, sg, sgp = f, 3 * f, g, g
+    af, ag = f, g
+    for k in itertools.count(1):
+        # G_k and F_(k+1), both of sign (-1)^k
+        g = _shift(g * m3, e3) // (3 * k * (3 * k + 1))
+        f = _shift(f * m3, e3) // ((3 * k + 2) * (3 * k + 3))
+        if not (f or g) and u4 <= (3 * k + 3) * (3 * k + 4):
+            return sf, sfp, sg, sgp, k + 1, af, ag
+        af += f
+        ag += g
+        sgn = -1 if neg and k & 1 else 1
+        sf += sgn * f
+        sfp += sgn * (3 * k + 3) * f
+        sg += sgn * g
+        sgp += sgn * (3 * k + 1) * g
+
+
+def _by_maclaurin(zv, absz: float, digits: int):
+    """(Ai, Ai') at the mpf zv, |zv| <= Z(digits), each to digits + 10
+    digits, by the certified pass."""
+    target = digits + 10
+    sign, man, exp, _ = zv._mpf_
+    digits_p = target + _SLACK + _loss_digits(float(zv))
+    last = [None]
+    for _ in range(MAX_RERUNS + 1):
+        p = math.ceil(digits_p * math.log2(10))
+        sf, sfp, sg, sgp, k, af, ag = _sums(man, exp, sign == 1, absz, p)
+        with mp.workprec(p + 4):
+            c1, c2 = _ai0(p + 4)
+            z2 = zv * zv
+            az = abs(zv)
+            ef, eg = (mp.ldexp(_bound(k, a, p), -p) for a in (af, ag))
+            ai = (c1 * (1 + zv * z2 * mp.ldexp(sf, -p))
+                  - c2 * zv * mp.ldexp(sg, -p))
+            aip = c1 * z2 * mp.ldexp(sfp, -p) - c2 * mp.ldexp(sgp, -p)
+            err = c1 * (az * z2 * ef + mp.ldexp(1, -p)) + c2 * az * eg
+            errp = (3 * k + 1) * (c1 * z2 * ef + c2 * eg)
+            # digits short of the target; a value inside its own bound is
+            # short by the whole target
+            short = max(target + mp.log10(e / max(abs(v), e))
+                        for v, e in ((ai, err), (aip, errp)))
+        if short <= 0:
+            return ai, aip
+        last.append(ai)
+        digits_p += float(short) + 1
+    raise PrecisionExhaustedError(
+        f"airy(z={mp.nstr(zv, 8)}): the Maclaurin pass not certified to "
+        f"{target} digits after {MAX_RERUNS} reruns (last working precision "
+        f"{p} bits)", last_two=tuple(last[-2:]))
+
+
 def airy(z: BigReal, ctx: PrecisionContext) -> AiryValue:
-    """Ai(z) and Ai'(z) for real z, |z| <= 1e6."""
+    """Ai(z) and Ai'(z) for real finite z, |z| <= 1e6."""
     zv = raw(z)
+    if not mp.isfinite(zv):
+        raise DomainError(f"Airy functions need a finite z, got {zv}")
     absz = abs(float(zv))
     if absz > ABS_Z_LIMIT:
         raise DomainError(f"|z| = {absz} exceeds the supported range {ABS_Z_LIMIT}")
-    with mp.workdps(ctx.digits + 10):
-        ai = mpmath.airyai(zv)
-        aip = mpmath.airyai(zv, 1)
+    if absz <= maclaurin_limit(ctx.digits):
+        ai, aip = _by_maclaurin(zv, absz, ctx.digits)
+        method = AiryMethod.MACLAURIN
+    else:
+        with mp.workdps(ctx.digits + 10):
+            ai = mpmath.airyai(zv)
+            aip = mpmath.airyai(zv, 1)
+        method = AiryMethod.MPMATH
     return AiryValue(ai=wrap_real(ai, ctx), ai_prime=wrap_real(aip, ctx),
-                     method=AiryMethod.MPMATH)
+                     method=method)

@@ -106,6 +106,17 @@ def load_error_rows(text: str) -> list[ErrorRow]:
 # ---------------------------------------------------------------------------
 # table commands
 
+def _finite_xi(xi, ctx: PrecisionContext) -> BigReal:
+    """xi at ctx, refused unless a finite number before any layer sees it."""
+    try:
+        xi_br = real_from(xi, ctx)
+    except ValueError:
+        raise DomainError(f"xi must be a number, got {xi!r}")
+    if not mp.isfinite(xi_br.value):
+        raise DomainError(f"xi must be finite, got {xi}")
+    return xi_br
+
+
 def _exact_scaled(n: int, xi, ctx) -> tuple[BigReal, ExactValue]:
     """(x, T^_{n-1}(-x)) at x = n e xi."""
     with mp.workdps(ctx.digits + 10):
@@ -138,8 +149,7 @@ def cmd_table2(xi_list=None, n_list=None, digits: int | None = None) -> str:
         raise DomainError("table2 needs a non-empty --n list")
     ctx = mk_context(digits)
     rows = []
-    for xi in xi_list:
-        xi_br = real_from(xi, ctx)
+    for xi_br in [_finite_xi(xi, ctx) for xi in xi_list]:
         ing = uniform_ingredients(xi_br, ctx)
         for n in n_list:
             _, exact = _exact_scaled(n, xi_br, ctx)
@@ -168,7 +178,7 @@ def cmd_eval(n: int, xi, digits: int | None = None) -> dict:
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     ctx = mk_context(digits)
-    xi_br = real_from(xi, ctx)
+    xi_br = _finite_xi(xi, ctx)
     mu = mu_from_xi(xi_br, ctx)
     with mp.workdps(ctx.digits + 10):
         near_coalescence = abs(raw(xi_br) - 1) < THEOREM1_XI_WINDOW
@@ -249,7 +259,7 @@ def contours_to_json(cs: ContourSet) -> dict:
 
 def cmd_contours(xi, digits: int | None = None, step=None, max_len=None) -> dict:
     ctx = mk_context(digits)
-    return contours_to_json(contour_set(real_from(xi, ctx), ctx,
+    return contours_to_json(contour_set(_finite_xi(xi, ctx), ctx,
                                         step=step, max_len=max_len))
 
 

@@ -1,12 +1,19 @@
-"""Airy kernel: closed forms, the Maclaurin oracle, the ODE residual and the
-Wronskian across the whole supported range."""
+"""Airy kernel: closed forms, the Maclaurin oracle, the ODE residual, the
+Wronskian across the whole supported range, and the two routes: where they
+switch, that they agree there, and the reruns of the Maclaurin pass."""
+import math
+import sys
+import time
+
 import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from touchard import DomainError, airy, mk_context, real_from
+from touchard import (DomainError, PrecisionExhaustedError, airy, mk_context,
+                      real_from, wrap_real)
+from touchard.airy import maclaurin_limit
 from touchard.numkernel import raw
 
 from airy_oracle import airy_maclaurin
@@ -112,3 +119,130 @@ class TestInvariants:
                 bi, bip = mpmath.airybi(raw(zb)), mpmath.airybi(raw(zb), 1)
                 w = raw(val.ai) * bip - raw(val.ai_prime) * bi
                 assert abs(w - 1 / mp.pi) <= tol(digits, 8), f"z = {z}"
+
+
+AIRY = sys.modules["touchard.airy"]
+ROUTE_DIGITS = (30, 40, 120, 300)
+
+
+def mpmath_string(zb, ctx, derivative=0):
+    """mpmath.airyai at twice the context's digits, rounded to ctx."""
+    with mp.workdps(2 * ctx.digits):
+        return wrap_real(mpmath.airyai(raw(zb), derivative), ctx).to_str()
+
+
+def passes(monkeypatch):
+    """A list that records the working precision of each Maclaurin pass."""
+    made = []
+    sums = AIRY._sums
+
+    def counted(*args):
+        made.append(args[-1])
+        return sums(*args)
+
+    monkeypatch.setattr(AIRY, "_sums", counted)
+    return made
+
+
+class TestRoutes:
+    @pytest.mark.parametrize("digits", ROUTE_DIGITS)
+    def test_route_switches_at_the_limit(self, digits):
+        ctx = mk_context(digits)
+        limit = maclaurin_limit(digits)
+        for z, route in ((0, "maclaurin"), (limit / 2, "maclaurin"),
+                         (limit, "maclaurin"), (limit * (1 + 1e-3), "mpmath"),
+                         (4 * limit, "mpmath")):
+            for s in (-1, 1):
+                got = airy(real_from(s * z, ctx), ctx)
+                assert got.method.value == route, (s * z, digits)
+
+    def test_limit_values(self):
+        # the smallest term of DLMF 9.7.5 stays above 10^-(d+10) below Z(d)
+        assert [round(maclaurin_limit(d), 1) for d in (40, 120, 300)] == \
+            [19.5, 36.9, 65.9]
+        for d in ROUTE_DIGITS:
+            z = maclaurin_limit(d)
+            assert (4 / 3) * z ** 1.5 / math.log(10) == pytest.approx(d + 10)
+
+    @pytest.mark.parametrize("digits", ROUTE_DIGITS)
+    def test_both_routes_agree_at_the_limit(self, digits, monkeypatch):
+        ctx = mk_context(digits)
+        limit = maclaurin_limit(digits)
+        zs = [real_from(s * limit * f, ctx)
+              for s in (-1, 1) for f in (1 - 1e-3, 1, 1 + 1e-3)]
+        by = {}
+        for name, forced in (("maclaurin", math.inf), ("mpmath", -1.0)):
+            monkeypatch.setattr(AIRY, "maclaurin_limit", lambda d: forced)
+            by[name] = [airy(zb, ctx) for zb in zs]
+            assert {v.method.value for v in by[name]} == {name}
+        for zb, a, b in zip(zs, by["maclaurin"], by["mpmath"]):
+            for u, v in ((a.ai, b.ai), (a.ai_prime, b.ai_prime)):
+                with mp.workdps(digits + 10):
+                    assert abs(raw(u) - raw(v)) <= tol(digits, 1) * abs(raw(v)), \
+                        f"z = {zb.to_str()}"
+
+    @pytest.mark.parametrize("z", ["0", "1e-300", "-1e-300", "2^-1000"])
+    def test_tiny_z(self, z, ctx120):
+        zb = (real_from(mpf(2) ** -1000, ctx120) if z == "2^-1000"
+              else real_from(z, ctx120))
+        got = airy(zb, ctx120)
+        assert got.method.value == "maclaurin"
+        assert got.ai.to_str() == mpmath_string(zb, ctx120)
+        assert got.ai_prime.to_str() == mpmath_string(zb, ctx120, 1)
+        with mp.workdps(130):
+            aip0 = -(3 ** (mpf(-1) / 3)) / mpmath.gamma(mpf(1) / 3)
+        assert got.ai_prime.to_str() == wrap_real(aip0, ctx120).to_str()
+
+    @pytest.mark.parametrize("digits", [40, 120])
+    @pytest.mark.parametrize("derivative", [0, 1])
+    def test_zeros_certify_after_a_rerun(self, digits, derivative, monkeypatch):
+        # z, a zero rounded to d digits, leaves Ai or Ai' about 10^-d of its
+        # envelope, which the first pass cannot certify
+        ctx = mk_context(digits)
+        made = passes(monkeypatch)
+        for k in (1, 2, 3):
+            with mp.workdps(digits + 10):
+                zb = wrap_real(mpmath.airyaizero(k, derivative), ctx)
+            made.clear()
+            got = airy(zb, ctx)
+            assert len(made) == 2, (k, made)
+            assert got.ai.to_str() == mpmath_string(zb, ctx)
+            assert got.ai_prime.to_str() == mpmath_string(zb, ctx, 1)
+
+    def test_unpredicted_loss_still_certifies(self, ctx120, monkeypatch):
+        # with no loss predicted the reruns find it; the strings do not move
+        limit = maclaurin_limit(120)
+        zs = [real_from(limit * (2 * i / 39 - 1), ctx120) for i in range(40)]
+        want = [airy(zb, ctx120) for zb in zs]
+        monkeypatch.setattr(AIRY, "_loss_digits", lambda z: 0)
+        made = passes(monkeypatch)
+        got = [airy(zb, ctx120) for zb in zs]
+        assert len(made) > len(zs)
+        for a, b in zip(got, want):
+            assert (a.ai.to_str(), a.ai_prime.to_str()) == \
+                (b.ai.to_str(), b.ai_prime.to_str())
+
+    def test_no_reruns_left_raises(self, ctx40, monkeypatch):
+        monkeypatch.setattr(AIRY, "MAX_RERUNS", 0)
+        with mp.workdps(50):
+            zb = wrap_real(mpmath.airyaizero(1), ctx40)
+        with pytest.raises(PrecisionExhaustedError) as info:
+            airy(zb, ctx40)
+        assert info.value.exit_code == 3
+        assert info.value.last_two[0] is None
+        assert abs(info.value.last_two[1]) < mpf("1e-30")
+
+    @pytest.mark.parametrize("z", ["nan", "inf", "-inf"])
+    def test_non_finite_z_refused(self, z, ctx40):
+        with pytest.raises(DomainError):
+            airy(real_from(z, ctx40), ctx40)
+
+    def test_time_ceiling_at_300_digits(self):
+        # these z took 141-181 ms a call through mpmath.airyai
+        ctx = mk_context(300)
+        zs = [real_from(z, ctx) for z in ("25", "30", "41")]
+        airy(zs[0], ctx)
+        for zb in zs:
+            start = time.perf_counter()
+            airy(zb, ctx)
+            assert time.perf_counter() - start < 0.06, zb.to_str()

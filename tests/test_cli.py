@@ -231,6 +231,16 @@ class TestMain:
         assert time.monotonic() - start < 1
         assert "touchard: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("xi", ["nan", "inf", "-inf", "abc"])
+    @pytest.mark.parametrize("command", [["table2"], ["eval", "--n", "100"],
+                                         ["contours"]])
+    def test_xi_not_a_finite_number_exits_2(self, command, xi, capsys):
+        # refused before any layer runs, with the value in the message
+        start = time.monotonic()
+        assert main([*command, f"--xi={xi}"]) == 2
+        assert time.monotonic() - start < 1
+        assert "touchard: error: xi must be " in capsys.readouterr().err
+
     def test_row_beyond_size_limit_exits_2_at_once(self, capsys):
         # n - 1 = N_MAX_LIMIT + 1: refused before any sum is made
         start = time.monotonic()

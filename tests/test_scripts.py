@@ -5,9 +5,12 @@ import io
 import json
 from pathlib import Path
 
+import mpmath
 import pytest
+from mpmath import mp
 
 from touchard import mk_context, real_from, wrap_real
+from touchard.airy import maclaurin_limit
 from touchard.cli import cmd_contours, cmd_table1, cmd_table2, load_error_rows
 from touchard.numkernel import raw
 
@@ -100,3 +103,24 @@ def test_exact_sweep_subset_prints_the_oracle(tmp_path):
             want, count = integer_scaled_touchard(n, raw(z))
             assert value == wrap_real(want, ctx).to_str(), text
             assert int(cancel) == count, text
+
+
+def test_airy_sweep_subset_prints_mpmath(tmp_path):
+    # 20 of the 408 points, both edges of each digits among them
+    script = load_script("airy_sweep")
+    pts = script.points(1)
+    assert len(pts) == script.POINTS + 2 * len(script.DIGITS)
+    for d in script.DIGITS:
+        assert script.edge(d) == maclaurin_limit(d)
+    subset = pts[:12] + pts[-8:]
+    script.sweep(subset, tmp_path / "sweep.txt")
+    lines = (tmp_path / "sweep.txt").read_text().splitlines()
+    assert len(lines) == 20
+    for (z, digits), text in zip(subset, lines):
+        head, ai, aip = text.rsplit(" ", 2)
+        assert head == f"z={z} digits={digits}:"
+        ctx = mk_context(digits)
+        zv = raw(real_from(z, ctx))
+        with mp.workdps(digits + 20):
+            want = [wrap_real(mpmath.airyai(zv, k), ctx).to_str() for k in (0, 1)]
+        assert [ai, aip] == want, text
