@@ -1,36 +1,33 @@
 """Steepest-descent and steepest-ascent contours of the phase.
 
 Level curves of Im psi through the saddles, traced with the unit-speed flow
+dt/ds = -conj(psi'(t))/|psi'(t)| (descent; + for ascent), so that
+d(psi)/ds = -|psi'| is real and Im psi is a first integral. Each step is
+classical RK4 followed by a Newton projection back onto the level set,
+t <- t + i (c - Im psi(t)) / psi'(t). A step is retried at half the size
+when it makes no headway, when the projection cannot land it, or when
+Re psi moves against the flow. Steps ramp up geometrically from a 1e-8
+launch offset so the first recorded motion resolves the local steepest
+directions to well under 1e-6 radians.
 
-    dt/ds = -conj(psi'(t)) / |psi'(t)|   (descent; + for ascent)
+The loop runs in doubles, in u = t - s from the path's saddle s, on
+Im(psi(s+u) - psi(s)) = 0. As s e^s = -mu,
 
-so that d(psi)/ds = -|psi'| is real and Im psi is a first integral. Each
-step is classical RK4 followed by a one-dimensional Newton projection back
-onto the level set,
+    psi(s+u) - psi(s) = expm1(u)/s - log1p(u/s) = sum_{k>=2} a_k u^k,
+    a_k = 1/(k! s) + (-1/s)^k / k,   a_2 = (s+1)/(2 s^2),
 
-    t <- t + i conj(psi'(t)) (c - Im psi(t)) / |psi'(t)|^2.
-
-A step is retried at half the size when it makes no headway, when the
-projection cannot land it, or when Re psi moves against the flow. Steps
-ramp up geometrically from a 1e-8 launch offset so the first recorded
-motion resolves the local steepest directions to well under 1e-6 radians.
-
-One step loop serves two number types. It starts on mpc at LAUNCH_DIGITS
-= 50, whatever the context's digits, because at the double saddle |psi'| is
-about 1e-16 at the launch offset, which doubles would lose to cancellation;
-about 32 digits give the direction to double accuracy. Once |psi'| >= 1e-6
-the same loop goes on over Python complex. Every point a path emits is a
-double, so its points do not depend on the context's digits. A polyline's
-points are Python complex: point 0 is the saddle rounded to a double, and
-the rest are the doubles the loop stepped to. The projection tolerance
-max(1e-12, 16 eps |e^t/mu|), with eps the type's machine epsilon, is one
+the order-1 terms cancelling exactly. Near s (see _TERMS) the loop sums
+this series, with s + 1 from the saddle at the context's digits, so a_2 is
+0 at the double saddle (xi = 1), where -e^t/mu - log t in doubles would
+lose psi' (about 1e-16 at the launch offset) to cancellation; further out
+it takes that global formula minus psi(s). The level c = Im psi(s), s + 1,
+the launch direction and the other saddle come from mpmath at LEVEL_DIGITS
+= 50, so the points, s + u as stepped, do not depend on the context's
+digits. The projection holds Im psi to max(1e-12, 16 eps |e^t/mu|), which
 doubles can meet near Re t = 8.4. Im psi is re-computed on the exact value
-of every emitted point at 30 digits (|Im psi| < 1e4 in the frame leaves 17
-orders of margin), in real arithmetic:
-
-    Im psi(x + iy) = -e^x sin(y) / mu - arg(x + iy),   arg in [0, 2 pi);
-
-a drift over 1e-8 raises StepError.
+of every point at 30 digits (|Im psi| < 1e4 in the frame leaves 17 orders
+of margin) in real arithmetic, -e^x sin(y)/mu - arg(x + iy) with arg in
+[0, 2 pi); a drift that is not under 1e-8 raises StepError.
 
 Paths stop at the frame Re t in (-8.5, 8.4), |Im t| <= 7.5 (generous around
 the Im t = +/- pi asymptotes), at |t| < 0.05 near the logarithmic
@@ -38,15 +35,14 @@ singularity, on reaching another saddle, or at the arclength cap. A saddle
 outside that frame would give paths of two points, so contour_set refuses
 it: the inner saddle |t0| ~ 1/(e xi) enters the origin disc above
 xi = 7.735, and the conjugate pair passes Re t = 8.4 below xi = 9.34e-6.
-There are at most two saddles, at known places, so a step whose chord
-passes within h of the other one and takes Re psi past that saddle's value
-is halved rather than taken: a coarse step would otherwise jump the saddle
-the path should stop at and run on along the saddle's own descent or
-ascent path.
+A step whose chord passes within h of the other saddle and takes Re psi
+past that saddle's value is halved rather than taken, so a coarse step
+cannot jump the saddle a path should stop at and run on along its paths.
 """
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -65,17 +61,20 @@ RE_MIN = -8.5
 IM_MAX = 7.5
 R_MIN = 0.05
 LAUNCH_OFFSET = 1e-8
-LAUNCH_DIGITS = 50
+LEVEL_DIGITS = 50
 RAMP = 1.3
 DRIFT_BUDGET = mpf("1e-8")
 _PROJ_TOL = 1e-12
-# |psi'| under this is a saddle's neighbourhood: there a path stops, and
-# a launch stays in mpmath until it has left it
-_SADDLE_FIELD_TOL = 1e-6
+# The series serves on |u| <= min(|s|, 1)/16. At the double saddle, where
+# |psi'(-1+u)| = |sum_{j>=2} (1 - 1/j!) u^j| >= |u|^2 (1/2 - 1/15), the terms
+# past a_16 add up to under 2^-54 |psi'| inside, and the global formula's
+# rounding, about 2 eps, stays under 2^-41 |psi'| outside. At any saddle those
+# terms add up to under 2^-63/|s|, below that rounding of about 2 eps/|s|.
+_TERMS = 16
+_SADDLE_FIELD_TOL = 1e-6  # |psi'| under this, far enough along, stops a path
 # Largest max_len/step a contour set may ask for: time and memory grow like
-# 1/step. At the default max_len = 40 this is step = 0.000625, where
-# `touchard contours --xi 0.8` takes 6.5-6.8 s and 86 MiB (README, "Size
-# limit").
+# 1/step. At the default max_len = 40 this is step = 0.000625, where `touchard
+# contours --xi 0.8` takes 6.2-8.8 s and 86 MiB (README, "Size limit").
 MAX_LEN_OVER_STEP = 64000
 
 
@@ -97,53 +96,67 @@ class ContourSet:
     polylines: tuple[ContourPolyline, ...]
 
 
-def _log_branched_double(z: complex) -> complex:
-    """log_branched_raw over Python complex."""
-    w = cmath.log(z)
-    return w + 2j * cmath.pi if w.imag < 0 else w
-
-
-@dataclass(frozen=True)
 class _Flow:
-    """The flow on Im psi = c over mpc or complex, which share + * / abs
-    .real .imag .conjugate(); exp, log and machine epsilon are the type's."""
+    """The flow on Im(psi(s+u) - psi(s)) = 0 in doubles, in u = t - s."""
 
-    c: object
-    inv_mu: object
-    sign: int  # -1 descent, +1 ascent
-    exp: object
-    log: object
-    eps: object
+    def __init__(self, s, psi_s, inv_mu, sign):
+        """About the saddle s, from mpmath values of s, psi(s) and 1/mu."""
+        self.s, self.psi_s = complex(s), complex(psi_s)
+        self.inv_mu, self.sign = float(inv_mu), sign  # sign -1 for descent
+        self.edge = min(abs(self.s), 1) / 16  # the series' reach in |u|
+        inv = complex(1 / s)
+        a = [complex(s + 1) * inv * inv / 2] + [
+            inv / math.factorial(k) + (-inv) ** k / k
+            for k in range(3, _TERMS + 1)]
+        self.a = a[::-1]  # a_K .. a_2 for Horner, K = _TERMS
+        self.b = [k * ak for k, ak in zip(range(_TERMS, 1, -1), self.a)]
 
-    def psi(self, t):
-        return -self.exp(t) * self.inv_mu - self.log(t)
+    def phase(self, u):
+        """(psi(s+u) - psi(s), psi'(s+u), the tolerance on Im of the first)."""
+        if abs(u) <= self.edge:
+            p = d = 0
+            for a, b in zip(self.a, self.b):
+                p, d = p * u + a, d * u + b
+            return p * u * u, d * u, _PROJ_TOL
+        t = self.s + u
+        et, log = cmath.exp(t) * self.inv_mu, cmath.log(t)
+        if log.imag < 0:  # the branch of log_branched_raw
+            log += 2j * cmath.pi
+        return (-et - log - self.psi_s, -et - 1 / t,
+                max(_PROJ_TOL, 16 * 2.0 ** -52 * abs(et)))
 
-    def dpsi(self, t):
-        return -self.exp(t) * self.inv_mu - 1 / t
+    def dpsi(self, u):
+        if abs(u) <= self.edge:
+            d = 0
+            for b in self.b:
+                d = d * u + b
+            return d * u
+        t = self.s + u
+        return -cmath.exp(t) * self.inv_mu - 1 / t
 
     def direction(self, d):
-        a = abs(d)
-        if a == 0:
+        if d == 0:
             raise StepError("flow evaluated exactly at a stationary point")
-        return self.sign * d.conjugate() / a
+        return self.sign * d.conjugate() / abs(d)
 
-    def project(self, t, h):
-        """Newton steps onto Im psi = c: (t, psi(t)), or None to shrink h."""
+    def project(self, u, h):
+        """Newton steps onto the level: (u, psi(s+u) - psi(s)), or None."""
         for _ in range(8):
-            et = self.exp(t) * self.inv_mu
-            p = -et - self.log(t)
-            miss = self.c - p.imag
-            if abs(miss) <= max(_PROJ_TOL, 16 * self.eps * abs(et)):
-                return t, p
-            d = -et - 1 / t
-            ad2 = abs(d) ** 2
-            if ad2 == 0:
+            p, d, tol = self.phase(u)
+            if abs(p.imag) <= tol:
+                return u, p
+            if d == 0:
                 return None
-            delta = 1j * d.conjugate() * miss / ad2
+            delta = -1j * p.imag / d
             if abs(delta) > h / 2:
                 return None
-            t = t + delta
+            u = u + delta
         return None
+
+
+def _psi(t, inv_mu):
+    """psi(t) = -e^t/mu - log t in mpmath, at the ambient precision."""
+    return -mp.exp(t) * inv_mu - log_branched_raw(t)
 
 
 def _im_psi(t: complex, inv_mu, prec):
@@ -170,111 +183,94 @@ def _trace(saddle_t, theta, kind, inv_mu, other, ctx: PrecisionContext,
     sign = -1 if kind == "descent" else 1
     max_iters = int(max_len / step) * 8 + 600
     step, max_len = float(step), float(max_len)
-    with mp.workdps(LAUNCH_DIGITS):
-        c = mp.im(-mp.exp(saddle_t) * inv_mu - log_branched_raw(saddle_t))
-        precise = flow = _Flow(c, inv_mu, sign, mp.exp, log_branched_raw,
-                               mp.eps)
-        t = saddle_t + LAUNCH_OFFSET * mp.expjpi(theta / mp.pi)
-        t, p = flow.project(t, LAUNCH_OFFSET) or (t, flow.psi(t))
-        pts, re_psi = [complex(saddle_t), complex(t)], p.real
+    with mp.workdps(LEVEL_DIGITS):
+        psi_s = _psi(saddle_t, inv_mu)
+        flow, c = _Flow(saddle_t, psi_s, inv_mu, sign), psi_s.imag
+        u = complex(LAUNCH_OFFSET * mp.expjpi(theta / mp.pi))
         if other is not None:
-            re_other = float(flow.psi(other).real)
-        h = arclen = LAUNCH_OFFSET
-        for _ in range(max_iters):
-            d0 = flow.dpsi(t)
-            if flow is precise and abs(d0) >= _SADDLE_FIELD_TOL:
-                flow = _Flow(float(c), float(inv_mu), sign, cmath.exp,
-                             _log_branched_double, 2.0 ** -52)
-                t, d0, re_psi = complex(t), complex(d0), float(re_psi)
-            stop = ("max_len" if arclen >= max_len
-                    else "re_max" if t.real > RE_MAX
-                    else "re_min" if t.real < RE_MIN
-                    else "im_max" if abs(t.imag) > IM_MAX
-                    else "origin" if abs(t) < R_MIN
-                    else "saddle" if arclen > 0.3 and abs(d0) < _SADDLE_FIELD_TOL
-                    else None)
-            if stop:
+            re_other = float(mp.re(_psi(other, inv_mu) - psi_s))
+            other = complex(other - saddle_t)
+    u, p = flow.project(u, LAUNCH_OFFSET) or (u, flow.phase(u)[0])
+    s = flow.s
+    pts, re_psi = [s, s + u], p.real
+    h = arclen = LAUNCH_OFFSET
+    for _ in range(max_iters):
+        d0, t = flow.dpsi(u), s + u
+        stop = ("max_len" if arclen >= max_len
+                else "re_max" if t.real > RE_MAX
+                else "re_min" if t.real < RE_MIN
+                else "im_max" if abs(t.imag) > IM_MAX
+                else "origin" if abs(t) < R_MIN
+                else "saddle" if arclen > 0.3 and abs(d0) < _SADDLE_FIELD_TOL
+                else None)
+        if stop:
+            break
+        k1 = flow.direction(d0)
+        k2 = flow.direction(flow.dpsi(u + h / 2 * k1))
+        k3 = flow.direction(flow.dpsi(u + h / 2 * k2))
+        k4 = flow.direction(flow.dpsi(u + h * k3))
+        u_new = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        headway = abs(u_new - u) >= h / 2
+        proj = flow.project(u_new, h)
+        if proj is None and headway:
+            h = h / 2
+            if h < step * 2.0 ** -24:
+                raise StepError(
+                    "step too large to hold the Im psi drift; retry "
+                    "with a smaller --step")
+            continue
+        if (not headway or sign * (proj[1].real - re_psi) < 0
+                or (other is not None
+                    and sign * (proj[1].real - re_other) > 0
+                    and _passes(u, proj[0], other, h))):
+            # overshot, closing on a saddle where the field reverses, or
+            # jumped the other saddle onto a path that leaves it
+            h = h / 2
+            if h < 1e-9:
+                stop = "saddle"
                 break
-            k1 = flow.direction(d0)
-            k2 = flow.direction(flow.dpsi(t + h / 2 * k1))
-            k3 = flow.direction(flow.dpsi(t + h / 2 * k2))
-            k4 = flow.direction(flow.dpsi(t + h * k3))
-            t_new = t + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            headway = abs(t_new - t) >= h / 2
-            proj = flow.project(t_new, h)
-            if proj is None and headway:
-                h = h / 2
-                if h < step * 2.0 ** -24:
-                    raise StepError(
-                        "step too large to hold the Im psi drift; retry "
-                        "with a smaller --step")
-                continue
-            if (not headway or sign * (proj[1].real - re_psi) < 0
-                    or (other is not None
-                        and sign * (proj[1].real - re_other) > 0
-                        and _passes(t, proj[0], other, h))):
-                # overshot, closing on a saddle where the field reverses, or
-                # jumped the other saddle onto a path that leaves it
-                h = h / 2
-                if h < 1e-9:
-                    stop = "saddle"
-                    break
-                continue
-            t, re_psi = proj[0], proj[1].real
-            pts.append(complex(t))
-            arclen += h
-            h = min(h * RAMP, step)
-        else:
-            stop = "iteration_cap"
+            continue
+        u, re_psi = proj[0], proj[1].real
+        pts.append(s + u)
+        arclen += h
+        h = min(h * RAMP, step)
+    else:
+        stop = "iteration_cap"
 
     prec = dps_to_prec(MIN_DIGITS)
-    # c keeps its LAUNCH_DIGITS value, so a drift still shows the 30-digit
+    # c keeps its LEVEL_DIGITS value, so a drift still shows the 30-digit
     # rounding of arg t = pi on a real axis path
     with mp.workdps(MIN_DIGITS):
         inv_mu = (+inv_mu)._mpf_
         drift = max(abs(mp.make_mpf(_im_psi(p, inv_mu, prec)) - c)
                     for p in pts)
-    if drift >= DRIFT_BUDGET:
+    if not drift < DRIFT_BUDGET:
         raise StepError(
             f"Im psi drift {mp.nstr(drift, 3)} exceeds the 1e-8 budget; "
             "retry with a smaller --step")
     return ContourPolyline(
-        saddle=wrap_complex(saddle_t, ctx), kind=kind,
-        points=tuple(pts),
-        im_psi_drift=wrap_real(drift, ctx),
-        launch_theta=float(theta), stop_reason=stop)
+        saddle=wrap_complex(saddle_t, ctx), kind=kind, points=tuple(pts),
+        im_psi_drift=wrap_real(drift, ctx), launch_theta=float(theta),
+        stop_reason=stop)
 
 
-def _norm_theta(th):
-    # map into (-pi, pi] for stable reporting
-    while th > mp.pi:
-        th -= 2 * mp.pi
-    while th <= -mp.pi:
-        th += 2 * mp.pi
-    return th
-
-
-def launch_plan(saddles: SaddlePair, ctx: PrecisionContext):
+def launch_plan(saddles: SaddlePair):
     """(saddle value, kind, theta) launches for the current regime."""
-    # theta at no fewer digits than the launch, so that a theta of pi on a
-    # real axis path turns into an exact -1 there at every ctx.digits
-    with mp.workdps(max(ctx.digits + 10, LAUNCH_DIGITS)):
-        plan = []
+    # theta at the launch's own digits, so that a theta of pi on a real axis
+    # path turns into an exact -1 there
+    with mp.workdps(LEVEL_DIGITS):
         if saddles.kind is SaddleKind.DOUBLE:
-            s = raw(saddles.t0)
-            for th in (mp.pi / 3, -mp.pi / 3, mp.pi):
-                plan.append((s, "descent", th))
-            for th in (mpf(0), 2 * mp.pi / 3, -2 * mp.pi / 3):
-                plan.append((s, "ascent", th))
-            return plan
+            s, third = raw(saddles.t0), mp.pi / 3
+            return [(s, "descent", th) for th in (third, -third, mp.pi)] + [
+                (s, "ascent", th) for th in (mpf(0), 2 * third, -2 * third)]
+        plan = []
         for sv in (raw(saddles.t0), raw(saddles.t1)):
+            # a = arg psi''(s) in (-pi, pi] puts each ray and its opposite
+            # in (-pi, pi]
             a = mp.arg((1 + sv) / sv ** 2)
-            d1 = _norm_theta((mp.pi - a) / 2)
-            u1 = _norm_theta(-a / 2)
-            plan.append((sv, "descent", d1))
-            plan.append((sv, "descent", _norm_theta(d1 - mp.pi)))
-            plan.append((sv, "ascent", u1))
-            plan.append((sv, "ascent", _norm_theta(u1 + mp.pi)))
+            for kind, th in (("descent", (mp.pi - a) / 2), ("ascent", -a / 2)):
+                plan += [(sv, kind, th),
+                         (sv, kind, th - mp.pi if th > 0 else th + mp.pi)]
         return plan
 
 
@@ -285,9 +281,9 @@ def contour_set(xi, ctx: PrecisionContext, step=None,
     with mp.workdps(ctx.digits + 10):
         step = mpf("0.05") if step is None else mpf(step)
         max_len = mpf(40) if max_len is None else mpf(max_len)
-        if step <= 0:
+        if not step > 0:
             raise DomainError(f"step must be positive, got {mp.nstr(step, 5)}")
-        if max_len <= step:
+        if not max_len > step:
             raise DomainError("max_len must exceed the step size")
         if max_len / step > MAX_LEN_OVER_STEP:
             raise DomainError(
@@ -309,8 +305,8 @@ def contour_set(xi, ctx: PrecisionContext, step=None,
                 f"frame ({outside}), so its paths would stop at once; "
                 "contours need xi in about [9.34e-6, 7.735]")
     lines = tuple(_trace(sv, th, kind, inv_mu,
-                         None if t0 == t1 else complex(t1 if sv == t0 else t0),
+                         None if t0 == t1 else t1 if sv == t0 else t0,
                          ctx, step, max_len)
-                  for sv, kind, th in launch_plan(saddles, ctx))
+                  for sv, kind, th in launch_plan(saddles))
     return ContourSet(xi=real_from(xi, ctx), mu=mu, saddle_kind=saddles.kind,
                       polylines=lines)

@@ -74,16 +74,17 @@ def mu_from_xi(xi, ctx: PrecisionContext) -> BigReal:
     """mu = 1/(e xi), computed at digits + 10 and rounded to ctx."""
     with mp.workdps(ctx.digits + 10):
         xv = mpf(raw(xi))
-        if xv <= 0:
-            raise DomainError(f"xi must be positive, got {xv}")
+        if not (xv > 0 and mp.isfinite(xv)):
+            raise DomainError(f"xi must be positive and finite, got {xv}")
         return wrap_real(1 / (mp.e * xv), ctx)
 
 
 def solve_saddles(mu, ctx: PrecisionContext) -> SaddlePair:
     """The saddle pair of psi(t; mu), classified by xi = 1/(e mu)."""
     mu = raw(real_from(mu, ctx))
-    if mu <= 0:
-        raise DomainError(f"mu must be positive, got {mp.nstr(mu, 8)}")
+    if not (mu > 0 and mp.isfinite(mu)):
+        raise DomainError(
+            f"mu must be positive and finite, got {mp.nstr(mu, 8)}")
     with mp.workdps(ctx.digits + 15):
         xi = 1 / (mp.e * mu)
         res_bound = mpf(10) ** (-(ctx.digits - 10)) * mu
@@ -96,7 +97,7 @@ def solve_saddles(mu, ctx: PrecisionContext) -> SaddlePair:
             r = residual(t)
             # the snap-to-double window is wider than the residual certificate,
             # so the double kind carries its own (documented) bound
-            if r > mpf(10) ** (-(ctx.digits - 16)) * mu:
+            if not r <= mpf(10) ** (-(ctx.digits - 16)) * mu:
                 raise InternalConsistencyError(
                     f"double-saddle residual {mp.nstr(r, 3)} exceeds the "
                     f"coalescence window for xi={mp.nstr(xi, 8)}")
@@ -117,7 +118,7 @@ def solve_saddles(mu, ctx: PrecisionContext) -> SaddlePair:
         # certify the rounded values actually returned, not the iterates
         t0w, t1w = wrap_complex(t0, ctx), wrap_complex(t1, ctx)
         r0, r1 = residual(t0w.value), residual(t1w.value)
-        if r0 > res_bound or r1 > res_bound:
+        if not (r0 <= res_bound and r1 <= res_bound):
             raise SolverError(
                 f"saddle residuals ({mp.nstr(r0, 3)}, {mp.nstr(r1, 3)}) exceed "
                 f"{mp.nstr(res_bound, 3)} at xi={mp.nstr(xi, 8)}")

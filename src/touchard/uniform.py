@@ -107,6 +107,9 @@ def _extra_digits(xi, ctx: PrecisionContext) -> int:
 
 def uniform_ingredients(xi, ctx: PrecisionContext) -> UniformIngredients:
     """zeta, beta, A0, B0 and the saddles, computed wide and rounded to ctx."""
+    xi_br = real_from(xi, ctx)
+    if not mp.isfinite(xi_br.value):
+        raise DomainError(f"xi must be finite, got {xi_br.value}")
     extra = _extra_digits(xi, ctx)
     wide = mk_context(ctx.digits + extra)
     saddles = solve_saddles(mu_from_xi(xi, wide), wide)
@@ -117,7 +120,7 @@ def uniform_ingredients(xi, ctx: PrecisionContext) -> UniformIngredients:
         r0, r1, zeta, a0, b0 = (wrap_real(v.value, ctx) for v in (
             saddles.residual0, saddles.residual1, zeta, a0, b0))
         saddles = SaddlePair(saddles.kind, t0, t1, r0, r1)
-    return UniformIngredients(xi=real_from(xi, ctx), zeta=zeta, beta=beta,
+    return UniformIngredients(xi=xi_br, zeta=zeta, beta=beta,
                               A0=a0, B0=b0, saddles=saddles)
 
 

@@ -1,14 +1,20 @@
 """Steepest-path tracer: launch geometry, drift budget, regime topology."""
+import cmath
+
 import pytest
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, fnan
 
-from touchard import DomainError, SaddleKind, StepError, mk_context
+from touchard import (DomainError, SaddleKind, StepError, mk_context,
+                      mu_from_xi, solve_saddles)
 from touchard import contours
 from touchard.cli import _sci, cmd_contours
-from touchard.contours import (DRIFT_BUDGET, LAUNCH_DIGITS, MAX_LEN_OVER_STEP,
-                               R_MIN, _im_psi, contour_set)
+from touchard.contours import (DRIFT_BUDGET, LEVEL_DIGITS, MAX_LEN_OVER_STEP,
+                               R_MIN, _TERMS, _Flow, _im_psi, _psi,
+                               contour_set)
 from touchard.numkernel import MIN_DIGITS, log_branched_raw, raw
+
+EPS = 2.0 ** -52
 
 
 def measured_direction(pl):
@@ -172,6 +178,11 @@ class TestControls:
             contour_set("1", ctx40, step=-0.1)
         with pytest.raises(DomainError):
             contour_set("1", ctx40, step=0.5, max_len=0.5)
+        # NaN compares false both ways, so each test is `not ... >`
+        with pytest.raises(DomainError, match="step must be positive"):
+            contour_set("1", ctx40, step="nan")
+        with pytest.raises(DomainError, match="max_len must exceed"):
+            contour_set("1", ctx40, max_len="nan")
         # max_len/step over the size cap, refused before any path is traced
         for step, max_len in ((1e-6, None), ("0.000624", None),
                               ("0.1", 0.1 * MAX_LEN_OVER_STEP + 1)):
@@ -224,7 +235,7 @@ class TestDriftCertificate:
         cs = contour_set(xi, ctx120)
         mu = raw(cs.mu)
         for pl in cs.polylines:
-            with mp.workdps(LAUNCH_DIGITS):
+            with mp.workdps(LEVEL_DIGITS):
                 c = oracle_im_psi(raw(pl.saddle), mu)
             with mp.workdps(MIN_DIGITS):
                 drift = max(abs(oracle_im_psi(raw(p), mu) - c)
@@ -257,11 +268,79 @@ class TestDriftCertificate:
         with pytest.raises(StepError, match="exceeds the 1e-8 budget"):
             contour_set("1.8", ctx40)
 
+    def test_nan_drift_is_refused(self, ctx40, monkeypatch):
+        # NaN compares false both ways, so the budget test must be `not <`
+        monkeypatch.setattr(contours, "_im_psi", lambda t, inv_mu, prec: fnan)
+        with pytest.raises(StepError, match="drift nan exceeds"):
+            contour_set("1.8", ctx40)
+
     @pytest.mark.parametrize("xi", ["0.8", "1", "1.8"])
     def test_paths_do_not_depend_on_digits(self, xi):
-        # paths launch at LAUNCH_DIGITS and emit doubles; only xi and mu are
-        # printed at the context's digits
+        # a path's own values come from LEVEL_DIGITS and its points are
+        # doubles; only xi and mu are printed at the context's digits
         outs = [cmd_contours(xi, digits) for digits in (30, 120, 300)]
         for out in outs:
             del out["xi"], out["mu"]
         assert outs[0] == outs[1] == outs[2]
+
+
+class TestLocalSeries:
+    """The flow's series about a saddle s, in doubles, against mpmath."""
+
+    @pytest.mark.parametrize("xi", ["1", "1.000001", "0.999999",
+                                    "1.000000000001", "0.999999999999",
+                                    "0.8", "1.8"])
+    def test_series_against_50_digits(self, xi):
+        ctx = mk_context(LEVEL_DIGITS)
+        saddles = solve_saddles(mu_from_xi(xi, ctx), ctx)
+        with mp.workdps(LEVEL_DIGITS):
+            inv_mu = 1 / raw(mu_from_xi(xi, ctx))
+            for s in {complex(raw(saddles.t0)): raw(saddles.t0),
+                      complex(raw(saddles.t1)): raw(saddles.t1)}.values():
+                psi_s = _psi(s, inv_mu)
+                flow = _Flow(s, psi_s, inv_mu, -1)
+                # |u| from 1e-8 to just inside the series' edge
+                top = flow.edge * (1 - 4 * EPS)
+                for i in range(25):
+                    r = min(top, 1e-8 * (top / 1e-8) ** (i / 24))
+                    for j in range(16):
+                        u = r * cmath.exp(1j * cmath.pi * j / 8)
+                        assert abs(u) <= flow.edge
+                        self.check(flow, s, psi_s, inv_mu, u, relative=j % 2)
+
+    @staticmethod
+    def check(flow, s, psi_s, inv_mu, u, relative):
+        p, d, _ = flow.phase(u)
+        assert flow.dpsi(u) == d
+        t = s + mpc(u.real, u.imag)  # exact at LEVEL_DIGITS
+        want_p = _psi(t, inv_mu) - psi_s
+        want_d = -mp.exp(t) * inv_mu - 1 / t
+        if relative:
+            # at odd multiples of pi/8: a few ulps relative
+            assert abs(p - want_p) <= 16 * EPS * abs(want_p), (s, u)
+            assert abs(d - want_d) <= 16 * EPS * abs(want_d), (s, u)
+        else:
+            # at multiples of pi/4, the real and imaginary axes among them:
+            # these hold the other saddle of a near-coalescent pair and the
+            # zeros of psi(s+u) - psi(s), where nothing is accurate relative
+            # to the value, so a Horner sum's bound holds, 2 _TERMS eps times
+            # the sum of its terms' magnitudes
+            r, ks = abs(u), range(_TERMS, 1, -1)
+            terms_p = sum(abs(a) * r ** k for k, a in zip(ks, flow.a))
+            terms_d = sum(abs(b) * r ** (k - 1) for k, b in zip(ks, flow.b))
+            assert abs(p - want_p) <= 2 * _TERMS * EPS * terms_p, (s, u)
+            assert abs(d - want_d) <= 2 * _TERMS * EPS * terms_d, (s, u)
+
+    @pytest.mark.parametrize("xi", ["1.000000000001", "1.000001", "1.0001"])
+    def test_paths_between_a_near_coalescent_pair_reach_it(self, xi, ctx40):
+        # the ascent from t0 and the descent from t1 each stop at the other
+        cs = contour_set(xi, ctx40)
+        joins = [pl for pl in cs.polylines if pl.stop_reason == "saddle"]
+        assert sorted((pl.kind, raw(pl.saddle).real > -1) for pl in joins) \
+            == [("ascent", True), ("descent", False)]
+        with mp.workdps(LEVEL_DIGITS):
+            t0, t1 = sorted({raw(pl.saddle) for pl in joins},
+                            key=lambda t: -t.real)
+            for pl in joins:
+                other = t1 if raw(pl.saddle) == t0 else t0
+                assert abs(mpc(pl.points[-1]) - other) < mpf("1e-9")

@@ -4,8 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from touchard import (DomainError, SaddleKind, mk_context, mu_from_xi,
-                      real_from, solve_saddles)
+from touchard import (DomainError, SaddleKind, SolverError, contour_set,
+                      leading_order, mk_context, mu_from_xi, real_from,
+                      solve_saddles, theorem2_eval, uniform_ingredients)
 from touchard.saddle import (coalescence_tolerance, psi2_at_saddle_raw,
                              psi_reduced_raw)
 from touchard.numkernel import log_branched_raw, raw
@@ -170,14 +171,36 @@ class TestParams:
             assert abs(raw(mu) * mp.e * mpf("1.3") - 1) < tol(ctx60, 9)
 
     def test_rejects_nonpositive(self, ctx60):
-        for bad in ("0", "-2"):
-            with pytest.raises(DomainError):
-                mu_from_xi(bad, ctx60)
-            with pytest.raises(DomainError):
-                solve_saddles(bad, ctx60)
+        # and non-finite: nan > 0 is false, so `not v > 0` refuses it too
+        for bad in ("0", "-2", "nan", "inf", "-inf"):
+            for call in (mu_from_xi, solve_saddles):
+                with pytest.raises(DomainError) as exc:
+                    call(bad, ctx60)
+                assert exc.value.exit_code == 2
+
+    @pytest.mark.parametrize("call", [
+        lambda ctx: theorem2_eval(100, "nan", ctx),
+        lambda ctx: uniform_ingredients("inf", ctx),
+        lambda ctx: contour_set(real_from("inf", ctx), ctx),
+        lambda ctx: solve_saddles("nan", ctx),
+        lambda ctx: leading_order(100, "nan", ctx),
+        lambda ctx: leading_order(100, "inf", ctx),
+    ], ids=["theorem2_eval", "uniform_ingredients", "contour_set",
+            "solve_saddles", "leading_order_nan", "leading_order_inf"])
+    def test_layers_refuse_non_finite_input(self, call, ctx40):
+        # from Python, not only through the CLI, with exit code 2
+        with pytest.raises(DomainError) as exc:
+            call(ctx40)
+        assert exc.value.exit_code == 2
 
 
 class TestSolve:
+    def test_nan_residual_is_refused(self, ctx60, monkeypatch):
+        # NaN compares false both ways, so the certificate is `not r <= bound`
+        monkeypatch.setattr(mp, "lambertw", lambda z, k=0: mpc(mp.nan))
+        with pytest.raises(SolverError, match="nan"):
+            solve_saddles(mu_from_xi("1.5", ctx60), ctx60)
+
     def test_double(self, ctx60):
         pair = solve_saddles(mu_from_xi(1, ctx60), ctx60)
         assert pair.kind is SaddleKind.DOUBLE

@@ -15,6 +15,7 @@ from touchard.cli import cmd_contours, cmd_table1, cmd_table2, load_error_rows
 from touchard.numkernel import raw
 
 from stirling_oracle import integer_scaled_touchard
+from test_contour_port import GOLDEN
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -72,6 +73,24 @@ def test_trace_contours_writes_reloadable_json(parity_set):
     report = json.loads((outdir / "contours_xi1.json").read_text())
     assert report["saddle_kind"] == "double"
     assert len(report["polylines"]) == 6
+
+
+def test_contour_sweep_subset_keeps_the_golden_paths(tmp_path):
+    # 3 of the 48 sets, the golden xi at 40 digits
+    script = load_script("contour_sweep")
+    assert len(script.SWEEP_XI) == 16 and script.DIGITS == (40, 120, 300)
+    assert set(GOLDEN) <= set(script.SWEEP_XI)
+    paths = script.sweep([(xi, 40) for xi in GOLDEN], tmp_path)
+    assert [p.name for p in paths] == [f"contours_xi{xi}_d40.json"
+                                       for xi in GOLDEN]
+    for xi, path in zip(GOLDEN, paths):
+        polylines = json.loads(path.read_text())["polylines"]
+        assert [(pl["kind"], pl["stop_reason"], len(pl["points"]))
+                for pl in polylines] == [g[:3] for g in GOLDEN[xi]]
+        for pl, (*_, end) in zip(polylines, GOLDEN[xi]):
+            x, y = (float(c.split("@")[0]) for c in pl["points"][-1])
+            assert abs(complex(x, y) - complex(*end)) < 1e-6
+            assert float(pl["im_psi_drift"]) < 1e-8
 
 
 def test_error_decay_prints_both_studies(capsys):
