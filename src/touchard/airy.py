@@ -55,7 +55,7 @@ from mpmath import mp
 
 from .errors import DomainError, PrecisionExhaustedError
 from .fixedpoint import _shift, _top
-from .numkernel import BigReal, PrecisionContext, raw, wrap_real
+from .numkernel import BigReal, PrecisionContext, raw, real_from, wrap_real
 
 ABS_Z_LIMIT = 10 ** 6
 # Reruns the Maclaurin pass may make before PrecisionExhaustedError.
@@ -164,9 +164,7 @@ def _by_maclaurin(zv, absz: float, digits: int):
 
 def airy(z: BigReal, ctx: PrecisionContext) -> AiryValue:
     """Ai(z) and Ai'(z) for real finite z, |z| <= 1e6."""
-    zv = raw(z)
-    if not mp.isfinite(zv):
-        raise DomainError(f"Airy functions need a finite z, got {zv}")
+    zv = raw(real_from(z, ctx))
     absz = abs(float(zv))
     if absz > ABS_Z_LIMIT:
         raise DomainError(f"|z| = {absz} exceeds the supported range {ABS_Z_LIMIT}")

@@ -13,6 +13,8 @@ approx columns carry the full serialized precision so rel_err can be (and
 on load, is) recomputed from the row itself. All output is deterministic:
 identical invocations produce byte-identical bytes. Exit codes: 0 success,
 2 domain error, 3 precision exhausted, 4 internal consistency failure.
+--xi, --step and --max-len are read by numkernel.real_from, so text that is
+not a finite number exits 2, as does an empty --xi list.
 
 TOUCHARD_DIGITS sets the default working precision (120 when unset).
 """
@@ -106,17 +108,6 @@ def load_error_rows(text: str) -> list[ErrorRow]:
 # ---------------------------------------------------------------------------
 # table commands
 
-def _finite_xi(xi, ctx: PrecisionContext) -> BigReal:
-    """xi at ctx, refused unless a finite number before any layer sees it."""
-    try:
-        xi_br = real_from(xi, ctx)
-    except ValueError:
-        raise DomainError(f"xi must be a number, got {xi!r}")
-    if not mp.isfinite(xi_br.value):
-        raise DomainError(f"xi must be finite, got {xi}")
-    return xi_br
-
-
 def _exact_scaled(n: int, xi, ctx) -> tuple[BigReal, ExactValue]:
     """(x, T^_{n-1}(-x)) at x = n e xi."""
     with mp.workdps(ctx.digits + 10):
@@ -145,11 +136,11 @@ def cmd_table1(n_list=None, m_list=None, digits: int | None = None) -> str:
 def cmd_table2(xi_list=None, n_list=None, digits: int | None = None) -> str:
     xi_list = list(DEFAULT_XI_TABLE2 if xi_list is None else xi_list)
     n_list = list(DEFAULT_N_TABLE2 if n_list is None else n_list)
-    if not n_list:
-        raise DomainError("table2 needs a non-empty --n list")
+    if not xi_list or not n_list:
+        raise DomainError("table2 needs a non-empty --xi and --n list")
     ctx = mk_context(digits)
     rows = []
-    for xi_br in [_finite_xi(xi, ctx) for xi in xi_list]:
+    for xi_br in [real_from(xi, ctx) for xi in xi_list]:
         ing = uniform_ingredients(xi_br, ctx)
         for n in n_list:
             _, exact = _exact_scaled(n, xi_br, ctx)
@@ -178,7 +169,7 @@ def cmd_eval(n: int, xi, digits: int | None = None) -> dict:
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     ctx = mk_context(digits)
-    xi_br = _finite_xi(xi, ctx)
+    xi_br = real_from(xi, ctx)
     mu = mu_from_xi(xi_br, ctx)
     with mp.workdps(ctx.digits + 10):
         near_coalescence = abs(raw(xi_br) - 1) < THEOREM1_XI_WINDOW
@@ -259,7 +250,7 @@ def contours_to_json(cs: ContourSet) -> dict:
 
 def cmd_contours(xi, digits: int | None = None, step=None, max_len=None) -> dict:
     ctx = mk_context(digits)
-    return contours_to_json(contour_set(_finite_xi(xi, ctx), ctx,
+    return contours_to_json(contour_set(real_from(xi, ctx), ctx,
                                         step=step, max_len=max_len))
 
 

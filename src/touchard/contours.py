@@ -52,8 +52,8 @@ from mpmath.libmp import (dps_to_prec, from_float, mpf_add, mpf_atan2,
 
 from .errors import DomainError, StepError
 from .numkernel import (MIN_DIGITS, BigComplex, BigReal, PrecisionContext,
-                        log_branched_raw, raw, real_from, wrap_complex,
-                        wrap_real)
+                        log_branched_raw, mk_context, raw, real_from,
+                        wrap_complex, wrap_real)
 from .saddle import SaddleKind, SaddlePair, mu_from_xi, solve_saddles
 
 RE_MAX = 8.4
@@ -278,9 +278,10 @@ def contour_set(xi, ctx: PrecisionContext, step=None,
                 max_len=None) -> ContourSet:
     """Trace every principal steepest path through the saddles at this xi."""
     mu = mu_from_xi(xi, ctx)
-    with mp.workdps(ctx.digits + 10):
-        step = mpf("0.05") if step is None else mpf(step)
-        max_len = mpf(40) if max_len is None else mpf(max_len)
+    wide = mk_context(ctx.digits + 10)
+    step = raw(real_from("0.05" if step is None else step, wide))
+    max_len = raw(real_from(40 if max_len is None else max_len, wide))
+    with mp.workdps(wide.digits):
         if not step > 0:
             raise DomainError(f"step must be positive, got {mp.nstr(step, 5)}")
         if not max_len > step:

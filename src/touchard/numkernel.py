@@ -19,7 +19,6 @@ import re
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_float
 
 from .errors import BranchError, DomainError, InvalidPrecisionError
 
@@ -144,31 +143,36 @@ def wrap_complex(v, ctx: PrecisionContext) -> BigComplex:
 
 
 def real_from(x, ctx: PrecisionContext) -> BigReal:
-    """Build a BigReal from int, str, float, mpf or BigReal at ctx precision."""
+    """Build a BigReal from int, str, float, mpf or BigReal at ctx precision.
+
+    The one reader of numbers from outside the package: anything that is
+    not a finite number (text that does not parse, None, nan, +-inf) raises
+    DomainError. Text and mpf are read at ctx.digits + 10 and then rounded.
+    """
     if isinstance(x, BigReal):
-        return wrap_real(x.value, ctx)
-    with mp.workdps(ctx.digits + _GUARD):
-        v = mpf(x)
+        v = x.value
+    else:
+        with mp.workdps(ctx.digits + _GUARD):
+            try:
+                v = mpf(x)
+            except (TypeError, ValueError):  # not a number: refused below
+                v = mp.nan
+    if not mp.isfinite(v):
+        raise DomainError(f"expected a finite number, got {x!r}")
     return wrap_real(v, ctx)
 
 
 def raw(x):
-    """Unwrap to a plain mpf/mpc for internal arithmetic.
-
-    A Python complex, such as a contour point, becomes the mpc of the same
-    value, so that abs() and the like run at the working precision.
-    """
+    """Unwrap a BigReal or BigComplex to its mpf/mpc; pass anything else on."""
     if isinstance(x, (BigReal, BigComplex)):
         return x.value
-    if isinstance(x, complex):
-        return mp.make_mpc((from_float(x.real), from_float(x.imag)))
     return x
 
 
 def _require_real(v, digits: int, what: str) -> mpf:
     """Re v, once Im v is within 10^-(digits-10) of max(1, |v|)."""
     tol = mpf(10) ** (-(digits - 10)) * max(mpf(1), abs(v))
-    if abs(mp.im(v)) > tol:
+    if not abs(mp.im(v)) <= tol:  # a NaN residue fails too
         raise BranchError(f"{what} has imaginary residue {mp.nstr(mp.im(v), 3)}")
     return mp.re(v)
 

@@ -24,7 +24,7 @@ from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, InternalConsistencyError, SolverError
 from .numkernel import (BigComplex, BigReal, PrecisionContext, log_branched_raw,
-                        raw, real_from, wrap_complex, wrap_real)
+                        mk_context, raw, real_from, wrap_complex, wrap_real)
 
 
 class SaddleKind(enum.Enum):
@@ -71,20 +71,21 @@ def coalescence_tolerance(ctx: PrecisionContext) -> mpf:
 
 
 def mu_from_xi(xi, ctx: PrecisionContext) -> BigReal:
-    """mu = 1/(e xi), computed at digits + 10 and rounded to ctx."""
-    with mp.workdps(ctx.digits + 10):
-        xv = mpf(raw(xi))
-        if not (xv > 0 and mp.isfinite(xv)):
-            raise DomainError(f"xi must be positive and finite, got {xv}")
+    """mu = 1/(e xi), with xi read and mu computed at digits + 10, then
+    rounded to ctx."""
+    wide = mk_context(ctx.digits + 10)
+    xv = raw(real_from(xi, wide))
+    if not xv > 0:
+        raise DomainError(f"xi must be positive, got {mp.nstr(xv, 8)}")
+    with mp.workdps(wide.digits):
         return wrap_real(1 / (mp.e * xv), ctx)
 
 
 def solve_saddles(mu, ctx: PrecisionContext) -> SaddlePair:
     """The saddle pair of psi(t; mu), classified by xi = 1/(e mu)."""
     mu = raw(real_from(mu, ctx))
-    if not (mu > 0 and mp.isfinite(mu)):
-        raise DomainError(
-            f"mu must be positive and finite, got {mp.nstr(mu, 8)}")
+    if not mu > 0:
+        raise DomainError(f"mu must be positive, got {mp.nstr(mu, 8)}")
     with mp.workdps(ctx.digits + 15):
         xi = 1 / (mp.e * mu)
         res_bound = mpf(10) ** (-(ctx.digits - 10)) * mu

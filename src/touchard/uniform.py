@@ -77,7 +77,7 @@ def _cubic_map(saddles: SaddlePair, ctx: PrecisionContext):
             unit = 1 if above else 1j  # zeta^{1/2} / |zeta|^{1/2}
             rr = _require_real(unit * (p1 - p0) / 2, ctx.digits,
                                "zeta^{3/2} right-hand side")
-            if rr <= 0:
+            if not rr > 0:
                 raise BranchError(
                     f"zeta right-hand side must be positive, got {mp.nstr(rr, 5)}")
             mag = (mpf(3) / 2 * rr) ** (mpf(2) / 3)
@@ -98,7 +98,7 @@ def _extra_digits(xi, ctx: PrecisionContext) -> int:
     lie below the smallest double.
     """
     with mp.workdps(ctx.digits + 10):
-        gap = abs(mpf(raw(xi)) - 1)
+        gap = abs(raw(real_from(xi, mk_context(ctx.digits + 10))) - 1)
         if gap <= mpf(10) ** -(ctx.digits + 5):
             return 0
     log10_gap = math.log10(gap.man) + gap.exp * math.log10(2)
@@ -108,8 +108,6 @@ def _extra_digits(xi, ctx: PrecisionContext) -> int:
 def uniform_ingredients(xi, ctx: PrecisionContext) -> UniformIngredients:
     """zeta, beta, A0, B0 and the saddles, computed wide and rounded to ctx."""
     xi_br = real_from(xi, ctx)
-    if not mp.isfinite(xi_br.value):
-        raise DomainError(f"xi must be finite, got {xi_br.value}")
     extra = _extra_digits(xi, ctx)
     wide = mk_context(ctx.digits + extra)
     saddles = solve_saddles(mu_from_xi(xi, wide), wide)

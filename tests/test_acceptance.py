@@ -14,7 +14,7 @@ package's code. It shares only mpmath's lambertw and airyai with the package.
 import math
 import time
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from touchard import (airy, default_bm, mk_context,
                       real_from, scaled_touchard, solve_saddles, theorem1_eval,
@@ -352,14 +352,14 @@ def test_criterion_9_contour_geometry():
                     f"criterion 9: FAIL - drift budget at xi={xi}"
         plus, minus = sets["1"].polylines[0], sets["1"].polylines[1]
         for pl, want in ((plus, mp.pi / 3), (minus, -mp.pi / 3)):
-            got = mp.arg(raw(pl.points[3]) - raw(pl.saddle))
+            got = mp.arg(mpc(pl.points[3]) - raw(pl.saddle))
             assert abs(got - want) < mpf("1e-6"), \
                 "criterion 9: FAIL - launch direction at the double saddle"
         outer = [pl for pl in sets["1.8"].polylines
                  if pl.kind == "ascent" and raw(pl.saddle).real < -1]
         assert len(outer) == 2
         for pl in outer:
-            crossing = next(raw(p) for p in pl.points if raw(p).real >= 8)
+            crossing = next(p for p in pl.points if p.real >= 8)
             assert abs(abs(crossing.imag) - mp.pi) < mpf("0.01"), \
                 "criterion 9: FAIL - outer-saddle ascent misses the pm pi rails"
     print("criterion 9: PASS - launch angles, drift budget, and rail "

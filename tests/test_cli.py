@@ -232,14 +232,19 @@ class TestMain:
         assert "touchard: error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("xi", ["nan", "inf", "-inf", "abc"])
-    @pytest.mark.parametrize("command", [["table2"], ["eval", "--n", "100"],
-                                         ["contours"]])
+    @pytest.mark.parametrize("command", [
+        ["table2", "--xi"], ["eval", "--n", "100", "--xi"], ["contours", "--xi"],
+        ["contours", "--xi", "1", "--step"],
+        ["contours", "--xi", "1", "--max-len"]])
     def test_xi_not_a_finite_number_exits_2(self, command, xi, capsys):
-        # refused before any layer runs, with the value in the message
+        # xi, or a contour's step or max_len: refused before any layer runs,
+        # with the value in the message
+        *head, option = command
         start = time.monotonic()
-        assert main([*command, f"--xi={xi}"]) == 2
+        assert main([*head, f"{option}={xi}"]) == 2
         assert time.monotonic() - start < 1
-        assert "touchard: error: xi must be " in capsys.readouterr().err
+        assert f"touchard: error: expected a finite number, got {xi!r}" in \
+            capsys.readouterr().err
 
     def test_row_beyond_size_limit_exits_2_at_once(self, capsys):
         # n - 1 = N_MAX_LIMIT + 1: refused before any sum is made

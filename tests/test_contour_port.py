@@ -56,8 +56,8 @@ def traced(request, ctx40):
 def re_psi_backtrack(pl, mu):
     """Largest move of Re psi against the flow between consecutive points."""
     sign = -1 if pl.kind == "descent" else 1
-    vals = [-mp.re(mp.exp(raw(p))) / mu - mp.log(abs(raw(p)))
-            for p in pl.points]
+    pts = [mpc(p) for p in pl.points]  # exact, so abs() runs at 50 digits
+    vals = [-mp.re(mp.exp(p)) / mu - mp.log(abs(p)) for p in pts]
     return max(sign * (a - b) for a, b in zip(vals, vals[1:]))
 
 
@@ -67,7 +67,7 @@ def test_stop_reasons_counts_and_endpoints(traced):
     assert got == [g[:3] for g in GOLDEN[xi]]
     with mp.workdps(50):
         for pl, (_, _, _, end) in zip(cs.polylines, GOLDEN[xi]):
-            assert abs(raw(pl.points[-1]) - mpc(*end)) < mpf("1e-6")
+            assert abs(mpc(pl.points[-1]) - mpc(*end)) < mpf("1e-6")
 
 
 def test_re_psi_monotone(traced):
@@ -83,7 +83,7 @@ def test_launch_directions(traced):
     with mp.workdps(50):
         for pl in cs.polylines:
             # points[3] is ~3e-8 out, far past launch noise
-            d = mp.arg(raw(pl.points[3]) - raw(pl.saddle)) - pl.launch_theta
+            d = mp.arg(mpc(pl.points[3]) - raw(pl.saddle)) - pl.launch_theta
             d = (d + mp.pi) % (2 * mp.pi) - mp.pi
             assert abs(d) < mpf("1e-6")
 

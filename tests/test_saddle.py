@@ -194,6 +194,27 @@ class TestParams:
         assert exc.value.exit_code == 2
 
 
+    @pytest.mark.parametrize("bad", ["abc", "", None])
+    @pytest.mark.parametrize("call", [
+        lambda b, ctx: mu_from_xi(b, ctx),
+        lambda b, ctx: solve_saddles(b, ctx),
+        lambda b, ctx: uniform_ingredients(b, ctx),
+        lambda b, ctx: theorem2_eval(100, b, ctx),
+        lambda b, ctx: leading_order(100, b, ctx),
+        lambda b, ctx: contour_set(b, ctx),
+        # None is the default of step and max_len, so it stands for 0.05 or 40
+        lambda b, ctx: contour_set("1", ctx, step="nan" if b is None else b),
+        lambda b, ctx: contour_set("1", ctx, max_len="inf" if b is None else b),
+    ], ids=["mu_from_xi", "solve_saddles", "uniform_ingredients",
+            "theorem2_eval", "leading_order", "contour_set_xi",
+            "contour_set_step", "contour_set_max_len"])
+    def test_layers_refuse_non_numbers(self, call, bad, ctx40):
+        # text that is not a number, or None, is refused by real_from
+        with pytest.raises(DomainError, match="expected a finite number") as exc:
+            call(bad, ctx40)
+        assert exc.value.exit_code == 2
+
+
 class TestSolve:
     def test_nan_residual_is_refused(self, ctx60, monkeypatch):
         # NaN compares false both ways, so the certificate is `not r <= bound`

@@ -42,7 +42,8 @@ def test_parity_set_writes_every_output(parity_set):
     script, outdir, out = parity_set
     evals = [f"eval_n{n}_xi{xi}.json" for n, xi in script.EVAL_POINTS]
     contours = [f"contours_xi{xi}.json" for xi in script.CONTOUR_XI]
-    names = ["table1.csv", "table2.csv", "refusals.txt", *evals, *contours]
+    names = ["table1.csv", "table2.csv", "refusals.txt", "theorem2.txt",
+             *evals, *contours]
     assert sorted(p.name for p in outdir.iterdir()) == sorted(names)
     assert f"wrote {len(names)} files" in out
     for (n, xi), name in zip(script.EVAL_POINTS, evals):
@@ -51,7 +52,11 @@ def test_parity_set_writes_every_output(parity_set):
         assert report["exact"]["verified"]
     codes = [line.rsplit(" ", 1)[1]
              for line in (outdir / "refusals.txt").read_text().splitlines()]
-    assert codes == ["2", "2", "2"]
+    assert codes == ["2"] * 6
+    lines = (outdir / "theorem2.txt").read_text().splitlines()
+    assert len(lines) == 2 * len(script.THEOREM2_N) * len(script.THEOREM2_XI)
+    assert all(line.endswith("@40") or line.endswith("exit 2")
+               for line in lines)
 
 
 def test_run_tables_writes_the_cli_tables(parity_set):

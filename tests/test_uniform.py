@@ -106,6 +106,17 @@ class TestIngredients:
         with pytest.raises(BranchError):
             uniform_ingredients(xi, ctx60)
 
+    @pytest.mark.parametrize("xi", ["1.2", "0.8"])
+    def test_nan_phase_refused(self, xi, ctx60, monkeypatch):
+        # NaN compares false both ways, so the zeta tests are `not ... <=`
+        # and `not ... > 0`; the map refuses before the Airy layer sees z
+        monkeypatch.setattr(uniform, "psi_reduced_raw", lambda t: mp.nan)
+        for call in (uniform_ingredients, lambda xi, ctx: theorem2_eval(100, xi, ctx)):
+            with pytest.raises(BranchError) as exc:
+                call(xi, ctx60)
+            assert exc.value.exit_code == 4
+            assert "_cubic_map" in [entry.name for entry in exc.traceback]
+
     def test_ladder_converges(self, ctx60):
         a_lim, b_lim = coalescence_limits(ctx60)
         with mp.workdps(70):
