@@ -35,6 +35,8 @@ singularity, on reaching another saddle, or at the arclength cap. A saddle
 outside that frame would give paths of two points, so contour_set refuses
 it: the inner saddle |t0| ~ 1/(e xi) enters the origin disc above
 xi = 7.735, and the conjugate pair passes Re t = 8.4 below xi = 9.34e-6.
+A pair closer than LAUNCH_OFFSET, each in the other's launch circle, is
+traced as one double saddle at its midpoint (xi = 1 +- 10^-k, k >= 17).
 A step whose chord passes within h of the other saddle and takes Re psi
 past that saddle's value is halved rather than taken, so a coarse step
 cannot jump the saddle a path should stop at and run on along its paths.
@@ -54,7 +56,7 @@ from .errors import DomainError, StepError
 from .numkernel import (MIN_DIGITS, BigComplex, BigReal, PrecisionContext,
                         log_branched_raw, mk_context, raw, real_from,
                         wrap_complex, wrap_real)
-from .saddle import SaddleKind, SaddlePair, mu_from_xi, solve_saddles
+from .saddle import SaddleKind, mu_from_xi, solve_saddles
 
 RE_MAX = 8.4
 RE_MIN = -8.5
@@ -254,17 +256,17 @@ def _trace(saddle_t, theta, kind, inv_mu, other, ctx: PrecisionContext,
         stop_reason=stop)
 
 
-def launch_plan(saddles: SaddlePair):
-    """(saddle value, kind, theta) launches for the current regime."""
+def launch_plan(kind: SaddleKind, t0, t1):
+    """(saddle value, kind, theta) launches for the saddles t0, t1 of kind."""
     # theta at the launch's own digits, so that a theta of pi on a real axis
     # path turns into an exact -1 there
     with mp.workdps(LEVEL_DIGITS):
-        if saddles.kind is SaddleKind.DOUBLE:
-            s, third = raw(saddles.t0), mp.pi / 3
+        if kind is SaddleKind.DOUBLE:
+            s, third = t0, mp.pi / 3
             return [(s, "descent", th) for th in (third, -third, mp.pi)] + [
                 (s, "ascent", th) for th in (mpf(0), 2 * third, -2 * third)]
         plan = []
-        for sv in (raw(saddles.t0), raw(saddles.t1)):
+        for sv in (t0, t1):
             # a = arg psi''(s) in (-pi, pi] puts each ray and its opposite
             # in (-pi, pi]
             a = mp.arg((1 + sv) / sv ** 2)
@@ -293,7 +295,11 @@ def contour_set(xi, ctx: PrecisionContext, step=None,
                 "--max-len")
         inv_mu = 1 / raw(mu)
     saddles = solve_saddles(mu, ctx)
-    t0, t1 = raw(saddles.t0), raw(saddles.t1)
+    with mp.workdps(ctx.digits):
+        t0, t1, kind = raw(saddles.t0), raw(saddles.t1), saddles.kind
+        if abs(t0 - t1) < LAUNCH_OFFSET:  # a near pair (module docstring)
+            kind, t0 = SaddleKind.DOUBLE, (t0 + t1) / 2
+            t1 = t0
     for sv in (t0, t1):
         outside = (f"|t| < R_MIN = {R_MIN}" if abs(sv) < R_MIN
                    else f"Re t <= RE_MIN = {RE_MIN}" if sv.real <= RE_MIN
@@ -305,9 +311,9 @@ def contour_set(xi, ctx: PrecisionContext, step=None,
                 f"the saddle t = {mp.nstr(sv, 5)} lies outside the tracing "
                 f"frame ({outside}), so its paths would stop at once; "
                 "contours need xi in about [9.34e-6, 7.735]")
-    lines = tuple(_trace(sv, th, kind, inv_mu,
+    lines = tuple(_trace(sv, th, path, inv_mu,
                          None if t0 == t1 else t1 if sv == t0 else t0,
                          ctx, step, max_len)
-                  for sv, kind, th in launch_plan(saddles))
-    return ContourSet(xi=real_from(xi, ctx), mu=mu, saddle_kind=saddles.kind,
+                  for sv, path, th in launch_plan(kind, t0, t1))
+    return ContourSet(xi=real_from(xi, ctx), mu=mu, saddle_kind=kind,
                       polylines=lines)

@@ -5,7 +5,9 @@ remember the PrecisionContext they were produced under. Every public
 operation pins its working precision with ``mp.workdps`` so results never
 depend on ambient global state; repeated calls with identical inputs are
 bit-identical. Elementary and special functions are mpmath's own, called
-by each module under its pinned precision.
+by each module under its pinned precision. ``_sci`` writes d digits of a
+value's held binary value by one mpmath ``libmp.to_str`` call, the exponent
+padded to two digits; ``BigReal.to_str`` appends ``@d`` for d = ctx.digits.
 
 The one function the kernel adds is ``log_branched_raw``: the logarithm
 with arg z in [0, 2pi), cut along the positive real axis approached from
@@ -19,6 +21,7 @@ import re
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import to_str
 
 from .errors import BranchError, DomainError, InvalidPrecisionError
 
@@ -85,9 +88,6 @@ class BigReal:
             v = mpf(m.group("mant") + "e" + m.group("exp"))
         return wrap_real(v, ctx)
 
-    def __float__(self) -> float:
-        return float(self.value)
-
 
 @dataclass(frozen=True)
 class BigComplex:
@@ -109,23 +109,15 @@ class BigComplex:
 
 
 def _sci(v: mpf, d: int) -> str:
-    """Scientific notation with exactly d significant digits."""
-    if mp.isnan(v) or mp.isinf(v):
+    """Scientific notation with exactly d >= 2 significant digits, written by
+    mpmath from v's binary value, with an exponent of at least two digits."""
+    if not mp.isfinite(v):
         raise DomainError(f"cannot serialize non-finite value {v}")
     if v == 0:
-        frac = "." + "0" * (d - 1) if d > 1 else ""
-        return f"0{frac}e+00"
-    with mp.workdps(d + _GUARD):
-        a = abs(v)
-        e10 = int(mp.floor(mp.log10(a)))
-        mant = mp.nstr(a / mpf(10) ** e10, d, strip_zeros=False)
-        if mant.startswith("10"):  # rounding pushed the mantissa past 9.99..
-            e10 += 1
-            mant = mp.nstr(a / mpf(10) ** e10, d, strip_zeros=False)
-    if "." not in mant:
-        mant += "." + "0" * (d - 1) if d > 1 else ""
-    sign = "-" if v < 0 else ""
-    return f"{sign}{mant}e{e10:+03d}"
+        return "0." + "0" * (d - 1) + "e+00"
+    mant, e10 = to_str(v._mpf_, d, min_fixed=1, max_fixed=0, strip_zeros=False,
+                       show_zero_exponent=True).split("e")
+    return f"{mant}e{int(e10):+03d}"
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,8 @@ dominates to within the working precision.
 
 build_triangle and StirlingTriangle are the Stirling rows of the previous
 exact layer; nothing in the package calls them, and rows past _ROW_LIMIT,
-where their O(n^2.7) build was last measured, are refused.
+where their O(n^2.7) build was last measured, are refused. They stay since
+perfbench/tracer.py names build_triangle in WRAPPED and COUNTS (--trace 1).
 """
 from __future__ import annotations
 

@@ -88,6 +88,23 @@ class TestDoubleSaddle:
                 assert abs(abs(tail.imag) - mp.pi) < mpf("0.01")
 
 
+# pairs closer than LAUNCH_OFFSET, xi = 1 +- 10^-k with k >= 17, at 40 and 120
+# digits, inside and outside solve_saddles' snap window 10^-(digits - 15)
+NEAR_PAIRS = [(xi, d) for d in (40, 120) for xi in (
+    "1.00000000000000001", "0.99999999999999999", "1.00000000000000000001",
+    "1." + "0" * 29 + "1")]
+
+
+class TestNearPair(TestDoubleSaddle):
+    """A pair that doubles cannot tell apart traces as the double saddle."""
+
+    @pytest.fixture(scope="class", params=NEAR_PAIRS,
+                    ids=lambda p: f"{p[0]}@{p[1]}")
+    def cs(self, request):
+        xi, digits = request.param
+        return contour_set(xi, mk_context(digits))
+
+
 class TestRealPair:
     @pytest.fixture
     def cs(self, realpair_set):

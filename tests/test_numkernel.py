@@ -1,9 +1,13 @@
 """Numeric kernel: serialization, branch choice, pinned precision."""
+import random
+from fractions import Fraction
+
 import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec, from_man_exp
 
 from touchard import DomainError, InvalidPrecisionError, mk_context, wrap_real
 from touchard.numkernel import (BigReal, _sci, default_digits,
@@ -12,6 +16,24 @@ from touchard.numkernel import (BigReal, _sci, default_digits,
 
 def tol(ctx, slack):
     return mpf(10) ** (-(ctx.digits - slack))
+
+
+def correctly_rounded(q: Fraction, d: int) -> tuple[str, Fraction]:
+    """q != 0 rounded to d significant digits in _sci's form, and the
+    distance of its scaled value from the nearest rounding tie in units of
+    the last place."""
+    a = abs(q)
+    e10 = len(str(a.numerator)) - len(str(a.denominator))
+    if a < Fraction(10) ** e10:
+        e10 -= 1
+    scaled = a / Fraction(10) ** (e10 - d + 1)  # in [10^(d-1), 10^d)
+    m = round(scaled)
+    if m == 10 ** d:
+        m, e10 = m // 10, e10 + 1
+    digits = str(m)
+    sign = "-" if q < 0 else ""
+    return (f"{sign}{digits[0]}.{digits[1:]}e{e10:+03d}",
+            abs(scaled - int(scaled) - Fraction(1, 2)))
 
 
 class TestContext:
@@ -64,6 +86,51 @@ class TestSerialization:
     def test_mantissa_rollover(self):
         # 0.99999 rounded at 4 digits must carry into the exponent
         assert _sci(mpf("0.99999"), 4) == "1.000e+00"
+
+    @pytest.mark.parametrize("d", [4, 120])
+    def test_zero_at_any_digits(self, d):
+        assert _sci(mpf(0), d) == "0." + "0" * (d - 1) + "e+00"
+
+    @pytest.mark.parametrize("text, d, want", [
+        ("123456", 4, "1.235e+05"),
+        ("1e-400", 4, "1.000e-400"),
+        ("-3.7e300000", 4, "-3.700e+300000"),
+        ("1e-1000000", 4, "1.000e-1000000"),
+        ("-3.7e300000", 30, "-3.7" + "0" * 28 + "e+300000"),
+    ])
+    def test_long_exponents_written_in_full(self, text, d, want):
+        with mp.workdps(d + 10):
+            assert _sci(mpf(text), d) == want
+
+    @pytest.mark.parametrize("v", [mp.nan, mp.inf, -mp.inf])
+    def test_non_finite_refused(self, v):
+        with pytest.raises(DomainError, match="non-finite"):
+            _sci(v, 4)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("d", [4, 30, 120, 300])
+    def test_correctly_rounded_away_from_ties(self, d, sign):
+        # against exact rounding of the binary value in Fractions, on values
+        # more than 10^-3 units of the last place from a tie; half of them
+        # just below a power of ten, where rounding carries into the exponent
+        rng, prec, checked = random.Random(d), dps_to_prec(d) + 20, 0
+        for i in range(200):
+            if i % 2:
+                man = rng.getrandbits(prec) | 1 << (prec - 1)
+                exp = rng.randint(-4000, 4000) - prec
+            else:
+                k = rng.randint(-1000, 1000)
+                with mp.workdps(d + 20):
+                    below = mpf(rng.randint(1, 9)) / 10 ** (d + 1)
+                    near = mpf(10) ** k * (1 - below)
+                man, exp = int(near.man), int(near.exp)
+            q = sign * Fraction(man) * Fraction(2) ** exp
+            want, gap = correctly_rounded(q, d)
+            if gap > Fraction(1, 1000):
+                checked += 1
+                v = mp.make_mpf(from_man_exp(sign * man, exp))
+                assert _sci(v, d) == want
+        assert checked > 150
 
     def test_reject_garbage(self):
         with pytest.raises(DomainError):
