@@ -16,8 +16,8 @@ from .errors import (BranchError, CapacityError, DomainError,
                      SeriesConsistencyError, SolverError, StepError,
                      TouchardError)
 from .numkernel import (DEFAULT_DIGITS, MIN_DIGITS, BigComplex, BigReal,
-                        PrecisionContext, default_digits, mk_context,
-                        real_from, wrap_complex, wrap_real)
+                        PrecisionContext, mk_context, real_from, wrap_complex,
+                        wrap_real)
 from .poincare import PoincareRegime, PoincareResult, leading_order
 from .saddle import (SaddleKind, SaddlePair, coalescence_tolerance,
                      mu_from_xi, solve_saddles)
@@ -36,8 +36,8 @@ __all__ = [
     "RegimeError", "SeriesConsistencyError", "SolverError", "StepError",
     "TouchardError",
     "DEFAULT_DIGITS", "MIN_DIGITS", "BigComplex", "BigReal",
-    "PrecisionContext", "default_digits", "mk_context", "real_from",
-    "wrap_complex", "wrap_real",
+    "PrecisionContext", "mk_context", "real_from", "wrap_complex",
+    "wrap_real",
     "PoincareRegime", "PoincareResult", "leading_order",
     "SaddleKind", "SaddlePair", "coalescence_tolerance", "mu_from_xi",
     "solve_saddles",

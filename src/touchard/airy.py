@@ -1,7 +1,8 @@
 """Airy Ai and Ai' on the real line at arbitrary precision, by two routes.
 
-For |z| <= Z(d) = ((3/4)(d + 10) ln 10)^(2/3), d the context's digits, both
-come from one pass over the Maclaurin series (DLMF 9.4.1-9.4.2),
+For -Z(d) <= z <= Z+(d), Z(d) = ((3/4)(d + 10) ln 10)^(2/3), Z+(d) =
+((3/4)(b + 35) ln 2)^(2/3), d the context's digits and b the bits of d + 10
+digits in mpmath, both come from one pass over the Maclaurin series,
 
     Ai = c1 f - c2 g,   Ai' = c1 f' - c2 g',   c1 = Ai(0),  c2 = -Ai'(0),
     f = 1 + w Sf,  f' = z^2 Sf',  g = z Sg,  g' = Sg',  w = z^3,
@@ -10,12 +11,12 @@ come from one pass over the Maclaurin series (DLMF 9.4.1-9.4.2),
     F_1 = 1/6,  F_k = F_(k-1) w/((3k-1) 3k),
     G_0 = 1,    G_k = G_(k-1) w/(3k (3k+1)),
 
-so that no term is divided by z. Above Z(d) they come from mpmath.airyai at
-d + 10 digits, which hypercomb sums as the 2F0 expansion of DLMF 9.7.5 there.
-Z(d) is derived, not tuned: the smallest term of 9.7.5 is about
-e^(-(4/3) z^(3/2)), which is above 10^-(d+10) below Z(d), so there mpmath
-falls back on a cancelling 0F1 pair that it retries at rising precision.
-AiryValue.method names each call's route.
+so that no term is divided by z (DLMF 9.4.1-9.4.2). Past the switchover they
+come from mpmath.airyai at d + 10 digits, which sums the 2F0 expansion of
+DLMF 9.7.5 for z > 4. Its smallest term is about e^(-(4/3) |z|^(3/2)):
+10^-(d+10) at |z| = Z(d), and at Z+(d) 2^-(b+35), the term at which mpmath's sum
+stops (hypercomb adds 10 bits, hypsum 50 and stops 25 above its grid). Short
+of these, mpmath takes slow routes. AiryValue.method names each call's route.
 
 The pass runs in Python ints on a grid of 2^-p: z = man 2^exp is taken
 exactly, |z|^3 is cut to p bits, and each F_k and G_k is |F_k| or |G_k|
@@ -41,7 +42,7 @@ Ai) and (2/3) |z|^(3/2)/ln 10 for z < 0, where Ai and Ai' oscillate. A pass
 is accepted when its bound is at most 10^-(d+10) of |Ai| and of |Ai'|;
 near a zero of either it is not, and it reruns with p raised by the digits
 it fell short, at most MAX_RERUNS times, then raises
-PrecisionExhaustedError.
+PrecisionExhaustedError, at once if a shortfall is NaN.
 """
 from __future__ import annotations
 
@@ -52,6 +53,7 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import dps_to_prec
 
 from .errors import DomainError, PrecisionExhaustedError
 from .fixedpoint import _shift, _top
@@ -76,8 +78,13 @@ class AiryValue:
 
 
 def maclaurin_limit(digits: int) -> float:
-    """Z(d), the largest |z| the Maclaurin pass takes at d digits."""
+    """Z(d), the largest -z the Maclaurin pass takes at d digits."""
     return (0.75 * (digits + 10) * math.log(10)) ** (2 / 3)
+
+
+def positive_limit(digits: int) -> float:
+    """Z+(d), the largest z the Maclaurin pass takes at d digits."""
+    return (0.75 * (dps_to_prec(digits + 10) + 35) * math.log(2)) ** (2 / 3)
 
 
 def _loss_digits(z: float) -> float:
@@ -149,17 +156,19 @@ def _by_maclaurin(zv, absz: float, digits: int):
             err = c1 * (az * z2 * ef + mp.ldexp(1, -p)) + c2 * az * eg
             errp = (3 * k + 1) * (c1 * z2 * ef + c2 * eg)
             # digits short of the target; a value inside its own bound is
-            # short by the whole target
-            short = max(target + mp.log10(e / max(abs(v), e))
-                        for v, e in ((ai, err), (aip, errp)))
-        if short <= 0:
+            # short by the whole target, and a NaN is short by NaN
+            short = [target + mp.log10(e / max(abs(v), e))
+                     for v, e in ((ai, err), (aip, errp))]
+        if all(s <= 0 for s in short):
             return ai, aip
         last.append(ai)
-        digits_p += float(short) + 1
+        if any(mp.isnan(s) for s in short):
+            break
+        digits_p += float(max(short)) + 1
     raise PrecisionExhaustedError(
         f"airy(z={mp.nstr(zv, 8)}): the Maclaurin pass not certified to "
-        f"{target} digits after {MAX_RERUNS} reruns (last working precision "
-        f"{p} bits)", last_two=tuple(last[-2:]))
+        f"{target} digits (shortfalls {mp.nstr(short, 3)} at {p} bits, "
+        f"{MAX_RERUNS} reruns allowed)", last_two=tuple(last[-2:]))
 
 
 def airy(z: BigReal, ctx: PrecisionContext) -> AiryValue:
@@ -168,13 +177,12 @@ def airy(z: BigReal, ctx: PrecisionContext) -> AiryValue:
     absz = abs(float(zv))
     if absz > ABS_Z_LIMIT:
         raise DomainError(f"|z| = {absz} exceeds the supported range {ABS_Z_LIMIT}")
-    if absz <= maclaurin_limit(ctx.digits):
+    if absz <= (maclaurin_limit if zv < 0 else positive_limit)(ctx.digits):
         ai, aip = _by_maclaurin(zv, absz, ctx.digits)
         method = AiryMethod.MACLAURIN
     else:
         with mp.workdps(ctx.digits + 10):
-            ai = mpmath.airyai(zv)
-            aip = mpmath.airyai(zv, 1)
+            ai, aip = mpmath.airyai(zv), mpmath.airyai(zv, 1)
         method = AiryMethod.MPMATH
     return AiryValue(ai=wrap_real(ai, ctx), ai_prime=wrap_real(aip, ctx),
                      method=method)

@@ -14,9 +14,8 @@ on load, is) recomputed from the row itself. All output is deterministic:
 identical invocations produce byte-identical bytes. Exit codes: 0 success,
 2 domain error, 3 precision exhausted, 4 internal consistency failure.
 --xi, --step and --max-len are read by numkernel.real_from, so text that is
-not a finite number exits 2, as does an empty --xi list.
-
-TOUCHARD_DIGITS sets the default working precision (120 when unset).
+not a finite number exits 2, as does an empty --xi list. --digits is the
+working precision in significant digits, at least 30; 120 when not given.
 """
 from __future__ import annotations
 
@@ -290,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--digits", type=int, default=None,
-                       help="working precision (default: TOUCHARD_DIGITS or 120)")
+                       help="working precision in digits, >= 30 (default: 120)")
         p.add_argument("--out", default=None, help="write output to this path")
 
     p1 = sub.add_parser("table1", help="error table for the coalescence series")

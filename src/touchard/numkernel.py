@@ -6,8 +6,8 @@ operation pins its working precision with ``mp.workdps`` so results never
 depend on ambient global state; repeated calls with identical inputs are
 bit-identical. Elementary and special functions are mpmath's own, called
 by each module under its pinned precision. ``_sci`` writes d digits of a
-value's held binary value by one mpmath ``libmp.to_str`` call, the exponent
-padded to two digits; ``BigReal.to_str`` appends ``@d`` for d = ctx.digits.
+value's held binary value, correctly rounded, the exponent padded to two
+digits; ``BigReal.to_str`` appends ``@d`` for d = ctx.digits.
 
 The one function the kernel adds is ``log_branched_raw``: the logarithm
 with arg z in [0, 2pi), cut along the positive real axis approached from
@@ -16,12 +16,13 @@ above. That branch choice is what makes the phase function take the value
 """
 from __future__ import annotations
 
-import os
+import math
 import re
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import to_str
+from mpmath.libmp import (from_int, from_man_exp, mpf_mul, mpf_pow_int,
+                          round_ceiling, round_floor, to_int)
 
 from .errors import BranchError, DomainError, InvalidPrecisionError
 
@@ -30,30 +31,13 @@ MIN_DIGITS = 30
 _GUARD = 10  # internal guard digits absorbed before rounding to ctx.digits
 
 
-def default_digits() -> int:
-    """Default working precision, overridable via TOUCHARD_DIGITS."""
-    raw = os.environ.get("TOUCHARD_DIGITS")
-    if raw is None or raw.strip() == "":
-        return DEFAULT_DIGITS
-    try:
-        d = int(raw)
-    except ValueError:
-        raise InvalidPrecisionError(
-            f"TOUCHARD_DIGITS must be an integer, got {raw!r}")
-    if d < MIN_DIGITS:
-        raise InvalidPrecisionError(
-            f"TOUCHARD_DIGITS must be >= {MIN_DIGITS}, got {d}")
-    return d
-
-
 @dataclass(frozen=True)
 class PrecisionContext:
     digits: int
 
 
 def mk_context(digits: int | None = None) -> PrecisionContext:
-    if digits is None:
-        digits = default_digits()
+    digits = DEFAULT_DIGITS if digits is None else digits
     if not isinstance(digits, int) or isinstance(digits, bool) or digits < MIN_DIGITS:
         raise InvalidPrecisionError(
             f"working precision must be an integer >= {MIN_DIGITS}, got {digits!r}")
@@ -95,10 +79,6 @@ class BigComplex:
     im: BigReal
 
     @property
-    def ctx(self) -> PrecisionContext:
-        return self.re.ctx
-
-    @property
     def value(self) -> mpc:
         # make_mpc keeps the stored mantissas verbatim; mpc(re, im) would
         # re-round both parts to whatever the ambient precision happens to be
@@ -109,15 +89,33 @@ class BigComplex:
 
 
 def _sci(v: mpf, d: int) -> str:
-    """Scientific notation with exactly d >= 2 significant digits, written by
-    mpmath from v's binary value, with an exponent of at least two digits."""
+    """Scientific notation with exactly d >= 2 significant digits: v's binary
+    value rounded half away from zero, the exponent of at least two digits."""
     if not mp.isfinite(v):
         raise DomainError(f"cannot serialize non-finite value {v}")
     if v == 0:
         return "0." + "0" * (d - 1) + "e+00"
-    mant, e10 = to_str(v._mpf_, d, min_fixed=1, max_fixed=0, strip_zeros=False,
-                       show_zero_exponent=True).split("e")
-    return f"{mant}e{int(e10):+03d}"
+    sign, man, exp, bc = v._mpf_
+    s = math.floor((exp + bc - 1) * math.log10(2)) - d + 1  # last digit, +-1
+    while True:
+        q = (_twice_floor(man, exp, s, d) + 1) >> 1  # man 2^exp / 10^s, rounded
+        if 10 ** (d - 1) <= q < 10 ** d:
+            digits = str(q)
+            return f"{'-' * sign}{digits[0]}.{digits[1:]}e{s + d - 1:+03d}"
+        s += 1 if q >= 10 ** d else -1
+
+
+def _twice_floor(man: int, exp: int, s: int, d: int) -> int:
+    """floor(man 2^(exp+1) / 10^s): exact while |s| <= 1000, else from bounds
+    at 4d + 64 bits, whose floors agree off 2^-60 units of a rounding tie."""
+    if abs(s) > 1000:
+        x, w = from_man_exp(man, exp + 1), 4 * d + 64
+        lo, hi = (to_int(mpf_mul(x, mpf_pow_int(from_int(10), -s, w, rnd), w,
+                                 rnd)) for rnd in (round_floor, round_ceiling))
+        if lo == hi:
+            return lo
+    num, den = man * 10 ** max(-s, 0), 10 ** max(s, 0)
+    return (num << exp + 1) // den if exp >= -1 else num // (den << -exp - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -45,17 +45,14 @@ class SaddlePair:
 # ---------------------------------------------------------------------------
 # phase function at a saddle
 
-def _check_off_cut(tv: mpc):
+def psi_reduced_raw(tv: mpc) -> mpc:
+    """1/t - log t; equals psi(t; mu) whenever t e^t = -mu."""
+    tv = mpc(tv)
     if tv == 0:
         raise DomainError("psi is singular at t = 0")
     if tv.imag == 0 and tv.real >= 0:
         raise DomainError(f"t = {tv} lies on the branch cut [0, inf)")
-
-
-def psi_reduced_raw(tv: mpc) -> mpc:
-    """1/t - log t; equals psi(t; mu) whenever t e^t = -mu."""
-    _check_off_cut(mpc(tv))
-    return 1 / mpc(tv) - log_branched_raw(tv)
+    return 1 / tv - log_branched_raw(tv)
 
 
 def psi2_at_saddle_raw(tv: mpc) -> mpc:
@@ -102,8 +99,7 @@ def solve_saddles(mu, ctx: PrecisionContext) -> SaddlePair:
                 raise InternalConsistencyError(
                     f"double-saddle residual {mp.nstr(r, 3)} exceeds the "
                     f"coalescence window for xi={mp.nstr(xi, 8)}")
-            tw = wrap_complex(t, ctx)
-            rw = wrap_real(r, ctx)
+            tw, rw = wrap_complex(t, ctx), wrap_real(r, ctx)
             return SaddlePair(SaddleKind.DOUBLE, tw, tw, rw, rw)
 
         # W_0(-mu) is the smaller real saddle above -1/e and the upper one

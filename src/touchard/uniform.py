@@ -129,8 +129,7 @@ def theorem2_eval(n: int, xi, ctx: PrecisionContext,
         raise DomainError(f"n must be >= 2, got {n}")
     ing = uniform_ingredients(xi, ctx) if ingredients is None else ingredients
     with mp.workdps(ctx.digits + 10):
-        xiv = ing.xi.value
-        x = n * mp.e * xiv
+        x = n * mp.e * ing.xi.value
         nn = mpf(n)
         arg = nn ** (mpf(2) / 3) * ing.zeta.value
         av = airy(wrap_real(arg, ctx), ctx)

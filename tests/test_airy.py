@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from touchard import (DomainError, PrecisionExhaustedError, airy, mk_context,
-                      real_from, wrap_real)
-from touchard.airy import maclaurin_limit
+                      real_from, theorem2_eval, wrap_real)
+from touchard.airy import maclaurin_limit, positive_limit
 from touchard.numkernel import raw
 
 from airy_oracle import airy_maclaurin
@@ -147,22 +147,53 @@ def passes(monkeypatch):
 class TestRoutes:
     @pytest.mark.parametrize("digits", ROUTE_DIGITS)
     def test_route_switches_at_the_limit(self, digits):
+        # at -Z(d) below zero and at Z+(d) above it
         ctx = mk_context(digits)
-        limit = maclaurin_limit(digits)
-        for z, route in ((0, "maclaurin"), (limit / 2, "maclaurin"),
-                         (limit, "maclaurin"), (limit * (1 + 1e-3), "mpmath"),
-                         (4 * limit, "mpmath")):
-            for s in (-1, 1):
+        for s, limit in ((-1, maclaurin_limit(digits)),
+                         (1, positive_limit(digits))):
+            for z, route in ((0, "maclaurin"), (limit / 2, "maclaurin"),
+                             (limit, "maclaurin"),
+                             (limit * (1 + 1e-3), "mpmath"),
+                             (4 * limit, "mpmath")):
                 got = airy(real_from(s * z, ctx), ctx)
                 assert got.method.value == route, (s * z, digits)
 
     def test_limit_values(self):
-        # the smallest term of DLMF 9.7.5 stays above 10^-(d+10) below Z(d)
+        # the smallest term of DLMF 9.7.5 stays above 10^-(d+10) below Z(d),
+        # and above mpmath's stopping term 2^-(b+35) below Z+(d)
         assert [round(maclaurin_limit(d), 1) for d in (40, 120, 300)] == \
             [19.5, 36.9, 65.9]
+        assert [round(positive_limit(d), 1) for d in (40, 120, 300)] == \
+            [22.4, 39.1, 67.6]
         for d in ROUTE_DIGITS:
             z = maclaurin_limit(d)
             assert (4 / 3) * z ** 1.5 / math.log(10) == pytest.approx(d + 10)
+            with mp.workdps(d + 10):
+                bits = mp.prec
+            z = positive_limit(d)
+            assert (4 / 3) * z ** 1.5 / math.log(2) == pytest.approx(bits + 35)
+
+    @pytest.mark.parametrize("digits", ROUTE_DIGITS)
+    def test_mpmath_sums_its_series_past_the_positive_limit(self, digits,
+                                                            monkeypatch):
+        # above Z+(d) mpmath's 2F0 sum of DLMF 9.7.5 converges: it never
+        # falls back on its slow route there
+        failed = []
+        hypsum = type(mp).hypsum
+
+        def counted(*args, **kwargs):
+            try:
+                return hypsum(*args, **kwargs)
+            except mpmath.libmp.NoConvergence:
+                failed.append(args)
+                raise
+
+        monkeypatch.setattr(type(mp), "hypsum", counted)
+        ctx = mk_context(digits)
+        for f in (1 + 1e-9, 1 + 1e-3, 1.5):
+            got = airy(real_from(positive_limit(digits) * f, ctx), ctx)
+            assert got.method.value == "mpmath"
+        assert failed == []
 
     @pytest.mark.parametrize("digits", ROUTE_DIGITS)
     def test_both_routes_agree_at_the_limit(self, digits, monkeypatch):
@@ -172,7 +203,8 @@ class TestRoutes:
               for s in (-1, 1) for f in (1 - 1e-3, 1, 1 + 1e-3)]
         by = {}
         for name, forced in (("maclaurin", math.inf), ("mpmath", -1.0)):
-            monkeypatch.setattr(AIRY, "maclaurin_limit", lambda d: forced)
+            for limit in ("maclaurin_limit", "positive_limit"):
+                monkeypatch.setattr(AIRY, limit, lambda d: forced)
             by[name] = [airy(zb, ctx) for zb in zs]
             assert {v.method.value for v in by[name]} == {name}
         for zb, a, b in zip(zs, by["maclaurin"], by["mpmath"]):
@@ -231,6 +263,33 @@ class TestRoutes:
         assert info.value.exit_code == 3
         assert info.value.last_two[0] is None
         assert abs(info.value.last_two[1]) < mpf("1e-30")
+
+    def test_nan_constants_fail_closed(self, ctx40, monkeypatch):
+        # a NaN Ai(0) and Ai'(0) leave every shortfall NaN: exit 3 at once
+        monkeypatch.setattr(AIRY, "_ai0", lambda bits: (mp.nan, mp.nan))
+        made = passes(monkeypatch)
+        for call in (lambda: airy(real_from("1", ctx40), ctx40),
+                     lambda: theorem2_eval(100, "1.2", ctx40)):
+            made.clear()
+            with pytest.raises(PrecisionExhaustedError, match="nan") as info:
+                call()
+            assert info.value.exit_code == 3
+            assert len(made) == 1
+
+    def test_nan_derivative_after_a_certified_ai_fails_closed(self, ctx40,
+                                                              monkeypatch):
+        # Sf' alone NaN: Ai certifies and Ai' is NaN, which must not pass
+        sums = AIRY._sums
+
+        def nan_sfp(*args):
+            sf, sfp, *rest = sums(*args)
+            return (sf, math.nan, *rest)
+
+        monkeypatch.setattr(AIRY, "_sums", nan_sfp)
+        with pytest.raises(PrecisionExhaustedError) as info:
+            airy(real_from("1", ctx40), ctx40)
+        assert info.value.exit_code == 3
+        assert mp.isfinite(info.value.last_two[1])
 
     @pytest.mark.parametrize("z", ["nan", "inf", "-inf"])
     def test_non_finite_z_refused(self, z, ctx40):

@@ -91,12 +91,6 @@ class TestEval:
         assert entry["error"]["type"] == "DomainError"
         assert "theorem2" in report["methods"]
 
-    def test_env_default_digits(self, monkeypatch):
-        monkeypatch.setenv("TOUCHARD_DIGITS", "44")
-        report = cmd_eval(12, "1.3")
-        assert report["digits"] == 44
-        assert report["exact"]["value"].endswith("@44")
-
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             cmd_eval(1, "1.0", digits=40)

@@ -10,6 +10,10 @@ PrecisionExhaustedError (exit 3), each call within CEILING seconds, and
 `contours` at 1 +- 10^-k must trace (exit 0). An internal consistency
 failure (exit 4) or a bare exception fails the sweep.
 
+Named cases add the edges of the ranges: `airy` just past its route
+switchover at 120 and 300 digits within AIRY_CEILING, and just past
+ABS_Z_LIMIT, and `scaled_touchard` just past N_MAX_LIMIT.
+
 The sizes are capped to fit tier-1's time: n up to 300 where an exact sum
 runs, contours at a step of 0.5.
 """
@@ -25,16 +29,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from touchard import (BigReal, DomainError, PrecisionExhaustedError,
-                      TouchardError, contour_set, leading_order, mk_context,
-                      mu_from_xi, solve_saddles, theorem2_eval,
+from touchard import (ABS_Z_LIMIT, N_MAX_LIMIT, BigReal, CapacityError,
+                      DomainError, PrecisionExhaustedError, TouchardError,
+                      airy, contour_set, leading_order, mk_context, mu_from_xi,
+                      real_from, scaled_touchard, solve_saddles, theorem2_eval,
                       uniform_ingredients)
+from touchard.airy import maclaurin_limit
 from touchard.cli import main
 from touchard.numkernel import raw
 
 # The slowest call seen over about 1000 unseeded examples took 0.15 s (eval
 # at 286 digits); the ceiling leaves room for a loaded host.
 CEILING = 3.0
+
+# The ceiling of one airy call at up to 300 digits; where mpmath.airyai falls
+# back on its slow route, just above Z(d) for z > 0, a call takes 48-1762 ms
+AIRY_CEILING = 0.06
 
 REFUSED = ["nan", "NaN", "inf", "-inf", "+inf", "0", "-0", "-1", "-1e-300",
            "abc", "", " ", "1e", "--1", "0x10", "1j"]
@@ -173,3 +183,29 @@ def test_cli_commands_refuse_what_is_not_a_positive_number(xi):
     for digits in (30, 300):
         for argv in commands(xi, 100, digits):
             assert run(argv) == (2, ""), argv
+
+
+@pytest.mark.parametrize("digits", [120, 300])
+@pytest.mark.parametrize("factor", [1 + 1e-6, 1 + 1e-3, 1.01,
+                                    -(1 - 1e-3), -(1 + 1e-3)])
+def test_airy_near_the_switchover(digits, factor):
+    ctx = mk_context(digits)
+    zb = real_from(factor * maclaurin_limit(digits), ctx)
+    airy(zb, ctx)  # fills the caches of constants at these digits
+    start = time.perf_counter()
+    got = airy(zb, ctx)
+    assert time.perf_counter() - start < AIRY_CEILING, zb.to_str()
+    assert mp.isfinite(raw(got.ai)) and mp.isfinite(raw(got.ai_prime))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_airy_past_abs_z_limit_refused(sign, ctx40):
+    with pytest.raises(DomainError) as info:
+        airy(real_from(sign * ABS_Z_LIMIT * (1 + 1e-9), ctx40), ctx40)
+    assert info.value.exit_code == 2
+
+
+def test_scaled_touchard_past_the_cap_refused(ctx40):
+    with pytest.raises(CapacityError) as info:
+        scaled_touchard(N_MAX_LIMIT + 1, real_from("-1", ctx40), ctx40)
+    assert info.value.exit_code == 2

@@ -1,4 +1,5 @@
 """Numeric kernel: serialization, branch choice, pinned precision."""
+import math
 import random
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec, from_man_exp
 
 from touchard import DomainError, InvalidPrecisionError, mk_context, wrap_real
-from touchard.numkernel import (BigReal, _sci, default_digits,
-                                log_branched_raw, real_from, wrap_complex)
+from touchard.numkernel import (BigReal, _sci, log_branched_raw, real_from,
+                                wrap_complex)
 
 
 def tol(ctx, slack):
@@ -19,15 +20,17 @@ def tol(ctx, slack):
 
 
 def correctly_rounded(q: Fraction, d: int) -> tuple[str, Fraction]:
-    """q != 0 rounded to d significant digits in _sci's form, and the
-    distance of its scaled value from the nearest rounding tie in units of
-    the last place."""
+    """q != 0 rounded half away from zero to d significant digits in _sci's
+    form, and the distance of its scaled value from the nearest rounding tie
+    in units of the last place."""
     a = abs(q)
-    e10 = len(str(a.numerator)) - len(str(a.denominator))
-    if a < Fraction(10) ** e10:
+    e10 = math.floor(math.log10(a.numerator) - math.log10(a.denominator))
+    while a >= Fraction(10) ** (e10 + 1):
+        e10 += 1
+    while a < Fraction(10) ** e10:
         e10 -= 1
     scaled = a / Fraction(10) ** (e10 - d + 1)  # in [10^(d-1), 10^d)
-    m = round(scaled)
+    m = math.floor(scaled + Fraction(1, 2))
     if m == 10 ** d:
         m, e10 = m // 10, e10 + 1
     digits = str(m)
@@ -39,19 +42,6 @@ def correctly_rounded(q: Fraction, d: int) -> tuple[str, Fraction]:
 class TestContext:
     def test_defaults(self):
         assert mk_context().digits == 120
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("TOUCHARD_DIGITS", "77")
-        assert default_digits() == 77
-        assert mk_context().digits == 77
-
-    def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("TOUCHARD_DIGITS", "twelve")
-        with pytest.raises(InvalidPrecisionError):
-            default_digits()
-        monkeypatch.setenv("TOUCHARD_DIGITS", "10")
-        with pytest.raises(InvalidPrecisionError):
-            default_digits()
 
     @pytest.mark.parametrize("bad", [29, 0, -5, 3.5, True, "60"])
     def test_floor_and_types(self, bad):
@@ -110,27 +100,54 @@ class TestSerialization:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("d", [4, 30, 120, 300])
     def test_correctly_rounded_away_from_ties(self, d, sign):
-        # against exact rounding of the binary value in Fractions, on values
-        # more than 10^-3 units of the last place from a tie; half of them
-        # just below a power of ten, where rounding carries into the exponent
-        rng, prec, checked = random.Random(d), dps_to_prec(d) + 20, 0
-        for i in range(200):
-            if i % 2:
-                man = rng.getrandbits(prec) | 1 << (prec - 1)
-                exp = rng.randint(-4000, 4000) - prec
-            else:
-                k = rng.randint(-1000, 1000)
-                with mp.workdps(d + 20):
+        # against exact rounding of the binary value in Fractions, half away
+        # from zero, on 300 values: random ones; ones just below a power of
+        # ten, where rounding carries into the exponent; and ones within
+        # 10^-(d+3) to 10^-(d+8) relative of a tie, or on one as held in
+        # binary; half with exponents out to 10^4, where _sci rounds from
+        # bounds
+        rng, prec, near_tie = random.Random(d), dps_to_prec(d) + 20, 0
+        for i in range(300):
+            k = rng.randint(-1000, 1000) * (10 if i % 6 < 3 else 1)
+            with mp.workdps(d + 20):
+                if i % 3 == 0:
+                    v = mpf(rng.getrandbits(prec) | 1 << (prec - 1)) * \
+                        mpf(2) ** (rng.randint(-4000, 4000) - prec)
+                elif i % 3 == 1:
                     below = mpf(rng.randint(1, 9)) / 10 ** (d + 1)
-                    near = mpf(10) ** k * (1 - below)
-                man, exp = int(near.man), int(near.exp)
+                    v = mpf(10) ** k * (1 - below)
+                else:
+                    m = rng.randrange(10 ** (d - 1), 10 ** d)
+                    tie = (m + mpf(1) / 2) * mpf(10) ** (k - d + 1)
+                    off = rng.choice([0, -1, 1]) * mpf(10) ** -rng.uniform(
+                        d + 3, d + 8)
+                    v = tie * (1 + off)
+            man, exp = int(v.man), int(v.exp)
             q = sign * Fraction(man) * Fraction(2) ** exp
             want, gap = correctly_rounded(q, d)
-            if gap > Fraction(1, 1000):
-                checked += 1
-                v = mp.make_mpf(from_man_exp(sign * man, exp))
-                assert _sci(v, d) == want
-        assert checked > 150
+            near_tie += gap < Fraction(1, 1000)
+            v = mp.make_mpf(from_man_exp(sign * man, exp))
+            assert _sci(v, d) == want
+        assert near_tie >= 80
+
+    @pytest.mark.parametrize("text, d, want", [
+        ("0.125", 2, "1.3e-01"), ("-0.125", 2, "-1.3e-01"),
+        ("1.0625", 4, "1.063e+00"), ("9.5", 2, "9.5e+00"),
+        ("0.95", 1 + 1, "9.5e-01"), ("99.5", 2, "1.0e+02"),
+    ])
+    def test_exact_ties_round_away_from_zero(self, text, d, want):
+        assert _sci(mpf(text), d) == want
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_exact_tie_past_the_exact_range(self, sign):
+        # 1234.5e1001 = 2469 5^1001 2^1000 exactly: the bounds at 80 bits
+        # straddle the tie, and exact integers decide it
+        v = mp.make_mpf(from_man_exp(sign * 2469 * 5 ** 1001, 1000))
+        assert _sci(v, 4) == "-" * (sign < 0) + "1.235e+1004"
+
+    def test_rounds_near_a_tie(self):
+        # just above the tie 1.2345: to_str's rounding printed 1.234e+00
+        assert _sci(mpf("1.2345") * (1 + 1e-12), 4) == "1.235e+00"
 
     def test_reject_garbage(self):
         with pytest.raises(DomainError):

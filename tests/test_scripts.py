@@ -1,4 +1,9 @@
-"""The scripts the README advertises run end to end."""
+"""The scripts the README advertises run end to end.
+
+scripts/parity_set.py takes about 20 s; these tests run each of
+its parts on a small subset: the 40-digit set, the golden contours at 40
+digits, 20 exact points and 20 Airy points.
+"""
 import contextlib
 import importlib.util
 import io
@@ -28,25 +33,33 @@ def load_script(name):
 
 
 @pytest.fixture(scope="module")
-def parity_set(tmp_path_factory):
-    """Run scripts/parity_set.py once at 40 digits; return (script, outdir, stdout)."""
-    script = load_script("parity_set")
-    outdir = tmp_path_factory.mktemp("parity_set")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        script.main(["--outdir", str(outdir), "--digits", "40"])
-    return script, outdir, out.getvalue()
+def parity():
+    return load_script("parity_set")
 
 
-def test_parity_set_writes_every_output(parity_set):
-    script, outdir, out = parity_set
-    evals = [f"eval_n{n}_xi{xi}.json" for n, xi in script.EVAL_POINTS]
-    contours = [f"contours_xi{xi}.json" for xi in script.CONTOUR_XI]
-    names = ["table1.csv", "table2.csv", "refusals.txt", "theorem2.txt",
-             *evals, *contours]
+@pytest.fixture(scope="module")
+def parity_set(parity, tmp_path_factory):
+    """The 40-digit part of the parity set; return (outdir, its paths)."""
+    outdir = tmp_path_factory.mktemp("parity_set") / "d40"
+    return outdir, parity.digit_set(outdir, 40)
+
+
+@pytest.fixture(scope="module")
+def golden_contours(parity, tmp_path_factory):
+    """The contour files of the golden xi at 40 digits, as the parity set
+    writes them; return their paths."""
+    outdir = tmp_path_factory.mktemp("parity_set") / "contours"
+    return [parity.contour_file(outdir, xi, 40) for xi in GOLDEN]
+
+
+def test_parity_set_writes_every_output(parity, parity_set):
+    outdir, paths = parity_set
+    evals = [f"eval_n{n}_xi{xi}.json" for n, xi in parity.EVAL_POINTS]
+    names = ["table1.csv", "table2.csv", *evals, "refusals.txt",
+             "theorem2.txt"]
+    assert [p.name for p in paths] == names
     assert sorted(p.name for p in outdir.iterdir()) == sorted(names)
-    assert f"wrote {len(names)} files" in out
-    for (n, xi), name in zip(script.EVAL_POINTS, evals):
+    for (n, xi), name in zip(parity.EVAL_POINTS, evals):
         report = json.loads((outdir / name).read_text())
         assert (report["n"], report["digits"]) == (int(n), 40)
         assert report["exact"]["verified"]
@@ -54,41 +67,51 @@ def test_parity_set_writes_every_output(parity_set):
              for line in (outdir / "refusals.txt").read_text().splitlines()]
     assert codes == ["2"] * 6
     lines = (outdir / "theorem2.txt").read_text().splitlines()
-    assert len(lines) == 2 * len(script.THEOREM2_N) * len(script.THEOREM2_XI)
+    assert len(lines) == 2 * len(parity.THEOREM2_N) * len(parity.THEOREM2_XI)
     assert all(line.endswith("@40") or line.endswith("exit 2")
                for line in lines)
 
 
+def test_parity_set_takes_only_outdir(parity, tmp_path, capsys):
+    # the digits and seeds are constants: no option may set them
+    assert parity.DIGITS == (40, 120, 300)
+    assert parity.AIRY_SEEDS == (1, 2, 3) and parity.EXACT_SEEDS == (1,)
+    for extra in (["--digits", "40"], ["--seed", "2"]):
+        with pytest.raises(SystemExit):
+            parity.main(["--outdir", str(tmp_path), *extra])
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert sorted(p.name for p in SCRIPTS.glob("*.py")) == [
+        "error_decay.py", "parity_set.py"]
+
+
 def test_run_tables_writes_the_cli_tables(parity_set):
-    _, outdir, _ = parity_set
+    outdir, _ = parity_set
     for name, cmd in (("table1", cmd_table1), ("table2", cmd_table2)):
         text = (outdir / f"{name}.csv").read_text()
         assert text == cmd(digits=40)
         assert len(load_error_rows(text)) == len(text.splitlines()) - 1
 
 
-def test_trace_contours_writes_reloadable_json(parity_set):
-    script, outdir, _ = parity_set
-    for xi in script.CONTOUR_XI:
-        report = json.loads((outdir / f"contours_xi{xi}.json").read_text())
+def test_trace_contours_writes_reloadable_json(golden_contours):
+    for xi, path in zip(GOLDEN, golden_contours):
+        report = json.loads(path.read_text())
         assert report == cmd_contours(xi, digits=40)
         for pl in report["polylines"]:
             assert float(pl["im_psi_drift"]) < 1e-8
             assert all(c.endswith("@30") for pt in pl["points"] for c in pt)
-    report = json.loads((outdir / "contours_xi1.json").read_text())
+    report = json.loads(golden_contours[list(GOLDEN).index("1")].read_text())
     assert report["saddle_kind"] == "double"
     assert len(report["polylines"]) == 6
 
 
-def test_contour_sweep_subset_keeps_the_golden_paths(tmp_path):
+def test_contour_sweep_subset_keeps_the_golden_paths(parity, golden_contours):
     # 3 of the 48 sets, the golden xi at 40 digits
-    script = load_script("contour_sweep")
-    assert len(script.SWEEP_XI) == 16 and script.DIGITS == (40, 120, 300)
-    assert set(GOLDEN) <= set(script.SWEEP_XI)
-    paths = script.sweep([(xi, 40) for xi in GOLDEN], tmp_path)
-    assert [p.name for p in paths] == [f"contours_xi{xi}_d40.json"
-                                       for xi in GOLDEN]
-    for xi, path in zip(GOLDEN, paths):
+    assert len(parity.CONTOUR_XI) == 16 and parity.DIGITS == (40, 120, 300)
+    assert set(GOLDEN) <= set(parity.CONTOUR_XI)
+    assert [p.name for p in golden_contours] == [f"contours_xi{xi}_d40.json"
+                                                 for xi in GOLDEN]
+    for xi, path in zip(GOLDEN, golden_contours):
         polylines = json.loads(path.read_text())["polylines"]
         assert [(pl["kind"], pl["stop_reason"], len(pl["points"]))
                 for pl in polylines] == [g[:3] for g in GOLDEN[xi]]
@@ -106,19 +129,17 @@ def test_error_decay_prints_both_studies(capsys):
     assert "# coalescence series truncation, n = 50" in out
 
 
-def test_exact_sweep_subset_prints_the_oracle(tmp_path):
+def test_exact_sweep_subset_prints_the_oracle(parity):
     # 20 of the 600 points, the first ten with n <= 150 and the first ten
     # above; the oracle's integer row checks the ten small ones
-    script = load_script("exact_sweep")
-    pts = script.points(1)
-    assert len(pts) == script.POINTS
+    pts = parity.exact_points(1)
+    assert len(pts) == parity.EXACT_POINTS
     small = [pt for pt in pts if pt[0] <= 150][:10]
     subset = small + [pt for pt in pts if pt[0] > 150][:10]
-    script.sweep(subset, tmp_path / "sweep.txt")
-    lines = (tmp_path / "sweep.txt").read_text().splitlines()
-    assert len(lines) == 20
-    for (n, x, digits), text in zip(subset, lines):
-        head, value, cancel = text.rsplit(" ", 2)
+    for (n, x, digits) in subset:
+        text = parity.exact_line(n, x, digits)
+        assert text.endswith("\n")
+        head, value, cancel = text.rstrip("\n").rsplit(" ", 2)
         assert head == f"n={n} x={x} digits={digits}:"
         assert value.endswith(f"@{digits}")
         if n <= 150:
@@ -129,22 +150,47 @@ def test_exact_sweep_subset_prints_the_oracle(tmp_path):
             assert int(cancel) == count, text
 
 
-def test_airy_sweep_subset_prints_mpmath(tmp_path):
+def test_airy_sweep_subset_prints_mpmath(parity):
     # 20 of the 408 points, both edges of each digits among them
-    script = load_script("airy_sweep")
-    pts = script.points(1)
-    assert len(pts) == script.POINTS + 2 * len(script.DIGITS)
-    for d in script.DIGITS:
-        assert script.edge(d) == maclaurin_limit(d)
+    pts = parity.airy_points(1)
+    assert len(pts) == parity.AIRY_POINTS + 2 * len(parity.AIRY_DIGITS)
+    for d in parity.AIRY_DIGITS:
+        assert parity.edge(d) == maclaurin_limit(d)
     subset = pts[:12] + pts[-8:]
-    script.sweep(subset, tmp_path / "sweep.txt")
-    lines = (tmp_path / "sweep.txt").read_text().splitlines()
-    assert len(lines) == 20
-    for (z, digits), text in zip(subset, lines):
-        head, ai, aip = text.rsplit(" ", 2)
+    for z, digits in subset:
+        text = parity.airy_line(z, digits)
+        assert text.endswith("\n")
+        head, ai, aip = text.rstrip("\n").rsplit(" ", 2)
         assert head == f"z={z} digits={digits}:"
         ctx = mk_context(digits)
         zv = raw(real_from(z, ctx))
-        with mp.workdps(digits + 20):
+        with mp.workdps(2 * digits):
             want = [wrap_real(mpmath.airyai(zv, k), ctx).to_str() for k in (0, 1)]
         assert [ai, aip] == want, text
+
+
+def test_parity_set_main_reports_its_files(parity, tmp_path, monkeypatch):
+    # main over stand-in parts, to check the layout without the 20 s run
+    def stub(name):
+        def write(outdir, *args):
+            outdir.mkdir(parents=True, exist_ok=True)
+            path = outdir / f"{name}_{'_'.join(map(str, args))}"
+            path.write_text("")
+            return [path] if name == "set" else path
+        return write
+
+    monkeypatch.setattr(parity, "digit_set", stub("set"))
+    monkeypatch.setattr(parity, "contour_file", stub("contours"))
+    monkeypatch.setattr(parity, "exact_points", lambda seed: [(seed,)])
+    monkeypatch.setattr(parity, "exact_line", lambda seed: f"exact {seed}\n")
+    monkeypatch.setattr(parity, "airy_points", lambda seed: [(seed,)])
+    monkeypatch.setattr(parity, "airy_line", lambda seed: f"airy {seed}\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        parity.main(["--outdir", str(tmp_path)])
+    assert out.getvalue() == f"wrote {3 + 1 + 3 + 48} files into {tmp_path}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "airy_seed1.txt", "airy_seed2.txt", "airy_seed3.txt", "contours",
+        "d120", "d300", "d40", "exact_seed1.txt"]
+    assert (tmp_path / "airy_seed2.txt").read_text() == "airy 2\n"
+    assert len(list((tmp_path / "contours").iterdir())) == 48
