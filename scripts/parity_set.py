@@ -20,14 +20,15 @@ writes, in about 20 s,
         `cancellation_digits`, or the exit code of the TouchardError raised.
     DIR/airy_seed1.txt, airy_seed2.txt, airy_seed3.txt
         Ai and Ai' at the AIRY_POINTS points drawn from each seed: digits
-        from AIRY_DIGITS, z uniform in [-2 Z(d), 2 Z(d)] with Z(d) = edge(d),
-        then the 8 edges z = +-Z(d); one line per point with the Ai and Ai'
+        from AIRY_DIGITS, z uniform in [-2 E(d), 2 E(d)] with E(d) = edge(d),
+        then the 8 edges z = +-E(d); one line per point with the Ai and Ai'
         strings, or the exit code of the TouchardError raised.
     DIR/contours/
         one contours_xi<XI>_d<D>.json per xi of CONTOUR_XI, from the small
-        end of the tracing frame (1e-5) to its large end (7.7) with five
-        points within 1e-2 of the double saddle at xi = 1, and per D of
-        DIGITS.
+        end of the tracing frame (1e-5) to its large end (7.7) with seven
+        points within 1e-2 of the double saddle at xi = 1, two of them at
+        1 +- 1e-26, a pair that contour_set traces as one double saddle at
+        its midpoint, and per D of DIGITS.
 
 Two trees agree when `diff -r` finds nothing between their directories.
 """
@@ -63,7 +64,9 @@ AIRY_SEEDS = (1, 2, 3)
 AIRY_POINTS = 400
 AIRY_DIGITS = (30, 40, 120, 300)
 CONTOUR_XI = ("1e-5", "0.01", "0.1", "0.3", "0.5", "0.8", "0.9", "0.99",
-              "0.999999", "1", "1.000001", "1.01", "1.1", "1.8", "3", "7.7")
+              "0.999999", "0.99999999999999999999999999", "1",
+              "1.00000000000000000000000001", "1.000001", "1.01", "1.1", "1.8",
+              "3", "7.7")
 
 
 def theorem2_lines(digits: int) -> list[str]:
@@ -130,8 +133,9 @@ def exact_line(n: int, x: str, digits: int) -> str:
 
 
 def edge(digits: int) -> float:
-    """Z(d) as airy.maclaurin_limit defines it, restated here so that the
-    points stay where they are if the package moves its switchover."""
+    """((3/4)(d + 10) ln 10)^(2/3), the limit airy.maclaurin_limit gave for
+    z < 0 before one limit served both signs, restated here so that the
+    points stay where they are when the package moves its switchover."""
     return (0.75 * (digits + 10) * math.log(10)) ** (2 / 3)
 
 

@@ -19,8 +19,7 @@ from .numkernel import (DEFAULT_DIGITS, MIN_DIGITS, BigComplex, BigReal,
                         PrecisionContext, mk_context, real_from, wrap_complex,
                         wrap_real)
 from .poincare import PoincareRegime, PoincareResult, leading_order
-from .saddle import (SaddleKind, SaddlePair, coalescence_tolerance,
-                     mu_from_xi, solve_saddles)
+from .saddle import SaddleKind, SaddlePair, mu_from_xi, solve_saddles
 from .stirling import (N_MAX_LIMIT, ExactValue, StirlingTriangle,
                        build_triangle, scaled_touchard)
 from .uniform import UniformIngredients, theorem2_eval, uniform_ingredients
@@ -39,8 +38,7 @@ __all__ = [
     "PrecisionContext", "mk_context", "real_from", "wrap_complex",
     "wrap_real",
     "PoincareRegime", "PoincareResult", "leading_order",
-    "SaddleKind", "SaddlePair", "coalescence_tolerance", "mu_from_xi",
-    "solve_saddles",
+    "SaddleKind", "SaddlePair", "mu_from_xi", "solve_saddles",
     "N_MAX_LIMIT", "ExactValue", "StirlingTriangle", "build_triangle",
     "scaled_touchard",
     "UniformIngredients", "theorem2_eval", "uniform_ingredients",

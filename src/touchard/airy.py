@@ -1,8 +1,8 @@
 """Airy Ai and Ai' on the real line at arbitrary precision, by two routes.
 
-For -Z(d) <= z <= Z+(d), Z(d) = ((3/4)(d + 10) ln 10)^(2/3), Z+(d) =
-((3/4)(b + 35) ln 2)^(2/3), d the context's digits and b the bits of d + 10
-digits in mpmath, both come from one pass over the Maclaurin series,
+For |z| <= Z(d) = ((3/4)(b + 35) ln 2)^(2/3), d the context's digits and b
+the bits of d + 10 digits in mpmath, both come from one pass over the
+Maclaurin series,
 
     Ai = c1 f - c2 g,   Ai' = c1 f' - c2 g',   c1 = Ai(0),  c2 = -Ai'(0),
     f = 1 + w Sf,  f' = z^2 Sf',  g = z Sg,  g' = Sg',  w = z^3,
@@ -11,12 +11,13 @@ digits in mpmath, both come from one pass over the Maclaurin series,
     F_1 = 1/6,  F_k = F_(k-1) w/((3k-1) 3k),
     G_0 = 1,    G_k = G_(k-1) w/(3k (3k+1)),
 
-so that no term is divided by z (DLMF 9.4.1-9.4.2). Past the switchover they
-come from mpmath.airyai at d + 10 digits, which sums the 2F0 expansion of
-DLMF 9.7.5 for z > 4. Its smallest term is about e^(-(4/3) |z|^(3/2)):
-10^-(d+10) at |z| = Z(d), and at Z+(d) 2^-(b+35), the term at which mpmath's sum
-stops (hypercomb adds 10 bits, hypsum 50 and stops 25 above its grid). Short
-of these, mpmath takes slow routes. AiryValue.method names each call's route.
+so that no term is divided by z (DLMF 9.4.1-9.4.2). Past Z(d) they come
+from mpmath.airyai at d + 10 digits, which sums the 2F0 expansion of
+DLMF 9.7.5 for z > 4. Its smallest term is about e^(-(4/3) |z|^(3/2)), at
+Z(d) 2^-(b+35), the term at which mpmath's sum stops (hypercomb adds 10
+bits, hypsum 50 and stops 25 above its grid); short of it, mpmath takes a
+slow route. On z < 0 the pass is also the faster route up to Z(d), so one
+limit serves both signs. AiryValue.method names each call's route.
 
 The pass runs in Python ints on a grid of 2^-p: z = man 2^exp is taken
 exactly, |z|^3 is cut to p bits, and each F_k and G_k is |F_k| or |G_k|
@@ -78,12 +79,7 @@ class AiryValue:
 
 
 def maclaurin_limit(digits: int) -> float:
-    """Z(d), the largest -z the Maclaurin pass takes at d digits."""
-    return (0.75 * (digits + 10) * math.log(10)) ** (2 / 3)
-
-
-def positive_limit(digits: int) -> float:
-    """Z+(d), the largest z the Maclaurin pass takes at d digits."""
+    """Z(d), the largest |z| the Maclaurin pass takes at d digits."""
     return (0.75 * (dps_to_prec(digits + 10) + 35) * math.log(2)) ** (2 / 3)
 
 
@@ -177,7 +173,7 @@ def airy(z: BigReal, ctx: PrecisionContext) -> AiryValue:
     absz = abs(float(zv))
     if absz > ABS_Z_LIMIT:
         raise DomainError(f"|z| = {absz} exceeds the supported range {ABS_Z_LIMIT}")
-    if absz <= (maclaurin_limit if zv < 0 else positive_limit)(ctx.digits):
+    if absz <= maclaurin_limit(ctx.digits):
         ai, aip = _by_maclaurin(zv, absz, ctx.digits)
         method = AiryMethod.MACLAURIN
     else:

@@ -222,7 +222,7 @@ _EMIT_CTX = mk_context(30)  # plot-ready rounding for emitted polylines
 
 def contours_to_json(cs: ContourSet) -> dict:
     def d30(v: float) -> str:
-        # a double's 30 significant digits as _sci prints them, zero unsigned
+        # 30 digits by format, zero unsigned; unlike _sci, exact ties to even
         return f"{v or 0.0:.29e}@30"
 
     def polyline(pl) -> dict:

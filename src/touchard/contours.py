@@ -36,7 +36,8 @@ outside that frame would give paths of two points, so contour_set refuses
 it: the inner saddle |t0| ~ 1/(e xi) enters the origin disc above
 xi = 7.735, and the conjugate pair passes Re t = 8.4 below xi = 9.34e-6.
 A pair closer than LAUNCH_OFFSET, each in the other's launch circle, is
-traced as one double saddle at its midpoint (xi = 1 +- 10^-k, k >= 17).
+traced as one double saddle at its midpoint (xi = 1 and 1 +- 10^-k,
+k >= 17): contour_set's one rule for the double saddle.
 A step whose chord passes within h of the other saddle and takes Re psi
 past that saddle's value is halved rather than taken, so a coarse step
 cannot jump the saddle a path should stop at and run on along its paths.

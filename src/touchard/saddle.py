@@ -3,13 +3,15 @@
 Saddles solve t e^t = -mu, so they are Lambert W values of -mu. mu = n/x
 is the phase's one parameter; a caller that holds xi = x/(n e) instead
 converts it with mu_from_xi, the one place that does. solve_saddles takes mu
-alone and classifies the pair by xi = 1/(e mu), recomputed at digits + 15.
-The solution set changes character at xi = 1: the real pair
-W_0(-mu), W_-1(-mu) for xi > 1, a double root at t = -1 for xi = 1, and
-for xi < 1 the conjugate pair W_0(-mu) and its conjugate, W_0 taking the
-upper one below -1/e (Corless et al., Adv. Comput. Math. 5, 1996). Both
-come from mpmath.lambertw at digits + 15, and the rounded values are
-certified by their residual |t e^t + mu|.
+alone and classifies the pair by xi = 1/(e mu), recomputed at digits + 15:
+the real pair W_0(-mu), W_-1(-mu) for xi > 1, and otherwise the conjugate
+pair W_0(-mu) and its conjugate, W_0 taking the upper one below -1/e
+(Corless et al., Adv. Comput. Math. 5, 1996). Both come from
+mpmath.lambertw at digits + 15, and the rounded values are certified by
+their residual |t e^t + mu|, however near xi = 1 they lie. The pair
+coalesces into the double root t = -1 at xi = 1; solve_saddles never
+returns SaddleKind.DOUBLE, which uniform_ingredients and contour_set build
+under their own rules.
 
 At a saddle psi reduces to 1/t - log t and psi'' to (1 + t)/t^2. The
 logarithm is the branched one from numkernel (arg in [0, 2pi)), so
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
-from .errors import DomainError, InternalConsistencyError, SolverError
+from .errors import DomainError, SolverError
 from .numkernel import (BigComplex, BigReal, PrecisionContext, log_branched_raw,
                         mk_context, raw, real_from, wrap_complex, wrap_real)
 
@@ -63,10 +65,6 @@ def psi2_at_saddle_raw(tv: mpc) -> mpc:
 # ---------------------------------------------------------------------------
 # saddle solver
 
-def coalescence_tolerance(ctx: PrecisionContext) -> mpf:
-    return mpf(10) ** (-(ctx.digits - 15))
-
-
 def mu_from_xi(xi, ctx: PrecisionContext) -> BigReal:
     """mu = 1/(e xi), with xi read and mu computed at digits + 10, then
     rounded to ctx."""
@@ -86,22 +84,6 @@ def solve_saddles(mu, ctx: PrecisionContext) -> SaddlePair:
     with mp.workdps(ctx.digits + 15):
         xi = 1 / (mp.e * mu)
         res_bound = mpf(10) ** (-(ctx.digits - 10)) * mu
-
-        def residual(tv) -> mpf:
-            return abs(tv * mp.exp(tv) + mu)
-
-        if abs(xi - 1) <= coalescence_tolerance(ctx):
-            t = mpc(-1)
-            r = residual(t)
-            # the snap-to-double window is wider than the residual certificate,
-            # so the double kind carries its own (documented) bound
-            if not r <= mpf(10) ** (-(ctx.digits - 16)) * mu:
-                raise InternalConsistencyError(
-                    f"double-saddle residual {mp.nstr(r, 3)} exceeds the "
-                    f"coalescence window for xi={mp.nstr(xi, 8)}")
-            tw, rw = wrap_complex(t, ctx), wrap_real(r, ctx)
-            return SaddlePair(SaddleKind.DOUBLE, tw, tw, rw, rw)
-
         # W_0(-mu) is the smaller real saddle above -1/e and the upper one
         # of the conjugate pair below it
         t0 = mpc(mp.lambertw(-mu, 0))
@@ -114,7 +96,7 @@ def solve_saddles(mu, ctx: PrecisionContext) -> SaddlePair:
 
         # certify the rounded values actually returned, not the iterates
         t0w, t1w = wrap_complex(t0, ctx), wrap_complex(t1, ctx)
-        r0, r1 = residual(t0w.value), residual(t1w.value)
+        r0, r1 = (abs(t * mp.exp(t) + mu) for t in (t0w.value, t1w.value))
         if not (r0 <= res_bound and r1 <= res_bound):
             raise SolverError(
                 f"saddle residuals ({mp.nstr(r0, 3)}, {mp.nstr(r1, 3)}) exceed "

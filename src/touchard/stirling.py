@@ -23,7 +23,8 @@ rounding. p and g come from a predicted loss: log10 sum_j j^n t_j E_{n-j}
 from float logarithms, and log10 |T_n(-x)| from the saddle point
 t0 = W_0(-(n+1)/x) of the Cauchy integral, taken with mpmath's lambertw in
 floats and lowered by _ENVELOPE_MARGIN digits. The prediction only sizes
-the pass; the bound decides. When it fails, the pass reruns with both
+the pass, and one that is not finite raises InternalConsistencyError; the
+bound decides. When it fails, the pass reruns with both
 logarithms measured from the failed pass, at most MAX_ESCALATIONS times; a
 sum swamped by its bound is taken at the size of that bound, and the next
 pass expects at least twice the failed one's loss, so that p and g both
@@ -202,6 +203,13 @@ def _log10_envelope(n: int, x: mpf) -> float:
         return float(v / mp.ln10)
 
 
+def _require_finite(predictor: str, *sizes: float) -> None:
+    """Refuse sizes from `predictor` that are not finite: they size no pass."""
+    if not all(map(math.isfinite, sizes)):
+        raise InternalConsistencyError(
+            f"{predictor} predicted {', '.join(map(str, sizes))}, not finite")
+
+
 def _remeasured(log_sum: float, log_t: float, terms: int, a: int, s: int,
                 bound: int, g: int) -> tuple[float, float]:
     """What the next pass expects of a sum that failed: log10 of the sum of
@@ -234,8 +242,12 @@ def _certified_sum(n: int, x: mpf, lx: float, log_tx: float,
     scale = 10 ** target
     man, exp = x.man_exp
     log_sum = _log10_term_sum(n, lx)
-    log_t = min(log_sum, _log10_envelope(n, x) - _ENVELOPE_MARGIN)
+    _require_finite("_log10_term_sum", log_sum)
+    # the envelope first, so that min keeps a NaN; +inf leaves log_sum
+    log_t = min(_log10_envelope(n, x) - _ENVELOPE_MARGIN, log_sum)
+    _require_finite("_log10_envelope", log_t)
     log_b = _log10_explicit_sum(n, hi)
+    _require_finite("_log10_explicit_sum", log_b)
     # k! S(n,k) counts the maps of n elements onto k, so it is at most k^n,
     # and it is at most k! T_n(x)/x^k, within about 1.5 digits near the mode
     log_d = min(min(n * math.log(k), log_tx + math.lgamma(k + 1) - k * lx)
@@ -366,6 +378,7 @@ def scaled_touchard(n: int, z: BigReal, ctx: PrecisionContext) -> ExactValue:
     with mp.workdps(20):
         lx = float(mp.log(x))
     mean, log_tx = _mode_mean(n, x, lx)
+    _require_finite("_mode_mean", mean, log_tx)
     lo = min(n, max(1, math.floor(mean) - 1))
     hi = max(lo, min(n, math.ceil(mean) + 1))
     s, g, window, g2 = _certified_sum(n, x, lx, log_tx, ctx, lo, hi)

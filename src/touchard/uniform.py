@@ -24,17 +24,17 @@ at u = 0, with psi'''(-1) = 1 and psi''''(-1) = 5, give
     B0 = g'(0) = -(psi''''(-1)/(6 psi'''(-1))) (2/psi'''(-1))^{2/3}
                = -(5/6) 2^{2/3}.
 
-The evaluator takes these closed forms inside the snap window
-|xi - 1| <= 10^-(digits+5), where they differ from the true values by
-about 120 |xi - 1|, below the context's last digit.
+uniform_ingredients takes these closed forms, with the double saddle
+t0 = t1 = -1, inside the window |xi - 1| <= 10^-(digits+5), where they
+differ from the true values by about 120 |xi - 1|, below the context's last
+digit; it is the one place the uniform route decides that xi is 1.
 
 Outside it psi(t1) - psi(t0) ~ |xi - 1|^{3/2} cancels
 1.5 log10(1/|xi - 1|) digits of zeta, and g(+) - g(-) another
 0.5 log10(1/|xi - 1|) of B0. uniform_ingredients therefore works at
-ctx.digits + max(0, ceil(2 log10(1/|xi - 1|)) - 5) digits and rounds every
-field back to ctx; for |xi - 1| >= 0.01 that widens by nothing. The widened
-context's own coalescence tolerance lies far inside |xi - 1|, so
-solve_saddles there returns the two distinct saddles.
+ctx.digits + max(0, ceil(2 log10(1/|xi - 1|)) - 5) digits, where
+solve_saddles returns the two distinct saddles, and rounds every field back
+to ctx; for |xi - 1| >= 0.01 that widens by nothing.
 """
 from __future__ import annotations
 
@@ -90,17 +90,17 @@ def _cubic_map(saddles: SaddlePair, ctx: PrecisionContext):
         return zeta, wrap_complex(beta, ctx), wrap_real(a0, ctx), wrap_real(b0, ctx)
 
 
-def _extra_digits(xi, ctx: PrecisionContext) -> int:
+def _extra_digits(xi, ctx: PrecisionContext) -> int | None:
     """Digits that zeta and B0 cancel near xi = 1 (module docstring).
 
-    Zero inside the snap window, where the closed forms take over. log10
+    None inside the window, where the closed forms take over. log10
     comes from the mpf's binary mantissa and exponent, because |xi - 1| can
     lie below the smallest double.
     """
     with mp.workdps(ctx.digits + 10):
         gap = abs(raw(real_from(xi, mk_context(ctx.digits + 10))) - 1)
         if gap <= mpf(10) ** -(ctx.digits + 5):
-            return 0
+            return None
     log10_gap = math.log10(gap.man) + gap.exp * math.log10(2)
     return max(0, math.ceil(-2 * log10_gap) - 5)
 
@@ -109,8 +109,15 @@ def uniform_ingredients(xi, ctx: PrecisionContext) -> UniformIngredients:
     """zeta, beta, A0, B0 and the saddles, computed wide and rounded to ctx."""
     xi_br = real_from(xi, ctx)
     extra = _extra_digits(xi, ctx)
-    wide = mk_context(ctx.digits + extra)
-    saddles = solve_saddles(mu_from_xi(xi, wide), wide)
+    wide = mk_context(ctx.digits + (extra or 0))
+    mu = mu_from_xi(xi, wide)
+    if extra is None:  # the double saddle, with its residual |mu - 1/e|
+        with mp.workdps(ctx.digits + 15):
+            r = wrap_real(abs(raw(mu) - 1 / mp.e), ctx)
+        t = wrap_complex(mpc(-1), ctx)
+        saddles = SaddlePair(SaddleKind.DOUBLE, t, t, r, r)
+    else:
+        saddles = solve_saddles(mu, wide)
     zeta, beta, a0, b0 = _cubic_map(saddles, wide)
     if extra:
         t0, t1, beta = (wrap_complex(v.value, ctx)

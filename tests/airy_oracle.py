@@ -1,7 +1,8 @@
 """Maclaurin-series oracle for Ai, Ai' and Ai''.
 
 The package takes Ai and Ai' from a fixed-point Maclaurin pass for
-|z| <= Z(d) and from mpmath.airyai above it. This sums the same series in
+|z| <= Z(d) = airy.maclaurin_limit(d), one limit for both signs, and from
+mpmath.airyai above it. This sums the same series in
 mpmath floats, with gamma values for Ai(0) and Ai'(0) where the package
 takes an AGM, so it checks the first route along a path that shares
 neither its arithmetic nor its bound, and the second without

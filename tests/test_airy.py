@@ -13,7 +13,7 @@ from mpmath import mp, mpf
 
 from touchard import (DomainError, PrecisionExhaustedError, airy, mk_context,
                       real_from, theorem2_eval, wrap_real)
-from touchard.airy import maclaurin_limit, positive_limit
+from touchard.airy import maclaurin_limit
 from touchard.numkernel import raw
 
 from airy_oracle import airy_maclaurin
@@ -147,10 +147,10 @@ def passes(monkeypatch):
 class TestRoutes:
     @pytest.mark.parametrize("digits", ROUTE_DIGITS)
     def test_route_switches_at_the_limit(self, digits):
-        # at -Z(d) below zero and at Z+(d) above it
+        # at -Z(d) below zero and at Z(d) above it: one limit for both signs
         ctx = mk_context(digits)
-        for s, limit in ((-1, maclaurin_limit(digits)),
-                         (1, positive_limit(digits))):
+        limit = maclaurin_limit(digits)
+        for s in (-1, 1):
             for z, route in ((0, "maclaurin"), (limit / 2, "maclaurin"),
                              (limit, "maclaurin"),
                              (limit * (1 + 1e-3), "mpmath"),
@@ -159,24 +159,36 @@ class TestRoutes:
                 assert got.method.value == route, (s * z, digits)
 
     def test_limit_values(self):
-        # the smallest term of DLMF 9.7.5 stays above 10^-(d+10) below Z(d),
-        # and above mpmath's stopping term 2^-(b+35) below Z+(d)
+        # the smallest term of DLMF 9.7.5 stays above mpmath's stopping term
+        # 2^-(b+35) below Z(d)
         assert [round(maclaurin_limit(d), 1) for d in (40, 120, 300)] == \
-            [19.5, 36.9, 65.9]
-        assert [round(positive_limit(d), 1) for d in (40, 120, 300)] == \
             [22.4, 39.1, 67.6]
         for d in ROUTE_DIGITS:
-            z = maclaurin_limit(d)
-            assert (4 / 3) * z ** 1.5 / math.log(10) == pytest.approx(d + 10)
             with mp.workdps(d + 10):
                 bits = mp.prec
-            z = positive_limit(d)
+            z = maclaurin_limit(d)
             assert (4 / 3) * z ** 1.5 / math.log(2) == pytest.approx(bits + 35)
+
+    @pytest.mark.parametrize("digits", [40, 120, 300])
+    def test_pass_serves_the_negative_side_up_to_the_limit(self, digits):
+        # between ((3/4)(d + 10) ln 10)^(2/3), where 9.7.5's smallest term is
+        # 10^-(d+10), and Z(d) the pass serves z < 0 too, and prints the
+        # strings of mpmath.airyai at 2d digits
+        ctx = mk_context(digits)
+        limit = maclaurin_limit(digits)
+        tenth = (0.75 * (digits + 10) * math.log(10)) ** (2 / 3)
+        assert tenth < limit
+        for z in (-limit * (1 - 1e-3), -(tenth + limit) / 2):
+            zb = real_from(z, ctx)
+            got = airy(zb, ctx)
+            assert got.method.value == "maclaurin", z
+            assert got.ai.to_str() == mpmath_string(zb, ctx), z
+            assert got.ai_prime.to_str() == mpmath_string(zb, ctx, 1), z
 
     @pytest.mark.parametrize("digits", ROUTE_DIGITS)
     def test_mpmath_sums_its_series_past_the_positive_limit(self, digits,
                                                             monkeypatch):
-        # above Z+(d) mpmath's 2F0 sum of DLMF 9.7.5 converges: it never
+        # above Z(d) mpmath's 2F0 sum of DLMF 9.7.5 converges: it never
         # falls back on its slow route there
         failed = []
         hypsum = type(mp).hypsum
@@ -191,7 +203,7 @@ class TestRoutes:
         monkeypatch.setattr(type(mp), "hypsum", counted)
         ctx = mk_context(digits)
         for f in (1 + 1e-9, 1 + 1e-3, 1.5):
-            got = airy(real_from(positive_limit(digits) * f, ctx), ctx)
+            got = airy(real_from(maclaurin_limit(digits) * f, ctx), ctx)
             assert got.method.value == "mpmath"
         assert failed == []
 
@@ -203,8 +215,7 @@ class TestRoutes:
               for s in (-1, 1) for f in (1 - 1e-3, 1, 1 + 1e-3)]
         by = {}
         for name, forced in (("maclaurin", math.inf), ("mpmath", -1.0)):
-            for limit in ("maclaurin_limit", "positive_limit"):
-                monkeypatch.setattr(AIRY, limit, lambda d: forced)
+            monkeypatch.setattr(AIRY, "maclaurin_limit", lambda d: forced)
             by[name] = [airy(zb, ctx) for zb in zs]
             assert {v.method.value for v in by[name]} == {name}
         for zb, a, b in zip(zs, by["maclaurin"], by["mpmath"]):

@@ -8,7 +8,7 @@ from mpmath.libmp import dps_to_prec, fnan
 from touchard import (DomainError, SaddleKind, StepError, mk_context,
                       mu_from_xi, solve_saddles)
 from touchard import contours
-from touchard.cli import _sci, cmd_contours
+from touchard.cli import _sci, cmd_contours, contours_to_json
 from touchard.contours import (DRIFT_BUDGET, LEVEL_DIGITS, MAX_LEN_OVER_STEP,
                                R_MIN, _TERMS, _Flow, _im_psi, _psi,
                                contour_set)
@@ -89,7 +89,7 @@ class TestDoubleSaddle:
 
 
 # pairs closer than LAUNCH_OFFSET, xi = 1 +- 10^-k with k >= 17, at 40 and 120
-# digits, inside and outside solve_saddles' snap window 10^-(digits - 15)
+# digits
 NEAR_PAIRS = [(xi, d) for d in (40, 120) for xi in (
     "1.00000000000000001", "0.99999999999999999", "1.00000000000000000001",
     "1." + "0" * 29 + "1")]
@@ -299,6 +299,62 @@ class TestDriftCertificate:
         for out in outs:
             del out["xi"], out["mu"]
         assert outs[0] == outs[1] == outs[2]
+
+
+def paths(report):
+    """A contours report without xi, mu and the saddle strings: the parts
+    that come from LEVEL_DIGITS and doubles alone."""
+    return report["saddle_kind"], [
+        {**{k: v for k, v in pl.items() if k != "saddle"},
+         "points": pl["points"][1:]} for pl in report["polylines"]]
+
+
+class TestNearCoalescence:
+    """Near xi = 1, contour_set's near-pair rule alone finds the double
+    saddle."""
+
+    @pytest.mark.parametrize("xi,lines", [
+        ("1.0000000000000001", 8), ("0.999999999999999", 8),
+        ("1.00000000000000000001", 6), ("0.99999999999999999999", 6)])
+    def test_paths_do_not_depend_on_digits(self, xi, lines):
+        # the saddle strings carry mu's rounding to the context, the paths
+        # do not: a pair 2.8e-8 or 4.5e-8 apart traces its 8 paths at both
+        outs = [paths(cmd_contours(xi, digits)) for digits in (30, 120)]
+        assert outs[0] == outs[1]
+        assert len(outs[0][1]) == lines
+
+    @pytest.mark.parametrize("xi", ["1.00000000000000000000000001",
+                                    "0.99999999999999999999999999"])
+    def test_near_pair_prints_its_midpoint(self, xi, ctx40):
+        report = cmd_contours(xi, 40)
+        assert report["saddle_kind"] == "double"
+        pair = solve_saddles(mu_from_xi(xi, ctx40), ctx40)
+        with mp.workdps(40):
+            mid = (raw(pair.t0) + raw(pair.t1)) / 2
+        want = [_sci(v, 30) + "@30" for v in (mid.real, mid.imag)]
+        assert want[0] != "-1." + "0" * 29 + "e+00@30"
+        for pl in report["polylines"]:
+            assert pl["saddle"] == pl["points"][0] == want
+        if xi.startswith("1."):
+            assert want[0] == "-1.00000000000000000000000000667e+00@30"
+
+
+class TestJsonPoints:
+    @pytest.mark.parametrize("digits", [40, 120])
+    def test_float_writer_matches_sci(self, digits):
+        # contours_to_json writes points by Python's format, which rounds an
+        # exact 30-digit tie to even where _sci rounds it away from zero; no
+        # point of these sets is such a tie
+        ctx, count = mk_context(digits), 0
+        for xi in ("0.8", "1", "1.8"):
+            cs = contour_set(xi, ctx)
+            for pl, out in zip(cs.polylines,
+                               contours_to_json(cs)["polylines"]):
+                for p, texts in zip(pl.points[1:], out["points"][1:]):
+                    assert texts == [_sci(mpf(v), 30) + "@30"
+                                     for v in (p.real, p.imag)]
+                    count += 2
+        assert count == 8996  # the points of the golden sets, 30 digits each
 
 
 class TestLocalSeries:

@@ -1,10 +1,10 @@
 """Domain sweep: every input gives finite values or a typed refusal.
 
 Hypothesis draws xi log-uniformly from [1e-300, 1e300], as 1 +- 10^-k
-(exact decimal text, k up to 320, across every coalescence tolerance), on
-the Poincare band edges |mu e - 1| = 0.05, and as text that is not a
-positive finite number (nan, +-inf, zero, negatives, non-numeric text),
-with digits from 30 to 300. The public functions and every CLI command must
+(exact decimal text, k up to 320, across the double-saddle windows of
+uniform_ingredients and contour_set), on the Poincare band edges
+|mu e - 1| = 0.05, and as text that is not a positive finite number (nan,
++-inf, zero, negatives, non-numeric text), with digits from 30 to 300. The public functions and every CLI command must
 then return finite values or raise a DomainError (exit 2) or a
 PrecisionExhaustedError (exit 3), each call within CEILING seconds, and
 `contours` at 1 +- 10^-k must trace (exit 0). An internal consistency
@@ -42,8 +42,9 @@ from touchard.numkernel import raw
 # at 286 digits); the ceiling leaves room for a loaded host.
 CEILING = 3.0
 
-# The ceiling of one airy call at up to 300 digits; where mpmath.airyai falls
-# back on its slow route, just above Z(d) for z > 0, a call takes 48-1762 ms
+# The ceiling of one airy call at up to 300 digits near the switchover Z(d)
+# = airy.maclaurin_limit; mpmath.airyai's slow route, which it falls back on
+# just short of Z(d) for z > 0, takes 48-1762 ms a call
 AIRY_CEILING = 0.06
 
 REFUSED = ["nan", "NaN", "inf", "-inf", "+inf", "0", "-0", "-1", "-1e-300",

@@ -6,6 +6,7 @@ involve no working precision. TestKeptRows covers the row builder that
 perfbench/tracer.py still wraps; the package no longer calls it.
 """
 import json
+import math
 import sys
 import time
 import tracemalloc
@@ -381,6 +382,23 @@ class TestMisprediction:
         want = scaled_touchard(599, z, ctx).value.to_str()
         monkeypatch.setattr(stirling, "_log10_envelope", lambda n, x: mp.inf)
         assert scaled_touchard(599, z, ctx).value.to_str() == want
+
+
+class TestSizingFailsClosed:
+    # a predicted size that is not finite sizes no pass: eval exits 4 and
+    # names the predictor, a NaN envelope included, which min() would drop
+    @pytest.mark.parametrize("name,size", [
+        ("_log10_term_sum", math.nan), ("_log10_explicit_sum", math.nan),
+        ("_mode_mean", (math.nan, math.nan)), ("_log10_envelope", -math.inf),
+        ("_log10_envelope", math.nan)],
+        ids=["term_sum-nan", "explicit_sum-nan", "mode_mean-nan",
+             "envelope-minus_inf", "envelope-nan"])
+    def test_non_finite_prediction_is_an_internal_error(self, name, size,
+                                                        monkeypatch, capsys):
+        monkeypatch.setattr(stirling, name, lambda *args: size)
+        code = main(["eval", "--n", "51", "--xi", "1", "--digits", "40"])
+        assert code == 4
+        assert capsys.readouterr().err.startswith(f"touchard: error: {name} ")
 
 
 class TestFarAboveN:

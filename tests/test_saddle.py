@@ -7,8 +7,7 @@ from mpmath import mp, mpc, mpf
 from touchard import (DomainError, SaddleKind, SolverError, contour_set,
                       leading_order, mk_context, mu_from_xi, real_from,
                       solve_saddles, theorem2_eval, uniform_ingredients)
-from touchard.saddle import (coalescence_tolerance, psi2_at_saddle_raw,
-                             psi_reduced_raw)
+from touchard.saddle import psi2_at_saddle_raw, psi_reduced_raw
 from touchard.numkernel import log_branched_raw, raw
 
 
@@ -149,11 +148,11 @@ class TestLambert:
                 assert abs(t * mp.exp(t) + mu) < tol(ctx, 9) * mu
 
     def test_branch_point(self, ctx60):
-        # just outside the snap window, at xi = 1 + eps, the real roots
-        # straddle -1 symmetrically by sqrt(2 q), with q = 1 - 1/xi the
-        # scaled distance of -mu past the branch point -1/e
+        # at xi = 1 + 1e-44, the real roots straddle -1 symmetrically by
+        # sqrt(2 q), with q = 1 - 1/xi the scaled distance of -mu past the
+        # branch point -1/e
         with mp.workdps(80):
-            xi = 1 + 10 * coalescence_tolerance(ctx60)
+            xi = 1 + mpf(10) ** -44
             half_gap = mp.sqrt(2 * (1 - 1 / xi))
         pair = solve_saddles(mu_from_xi(xi, ctx60), ctx60)
         assert pair.kind is SaddleKind.REAL_PAIR
@@ -222,17 +221,30 @@ class TestSolve:
         with pytest.raises(SolverError, match="nan"):
             solve_saddles(mu_from_xi("1.5", ctx60), ctx60)
 
-    def test_double(self, ctx60):
-        pair = solve_saddles(mu_from_xi(1, ctx60), ctx60)
-        assert pair.kind is SaddleKind.DOUBLE
-        assert raw(pair.t0) == -1
-        assert raw(pair.t1) == -1
-
-    def test_snap_window(self, ctx60):
-        eps = coalescence_tolerance(ctx60) / 2
-        with mp.workdps(80):
-            pair = solve_saddles(mu_from_xi(1 + eps, ctx60), ctx60)
-        assert pair.kind is SaddleKind.DOUBLE
+    @pytest.mark.parametrize("digits", [30, 40, 120, 300])
+    def test_certified_at_and_near_coalescence(self, digits):
+        # at xi = 1 and at 1 +- 10^-k, down to k = digits + 11, where mu
+        # rounds to 1/e, solve_saddles returns the Lambert W pair, never the
+        # double saddle, with both residuals within the certificate
+        ctx = mk_context(digits)
+        cases = [("1", 0, 0)]
+        for k in range(1, digits + 12):
+            cases += [("1." + "0" * (k - 1) + "1", k, 1),
+                      ("0." + "9" * k, k, -1)]
+        for xi, k, sgn in cases:
+            mu = mu_from_xi(xi, ctx)
+            pair = solve_saddles(mu, ctx)
+            assert pair.kind in (SaddleKind.REAL_PAIR,
+                                 SaddleKind.CONJUGATE_PAIR), xi
+            if 0 < k <= digits - 5:  # mu's rounding cannot cross xi = 1
+                assert pair.kind is (SaddleKind.REAL_PAIR if sgn > 0
+                                     else SaddleKind.CONJUGATE_PAIR), xi
+            with mp.workdps(digits + 20):
+                bound = tol(ctx, 10) * raw(mu)
+                for t in (raw(pair.t0), raw(pair.t1)):
+                    assert abs(t * mp.exp(t) + raw(mu)) <= bound, xi
+                assert raw(pair.residual0) <= bound
+                assert raw(pair.residual1) <= bound
 
     def test_real_pair(self, ctx60):
         mu = mu_from_xi("1.5", ctx60)
@@ -263,8 +275,8 @@ class TestSolve:
 
     def test_split_scale_near_coalescence(self, ctx120):
         # |t0 + 1| tracks sqrt(2|1/xi - 1|) within a factor of two, and both
-        # saddles match a 400-digit Newton polish to all but two digits, up
-        # to the edge of the snap window (1e-105 at 120 digits)
+        # saddles match a 400-digit Newton polish to all but two digits, down
+        # to 1e-104 at 120 digits
         for k in (2, 3, 4, 30, 40, 45, 50, 60, 80, 100, 104):
             for sgn in (1, -1):
                 with mp.workdps(150):
@@ -313,9 +325,8 @@ class TestSolve:
         with mp.workdps(50):
             mu = raw(mu)
             bound = tol(ctx, 10) * mu
-            if pair.kind is not SaddleKind.DOUBLE:
-                for t in (raw(pair.t0), raw(pair.t1)):
-                    assert abs(t * mp.exp(t) + mu) < bound
+            for t in (raw(pair.t0), raw(pair.t1)):
+                assert abs(t * mp.exp(t) + mu) < bound
         if xf > 1 + 1e-6:
             assert pair.kind is SaddleKind.REAL_PAIR
         elif xf < 1 - 1e-6:

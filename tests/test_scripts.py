@@ -15,7 +15,6 @@ import pytest
 from mpmath import mp
 
 from touchard import mk_context, real_from, wrap_real
-from touchard.airy import maclaurin_limit
 from touchard.cli import cmd_contours, cmd_table1, cmd_table2, load_error_rows
 from touchard.numkernel import raw
 
@@ -106,8 +105,8 @@ def test_trace_contours_writes_reloadable_json(golden_contours):
 
 
 def test_contour_sweep_subset_keeps_the_golden_paths(parity, golden_contours):
-    # 3 of the 48 sets, the golden xi at 40 digits
-    assert len(parity.CONTOUR_XI) == 16 and parity.DIGITS == (40, 120, 300)
+    # 3 of the 54 sets, the golden xi at 40 digits
+    assert len(parity.CONTOUR_XI) == 18 and parity.DIGITS == (40, 120, 300)
     assert set(GOLDEN) <= set(parity.CONTOUR_XI)
     assert [p.name for p in golden_contours] == [f"contours_xi{xi}_d40.json"
                                                  for xi in GOLDEN]
@@ -154,8 +153,9 @@ def test_airy_sweep_subset_prints_mpmath(parity):
     # 20 of the 408 points, both edges of each digits among them
     pts = parity.airy_points(1)
     assert len(pts) == parity.AIRY_POINTS + 2 * len(parity.AIRY_DIGITS)
-    for d in parity.AIRY_DIGITS:
-        assert parity.edge(d) == maclaurin_limit(d)
+    # the points stay at ((3/4)(d + 10) ln 10)^(2/3), not at maclaurin_limit
+    assert [round(parity.edge(d), 1) for d in parity.AIRY_DIGITS] == \
+        [16.8, 19.5, 36.9, 65.9]
     subset = pts[:12] + pts[-8:]
     for z, digits in subset:
         text = parity.airy_line(z, digits)
@@ -188,9 +188,9 @@ def test_parity_set_main_reports_its_files(parity, tmp_path, monkeypatch):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         parity.main(["--outdir", str(tmp_path)])
-    assert out.getvalue() == f"wrote {3 + 1 + 3 + 48} files into {tmp_path}\n"
+    assert out.getvalue() == f"wrote {3 + 1 + 3 + 54} files into {tmp_path}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "airy_seed1.txt", "airy_seed2.txt", "airy_seed3.txt", "contours",
         "d120", "d300", "d40", "exact_seed1.txt"]
     assert (tmp_path / "airy_seed2.txt").read_text() == "airy 2\n"
-    assert len(list((tmp_path / "contours").iterdir())) == 48
+    assert len(list((tmp_path / "contours").iterdir())) == 54

@@ -3,13 +3,13 @@ import pytest
 from mpmath import mp, mpf
 
 from touchard import (BranchError, DomainError, SaddleKind, SaddlePair,
-                      mk_context, scaled_touchard, theorem1_eval,
+                      mk_context, mu_from_xi, scaled_touchard, theorem1_eval,
                       theorem2_eval, uniform, uniform_ingredients, wrap_real)
 from touchard.numkernel import raw
 
 
 def coalescence_limits(ctx):
-    """(A0, B0) at xi = 1: the closed forms uniform_ingredients snaps to."""
+    """(A0, B0) at xi = 1: the closed forms uniform_ingredients takes."""
     ing = uniform_ingredients("1", ctx)
     return ing.A0, ing.B0
 
@@ -50,8 +50,28 @@ class TestCoalescenceLimit:
             assert abs(mp.re(raw(ing.beta)) + 1) < tol
             assert abs(mp.im(raw(ing.beta)) + mp.pi) < tol
 
+    @pytest.mark.parametrize("digits", [40, 120])
+    def test_double_saddle_only_inside_the_window(self, digits):
+        # uniform_ingredients builds the double saddle t0 = t1 = -1 itself
+        # within |xi - 1| <= 10^-(digits+5), its residual |mu - 1/e| within
+        # the certificate; a step outside, solve_saddles' pair
+        ctx = mk_context(digits)
+        for k in (digits + 6, digits + 4):
+            for xi in ("1." + "0" * (k - 1) + "1", "0." + "9" * k):
+                saddles = uniform_ingredients(xi, ctx).saddles
+                inside = k > digits + 5
+                assert (saddles.kind is SaddleKind.DOUBLE) == inside, xi
+                if not inside:
+                    continue
+                assert raw(saddles.t0) == raw(saddles.t1) == -1
+                with mp.workdps(digits + 20):
+                    mu = raw(mu_from_xi(xi, ctx))
+                    assert raw(saddles.residual0) == raw(saddles.residual1)
+                    assert raw(saddles.residual0) <= \
+                        mpf(10) ** -(digits - 10) * mu
+
     def test_seam_is_smooth(self, ctx60):
-        # crossing the snap window must not move the value noticeably
+        # crossing the closed forms' window must not move the value noticeably
         mid = raw(theorem2_eval(81, "1", ctx60))
         for xi in ("0.999999999", "1.000000001"):
             side = raw(theorem2_eval(81, xi, ctx60))
@@ -183,9 +203,8 @@ class TestEvaluator:
     @pytest.mark.parametrize("digits", [40, 120, 300])
     def test_full_precision_near_coalescence(self, digits):
         # zeta cancels 1.5 log10(1/|xi - 1|) digits and B0 another 0.5 just
-        # outside the snap window 10^-(digits+5); the value must still carry
-        # all digits, also where the coalescence tolerance of solve_saddles
-        # (10^-(digits-15) at ctx) would snap to the double saddle
+        # outside the closed forms' window 10^-(digits+5); the value must
+        # still carry all digits, from |xi - 1| = 1e-3 down to that window
         ctx, ref = mk_context(digits), mk_context(2 * digits + 200)
         for k in sorted({3, 10, digits // 2, digits - 30, digits - 16,
                          digits - 15, digits - 5, digits + 4}):
