@@ -22,12 +22,18 @@ this series, with s + 1 from the saddle at the context's digits, so a_2 is
 lose psi' (about 1e-16 at the launch offset) to cancellation; further out
 it takes that global formula minus psi(s). The level c = Im psi(s), s + 1,
 the launch direction and the other saddle come from mpmath at LEVEL_DIGITS
-= 50, so the points, s + u as stepped, do not depend on the context's
-digits. The projection holds Im psi to max(1e-12, 16 eps |e^t/mu|), which
-doubles can meet near Re t = 8.4. Im psi is re-computed on the exact value
-of every point at 30 digits (|Im psi| < 1e4 in the frame leaves 17 orders
-of margin) in real arithmetic, -e^x sin(y)/mu - arg(x + iy) with arg in
-[0, 2 pi); a drift that is not under 1e-8 raises StepError.
+= 50, so the points, s + u as stepped, depend on the context's digits only
+through s, from mu at those digits: at xi = 1 - 1e-16, a pair 2.8e-8 apart,
+mu's rounding to 30 digits moves s by 4e-24 and points next to it by an ulp.
+The projection holds Im psi to max(1e-12, 16 eps |e^t/mu|), which doubles
+can meet near Re t = 8.4. The drift is max |Im psi - c| on the exact points
+at 30 digits (|Im psi| < 1e4 in the frame leaves 17 orders of margin), as
+-e^x sin(y)/mu - arg(x + iy) with arg in [0, 2 pi). Pass 1 takes each in
+doubles, v, within a counted bound b, and low = max(-inf, v - b), which a
+NaN never tops. Every other drift is under low, which the drift of the
+point that set it reaches, so pass 2 recomputes at 30 digits only the
+points whose v + b is not under low, and the real axis, where Im psi is 0
+or -pi, once a side. A drift not under 1e-8 raises StepError.
 
 Paths stop at the frame Re t in (-8.5, 8.4), |Im t| <= 7.5 (generous around
 the Im t = +/- pi asymptotes), at |t| < 0.05 near the logarithmic
@@ -47,6 +53,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from mpmath import mp, mpf
 from mpmath.libmp import (dps_to_prec, from_float, mpf_add, mpf_atan2,
@@ -77,7 +84,7 @@ _TERMS = 16
 _SADDLE_FIELD_TOL = 1e-6  # |psi'| under this, far enough along, stops a path
 # Largest max_len/step a contour set may ask for: time and memory grow like
 # 1/step. At the default max_len = 40 this is step = 0.000625, where `touchard
-# contours --xi 0.8` takes 6.2-8.8 s and 86 MiB (README, "Size limit").
+# contours --xi 0.8` takes 2.5-3.8 s and 86 MiB (README, "Size limit").
 MAX_LEN_OVER_STEP = 64000
 
 
@@ -174,6 +181,19 @@ def _im_psi(t: complex, inv_mu, prec):
     return mpf_neg(mpf_add(mpf_mul(e_sin, inv_mu, prec, "n"), arg, prec, "n"))
 
 
+def _estimates(pts, inv_mu: float, c: float, prec):
+    """(t, v, b) per t of pts off the real axis or NaN: v = |Im psi(t) - c| in
+    doubles, within b of _im_psi's at prec bits: 16 eps for the doubles'
+    rounding, 2^(4 - prec) for prec's, each on |e^x sin y / mu| + arg + |c|."""
+    rel = 16 * 2.0 ** -52 + 2.0 ** (4 - prec)
+    for t in pts:
+        if t.imag or cmath.isnan(t):
+            a = math.exp(t.real) * math.sin(t.imag) * inv_mu
+            arg = math.atan2(t.imag, t.real)
+            arg += 2 * math.pi if arg < 0 else 0.0
+            yield t, abs(a + arg + c), rel * (abs(a) + arg + abs(c))
+
+
 def _passes(t, t_new, s, h) -> bool:
     """Whether the chord from t to t_new passes s between its ends, within h."""
     d, w = t_new - t, s - t
@@ -241,12 +261,17 @@ def _trace(saddle_t, theta, kind, inv_mu, other, ctx: PrecisionContext,
         stop = "iteration_cap"
 
     prec = dps_to_prec(MIN_DIGITS)
-    # c keeps its LEVEL_DIGITS value, so a drift still shows the 30-digit
-    # rounding of arg t = pi on a real axis path
+    est = pts, float(inv_mu), float(c), prec
+    low = max(chain([-math.inf], (v - b for _, v, b in _estimates(*est))))
+    # on the real axis Im psi is 0 (t > 0) or -pi (t < 0) at 30 digits; c
+    # keeps its LEVEL_DIGITS value, so a drift there shows pi's rounding
+    axis = {t.real > 0: t for t in pts if not (t.imag or cmath.isnan(t))}
+    kept = (t for t, v, b in _estimates(*est) if not v + b < low)
     with mp.workdps(MIN_DIGITS):
         inv_mu = (+inv_mu)._mpf_
-        drift = max(abs(mp.make_mpf(_im_psi(p, inv_mu, prec)) - c)
-                    for p in pts)
+        drift = max((abs(mp.make_mpf(_im_psi(t, inv_mu, prec)) - c)
+                     for t in chain(axis.values(), kept)),
+                    key=lambda d: d if d == d else mp.inf)  # NaN on top
     if not drift < DRIFT_BUDGET:
         raise StepError(
             f"Im psi drift {mp.nstr(drift, 3)} exceeds the 1e-8 budget; "

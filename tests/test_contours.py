@@ -1,5 +1,6 @@
 """Steepest-path tracer: launch geometry, drift budget, regime topology."""
 import cmath
+import math
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -14,7 +15,10 @@ from touchard.contours import (DRIFT_BUDGET, LEVEL_DIGITS, MAX_LEN_OVER_STEP,
                                contour_set)
 from touchard.numkernel import MIN_DIGITS, log_branched_raw, raw
 
+from test_scripts import load_script
+
 EPS = 2.0 ** -52
+CONTOUR_XI = load_script("parity_set").CONTOUR_XI
 
 
 def measured_direction(pl):
@@ -291,6 +295,87 @@ class TestDriftCertificate:
         with pytest.raises(StepError, match="drift nan exceeds"):
             contour_set("1.8", ctx40)
 
+    @pytest.mark.parametrize("xi,step", [(xi, None) for xi in CONTOUR_XI]
+                             + [("1.8", 0.5), ("1.8", 1.0)])
+    def test_drift_is_the_maximum_over_every_point(self, xi, step, ctx40,
+                                                   monkeypatch):
+        # the two passes return the brute-force maximum, the same mpf; every
+        # estimate lies within its bound of the 30-digit value, and every
+        # point that the bounds cannot rule out is recomputed
+        seen = set()
+        monkeypatch.setattr(contours, "_im_psi",
+                            lambda t, *a: seen.add(t) or _im_psi(t, *a))
+        cs = contour_set(xi, ctx40, step=step)
+        prec = dps_to_prec(MIN_DIGITS)
+        with mp.workdps(ctx40.digits + 10):
+            inv_mu = 1 / raw(cs.mu)
+        for pl in cs.polylines:
+            with mp.workdps(LEVEL_DIGITS):
+                c = _psi(raw(pl.saddle), inv_mu).imag
+            with mp.workdps(MIN_DIGITS):
+                inv30 = (+inv_mu)._mpf_
+                drifts = {t: abs(mp.make_mpf(_im_psi(t, inv30, prec)) - c)
+                          for t in pl.points}
+                assert raw(pl.im_psi_drift) == max(drifts.values())
+            est = list(contours._estimates(pl.points, float(inv_mu),
+                                           float(c), prec))
+            for t, v, b in est:
+                assert abs(v - drifts[t]) <= b
+            low = max((v - b for _, v, b in est), default=-math.inf)
+            assert low <= max(drifts.values())
+            assert all(t in seen for t, v, b in est if v + b >= low)
+
+    def test_few_points_take_30_digits(self, ctx40, monkeypatch):
+        # pass 1 rules out all but a few dozen of the 4520 points
+        calls = []
+        monkeypatch.setattr(contours, "_im_psi",
+                            lambda t, *a: calls.append(t) or _im_psi(t, *a))
+        points = sum(len(pl.points) for xi in ("0.8", "1", "1.8")
+                     for pl in contour_set(xi, ctx40).polylines)
+        assert points == 4520
+        assert len(calls) <= 100
+
+    def test_nan_estimate_keeps_its_point(self, ctx40, monkeypatch):
+        # `not v + b < low` keeps a point whose estimate is NaN, and a NaN
+        # v - b never becomes low
+        seen, estimates = [], contours._estimates
+        monkeypatch.setattr(contours, "_im_psi",
+                            lambda t, *a: seen.append(t) or _im_psi(t, *a))
+        want = contour_set("1.8", ctx40)
+        before = len(seen)
+        # the first point of each path off the axis that is not recomputed,
+        # here the first estimate of its path
+        targets = [next(t for t in pl.points if t.imag and t not in seen)
+                   for pl in want.polylines
+                   if any(t.imag for t in pl.points)]
+
+        def nan_at_targets(pts, *args):
+            for t, v, b in estimates(pts, *args):
+                yield t, math.nan if t in targets else v, b
+
+        monkeypatch.setattr(contours, "_estimates", nan_at_targets)
+        seen.clear()
+        got = contour_set("1.8", ctx40)
+        assert all(t in seen for t in targets)
+        assert len(seen) == before + len(targets)
+        assert ([raw(pl.im_psi_drift) for pl in got.polylines]
+                == [raw(pl.im_psi_drift) for pl in want.polylines])
+
+    def test_one_nan_drift_is_refused(self, ctx40, monkeypatch):
+        # a NaN drift after a finite one of the same path tops the maximum
+        seen = []
+        monkeypatch.setattr(contours, "_im_psi",
+                            lambda t, *a: seen.append(t) or _im_psi(t, *a))
+        cs = contour_set("0.8", ctx40)
+        recomputed = ([t for t in pl.points if t in seen]
+                      for pl in cs.polylines)
+        target = next(ts[1] for ts in recomputed if len(ts) > 1)
+        monkeypatch.setattr(
+            contours, "_im_psi",
+            lambda t, *a: fnan if t == target else _im_psi(t, *a))
+        with pytest.raises(StepError, match="drift nan exceeds"):
+            contour_set("0.8", ctx40)
+
     @pytest.mark.parametrize("xi", ["0.8", "1", "1.8"])
     def test_paths_do_not_depend_on_digits(self, xi):
         # a path's own values come from LEVEL_DIGITS and its points are
@@ -322,6 +407,21 @@ class TestNearCoalescence:
         outs = [paths(cmd_contours(xi, digits)) for digits in (30, 120)]
         assert outs[0] == outs[1]
         assert len(outs[0][1]) == lines
+
+    @pytest.mark.parametrize("xi", ["1.0000000000000001",
+                                    "0.9999999999999999"])
+    def test_paths_keep_their_shape_at_every_digits(self, xi):
+        # a pair 2.8e-8 apart moves by about 4e-24 with mu's rounding to 30
+        # digits, and at 1 - 1e-16 the doubles launched from it by an ulp:
+        # points next to the saddle may differ, kind, stop, count and drift
+        # may not
+        outs = [cmd_contours(xi, digits) for digits in (30, 120)]
+        assert outs[0]["saddle_kind"] == outs[1]["saddle_kind"]
+        assert len(outs[0]["polylines"]) == len(outs[1]["polylines"]) == 8
+        for a, b in zip(*(out["polylines"] for out in outs)):
+            for key in ("kind", "stop_reason", "im_psi_drift"):
+                assert a[key] == b[key]
+            assert len(a["points"]) == len(b["points"])
 
     @pytest.mark.parametrize("xi", ["1.00000000000000000000000001",
                                     "0.99999999999999999999999999"])
