@@ -27,7 +27,7 @@ from .errors import DomainError, RegimeError
 from .numkernel import (BigComplex, BigReal, PrecisionContext, _require_real,
                         log_branched_raw, raw, real_from, wrap_complex,
                         wrap_real)
-from .saddle import SaddleKind, solve_saddles
+from .saddle import solve_saddle
 
 EXCLUSION_HALF_WIDTH = mpf("0.05")
 
@@ -55,13 +55,12 @@ def leading_order(n: int, mu, ctx: PrecisionContext) -> PoincareResult:
                 f"mu e = {mp.nstr(muv * mp.e, 8)} lies inside the exclusion "
                 f"band |mu e - 1| <= {mp.nstr(EXCLUSION_HALF_WIDTH, 2)}; "
                 "use the uniform approximation there")
-        saddles = solve_saddles(muv, ctx)
-        t0 = raw(saddles.t0)
+        t0 = raw(solve_saddle(muv, 0, ctx)[0])
         x = mpf(n) / muv
         power = mp.exp(-(n - 1) * log_branched_raw(t0))
         term = mp.exp(x + n / t0) * power / mp.sqrt(2 * mp.pi * (1 + t0))
         term = term / mp.sqrt(mpf(n))
-        if saddles.kind is SaddleKind.REAL_PAIR:
+        if muv * mp.e < 1:  # xi > 1: the real pair
             regime = PoincareRegime.BELOW
             value = _require_real(term, ctx.digits, "below-band value")
         else:

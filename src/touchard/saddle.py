@@ -6,9 +6,12 @@ converts it with mu_from_xi, the one place that does. solve_saddles takes mu
 alone and classifies the pair by xi = 1/(e mu), recomputed at digits + 15:
 the real pair W_0(-mu), W_-1(-mu) for xi > 1, and otherwise the conjugate
 pair W_0(-mu) and its conjugate, W_0 taking the upper one below -1/e
-(Corless et al., Adv. Comput. Math. 5, 1996). Both come from
-mpmath.lambertw at digits + 15, and the rounded values are certified by
-their residual |t e^t + mu|, however near xi = 1 they lie. The pair
+(Corless et al., Adv. Comput. Math. 5, 1996). Each W is solved at
+digits + 15: mpmath's double-precision W, which picks the branch, is polished
+by one Halley step per level at rising precision. Where -mu is not a normal
+double or |1 - 1/xi| < 5e-5 (|1 + W| below about 0.01), that seed is poor and
+mpmath.lambertw runs instead. Each rounded saddle is certified by its
+residual |t e^t + mu|, however near xi = 1 it lies. The pair
 coalesces into the double root t = -1 at xi = 1; solve_saddles never
 returns SaddleKind.DOUBLE, which uniform_ingredients and contour_set build
 under their own rules.
@@ -20,9 +23,11 @@ psi(-1; 1/e) = -1 - i pi and Im(psi(t) + psi(conj t)) = -2 pi off the axis.
 from __future__ import annotations
 
 import enum
+import math
+import sys
 from dataclasses import dataclass
 
-from mpmath import mp, mpc, mpf
+from mpmath import fp, mp, mpc, mpf
 
 from .errors import DomainError, SolverError
 from .numkernel import (BigComplex, BigReal, PrecisionContext, log_branched_raw,
@@ -76,29 +81,54 @@ def mu_from_xi(xi, ctx: PrecisionContext) -> BigReal:
         return wrap_real(1 / (mp.e * xv), ctx)
 
 
-def solve_saddles(mu, ctx: PrecisionContext) -> SaddlePair:
-    """The saddle pair of psi(t; mu), classified by xi = 1/(e mu)."""
+def _lambertw(z: mpf, k: int):
+    """W_k(z) at the working precision, rounded with +w."""
+    zf = float(z)
+    if not (sys.float_info.min <= abs(zf) <= sys.float_info.max
+            and abs(1 + math.e * zf) >= 5e-5):
+        return mp.lambertw(z, k)
+    w = mp.convert(fp.lambertw(zf, k))
+    # a Halley step triples the digits it is given, less about 3.5 lost
+    # near the branch point; the seed holds at least 14 there
+    levels = [mp.dps + 5]
+    while levels[-1] > 40:
+        levels.append(levels[-1] // 3 + 5)
+    for dps in reversed(levels):
+        with mp.workdps(dps):
+            ew = mp.exp(w)
+            f = w * ew - z
+            w = w - f / (w * ew + ew - (w + 2) * f / (2 * w + 2))
+    return +w
+
+
+def solve_saddle(mu, k: int, ctx: PrecisionContext) -> tuple[BigComplex, BigReal]:
+    """W_k(-mu) rounded to ctx, certified by its residual |t e^t + mu|
+    <= 10^-(digits - 10) mu, which is returned with it."""
     mu = raw(real_from(mu, ctx))
     if not mu > 0:
         raise DomainError(f"mu must be positive, got {mp.nstr(mu, 8)}")
     with mp.workdps(ctx.digits + 15):
-        xi = 1 / (mp.e * mu)
-        res_bound = mpf(10) ** (-(ctx.digits - 10)) * mu
-        # W_0(-mu) is the smaller real saddle above -1/e and the upper one
-        # of the conjugate pair below it
-        t0 = mpc(mp.lambertw(-mu, 0))
-        if xi > 1:
-            t1 = mpc(mp.lambertw(-mu, -1))
-            kind = SaddleKind.REAL_PAIR
-        else:
-            t1 = mp.conj(t0)
-            kind = SaddleKind.CONJUGATE_PAIR
-
-        # certify the rounded values actually returned, not the iterates
-        t0w, t1w = wrap_complex(t0, ctx), wrap_complex(t1, ctx)
-        r0, r1 = (abs(t * mp.exp(t) + mu) for t in (t0w.value, t1w.value))
-        if not (r0 <= res_bound and r1 <= res_bound):
+        # certify the rounded value actually returned, not the iterate
+        t = wrap_complex(_lambertw(-mu, k), ctx)
+        r = abs(t.value * mp.exp(t.value) + mu)
+        bound = mpf(10) ** (-(ctx.digits - 10)) * mu
+        if not r <= bound:
             raise SolverError(
-                f"saddle residuals ({mp.nstr(r0, 3)}, {mp.nstr(r1, 3)}) exceed "
-                f"{mp.nstr(res_bound, 3)} at xi={mp.nstr(xi, 8)}")
-        return SaddlePair(kind, t0w, t1w, wrap_real(r0, ctx), wrap_real(r1, ctx))
+                f"saddle residual {mp.nstr(r, 3)} on branch {k} exceeds "
+                f"{mp.nstr(bound, 3)} at xi={mp.nstr(1 / (mp.e * mu), 8)}")
+        return t, wrap_real(r, ctx)
+
+
+def solve_saddles(mu, ctx: PrecisionContext) -> SaddlePair:
+    """The saddle pair of psi(t; mu), classified by xi = 1/(e mu)."""
+    # W_0(-mu) is the smaller real saddle above -1/e and the upper one of
+    # the conjugate pair below it
+    t0, r0 = solve_saddle(mu, 0, ctx)
+    mu = raw(real_from(mu, ctx))
+    with mp.workdps(ctx.digits + 15):
+        if 1 / (mp.e * mu) > 1:
+            t1, r1 = solve_saddle(mu, -1, ctx)
+            return SaddlePair(SaddleKind.REAL_PAIR, t0, t1, r0, r1)
+        # conj(t0) has the same residual
+        return SaddlePair(SaddleKind.CONJUGATE_PAIR, t0,
+                          wrap_complex(mp.conj(t0.value), ctx), r0, r0)

@@ -2,13 +2,13 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from mpmath import mp, mpc, mpf
+from mpmath import fp, mp, mpc, mpf
 
 from touchard import (DomainError, SaddleKind, SolverError, contour_set,
                       leading_order, mk_context, mu_from_xi, real_from,
                       solve_saddles, theorem2_eval, uniform_ingredients)
 from touchard.saddle import psi2_at_saddle_raw, psi_reduced_raw
-from touchard.numkernel import log_branched_raw, raw
+from touchard.numkernel import log_branched_raw, raw, wrap_complex
 
 
 def tol(ctx, slack):
@@ -215,11 +215,17 @@ class TestParams:
 
 
 class TestSolve:
-    def test_nan_residual_is_refused(self, ctx60, monkeypatch):
-        # NaN compares false both ways, so the certificate is `not r <= bound`
-        monkeypatch.setattr(mp, "lambertw", lambda z, k=0: mpc(mp.nan))
+    @pytest.mark.parametrize("xi, lambertw", [
+        ("1.5", (fp, lambda z, k=0: float("nan"))),
+        ("1." + "0" * 29 + "1", (mp, lambda z, k=0: mpc(mp.nan))),
+    ], ids=["polish", "mpmath_lambertw"])
+    def test_nan_residual_is_refused(self, xi, lambertw, ctx60, monkeypatch):
+        # NaN compares false both ways, so the certificate is `not r <= bound`.
+        # At xi = 1.5 the seed is fp.lambertw's; at 1 + 1e-30 it is too near
+        # the branch point, and mp.lambertw serves
+        monkeypatch.setattr(lambertw[0], "lambertw", lambertw[1])
         with pytest.raises(SolverError, match="nan"):
-            solve_saddles(mu_from_xi("1.5", ctx60), ctx60)
+            solve_saddles(mu_from_xi(xi, ctx60), ctx60)
 
     @pytest.mark.parametrize("digits", [30, 40, 120, 300])
     def test_certified_at_and_near_coalescence(self, digits):
@@ -272,6 +278,8 @@ class TestSolve:
             assert t1.real == t0.real and t1.imag == -t0.imag
             s = psi_reduced_raw(t0) + psi_reduced_raw(t1)
             assert abs(mp.im(s) + 2 * mp.pi) < tol(ctx60, 8)
+        # |t e^t + mu| is the same at t0 and its conjugate
+        assert pair.residual1 == pair.residual0
 
     def test_split_scale_near_coalescence(self, ctx120):
         # |t0 + 1| tracks sqrt(2|1/xi - 1|) within a factor of two, and both
@@ -316,6 +324,29 @@ class TestSolve:
                     else:
                         assert pair.kind is SaddleKind.REAL_PAIR
                         assert t1.real < -1 < t0.real < 0
+
+    @pytest.mark.parametrize("digits", [40, 120, 300])
+    def test_polish_matches_mpmath_lambertw(self, digits):
+        # the saddles print as mp.lambertw at digits + 15 rounded to ctx, on
+        # both sides of the seed rule |1 - 1/xi| >= 5e-5 and of the normal
+        # doubles, where -mu overflows or underflows a float
+        ctx = mk_context(digits)
+        xis = [f"{m}e{e}" for e in range(-300, 301, 7) for m in ("1", "3.7")]
+        for k in range(1, digits + 12):
+            xis += ["1." + "0" * (k - 1) + "1", "0." + "9" * k]
+        with mp.workdps(digits + 10):
+            xis += [1 / (1 - s * mpf("5e-5") * (1 + r * mpf("1e-3")))
+                    for s in (1, -1) for r in (1, -1)]
+        xis += ["1e-310", "1e-400", "1e310", "1e400", "2.5e-308"]
+        for xi in xis:
+            mu = mu_from_xi(xi, ctx)
+            pair = solve_saddles(mu, ctx)
+            with mp.workdps(digits + 15):
+                w0 = mp.lambertw(-raw(mu), 0)
+                w1 = (mp.lambertw(-raw(mu), -1)
+                      if pair.kind is SaddleKind.REAL_PAIR else mp.conj(w0))
+            assert pair.t0.to_str() == wrap_complex(w0, ctx).to_str(), xi
+            assert pair.t1.to_str() == wrap_complex(w1, ctx).to_str(), xi
 
     @given(st.floats(min_value=0.3, max_value=3))
     def test_classification_and_residuals(self, xf):
