@@ -11,7 +11,9 @@ writes, in about 20 s,
         REFUSALS; theorem2.txt, theorem2_eval and leading_order at each
         (n, xi) of THEOREM2_N x THEOREM2_XI, xi given as text as the CLI
         passes it, so that a change in the precision text is read at shows
-        there; all at the digits the directory names.
+        there, and theorem1_eval at each n, up to n = 10^9, so that a change
+        in the width n asks for shows there too; all at the digits the
+        directory names.
     DIR/exact_seed1.txt
         scaled_touchard at the EXACT_POINTS points drawn from seed 1: n
         uniform in 1..1200, x log-uniform in [1e-300, 1e300] (even points)
@@ -41,7 +43,7 @@ import random
 
 from touchard import (N_MAX_LIMIT, TouchardError, airy, leading_order,
                       mk_context, mu_from_xi, real_from, scaled_touchard,
-                      theorem2_eval)
+                      theorem1_eval, theorem2_eval)
 from touchard.cli import main as cli_main
 
 DIGITS = (40, 120, 300)
@@ -54,7 +56,7 @@ REFUSALS = (["eval", "--n", "100", "--xi", "0"],
             ["eval", "--n", "100", "--xi", "nan"],
             ["table2", "--xi", "inf"],
             ["contours", "--xi", "abc"])
-THEOREM2_N = (100, 10 ** 4, 10 ** 6)
+THEOREM2_N = (100, 10 ** 4, 10 ** 6, 10 ** 9)
 THEOREM2_XI = ("0.5", "0.9", "0.97", "0.9999", "1", "1.0001", "1.01", "1.1",
                "1.5", "3")
 EXACT_SEEDS = (1,)
@@ -70,20 +72,24 @@ CONTOUR_XI = ("1e-5", "0.01", "0.1", "0.3", "0.5", "0.8", "0.9", "0.99",
 
 
 def theorem2_lines(digits: int) -> list[str]:
-    """theorem2_eval and leading_order at text xi, one line per call."""
+    """theorem2_eval and leading_order at text xi, and theorem1_eval at
+    order 6, as `eval` takes it, one line per call."""
     ctx = mk_context(digits)
     lines = []
     for n in THEOREM2_N:
+        calls = [(f"theorem1 n={n}", lambda: theorem1_eval(n, 6, ctx))]
         for xi in THEOREM2_XI:
-            for name, call in (
-                    ("theorem2", lambda: theorem2_eval(n, xi, ctx)),
-                    ("poincare", lambda: leading_order(
-                        n, mu_from_xi(xi, ctx), ctx).value)):
-                try:
-                    got = call().to_str()
-                except TouchardError as exc:
-                    got = f"{type(exc).__name__}, exit {exc.exit_code}"
-                lines.append(f"{name} n={n} xi={xi}: {got}\n")
+            calls += [(f"theorem2 n={n} xi={xi}",
+                       lambda xi=xi: theorem2_eval(n, xi, ctx)),
+                      (f"poincare n={n} xi={xi}",
+                       lambda xi=xi: leading_order(
+                           n, mu_from_xi(xi, ctx), ctx).value)]
+        for name, call in calls:
+            try:
+                got = call().to_str()
+            except TouchardError as exc:
+                got = f"{type(exc).__name__}, exit {exc.exit_code}"
+            lines.append(f"{name}: {got}\n")
     return lines
 
 

@@ -15,9 +15,8 @@ from .errors import (BranchError, CapacityError, DomainError,
                      OrderError, PrecisionExhaustedError, RegimeError,
                      SeriesConsistencyError, SolverError, StepError,
                      TouchardError)
-from .numkernel import (DEFAULT_DIGITS, MIN_DIGITS, BigComplex, BigReal,
-                        PrecisionContext, mk_context, real_from, wrap_complex,
-                        wrap_real)
+from .numkernel import (DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionContext,
+                        mk_context, real_from, working_digits, wrap_real)
 from .poincare import PoincareRegime, PoincareResult, leading_order
 from .saddle import SaddleKind, SaddlePair, mu_from_xi, solve_saddles
 from .stirling import (N_MAX_LIMIT, ExactValue, StirlingTriangle,
@@ -34,9 +33,8 @@ __all__ = [
     "InvalidPrecisionError", "OrderError", "PrecisionExhaustedError",
     "RegimeError", "SeriesConsistencyError", "SolverError", "StepError",
     "TouchardError",
-    "DEFAULT_DIGITS", "MIN_DIGITS", "BigComplex", "BigReal",
-    "PrecisionContext", "mk_context", "real_from", "wrap_complex",
-    "wrap_real",
+    "DEFAULT_DIGITS", "MIN_DIGITS", "BigReal", "PrecisionContext",
+    "mk_context", "real_from", "working_digits", "wrap_real",
     "PoincareRegime", "PoincareResult", "leading_order",
     "SaddleKind", "SaddlePair", "mu_from_xi", "solve_saddles",
     "N_MAX_LIMIT", "ExactValue", "StirlingTriangle", "build_triangle",

@@ -19,6 +19,10 @@ bits, hypsum 50 and stops 25 above its grid); short of it, mpmath takes a
 slow route. On z < 0 the pass is also the faster route up to Z(d), so one
 limit serves both signs. AiryValue.method names each call's route.
 
+z is taken as held if an mpf or a BigReal, text at d + 10 digits. AiryValue
+keeps Ai and Ai' as their route leaves them, good to d + 10 digits, for
+theorem2_eval; BigReal.to_str prints them rounded to the context.
+
 The pass runs in Python ints on a grid of 2^-p: z = man 2^exp is taken
 exactly, |z|^3 is cut to p bits, and each F_k and G_k is |F_k| or |G_k|
 floored, one floor a step, the sign (-1)^k (of G_k) or (-1)^(k-1) (of F_k)
@@ -58,7 +62,7 @@ from mpmath.libmp import dps_to_prec
 
 from .errors import DomainError, PrecisionExhaustedError
 from .fixedpoint import _shift, _top
-from .numkernel import BigReal, PrecisionContext, raw, real_from, wrap_real
+from .numkernel import BigReal, PrecisionContext, read_real, working_digits
 
 ABS_Z_LIMIT = 10 ** 6
 # Reruns the Maclaurin pass may make before PrecisionExhaustedError.
@@ -167,9 +171,9 @@ def _by_maclaurin(zv, absz: float, digits: int):
         f"{MAX_RERUNS} reruns allowed)", last_two=tuple(last[-2:]))
 
 
-def airy(z: BigReal, ctx: PrecisionContext) -> AiryValue:
+def airy(z, ctx: PrecisionContext) -> AiryValue:
     """Ai(z) and Ai'(z) for real finite z, |z| <= 1e6."""
-    zv = raw(real_from(z, ctx))
+    zv = read_real(z, working_digits(ctx, 1))
     absz = abs(float(zv))
     if absz > ABS_Z_LIMIT:
         raise DomainError(f"|z| = {absz} exceeds the supported range {ABS_Z_LIMIT}")
@@ -180,5 +184,5 @@ def airy(z: BigReal, ctx: PrecisionContext) -> AiryValue:
         with mp.workdps(ctx.digits + 10):
             ai, aip = mpmath.airyai(zv), mpmath.airyai(zv, 1)
         method = AiryMethod.MPMATH
-    return AiryValue(ai=wrap_real(ai, ctx), ai_prime=wrap_real(aip, ctx),
+    return AiryValue(ai=BigReal(ai, ctx), ai_prime=BigReal(aip, ctx),
                      method=method)

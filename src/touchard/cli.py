@@ -24,16 +24,16 @@ import json
 import sys
 from dataclasses import dataclass
 
-from mpmath import mp
+from mpmath import mp, mpc
 
 from .coalescence import (_BM_CHECK, _sin_third, check_order, default_bm,
                           theorem1_eval)
 from .contours import ContourSet, contour_set
 from .errors import DomainError, InternalConsistencyError, TouchardError
 from .numkernel import (BigReal, PrecisionContext, _sci, mk_context, raw,
-                        real_from, wrap_real)
+                        real_from, working_digits, wrap_real)
 from .poincare import EXCLUSION_HALF_WIDTH, leading_order
-from .saddle import mu_from_xi
+from .saddle import mu_at, mu_from_xi
 from .stirling import ExactValue, scaled_touchard
 from .uniform import theorem2_eval, uniform_ingredients
 
@@ -138,12 +138,14 @@ def cmd_table2(xi_list=None, n_list=None, digits: int | None = None) -> str:
     if not xi_list or not n_list:
         raise DomainError("table2 needs a non-empty --xi and --n list")
     ctx = mk_context(digits)
+    params = [real_from(xi, ctx) for xi in xi_list]
     rows = []
-    for xi_br in [real_from(xi, ctx) for xi in xi_list]:
-        ing = uniform_ingredients(xi_br, ctx)
+    for xi, xi_br in zip(xi_list, params):
+        # exact at xi rounded to ctx, as printed; approx at the text xi
+        ing = uniform_ingredients(xi, ctx, max(n_list))
         for n in n_list:
             _, exact = _exact_scaled(n, xi_br, ctx)
-            approx = theorem2_eval(n, xi_br, ctx, ingredients=ing)
+            approx = theorem2_eval(n, xi, ctx, ingredients=ing)
             rows.append(make_row(n, xi_br, exact.value, approx, ctx))
     return rows_to_csv(rows)
 
@@ -191,26 +193,29 @@ def cmd_eval(n: int, xi, digits: int | None = None) -> dict:
         report["methods"]["theorem1"] = _method_entry(
             lambda: theorem1_eval(n, 6, ctx), exact.value, ctx)
     try:
-        ing = uniform_ingredients(xi_br, ctx)
+        ing = uniform_ingredients(xi, ctx, n)
     except TouchardError as exc:
         report["methods"]["theorem2"] = _error_entry(exc)
         report["saddles"] = _error_entry(exc)
     else:
         report["methods"]["theorem2"] = _method_entry(
-            lambda: theorem2_eval(n, xi_br, ctx, ingredients=ing),
+            lambda: theorem2_eval(n, xi, ctx, ingredients=ing),
             exact.value, ctx)
-        report["saddles"] = {
-            "kind": ing.saddles.kind.value,
-            "t0": ing.saddles.t0.to_str(),
-            "t1": ing.saddles.t1.to_str(),
-            "zeta": ing.zeta.to_str(),
-            "re_beta": ing.beta.re.to_str(),
-            "A0": ing.A0.to_str(),
-            "B0": ing.B0.to_str(),
-        }
+
+        def text(v) -> str:  # rounded to ctx; a saddle as (re,im)
+            if isinstance(v, mpc):
+                return f"({text(v.real)},{text(v.imag)})"
+            return wrap_real(v, ctx).to_str()
+
+        report["saddles"] = {"kind": ing.saddles.kind.value, **{
+            key: text(v) for key, v in (
+                ("t0", ing.saddles.t0), ("t1", ing.saddles.t1),
+                ("zeta", ing.zeta), ("re_beta", ing.beta.real),
+                ("A0", ing.A0), ("B0", ing.B0))}}
     if outside_band:
         report["methods"]["poincare"] = _method_entry(
-            lambda: leading_order(n, mu, ctx).value, exact.value, ctx)
+            lambda: leading_order(n, mu_at(xi, working_digits(ctx, n)),
+                                  ctx).value, exact.value, ctx)
     return report
 
 
@@ -227,8 +232,8 @@ def contours_to_json(cs: ContourSet) -> dict:
 
     def polyline(pl) -> dict:
         # points[0] is the saddle, printed from its full-precision value
-        saddle = [wrap_real(v.value, _EMIT_CTX).to_str()
-                  for v in (pl.saddle.re, pl.saddle.im)]
+        saddle = [wrap_real(v, _EMIT_CTX).to_str()
+                  for v in (pl.saddle.real, pl.saddle.imag)]
         return {
             "saddle": saddle,
             "kind": pl.kind,

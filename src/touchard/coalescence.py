@@ -19,7 +19,8 @@ the branch factors combine into sin(pi(m+1)/3), which kills every
 m = 2 (mod 3). The power of g comes from J.C.P. Miller's recurrence
 (Knuth, TAOCP vol. 2, sec. 4.7), all in Fractions.
 
-The evaluator computes, for x = n e,
+The evaluator computes at numkernel.working_digits(ctx, n), as x - n spends
+log10 n digits, and rounds only the value to ctx: for x = n e,
 
     (-1)^(n-1) e^(x-n)/(3 pi) * sum_m (-1)^m B_m Gamma((m+1)/3)
         * sin(pi(m+1)/3) / (n/6)^((m+1)/3).
@@ -34,7 +35,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .errors import OrderError, SeriesConsistencyError
-from .numkernel import BigReal, PrecisionContext, wrap_real
+from .numkernel import BigReal, PrecisionContext, working_digits, wrap_real
 
 DEFAULT_ORDER = 12
 # Largest series order. `touchard bm --max 150` takes 10.5 s and 20 MiB,
@@ -102,7 +103,7 @@ def theorem1_eval(n: int, order: int, ctx: PrecisionContext) -> BigReal:
         raise OrderError(f"n must be >= 2, got {n}")
     check_order(order)
     bm = default_bm(max(order, DEFAULT_ORDER))
-    with mp.workdps(ctx.digits + 10):
+    with mp.workdps(working_digits(ctx, n)):
         x = n * mp.e
         rt3_half = mp.sqrt(3) / 2
         total = mpf(0)

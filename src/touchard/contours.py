@@ -55,15 +55,15 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 from mpmath.libmp import (dps_to_prec, from_float, mpf_add, mpf_atan2,
                           mpf_exp, mpf_mul, mpf_neg, mpf_pi, mpf_shift,
                           mpf_sin)
 
 from .errors import DomainError, StepError
-from .numkernel import (MIN_DIGITS, BigComplex, BigReal, PrecisionContext,
-                        log_branched_raw, mk_context, raw, real_from,
-                        wrap_complex, wrap_real)
+from .numkernel import (MIN_DIGITS, BigReal, PrecisionContext,
+                        log_branched_raw, raw, read_real, real_from,
+                        working_digits, wrap_real)
 from .saddle import SaddleKind, mu_from_xi, solve_saddles
 
 RE_MAX = 8.4
@@ -90,7 +90,7 @@ MAX_LEN_OVER_STEP = 64000
 
 @dataclass(frozen=True)
 class ContourPolyline:
-    saddle: BigComplex
+    saddle: mpc  # rounded to the context
     kind: str  # "descent" or "ascent"
     points: tuple[complex, ...]  # points[0] is the saddle, rounded to a double
     im_psi_drift: BigReal
@@ -277,7 +277,7 @@ def _trace(saddle_t, theta, kind, inv_mu, other, ctx: PrecisionContext,
             f"Im psi drift {mp.nstr(drift, 3)} exceeds the 1e-8 budget; "
             "retry with a smaller --step")
     return ContourPolyline(
-        saddle=wrap_complex(saddle_t, ctx), kind=kind, points=tuple(pts),
+        saddle=saddle_t, kind=kind, points=tuple(pts),
         im_psi_drift=wrap_real(drift, ctx), launch_theta=float(theta),
         stop_reason=stop)
 
@@ -306,10 +306,10 @@ def contour_set(xi, ctx: PrecisionContext, step=None,
                 max_len=None) -> ContourSet:
     """Trace every principal steepest path through the saddles at this xi."""
     mu = mu_from_xi(xi, ctx)
-    wide = mk_context(ctx.digits + 10)
-    step = raw(real_from("0.05" if step is None else step, wide))
-    max_len = raw(real_from(40 if max_len is None else max_len, wide))
-    with mp.workdps(wide.digits):
+    wide = working_digits(ctx, 1)
+    step = read_real("0.05" if step is None else step, wide)
+    max_len = read_real(40 if max_len is None else max_len, wide)
+    with mp.workdps(wide):
         if not step > 0:
             raise DomainError(f"step must be positive, got {mp.nstr(step, 5)}")
         if not max_len > step:
@@ -320,9 +320,9 @@ def contour_set(xi, ctx: PrecisionContext, step=None,
                 f"limit {MAX_LEN_OVER_STEP}; use a larger --step or a smaller "
                 "--max-len")
         inv_mu = 1 / raw(mu)
-    saddles = solve_saddles(mu, ctx)
+    saddles = solve_saddles(mu, wide)
     with mp.workdps(ctx.digits):
-        t0, t1, kind = raw(saddles.t0), raw(saddles.t1), saddles.kind
+        t0, t1, kind = +saddles.t0, +saddles.t1, saddles.kind
         if abs(t0 - t1) < LAUNCH_OFFSET:  # a near pair (module docstring)
             kind, t0 = SaddleKind.DOUBLE, (t0 + t1) / 2
             t1 = t0

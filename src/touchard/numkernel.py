@@ -1,13 +1,15 @@
 """Arbitrary-precision numeric substrate.
 
-Wraps mpmath behind small immutable value types (BigReal, BigComplex) that
-remember the PrecisionContext they were produced under. Every public
-operation pins its working precision with ``mp.workdps`` so results never
-depend on ambient global state; repeated calls with identical inputs are
-bit-identical. Elementary and special functions are mpmath's own, called
-by each module under its pinned precision. ``_sci`` writes d digits of a
+Wraps mpmath behind one small immutable value type, BigReal, an mpf plus
+the PrecisionContext it prints at. Every public operation pins its working
+precision with ``mp.workdps`` so results never depend on ambient global
+state; repeated calls with identical inputs are bit-identical. Values are
+rounded once, at the edge: the asymptotic routes keep plain mpf/mpc at
+working_digits(ctx, n) = ctx.digits + ceil(log10 n) + 10, as n multiplies
+them, read_real reads an outside number once at that width, and wrap_real
+rounds to ctx only what they return or print. ``_sci`` writes d digits of a
 value's held binary value, correctly rounded, the exponent padded to two
-digits; ``BigReal.to_str`` appends ``@d`` for d = ctx.digits.
+digits; ``BigReal.to_str`` rounds to ctx first and appends ``@d``.
 
 The one function the kernel adds is ``log_branched_raw``: the logarithm
 with arg z in [0, 2pi), cut along the positive real axis approached from
@@ -21,14 +23,15 @@ import re
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (from_int, from_man_exp, mpf_mul, mpf_pow_int,
-                          round_ceiling, round_floor, to_int)
+from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_ln2, mpf_ln10,
+                          mpf_mul, mpf_pow_int, round_ceiling, round_floor,
+                          to_int)
 
 from .errors import BranchError, DomainError, InvalidPrecisionError
 
 DEFAULT_DIGITS = 120
 MIN_DIGITS = 30
-_GUARD = 10  # internal guard digits absorbed before rounding to ctx.digits
+_GUARD = 10  # guard digits the working width carries past ctx.digits
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,12 @@ def mk_context(digits: int | None = None) -> PrecisionContext:
     return PrecisionContext(digits=digits)
 
 
+def working_digits(ctx: PrecisionContext, n: int) -> int:
+    """The working width for values that n multiplies: ctx.digits, the
+    ceil(log10 n) digits the product spends, and the guard."""
+    return ctx.digits + math.ceil(math.log10(n)) + _GUARD
+
+
 # ---------------------------------------------------------------------------
 # value types
 
@@ -53,39 +62,24 @@ _SER_RE = re.compile(
 
 @dataclass(frozen=True)
 class BigReal:
-    """An mpmath real plus the context it was rounded under."""
+    """An mpmath real plus the context it prints at; wrap_real rounds the
+    value to ctx, airy keeps its route's digits."""
 
     value: mpf
     ctx: PrecisionContext
 
     def to_str(self) -> str:
-        return _sci(self.value, self.ctx.digits) + f"@{self.ctx.digits}"
+        d = self.ctx.digits
+        with mp.workdps(d):
+            return _sci(+self.value, d) + f"@{d}"
 
     @classmethod
     def parse(cls, text: str) -> "BigReal":
         m = _SER_RE.match(text.strip())
         if m is None:
             raise DomainError(f"not a serialized BigReal: {text!r}")
-        d = int(m.group("digits"))
-        ctx = mk_context(d)
-        with mp.workdps(d + _GUARD):
-            v = mpf(m.group("mant") + "e" + m.group("exp"))
-        return wrap_real(v, ctx)
-
-
-@dataclass(frozen=True)
-class BigComplex:
-    re: BigReal
-    im: BigReal
-
-    @property
-    def value(self) -> mpc:
-        # make_mpc keeps the stored mantissas verbatim; mpc(re, im) would
-        # re-round both parts to whatever the ambient precision happens to be
-        return mp.make_mpc((self.re.value._mpf_, self.im.value._mpf_))
-
-    def to_str(self) -> str:
-        return f"({self.re.to_str()},{self.im.to_str()})"
+        return real_from(m.group("mant") + "e" + m.group("exp"),
+                         mk_context(int(m.group("digits"))))
 
 
 def _sci(v: mpf, d: int) -> str:
@@ -96,7 +90,10 @@ def _sci(v: mpf, d: int) -> str:
     if v == 0:
         return "0." + "0" * (d - 1) + "e+00"
     sign, man, exp, bc = v._mpf_
-    s = math.floor((exp + bc - 1) * math.log10(2)) - d + 1  # last digit, +-1
+    e = exp + bc - 1  # 2^e <= |v| < 2^(e + 1)
+    p = e.bit_length() + 20  # floor(e log10 2) exact off 2^-20 of an integer
+    s = to_int(mpf_mul(from_int(e), mpf_div(mpf_ln2(p), mpf_ln10(p), p), p),
+               round_floor) - d + 1  # the last digit, or one below it
     while True:
         q = (_twice_floor(man, exp, s, d) + 1) >> 1  # man 2^exp / 10^s, rounded
         if 10 ** (d - 1) <= q < 10 ** d:
@@ -126,37 +123,34 @@ def wrap_real(v, ctx: PrecisionContext) -> BigReal:
         return BigReal(+mpf(v), ctx)
 
 
-def wrap_complex(v, ctx: PrecisionContext) -> BigComplex:
-    with mp.workdps(ctx.digits):
-        z = mpc(v)
-        return BigComplex(BigReal(+z.real, ctx), BigReal(+z.imag, ctx))
-
-
-def real_from(x, ctx: PrecisionContext) -> BigReal:
-    """Build a BigReal from int, str, float, mpf or BigReal at ctx precision.
+def read_real(x, digits: int) -> mpf:
+    """x as an mpf: an mpf or a BigReal's value as held, int, str and float
+    read at `digits`.
 
     The one reader of numbers from outside the package: anything that is
     not a finite number (text that does not parse, None, nan, +-inf) raises
-    DomainError. Text and mpf are read at ctx.digits + 10 and then rounded.
+    DomainError.
     """
-    if isinstance(x, BigReal):
-        v = x.value
-    else:
-        with mp.workdps(ctx.digits + _GUARD):
+    v = x.value if isinstance(x, BigReal) else x
+    if not isinstance(v, mpf):
+        with mp.workdps(digits):
             try:
-                v = mpf(x)
+                v = mpf(v)
             except (TypeError, ValueError):  # not a number: refused below
                 v = mp.nan
     if not mp.isfinite(v):
         raise DomainError(f"expected a finite number, got {x!r}")
-    return wrap_real(v, ctx)
+    return v
+
+
+def real_from(x, ctx: PrecisionContext) -> BigReal:
+    """x read at ctx.digits + 10 (read_real) and rounded to ctx."""
+    return wrap_real(read_real(x, ctx.digits + _GUARD), ctx)
 
 
 def raw(x):
-    """Unwrap a BigReal or BigComplex to its mpf/mpc; pass anything else on."""
-    if isinstance(x, (BigReal, BigComplex)):
-        return x.value
-    return x
+    """Unwrap a BigReal to its mpf; pass anything else on."""
+    return x.value if isinstance(x, BigReal) else x
 
 
 def _require_real(v, digits: int, what: str) -> mpf:

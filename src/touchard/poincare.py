@@ -13,20 +13,22 @@ so T^_{n-1}(-x) ~ 2 Re L: twice its real part for the conjugate pair.
 
 Powers of the negative or complex saddle are taken through the branched
 logarithm (argument in [0, 2 pi)), which is what makes L real below the
-band, with the expected sign (-1)^(n-1). Accuracy degrades like O(1/n) relative
-error and blows up as mu e -> 1; the band |mu e - 1| <= 0.05 is refused.
+band, with the expected sign (-1)^(n-1). As n/t0 = -x e^t0, x + n/t0 is
+taken as -x expm1(t0), which does not cancel however small t0 is; all runs
+at numkernel.working_digits(ctx, n) and only the value is rounded to ctx.
+Accuracy degrades like O(1/n) relative error and blows up as mu e -> 1; the
+band |mu e - 1| <= 0.05 is refused.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, RegimeError
-from .numkernel import (BigComplex, BigReal, PrecisionContext, _require_real,
-                        log_branched_raw, raw, real_from, wrap_complex,
-                        wrap_real)
+from .numkernel import (BigReal, PrecisionContext, _require_real,
+                        log_branched_raw, read_real, working_digits, wrap_real)
 from .saddle import solve_saddle
 
 EXCLUSION_HALF_WIDTH = mpf("0.05")
@@ -41,31 +43,31 @@ class PoincareRegime(enum.Enum):
 class PoincareResult:
     value: BigReal
     regime: PoincareRegime
-    t0_used: BigComplex
+    t0_used: mpc
 
 
 def leading_order(n: int, mu, ctx: PrecisionContext) -> PoincareResult:
     """Leading-order T^_{n-1}(-n/mu) for mu outside the coalescence band."""
     if n < 10:
         raise DomainError(f"n must be >= 10 for the leading-order form, got {n}")
-    muv = raw(real_from(mu, ctx))
-    with mp.workdps(ctx.digits + 10):
+    digits = working_digits(ctx, n)
+    muv = read_real(mu, digits)
+    with mp.workdps(digits):
         if abs(muv * mp.e - 1) <= EXCLUSION_HALF_WIDTH:
             raise RegimeError(
                 f"mu e = {mp.nstr(muv * mp.e, 8)} lies inside the exclusion "
                 f"band |mu e - 1| <= {mp.nstr(EXCLUSION_HALF_WIDTH, 2)}; "
                 "use the uniform approximation there")
-        t0 = raw(solve_saddle(muv, 0, ctx)[0])
-        x = mpf(n) / muv
-        power = mp.exp(-(n - 1) * log_branched_raw(t0))
-        term = mp.exp(x + n / t0) * power / mp.sqrt(2 * mp.pi * (1 + t0))
-        term = term / mp.sqrt(mpf(n))
+        t0 = solve_saddle(muv, 0, digits)[0]
+        x = n / muv
+        term = mp.exp(-x * mp.expm1(t0) - (n - 1) * log_branched_raw(t0))
+        term = term / mp.sqrt(2 * mp.pi * (1 + t0) * n)
         if muv * mp.e < 1:  # xi > 1: the real pair
             regime = PoincareRegime.BELOW
-            value = _require_real(term, ctx.digits, "below-band value")
+            value = _require_real(  # Im: (n - 1) pi's rounding, n 10^-digits
+                term, working_digits(ctx, 1), "below-band value")
         else:
             regime = PoincareRegime.ABOVE
             value = 2 * mp.re(term)
-        return PoincareResult(value=wrap_real(value, ctx), regime=regime,
-                              t0_used=wrap_complex(t0, ctx))
-
+    return PoincareResult(value=wrap_real(value, ctx), regime=regime,
+                          t0_used=t0)

@@ -2,16 +2,16 @@
 
 Saddles solve t e^t = -mu, so they are Lambert W values of -mu. mu = n/x
 is the phase's one parameter; a caller that holds xi = x/(n e) instead
-converts it with mu_from_xi, the one place that does. solve_saddles takes mu
-alone and classifies the pair by xi = 1/(e mu), recomputed at digits + 15:
+converts it with mu_at or mu_from_xi (rounded to ctx), the one place that
+does. solve_saddles takes mu alone and classifies the pair by xi = 1/(e mu):
 the real pair W_0(-mu), W_-1(-mu) for xi > 1, and otherwise the conjugate
 pair W_0(-mu) and its conjugate, W_0 taking the upper one below -1/e
-(Corless et al., Adv. Comput. Math. 5, 1996). Each W is solved at
-digits + 15: mpmath's double-precision W, which picks the branch, is polished
-by one Halley step per level at rising precision. Where -mu is not a normal
-double or |1 - 1/xi| < 5e-5 (|1 + W| below about 0.01), that seed is poor and
-mpmath.lambertw runs instead. Each rounded saddle is certified by its
-residual |t e^t + mu|, however near xi = 1 it lies. The pair
+(Corless et al., Adv. Comput. Math. 5, 1996). Each W is an mpc at the
+caller's working digits: mpmath's double-precision W, which picks the
+branch, is polished by one Halley step per level at rising precision. Where
+-mu is not a normal double or |1 - 1/xi| < 5e-5 (|1 + W| below about 0.01),
+that seed is poor and mpmath.lambertw runs instead. Each saddle is certified
+by its residual |t e^t + mu|, however near xi = 1 it lies. The pair
 coalesces into the double root t = -1 at xi = 1; solve_saddles never
 returns SaddleKind.DOUBLE, which uniform_ingredients and contour_set build
 under their own rules.
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from mpmath import fp, mp, mpc, mpf
 
 from .errors import DomainError, SolverError
-from .numkernel import (BigComplex, BigReal, PrecisionContext, log_branched_raw,
-                        mk_context, raw, real_from, wrap_complex, wrap_real)
+from .numkernel import (BigReal, PrecisionContext, log_branched_raw, read_real,
+                        working_digits, wrap_real)
 
 
 class SaddleKind(enum.Enum):
@@ -43,10 +43,10 @@ class SaddleKind(enum.Enum):
 @dataclass(frozen=True)
 class SaddlePair:
     kind: SaddleKind
-    t0: BigComplex
-    t1: BigComplex
-    residual0: BigReal
-    residual1: BigReal
+    t0: mpc
+    t1: mpc
+    residual0: mpf
+    residual1: mpf
 
 
 # ---------------------------------------------------------------------------
@@ -70,15 +70,18 @@ def psi2_at_saddle_raw(tv: mpc) -> mpc:
 # ---------------------------------------------------------------------------
 # saddle solver
 
-def mu_from_xi(xi, ctx: PrecisionContext) -> BigReal:
-    """mu = 1/(e xi), with xi read and mu computed at digits + 10, then
-    rounded to ctx."""
-    wide = mk_context(ctx.digits + 10)
-    xv = raw(real_from(xi, wide))
+def mu_at(xi, digits: int) -> mpf:
+    """mu = 1/(e xi), with xi read and mu computed at digits."""
+    xv = read_real(xi, digits)
     if not xv > 0:
         raise DomainError(f"xi must be positive, got {mp.nstr(xv, 8)}")
-    with mp.workdps(wide.digits):
-        return wrap_real(1 / (mp.e * xv), ctx)
+    with mp.workdps(digits):
+        return 1 / (mp.e * xv)
+
+
+def mu_from_xi(xi, ctx: PrecisionContext) -> BigReal:
+    """mu = 1/(e xi) at working_digits(ctx, 1), rounded to ctx."""
+    return wrap_real(mu_at(xi, working_digits(ctx, 1)), ctx)
 
 
 def _lambertw(z: mpf, k: int):
@@ -101,34 +104,31 @@ def _lambertw(z: mpf, k: int):
     return +w
 
 
-def solve_saddle(mu, k: int, ctx: PrecisionContext) -> tuple[BigComplex, BigReal]:
-    """W_k(-mu) rounded to ctx, certified by its residual |t e^t + mu|
+def solve_saddle(mu, k: int, digits: int) -> tuple[mpc, mpf]:
+    """W_k(-mu) at digits, certified by its residual |t e^t + mu|
     <= 10^-(digits - 10) mu, which is returned with it."""
-    mu = raw(real_from(mu, ctx))
+    mu = read_real(mu, digits)
     if not mu > 0:
         raise DomainError(f"mu must be positive, got {mp.nstr(mu, 8)}")
-    with mp.workdps(ctx.digits + 15):
-        # certify the rounded value actually returned, not the iterate
-        t = wrap_complex(_lambertw(-mu, k), ctx)
-        r = abs(t.value * mp.exp(t.value) + mu)
-        bound = mpf(10) ** (-(ctx.digits - 10)) * mu
+    with mp.workdps(digits):
+        t = mpc(_lambertw(-mu, k))
+        r = abs(t * mp.exp(t) + mu)
+        bound = mpf(10) ** (-(digits - 10)) * mu
         if not r <= bound:
             raise SolverError(
                 f"saddle residual {mp.nstr(r, 3)} on branch {k} exceeds "
                 f"{mp.nstr(bound, 3)} at xi={mp.nstr(1 / (mp.e * mu), 8)}")
-        return t, wrap_real(r, ctx)
+        return t, r
 
 
-def solve_saddles(mu, ctx: PrecisionContext) -> SaddlePair:
-    """The saddle pair of psi(t; mu), classified by xi = 1/(e mu)."""
+def solve_saddles(mu, digits: int) -> SaddlePair:
+    """The saddle pair of psi(t; mu) at digits, classified by xi = 1/(e mu)."""
     # W_0(-mu) is the smaller real saddle above -1/e and the upper one of
     # the conjugate pair below it
-    t0, r0 = solve_saddle(mu, 0, ctx)
-    mu = raw(real_from(mu, ctx))
-    with mp.workdps(ctx.digits + 15):
-        if 1 / (mp.e * mu) > 1:
-            t1, r1 = solve_saddle(mu, -1, ctx)
+    t0, r0 = solve_saddle(mu, 0, digits)
+    with mp.workdps(digits):
+        if 1 / (mp.e * read_real(mu, digits)) > 1:
+            t1, r1 = solve_saddle(mu, -1, digits)
             return SaddlePair(SaddleKind.REAL_PAIR, t0, t1, r0, r1)
         # conj(t0) has the same residual
-        return SaddlePair(SaddleKind.CONJUGATE_PAIR, t0,
-                          wrap_complex(mp.conj(t0.value), ctx), r0, r0)
+        return SaddlePair(SaddleKind.CONJUGATE_PAIR, t0, mp.conj(t0), r0, r0)

@@ -21,7 +21,7 @@ from touchard import (airy, default_bm, mk_context,
                       theorem2_eval, wrap_real)
 from touchard.coalescence import _BM_CHECK
 from touchard.contours import contour_set
-from touchard.numkernel import raw
+from touchard.numkernel import raw, working_digits
 from touchard.saddle import SaddleKind, mu_from_xi, psi_reduced_raw
 
 from airy_oracle import airy_maclaurin
@@ -294,7 +294,7 @@ def test_criterion_6_saddle_certificates():
         worst_sum = mpf(0)
         for xi in xis:
             mu = raw(mu_from_xi(xi, ctx))
-            pair = solve_saddles(mu, ctx)
+            pair = solve_saddles(mu, working_digits(ctx, 1))
             assert raw(pair.residual0) < res_tol * mu and \
                 raw(pair.residual1) < res_tol * mu, \
                 f"criterion 6: FAIL - residual certificate at xi={xi}"

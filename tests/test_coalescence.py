@@ -17,6 +17,7 @@ from touchard.numkernel import raw
 
 from bm_oracle import (compose_forward, forward_series, reverted_bm,
                        revert_series, verify_roundtrip)
+import width_ladder
 
 
 class TestForward:
@@ -181,3 +182,8 @@ class TestEvaluator:
         hi = theorem1_eval(81, 6, mk_context(90))
         with mp.workdps(100):
             assert abs(raw(lo) - raw(hi)) < abs(raw(hi)) * mpf(10) ** -35
+        # the width rule, up to n = 10^12
+        for d in width_ladder.DIGITS:
+            for n in width_ladder.N + (10 ** 12,):
+                assert width_ladder.off_the_reference(
+                    lambda ctx: theorem1_eval(n, 6, ctx), d) is None, (d, n)

@@ -7,7 +7,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import dps_to_prec, fnan
 
 from touchard import (DomainError, SaddleKind, StepError, mk_context,
-                      mu_from_xi, solve_saddles)
+                      mu_from_xi, solve_saddles, working_digits)
 from touchard import contours
 from touchard.cli import _sci, cmd_contours, contours_to_json
 from touchard.contours import (DRIFT_BUDGET, LEVEL_DIGITS, MAX_LEN_OVER_STEP,
@@ -428,7 +428,8 @@ class TestNearCoalescence:
     def test_near_pair_prints_its_midpoint(self, xi, ctx40):
         report = cmd_contours(xi, 40)
         assert report["saddle_kind"] == "double"
-        pair = solve_saddles(mu_from_xi(xi, ctx40), ctx40)
+        pair = solve_saddles(mu_from_xi(xi, ctx40),
+                             working_digits(ctx40, 1))
         with mp.workdps(40):
             mid = (raw(pair.t0) + raw(pair.t1)) / 2
         want = [_sci(v, 30) + "@30" for v in (mid.real, mid.imag)]
@@ -465,7 +466,8 @@ class TestLocalSeries:
                                     "0.8", "1.8"])
     def test_series_against_50_digits(self, xi):
         ctx = mk_context(LEVEL_DIGITS)
-        saddles = solve_saddles(mu_from_xi(xi, ctx), ctx)
+        saddles = solve_saddles(mu_from_xi(xi, ctx),
+                                working_digits(ctx, 1))
         with mp.workdps(LEVEL_DIGITS):
             inv_mu = 1 / raw(mu_from_xi(xi, ctx))
             for s in {complex(raw(saddles.t0)): raw(saddles.t0),

@@ -33,7 +33,7 @@ from touchard import (ABS_Z_LIMIT, N_MAX_LIMIT, BigReal, CapacityError,
                       DomainError, PrecisionExhaustedError, TouchardError,
                       airy, contour_set, leading_order, mk_context, mu_from_xi,
                       real_from, scaled_touchard, solve_saddles, theorem2_eval,
-                      uniform_ingredients)
+                      uniform_ingredients, working_digits)
 from touchard.airy import maclaurin_limit
 from touchard.cli import main
 from touchard.numkernel import raw
@@ -90,9 +90,9 @@ def api_calls(xi, n: int, ctx):
     """(call, the numbers in its value) for every public function at this xi."""
     return [
         (lambda: mu_from_xi(xi, ctx), lambda v: [v]),
-        (lambda: solve_saddles(mu_from_xi(xi, ctx), ctx),
+        (lambda: solve_saddles(mu_from_xi(xi, ctx), working_digits(ctx, n)),
          lambda v: [v.t0, v.t1, v.residual0, v.residual1]),
-        (lambda: uniform_ingredients(xi, ctx),
+        (lambda: uniform_ingredients(xi, ctx, n),
          lambda v: [v.xi, v.zeta, v.beta, v.A0, v.B0]),
         (lambda: theorem2_eval(n, xi, ctx), lambda v: [v]),
         (lambda: leading_order(max(n, 10), mu_from_xi(xi, ctx), ctx),
@@ -156,7 +156,7 @@ def check_output(argv, text: str) -> None:
         cells = numbers_in(json.loads(text))
     for cell in cells:
         if isinstance(cell, str) and "@" in cell:
-            for part in cell.strip("()").split(","):  # a BigComplex has two
+            for part in cell.strip("()").split(","):  # a saddle has two
                 BigReal.parse(part)  # refuses nan and inf
         else:
             assert math.isfinite(float(cell)), argv

@@ -1,18 +1,19 @@
 """Numeric kernel: serialization, branch choice, pinned precision."""
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 from mpmath.libmp import dps_to_prec, from_man_exp
 
 from touchard import DomainError, InvalidPrecisionError, mk_context, wrap_real
-from touchard.numkernel import (BigReal, _sci, log_branched_raw, real_from,
-                                wrap_complex)
+from touchard import numkernel
+from touchard.numkernel import BigReal, _sci, log_branched_raw, real_from
 
 
 def tol(ctx, slack):
@@ -91,6 +92,26 @@ class TestSerialization:
     def test_long_exponents_written_in_full(self, text, d, want):
         with mp.workdps(d + 10):
             assert _sci(mpf(text), d) == want
+
+    @pytest.mark.parametrize("d", [30, 120])
+    def test_exponents_of_any_length(self, d, monkeypatch):
+        # the first guess of the last digit is exact, so a decimal exponent
+        # of 10^17 to 10^100 takes at most two rounds and no exact 10^|s|;
+        # from a float guess 10^17 took 7 rounds, and 10^18 or more stuck
+        calls = []
+        twice_floor = numkernel._twice_floor
+        monkeypatch.setattr(numkernel, "_twice_floor",
+                            lambda *a: calls.append(a) or twice_floor(*a))
+        ctx = mk_context(d)
+        for k in range(17, 101):
+            for sign in ("+", "-"):
+                calls.clear()
+                start = time.perf_counter()
+                got = real_from(f"1.2345e{sign}1" + "0" * k, ctx).to_str()
+                assert time.perf_counter() - start < 1, (k, sign)
+                assert got == ("1.2345" + "0" * (d - 5) + f"e{sign}1"
+                               + "0" * k + f"@{d}"), (k, sign)
+                assert len(calls) <= 2, (k, sign)
 
     @pytest.mark.parametrize("v", [mp.nan, mp.inf, -mp.inf])
     def test_non_finite_refused(self, v):
@@ -203,10 +224,10 @@ class TestElementary:
         pts = [complex(0.3, 0.7), complex(-2, 0.01), complex(-1, -1),
                complex(4, 3)]
         for z in pts:
-            zb = wrap_complex(z, ctx60)
+            zv = mpc(z)  # exact: a double's parts
             with mp.workdps(70):
-                back = mp.exp(log_branched_raw(zb.value))
-                assert abs(back - zb.value) <= tol(ctx60, 5) * abs(zb.value)
+                back = mp.exp(log_branched_raw(zv))
+                assert abs(back - zv) <= tol(ctx60, 5) * abs(zv)
 
 
 class TestDeterminism:

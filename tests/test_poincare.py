@@ -1,12 +1,15 @@
 """Leading-order routes away from the coalescence band."""
+import time
+
 import pytest
 from mpmath import mp, mpf
 
 from touchard import (DomainError, PoincareRegime, RegimeError, leading_order,
-                      mk_context, scaled_touchard, wrap_real)
+                      mk_context, mu_from_xi, scaled_touchard, wrap_real)
 from touchard.numkernel import raw
 
 from leading_order_decay import halving_ratios
+import width_ladder
 
 
 class TestRouting:
@@ -70,6 +73,28 @@ class TestAccuracy:
         hi = leading_order(150, "0.25", mk_context(90))
         with mp.workdps(100):
             assert abs(raw(lo.value) / raw(hi.value) - 1) < mpf(10) ** -35
+        # the width rule, with one mu object for both calls
+        for d in width_ladder.DIGITS:
+            for xi in width_ladder.XI:
+                mu = mu_from_xi(xi, mk_context(d))
+                for n in width_ladder.N:
+                    assert width_ladder.off_the_reference(
+                        lambda ctx: leading_order(n, mu, ctx).value,
+                        d) is None, (d, n, xi)
+
+    @pytest.mark.parametrize("digits", [30, 120])
+    def test_huge_xi(self, digits):
+        # x + n/t0 is two numbers near x = n e xi that cancel to about n;
+        # as -x expm1(t0) it holds all its digits, to xi = 1e300: each call
+        # prints as a reference at digits + k + 20 rounded to digits
+        ctx = mk_context(digits)
+        for k in range(1, 301):
+            mu = mu_from_xi(f"1e{k}", ctx)
+            start = time.perf_counter()
+            got = leading_order(100, mu, ctx).value.to_str()
+            assert time.perf_counter() - start < 1, k
+            want = leading_order(100, mu, mk_context(digits + k + 20)).value
+            assert got == wrap_real(want.value, ctx).to_str(), k
 
 
 class TestSelfTest:

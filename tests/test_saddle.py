@@ -8,7 +8,8 @@ from touchard import (DomainError, SaddleKind, SolverError, contour_set,
                       leading_order, mk_context, mu_from_xi, real_from,
                       solve_saddles, theorem2_eval, uniform_ingredients)
 from touchard.saddle import psi2_at_saddle_raw, psi_reduced_raw
-from touchard.numkernel import log_branched_raw, raw, wrap_complex
+from touchard.numkernel import (log_branched_raw, raw, working_digits,
+                                wrap_real)
 
 
 def tol(ctx, slack):
@@ -94,7 +95,7 @@ class TestPhase:
         # 1/t - log t equals psi at any solution of t e^t = -mu, and
         # (1 + t)/t^2 equals psi'' there
         mu = mu_from_xi("0.85", ctx60)
-        pair = solve_saddles(mu, ctx60)
+        pair = solve_saddles(mu, working_digits(ctx60, 1))
         with mp.workdps(70):
             t, mu = raw(pair.t0), raw(mu)
             full = -mp.exp(t) / mu - log_branched_raw(t)
@@ -109,7 +110,7 @@ class TestLambert:
         # bracketing root finder: t0 = W_0(-mu) in (-1, 0), t1 = W_-1(-mu)
         for ms in ("0.2", "0.35", "0.01"):
             mu = real_from(ms, ctx60)
-            pair = solve_saddles(mu, ctx60)
+            pair = solve_saddles(mu, working_digits(ctx60, 1))
             assert pair.kind is SaddleKind.REAL_PAIR
             with mp.workdps(80):
                 mu = raw(mu)
@@ -124,7 +125,7 @@ class TestLambert:
     def test_bisection_oracle(self, ctx60):
         # fully independent check: bisect t e^t = -mu on each branch interval
         mu = mu_from_xi("1.5", ctx60)
-        pair = solve_saddles(mu, ctx60)
+        pair = solve_saddles(mu, working_digits(ctx60, 1))
         with mp.workdps(80):
             mu = raw(mu)
             t0_ref = bisect_saddle(mu, mpf(-1), mpf(0))
@@ -136,7 +137,7 @@ class TestLambert:
     def test_residuals_and_ranges(self, mf):
         ctx = mk_context(40)
         mu = real_from(mf, ctx)
-        pair = solve_saddles(mu, ctx)
+        pair = solve_saddles(mu, working_digits(ctx, 1))
         assert pair.kind is SaddleKind.REAL_PAIR
         t0, t1 = raw(pair.t0), raw(pair.t1)
         assert t0.imag == 0 and t1.imag == 0
@@ -154,7 +155,8 @@ class TestLambert:
         with mp.workdps(80):
             xi = 1 + mpf(10) ** -44
             half_gap = mp.sqrt(2 * (1 - 1 / xi))
-        pair = solve_saddles(mu_from_xi(xi, ctx60), ctx60)
+        pair = solve_saddles(mu_from_xi(xi, ctx60),
+                             working_digits(ctx60, 1))
         assert pair.kind is SaddleKind.REAL_PAIR
         with mp.workdps(80):
             w0, wm = raw(pair.t0).real, raw(pair.t1).real
@@ -172,16 +174,16 @@ class TestParams:
     def test_rejects_nonpositive(self, ctx60):
         # and non-finite: nan > 0 is false, so `not v > 0` refuses it too
         for bad in ("0", "-2", "nan", "inf", "-inf"):
-            for call in (mu_from_xi, solve_saddles):
+            for call in (mu_from_xi, lambda b, ctx: solve_saddles(b, 70)):
                 with pytest.raises(DomainError) as exc:
                     call(bad, ctx60)
                 assert exc.value.exit_code == 2
 
     @pytest.mark.parametrize("call", [
         lambda ctx: theorem2_eval(100, "nan", ctx),
-        lambda ctx: uniform_ingredients("inf", ctx),
+        lambda ctx: uniform_ingredients("inf", ctx, 100),
         lambda ctx: contour_set(real_from("inf", ctx), ctx),
-        lambda ctx: solve_saddles("nan", ctx),
+        lambda ctx: solve_saddles("nan", working_digits(ctx, 1)),
         lambda ctx: leading_order(100, "nan", ctx),
         lambda ctx: leading_order(100, "inf", ctx),
     ], ids=["theorem2_eval", "uniform_ingredients", "contour_set",
@@ -196,8 +198,8 @@ class TestParams:
     @pytest.mark.parametrize("bad", ["abc", "", None])
     @pytest.mark.parametrize("call", [
         lambda b, ctx: mu_from_xi(b, ctx),
-        lambda b, ctx: solve_saddles(b, ctx),
-        lambda b, ctx: uniform_ingredients(b, ctx),
+        lambda b, ctx: solve_saddles(b, working_digits(ctx, 1)),
+        lambda b, ctx: uniform_ingredients(b, ctx, 100),
         lambda b, ctx: theorem2_eval(100, b, ctx),
         lambda b, ctx: leading_order(100, b, ctx),
         lambda b, ctx: contour_set(b, ctx),
@@ -225,7 +227,8 @@ class TestSolve:
         # the branch point, and mp.lambertw serves
         monkeypatch.setattr(lambertw[0], "lambertw", lambertw[1])
         with pytest.raises(SolverError, match="nan"):
-            solve_saddles(mu_from_xi(xi, ctx60), ctx60)
+            solve_saddles(mu_from_xi(xi, ctx60),
+                          working_digits(ctx60, 1))
 
     @pytest.mark.parametrize("digits", [30, 40, 120, 300])
     def test_certified_at_and_near_coalescence(self, digits):
@@ -239,7 +242,7 @@ class TestSolve:
                       ("0." + "9" * k, k, -1)]
         for xi, k, sgn in cases:
             mu = mu_from_xi(xi, ctx)
-            pair = solve_saddles(mu, ctx)
+            pair = solve_saddles(mu, working_digits(ctx, 1))
             assert pair.kind in (SaddleKind.REAL_PAIR,
                                  SaddleKind.CONJUGATE_PAIR), xi
             if 0 < k <= digits - 5:  # mu's rounding cannot cross xi = 1
@@ -254,7 +257,7 @@ class TestSolve:
 
     def test_real_pair(self, ctx60):
         mu = mu_from_xi("1.5", ctx60)
-        pair = solve_saddles(mu, ctx60)
+        pair = solve_saddles(mu, working_digits(ctx60, 1))
         assert pair.kind is SaddleKind.REAL_PAIR
         t0, t1 = raw(pair.t0), raw(pair.t1)
         assert t0.imag == 0 and t1.imag == 0
@@ -268,7 +271,7 @@ class TestSolve:
 
     def test_conjugate_pair(self, ctx60):
         mu = mu_from_xi("0.9", ctx60)
-        pair = solve_saddles(mu, ctx60)
+        pair = solve_saddles(mu, working_digits(ctx60, 1))
         assert pair.kind is SaddleKind.CONJUGATE_PAIR
         t0, t1 = raw(pair.t0), raw(pair.t1)
         assert t0.imag > 0
@@ -291,7 +294,7 @@ class TestSolve:
                     xi = 1 + sgn * mpf(10) ** -k
                     pred = mp.sqrt(2 * abs(1 / xi - 1))
                 mu = mu_from_xi(xi, ctx120)
-                pair = solve_saddles(mu, ctx120)
+                pair = solve_saddles(mu, working_digits(ctx120, 1))
                 assert pair.kind is (SaddleKind.REAL_PAIR if sgn > 0
                                      else SaddleKind.CONJUGATE_PAIR)
                 with mp.workdps(150):
@@ -311,7 +314,7 @@ class TestSolve:
         for e in range(-300, 301, 7):
             for m in ("1", "3.7"):
                 mu = mu_from_xi(f"{m}e{e}", ctx)
-                pair = solve_saddles(mu, ctx)
+                pair = solve_saddles(mu, working_digits(ctx, 1))
                 t0, t1 = raw(pair.t0), raw(pair.t1)
                 with mp.workdps(digits + 20):
                     bound = tol(ctx, 10) * raw(mu)
@@ -327,7 +330,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("digits", [40, 120, 300])
     def test_polish_matches_mpmath_lambertw(self, digits):
-        # the saddles print as mp.lambertw at digits + 15 rounded to ctx, on
+        # the saddles print as mp.lambertw at their width rounded to ctx, on
         # both sides of the seed rule |1 - 1/xi| >= 5e-5 and of the normal
         # doubles, where -mu overflows or underflows a float
         ctx = mk_context(digits)
@@ -338,21 +341,26 @@ class TestSolve:
             xis += [1 / (1 - s * mpf("5e-5") * (1 + r * mpf("1e-3")))
                     for s in (1, -1) for r in (1, -1)]
         xis += ["1e-310", "1e-400", "1e310", "1e400", "2.5e-308"]
+
+        def printed(t):
+            return [wrap_real(v, ctx).to_str() for v in (t.real, t.imag)]
+
+        width = working_digits(ctx, 1)
         for xi in xis:
             mu = mu_from_xi(xi, ctx)
-            pair = solve_saddles(mu, ctx)
-            with mp.workdps(digits + 15):
+            pair = solve_saddles(mu, width)
+            with mp.workdps(width):
                 w0 = mp.lambertw(-raw(mu), 0)
                 w1 = (mp.lambertw(-raw(mu), -1)
                       if pair.kind is SaddleKind.REAL_PAIR else mp.conj(w0))
-            assert pair.t0.to_str() == wrap_complex(w0, ctx).to_str(), xi
-            assert pair.t1.to_str() == wrap_complex(w1, ctx).to_str(), xi
+            assert printed(pair.t0) == printed(w0), xi
+            assert printed(pair.t1) == printed(w1), xi
 
     @given(st.floats(min_value=0.3, max_value=3))
     def test_classification_and_residuals(self, xf):
         ctx = mk_context(40)
         mu = mu_from_xi(xf, ctx)
-        pair = solve_saddles(mu, ctx)
+        pair = solve_saddles(mu, working_digits(ctx, 1))
         with mp.workdps(50):
             mu = raw(mu)
             bound = tol(ctx, 10) * mu

@@ -66,7 +66,11 @@ def test_parity_set_writes_every_output(parity, parity_set):
              for line in (outdir / "refusals.txt").read_text().splitlines()]
     assert codes == ["2"] * 6
     lines = (outdir / "theorem2.txt").read_text().splitlines()
-    assert len(lines) == 2 * len(parity.THEOREM2_N) * len(parity.THEOREM2_XI)
+    assert parity.THEOREM2_N == (100, 10 ** 4, 10 ** 6, 10 ** 9)
+    assert len(lines) == \
+        (2 * len(parity.THEOREM2_XI) + 1) * len(parity.THEOREM2_N)
+    assert sum(line.startswith("theorem1 ") for line in lines) == \
+        len(parity.THEOREM2_N)
     assert all(line.endswith("@40") or line.endswith("exit 2")
                for line in lines)
 

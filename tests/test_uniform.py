@@ -7,10 +7,12 @@ from touchard import (BranchError, DomainError, SaddleKind, SaddlePair,
                       theorem2_eval, uniform, uniform_ingredients, wrap_real)
 from touchard.numkernel import raw
 
+import width_ladder
+
 
 def coalescence_limits(ctx):
     """(A0, B0) at xi = 1: the closed forms uniform_ingredients takes."""
-    ing = uniform_ingredients("1", ctx)
+    ing = uniform_ingredients("1", ctx, 100)
     return ing.A0, ing.B0
 
 
@@ -28,9 +30,8 @@ def branch_continuity_check():
         for k in range(2, 7):
             for side in (1, -1):
                 xi = 1 + side * mpf(10) ** (-k)
-                ing = uniform_ingredients(xi, ctx)
-                gap = max(abs(ing.A0.value - a_lim.value),
-                          abs(ing.B0.value - b_lim.value))
+                ing = uniform_ingredients(xi, ctx, 100)
+                gap = max(abs(ing.A0 - a_lim), abs(ing.B0 - b_lim))
                 if gap > max(prev_gap * 4, mpf("1e-30")):
                     raise BranchError(
                         f"A0/B0 ladder diverges from the coalescence values "
@@ -40,7 +41,7 @@ def branch_continuity_check():
 
 class TestCoalescenceLimit:
     def test_closed_forms(self, ctx120):
-        ing = uniform_ingredients("1", ctx120)
+        ing = uniform_ingredients("1", ctx120, 100)
         assert ing.saddles.kind is SaddleKind.DOUBLE
         assert raw(ing.zeta) == 0
         with mp.workdps(140):
@@ -58,7 +59,7 @@ class TestCoalescenceLimit:
         ctx = mk_context(digits)
         for k in (digits + 6, digits + 4):
             for xi in ("1." + "0" * (k - 1) + "1", "0." + "9" * k):
-                saddles = uniform_ingredients(xi, ctx).saddles
+                saddles = uniform_ingredients(xi, ctx, 100).saddles
                 inside = k > digits + 5
                 assert (saddles.kind is SaddleKind.DOUBLE) == inside, xi
                 if not inside:
@@ -80,8 +81,8 @@ class TestCoalescenceLimit:
 
 class TestIngredients:
     def test_zeta_sign_tracks_regime(self, ctx60):
-        above = uniform_ingredients("1.2", ctx60)
-        below = uniform_ingredients("0.8", ctx60)
+        above = uniform_ingredients("1.2", ctx60, 100)
+        below = uniform_ingredients("0.8", ctx60, 100)
         assert above.saddles.kind is SaddleKind.REAL_PAIR
         assert below.saddles.kind is SaddleKind.CONJUGATE_PAIR
         assert raw(above.zeta) > 0
@@ -91,7 +92,7 @@ class TestIngredients:
         a_lim, b_lim = coalescence_limits(ctx60)
         with mp.workdps(70):
             for xi in ("0.99", "1.01"):
-                ing = uniform_ingredients(xi, ctx60)
+                ing = uniform_ingredients(xi, ctx60, 100)
                 assert abs(raw(ing.A0) - raw(a_lim)) < mpf("0.02")
                 assert abs(raw(ing.B0) - raw(b_lim)) < mpf("0.02")
 
@@ -99,7 +100,7 @@ class TestIngredients:
         # Im beta = -pi in every regime; it never enters the real result
         with mp.workdps(70):
             for xi in ("0.8", "1", "1.4"):
-                ing = uniform_ingredients(xi, ctx60)
+                ing = uniform_ingredients(xi, ctx60, 100)
                 assert abs(mp.im(raw(ing.beta)) + mp.pi) < mpf(10) ** -50
 
     def test_ladder_clean(self):
@@ -111,7 +112,7 @@ class TestIngredients:
         psi2 = uniform.psi2_at_saddle_raw
         monkeypatch.setattr(uniform, "psi2_at_saddle_raw", lambda t: -psi2(t))
         with pytest.raises(BranchError):
-            uniform_ingredients(xi, ctx60)
+            uniform_ingredients(xi, ctx60, 100)
 
     @pytest.mark.parametrize("xi", ["1.2", "0.8"])
     def test_swapped_saddles_refused(self, xi, ctx60, monkeypatch):
@@ -124,16 +125,17 @@ class TestIngredients:
 
         monkeypatch.setattr(uniform, "solve_saddles", swapped)
         with pytest.raises(BranchError):
-            uniform_ingredients(xi, ctx60)
+            uniform_ingredients(xi, ctx60, 100)
 
     @pytest.mark.parametrize("xi", ["1.2", "0.8"])
     def test_nan_phase_refused(self, xi, ctx60, monkeypatch):
         # NaN compares false both ways, so the zeta tests are `not ... <=`
         # and `not ... > 0`; the map refuses before the Airy layer sees z
         monkeypatch.setattr(uniform, "psi_reduced_raw", lambda t: mp.nan)
-        for call in (uniform_ingredients, lambda xi, ctx: theorem2_eval(100, xi, ctx)):
+        for call in (lambda: uniform_ingredients(xi, ctx60, 100),
+                     lambda: theorem2_eval(100, xi, ctx60)):
             with pytest.raises(BranchError) as exc:
-                call(xi, ctx60)
+                call()
             assert exc.value.exit_code == 4
             assert "_cubic_map" in [entry.name for entry in exc.traceback]
 
@@ -142,7 +144,7 @@ class TestIngredients:
         with mp.workdps(70):
             gaps = []
             for k in (2, 3, 4):
-                ing = uniform_ingredients(str(1 + mpf(10) ** -k), ctx60)
+                ing = uniform_ingredients(str(1 + mpf(10) ** -k), ctx60, 100)
                 gaps.append(abs(raw(ing.A0) - raw(a_lim)))
             assert gaps[0] > gaps[1] > gaps[2]
 
@@ -195,6 +197,14 @@ class TestEvaluator:
                 lo = raw(theorem2_eval(100, xi, ctx60))
                 hi = raw(theorem2_eval(100, xi, ctx120))
                 assert abs(lo / hi - 1) < mpf(10) ** -45
+        # the width rule, and at n = 100 two xi where x + n Re beta taken
+        # as x plus n Re beta cancelled 3 and 5 of its digits
+        cases = [(n, xi) for n in width_ladder.N for xi in width_ladder.XI]
+        for d in width_ladder.DIGITS:
+            for n, xi in cases + [(100, "1e3"), (100, "1e5")]:
+                assert width_ladder.off_the_reference(
+                    lambda ctx: theorem2_eval(n, xi, ctx), d) is None, \
+                    (d, n, xi)
 
     def test_small_n_rejected(self, ctx60):
         with pytest.raises(DomainError):
@@ -219,7 +229,7 @@ class TestEvaluator:
                     f"xi = 1 {'+-'[sgn < 0]} 1e-{k}: off by {mp.nstr(err, 3)}"
 
     def test_ingredients_reuse(self, ctx60):
-        ing = uniform_ingredients("1.1", ctx60)
+        ing = uniform_ingredients("1.1", ctx60, 100)
         a = theorem2_eval(100, "1.1", ctx60, ingredients=ing)
         b = theorem2_eval(100, "1.1", ctx60)
         assert a.to_str() == b.to_str()
