@@ -11,8 +11,10 @@ writes, in about 20 s,
         REFUSALS; theorem2.txt, theorem2_eval and leading_order at each
         (n, xi) of THEOREM2_N x THEOREM2_XI, xi given as text as the CLI
         passes it, so that a change in the precision text is read at shows
-        there, and theorem1_eval at each n, up to n = 10^9, so that a change
-        in the width n asks for shows there too; all at the digits the
+        there (1 + 1e-46 and 1 - 1e-126 lie within 10^-(d+5) of 1 at
+        d = 40 and 120, a window the uniform route once took as xi = 1),
+        and theorem1_eval at each n, up to n = 10^9, so that a change in
+        the width n asks for shows there too; all at the digits the
         directory names.
     DIR/exact_seed1.txt
         scaled_touchard at the EXACT_POINTS points drawn from seed 1: n
@@ -57,8 +59,8 @@ REFUSALS = (["eval", "--n", "100", "--xi", "0"],
             ["table2", "--xi", "inf"],
             ["contours", "--xi", "abc"])
 THEOREM2_N = (100, 10 ** 4, 10 ** 6, 10 ** 9)
-THEOREM2_XI = ("0.5", "0.9", "0.97", "0.9999", "1", "1.0001", "1.01", "1.1",
-               "1.5", "3")
+THEOREM2_XI = ("0.5", "0.9", "0.97", "0.9999", "0." + "9" * 126, "1",
+               "1." + "0" * 45 + "1", "1.0001", "1.01", "1.1", "1.5", "3")
 EXACT_SEEDS = (1,)
 EXACT_POINTS = 600
 EXACT_DIGITS = (30, 40, 120)

@@ -1,8 +1,8 @@
 """Airy Ai and Ai' on the real line at arbitrary precision, by two routes.
 
 For |z| <= Z(d) = ((3/4)(b + 35) ln 2)^(2/3), d the context's digits and b
-the bits of d + 10 digits in mpmath, both come from one pass over the
-Maclaurin series,
+the bits in mpmath of w = numkernel.working_digits(ctx, 1) = d + 10 digits,
+both come from one pass over the Maclaurin series,
 
     Ai = c1 f - c2 g,   Ai' = c1 f' - c2 g',   c1 = Ai(0),  c2 = -Ai'(0),
     f = 1 + w Sf,  f' = z^2 Sf',  g = z Sg,  g' = Sg',  w = z^3,
@@ -12,15 +12,15 @@ Maclaurin series,
     G_0 = 1,    G_k = G_(k-1) w/(3k (3k+1)),
 
 so that no term is divided by z (DLMF 9.4.1-9.4.2). Past Z(d) they come
-from mpmath.airyai at d + 10 digits, which sums the 2F0 expansion of
+from mpmath.airyai at w digits, which sums the 2F0 expansion of
 DLMF 9.7.5 for z > 4. Its smallest term is about e^(-(4/3) |z|^(3/2)), at
 Z(d) 2^-(b+35), the term at which mpmath's sum stops (hypercomb adds 10
 bits, hypsum 50 and stops 25 above its grid); short of it, mpmath takes a
 slow route. On z < 0 the pass is also the faster route up to Z(d), so one
 limit serves both signs. AiryValue.method names each call's route.
 
-z is taken as held if an mpf or a BigReal, text at d + 10 digits. AiryValue
-keeps Ai and Ai' as their route leaves them, good to d + 10 digits, for
+z is taken as held if an mpf or a BigReal, text at w digits. AiryValue
+keeps Ai and Ai' as their route leaves them, good to w digits, for
 theorem2_eval; BigReal.to_str prints them rounded to the context.
 
 The pass runs in Python ints on a grid of 2^-p: z = man 2^exp is taken
@@ -37,14 +37,18 @@ ones included, is at most twice its first dropped term. A sum of terms up to
 K with absolute sum A and weights up to W = 3K + 1 then misses its exact
 value by at most W ((16K + 13)(A + K^2) 2^-p + (K + 3)^2 + 2) units:
 _bound(), which also takes in the roundings of the combination at p + 4
-bits, with c1 and c2 from Gamma(1/3)^3 = 2^(4/3) pi^2 / (3^(1/4)
-agm(1, cos 15 deg)) (the singular value K(sin 15 deg) of the complete
-elliptic integral).
+bits, with c2 = 1/(3^(1/3) Gamma(1/3)) and c1 = 3^(1/2)/(6 pi c2) from
+Gamma(1/3)^3 = 2^(4/3) pi^2 / (3^(1/4) agm(1, cos 15 deg)) (the singular
+value K(sin 15 deg) of the complete elliptic integral). mpmath.gamma(1/3)
+in its place prints the same Ai and Ai', but builds its Taylor
+coefficients afresh at each new precision: 13-16 ms at 470 bits, a tenth
+of a fresh process's first `eval`, and 1.6 s at 2130 bits (2-vCPU VM,
+mpmath 1.3.0).
 
-p carries d + 10 digits, _SLACK digits more, and the digits the sums
+p carries w digits, _SLACK digits more, and the digits the sums
 cancel, predicted as (4/3) z^(3/2)/ln 10 for z > 0 (the largest term over
 Ai) and (2/3) |z|^(3/2)/ln 10 for z < 0, where Ai and Ai' oscillate. A pass
-is accepted when its bound is at most 10^-(d+10) of |Ai| and of |Ai'|;
+is accepted when its bound is at most 10^-w of |Ai| and of |Ai'|;
 near a zero of either it is not, and it reruns with p raised by the digits
 it fell short, at most MAX_RERUNS times, then raises
 PrecisionExhaustedError, at once if a shortfall is NaN.
@@ -62,12 +66,13 @@ from mpmath.libmp import dps_to_prec
 
 from .errors import DomainError, PrecisionExhaustedError
 from .fixedpoint import _shift, _top
-from .numkernel import BigReal, PrecisionContext, read_real, working_digits
+from .numkernel import (_GUARD, BigReal, PrecisionContext, read_real,
+                        working_digits)
 
 ABS_Z_LIMIT = 10 ** 6
 # Reruns the Maclaurin pass may make before PrecisionExhaustedError.
 MAX_RERUNS = 3
-_SLACK = 10  # digits p carries past d + 10 and the predicted loss
+_SLACK = 10  # digits p carries past w and the predicted loss
 
 
 class AiryMethod(enum.Enum):
@@ -84,7 +89,7 @@ class AiryValue:
 
 def maclaurin_limit(digits: int) -> float:
     """Z(d), the largest |z| the Maclaurin pass takes at d digits."""
-    return (0.75 * (dps_to_prec(digits + 10) + 35) * math.log(2)) ** (2 / 3)
+    return (0.75 * (dps_to_prec(digits + _GUARD) + 35) * math.log(2)) ** (2 / 3)
 
 
 def _loss_digits(z: float) -> float:
@@ -136,9 +141,9 @@ def _sums(man: int, exp: int, neg: bool, absz: float, p: int):
 
 
 def _by_maclaurin(zv, absz: float, digits: int):
-    """(Ai, Ai') at the mpf zv, |zv| <= Z(digits), each to digits + 10
-    digits, by the certified pass."""
-    target = digits + 10
+    """(Ai, Ai') at the mpf zv, |zv| <= Z(digits), each to
+    digits + _GUARD digits (module docstring's w), by the certified pass."""
+    target = digits + _GUARD
     sign, man, exp, _ = zv._mpf_
     digits_p = target + _SLACK + _loss_digits(float(zv))
     last = [None]
@@ -181,7 +186,7 @@ def airy(z, ctx: PrecisionContext) -> AiryValue:
         ai, aip = _by_maclaurin(zv, absz, ctx.digits)
         method = AiryMethod.MACLAURIN
     else:
-        with mp.workdps(ctx.digits + 10):
+        with mp.workdps(working_digits(ctx, 1)):
             ai, aip = mpmath.airyai(zv), mpmath.airyai(zv, 1)
         method = AiryMethod.MPMATH
     return AiryValue(ai=BigReal(ai, ctx), ai_prime=BigReal(aip, ctx),

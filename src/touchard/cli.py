@@ -62,7 +62,7 @@ class ErrorRow:
 
 
 def _relative_error(exact: BigReal, approx: BigReal, ctx: PrecisionContext) -> BigReal:
-    with mp.workdps(ctx.digits + 10):
+    with mp.workdps(working_digits(ctx, 1)):
         ev = raw(exact)
         if ev == 0:
             raise DomainError("relative error undefined against an exact zero")
@@ -109,7 +109,7 @@ def load_error_rows(text: str) -> list[ErrorRow]:
 
 def _exact_scaled(n: int, xi, ctx) -> tuple[BigReal, ExactValue]:
     """(x, T^_{n-1}(-x)) at x = n e xi."""
-    with mp.workdps(ctx.digits + 10):
+    with mp.workdps(working_digits(ctx, 1)):
         x = wrap_real(n * mp.e * raw(xi), ctx)
         z = wrap_real(-x.value, ctx)  # exact: x has ctx digits
     return x, scaled_touchard(n - 1, z, ctx)
@@ -172,7 +172,7 @@ def cmd_eval(n: int, xi, digits: int | None = None) -> dict:
     ctx = mk_context(digits)
     xi_br = real_from(xi, ctx)
     mu = mu_from_xi(xi_br, ctx)
-    with mp.workdps(ctx.digits + 10):
+    with mp.workdps(working_digits(ctx, 1)):
         near_coalescence = abs(raw(xi_br) - 1) < THEOREM1_XI_WINDOW
         outside_band = abs(raw(mu) * mp.e - 1) > EXCLUSION_HALF_WIDTH
     x, exact = _exact_scaled(n, xi_br, ctx)
@@ -292,35 +292,30 @@ def _build_parser() -> argparse.ArgumentParser:
                     "saddle coalescence")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--digits", type=int, default=None,
-                       help="working precision in digits, >= 30 (default: 120)")
-        p.add_argument("--out", default=None, help="write output to this path")
-
     p1 = sub.add_parser("table1", help="error table for the coalescence series")
     p1.add_argument("--n", type=_int_list, default=None)
     p1.add_argument("--m", type=_int_list, default=None)
-    common(p1)
 
     p2 = sub.add_parser("table2", help="error table for the uniform approximation")
     p2.add_argument("--xi", type=_str_list, default=None)
     p2.add_argument("--n", type=_int_list, default=None)
-    common(p2)
 
     pe = sub.add_parser("eval", help="evaluate one (n, xi) point by all methods")
     pe.add_argument("--n", type=int, required=True)
     pe.add_argument("--xi", required=True)
-    common(pe)
 
     pc = sub.add_parser("contours", help="trace steepest descent/ascent paths")
     pc.add_argument("--xi", required=True)
     pc.add_argument("--step", default=None)
     pc.add_argument("--max-len", dest="max_len", default=None)
-    common(pc)
 
     pb = sub.add_parser("bm", help="export the series coefficients as JSON")
     pb.add_argument("--max", dest="max_order", type=int, default=12)
-    common(pb)
+    for p in (p1, p2, pe, pc):  # bm's coefficients are exact rationals
+        p.add_argument("--digits", type=int, default=None,
+                       help="working precision in digits, >= 30 (default: 120)")
+    for p in (p1, p2, pe, pc, pb):
+        p.add_argument("--out", default=None, help="write output to this path")
     return ap
 
 

@@ -7,9 +7,12 @@ state; repeated calls with identical inputs are bit-identical. Values are
 rounded once, at the edge: the asymptotic routes keep plain mpf/mpc at
 working_digits(ctx, n) = ctx.digits + ceil(log10 n) + 10, as n multiplies
 them, read_real reads an outside number once at that width, and wrap_real
-rounds to ctx only what they return or print. ``_sci`` writes d digits of a
-value's held binary value, correctly rounded, the exponent padded to two
-digits; ``BigReal.to_str`` rounds to ctx first and appends ``@d``.
+rounds to ctx only what they return or print. The 10 guard digits, _GUARD,
+are stated here alone: every other layer that works past the context takes
+working_digits(ctx, 1), or _GUARD where it holds only a digit count.
+``_sci`` writes d digits of a value's held binary value, correctly rounded,
+the exponent padded to two digits; ``BigReal.to_str`` rounds to ctx first
+and appends ``@d``.
 
 The one function the kernel adds is ``log_branched_raw``: the logarithm
 with arg z in [0, 2pi), cut along the positive real axis approached from
@@ -154,8 +157,8 @@ def raw(x):
 
 
 def _require_real(v, digits: int, what: str) -> mpf:
-    """Re v, once Im v is within 10^-(digits-10) of max(1, |v|)."""
-    tol = mpf(10) ** (-(digits - 10)) * max(mpf(1), abs(v))
+    """Re v, once Im v is within 10^-(digits - _GUARD) of max(1, |v|)."""
+    tol = mpf(10) ** (-(digits - _GUARD)) * max(mpf(1), abs(v))
     if not abs(mp.im(v)) <= tol:  # a NaN residue fails too
         raise BranchError(f"{what} has imaginary residue {mp.nstr(mp.im(v), 3)}")
     return mp.re(v)

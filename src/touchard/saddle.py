@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from mpmath import fp, mp, mpc, mpf
 
 from .errors import DomainError, SolverError
-from .numkernel import (BigReal, PrecisionContext, log_branched_raw, read_real,
-                        working_digits, wrap_real)
+from .numkernel import (_GUARD, BigReal, PrecisionContext, log_branched_raw,
+                        read_real, working_digits, wrap_real)
 
 
 class SaddleKind(enum.Enum):
@@ -106,14 +106,14 @@ def _lambertw(z: mpf, k: int):
 
 def solve_saddle(mu, k: int, digits: int) -> tuple[mpc, mpf]:
     """W_k(-mu) at digits, certified by its residual |t e^t + mu|
-    <= 10^-(digits - 10) mu, which is returned with it."""
+    <= 10^-(digits - _GUARD) mu, which is returned with it."""
     mu = read_real(mu, digits)
     if not mu > 0:
         raise DomainError(f"mu must be positive, got {mp.nstr(mu, 8)}")
     with mp.workdps(digits):
         t = mpc(_lambertw(-mu, k))
         r = abs(t * mp.exp(t) + mu)
-        bound = mpf(10) ** (-(digits - 10)) * mu
+        bound = mpf(10) ** (-(digits - _GUARD)) * mu
         if not r <= bound:
             raise SolverError(
                 f"saddle residual {mp.nstr(r, 3)} on branch {k} exceeds "

@@ -17,21 +17,21 @@ plus one grid unit (fixedpoint's docstring counts the floors), so
 
     |T_n(-x) - S 2^g| <= (2 delta (A + n + 1) + n + 2) 2^g,
 
-and the value is accepted when that bound is at most 10^-(digits+10) |S 2^g|,
-so it carries digits + 10 correct significant digits before the final
-rounding. p and g come from a predicted loss: log10 sum_j j^n t_j E_{n-j}
-from float logarithms, and log10 |T_n(-x)| from the saddle point
-t0 = W_0(-(n+1)/x) of the Cauchy integral, taken with mpmath's lambertw in
-floats and lowered by _ENVELOPE_MARGIN digits. The prediction only sizes
-the pass, and one that is not finite raises InternalConsistencyError; the
-bound decides. When it fails, the pass reruns with both
-logarithms measured from the failed pass, at most MAX_ESCALATIONS times; a
-sum swamped by its bound is taken at the size of that bound, and the next
-pass expects at least twice the failed one's loss, so that p and g both
-move even when the first pass underrates the loss by thousands of digits.
-With x = man 2^exp, T_n(-x) is an integer multiple of 2^(n min(exp, 0)),
-so a sum whose bound falls below that grain with only zero inside is
-exactly zero (T_2(-1), for one).
+and the value is accepted when that bound is at most 10^-w |S 2^g|,
+w = numkernel.working_digits(ctx, 1), so it carries w correct significant
+digits before the final rounding. p and g come from a predicted loss:
+log10 sum_j j^n t_j E_{n-j} from float logarithms, and log10 |T_n(-x)|
+from the saddle point t0 = W_0(-(n+1)/x) of the Cauchy integral, taken
+with mpmath's lambertw in floats and lowered by _ENVELOPE_MARGIN digits.
+The prediction only sizes the pass, and one that is not finite raises
+InternalConsistencyError; the bound decides. When it fails, the pass
+reruns with both logarithms measured from the failed pass, at most
+MAX_ESCALATIONS times; a sum swamped by its bound is taken at the size of
+that bound, and the next pass expects at least twice the failed one's
+loss, so that p and g both move even when the first pass underrates the
+loss by thousands of digits. With x = man 2^exp, T_n(-x) is an integer
+multiple of 2^(n min(exp, 0)), so a sum whose bound falls below that grain
+with only zero inside is exactly zero (T_2(-1), for one).
 
 cancellation_digits is the least c >= 0 with max_k S(n,k) x^k <= 10^c
 |T_n(-x)|. T_n has only real zeros (Harper, 1967), so S(n,k) x^k is
@@ -43,7 +43,7 @@ the same cut powers with exact binomials, each term floored onto a grid of
 2^g2; a descent in the grid ints gives D_k(n) = k! S(n,k) for the rest of
 the window [floor(mean) - 1, top]. Each D carries a counted bound of the
 same kind, a cut power being low by at most (4 Omega(k) - 2) 2^-p <= delta
-of itself, and is accepted at digits + 10 digits. The explicit sum cancels
+of itself, and is accepted at w digits. The explicit sum cancels
 on its own terms, about 0.43 n digits where top = n, so the pass works at
 the larger of the p that the value and the largest term ask for, the
 latter from log10 sum_k C(top,k) k^n against k! S(n,k) <= min(k^n,
@@ -71,7 +71,8 @@ from mpmath import fp, mp, mpf
 from . import fixedpoint
 from .errors import (CapacityError, DomainError, InternalConsistencyError,
                      PrecisionExhaustedError)
-from .numkernel import BigReal, PrecisionContext, raw, wrap_real
+from .numkernel import (BigReal, PrecisionContext, raw, working_digits,
+                        wrap_real)
 
 # Largest n of an exact value. `touchard eval --n 7000` takes 3.5-4.1 s and
 # 36-38 MiB at 120 digits; memory sets the cap, as --n 8000 takes 43 MiB
@@ -229,7 +230,7 @@ def _certified_sum(n: int, x: mpf, lx: float, log_tx: float,
                    ctx: PrecisionContext, lo: int,
                    hi: int) -> tuple[int, int, dict[int, int], int]:
     """(S, g, D, g2) with T_n(-x) = S 2^g and D[k] 2^g2 = k! S(n, k) for
-    k = lo .. hi, each to digits + 10 significant digits, for x > 0,
+    k = lo .. hi, each to working_digits(ctx, 1) significant digits, for x > 0,
     lx = ln x, log_tx = ln T_n(x) and n >= 1.
 
     Both sums come from one fixedpoint.grid_sum pass at the larger of the
@@ -238,7 +239,7 @@ def _certified_sum(n: int, x: mpf, lx: float, log_tx: float,
     measured. PrecisionExhaustedError names the sums that failed and carries
     the first one's last two estimates: of T_n(-x), or of hi! S(n, hi).
     """
-    target = ctx.digits + 10
+    target = working_digits(ctx, 1)
     scale = 10 ** target
     man, exp = x.man_exp
     log_sum = _log10_term_sum(n, lx)
@@ -382,7 +383,7 @@ def scaled_touchard(n: int, z: BigReal, ctx: PrecisionContext) -> ExactValue:
     lo = min(n, max(1, math.floor(mean) - 1))
     hi = max(lo, min(n, math.ceil(mean) + 1))
     s, g, window, g2 = _certified_sum(n, x, lx, log_tx, ctx, lo, hi)
-    with mp.workdps(ctx.digits + 10):
+    with mp.workdps(working_digits(ctx, 1)):
         biggest = _largest_term(n, x, window, g2)
         total = mp.ldexp(s, g)
         if s == 0:

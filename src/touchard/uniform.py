@@ -25,17 +25,20 @@ at u = 0, with psi'''(-1) = 1 and psi''''(-1) = 5, give
                = -(5/6) 2^{2/3}.
 
 uniform_ingredients takes these closed forms, with the double saddle
-t0 = t1 = -1, inside the window |xi - 1| <= 10^-(digits+5), where they
-differ from the true values by about 120 |xi - 1|, below the context's last
-digit; it is the one place the uniform route decides that xi is 1.
+t0 = t1 = -1, only when xi reads as exactly 1 at its working width; it is
+the one place the uniform route decides that xi is 1. The map is smooth
+across the coalescence, so every other xi, however near 1, takes the pair
+that solve_saddles returns.
 
-Outside it psi(t1) - psi(t0) ~ |xi - 1|^{3/2} cancels
+Near xi = 1, psi(t1) - psi(t0) ~ |xi - 1|^{3/2} cancels
 1.5 log10(1/|xi - 1|) digits of zeta, and g(+) - g(-) another
 0.5 log10(1/|xi - 1|) of B0. uniform_ingredients therefore keeps every
 field, the saddles included, as mpf/mpc at working_digits(ctx, n) for the
 largest n it serves plus max(0, ceil(2 log10(1/|xi - 1|)) - 5) digits; for
-|xi - 1| >= 0.01 that adds nothing. x + n Re beta cancels under a digit
-(it is near x/2 for large xi), and theorem2_eval rounds only its value.
+|xi - 1| >= 0.01 that adds nothing. The ingredients record that width
+before the extra, and theorem2_eval refuses them for an n that asks for
+more. x + n Re beta cancels under a digit (it is near x/2 for large xi),
+and theorem2_eval rounds only its value.
 """
 from __future__ import annotations
 
@@ -60,6 +63,7 @@ class UniformIngredients:
     A0: mpf
     B0: mpf
     saddles: SaddlePair
+    digits: int  # working_digits(ctx, n) for the n they were solved for
 
 
 def _cubic_map(saddles: SaddlePair, digits: int):
@@ -86,38 +90,29 @@ def _cubic_map(saddles: SaddlePair, digits: int):
                 _require_real((gp - gm) / (2 * sq), digits, "B0"))
 
 
-def _extra_digits(xv: mpf, ctx: PrecisionContext) -> int | None:
-    """Digits that zeta and B0 cancel near xi = 1 (module docstring).
-
-    None inside the window, where the closed forms take over. log10
-    comes from the mpf's binary mantissa and exponent, because |xi - 1| can
-    lie below the smallest double.
-    """
-    with mp.workdps(ctx.digits + 10):
-        gap = abs(xv - 1)
-        if gap <= mpf(10) ** -(ctx.digits + 5):
-            return None
-    log10_gap = math.log10(gap.man) + gap.exp * math.log10(2)
+def _extra_digits(gap: mpf) -> int:
+    """Digits that zeta and B0 cancel at xi = 1 + gap != 1 (module
+    docstring). log10 comes from the mpf's binary mantissa and exponent,
+    because |xi - 1| can lie below the smallest double."""
+    log10_gap = math.log10(abs(gap.man)) + gap.exp * math.log10(2)
     return max(0, math.ceil(-2 * log10_gap) - 5)
 
 
 def uniform_ingredients(xi, ctx: PrecisionContext, n: int) -> UniformIngredients:
     """zeta, beta, A0, B0 and the saddles, at the width that theorem2_eval
     needs for every n' <= n."""
-    digits = working_digits(ctx, n)
-    xv = read_real(xi, digits)
-    extra = _extra_digits(xv, ctx)
-    digits += extra or 0
-    mu = mu_at(xv, digits)
-    if extra is None:  # the double saddle, with its residual |mu - 1/e|
-        with mp.workdps(digits):
-            r = abs(mu - 1 / mp.e)
-        saddles = SaddlePair(SaddleKind.DOUBLE, mpc(-1), mpc(-1), r, r)
-    else:
-        saddles = solve_saddles(mu, digits)
+    width = working_digits(ctx, n)
+    xv = read_real(xi, width)
+    gap = mp.fsub(xv, 1, exact=True)
+    if gap:
+        digits = width + _extra_digits(gap)
+        saddles = solve_saddles(mu_at(xv, digits), digits)
+    else:  # the double saddle, of residual |mu - 1/e| = 0 at xi = 1
+        digits = width
+        saddles = SaddlePair(SaddleKind.DOUBLE, mpc(-1), mpc(-1), mpf(0), mpf(0))
     zeta, beta, a0, b0 = _cubic_map(saddles, digits)
-    return UniformIngredients(xi=xv, zeta=zeta, beta=beta,
-                              A0=a0, B0=b0, saddles=saddles)
+    return UniformIngredients(xi=xv, zeta=zeta, beta=beta, A0=a0, B0=b0,
+                              saddles=saddles, digits=width)
 
 
 def theorem2_eval(n: int, xi, ctx: PrecisionContext,
@@ -127,7 +122,11 @@ def theorem2_eval(n: int, xi, ctx: PrecisionContext,
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     ing = uniform_ingredients(xi, ctx, n) if ingredients is None else ingredients
-    with mp.workdps(working_digits(ctx, n)):
+    width = working_digits(ctx, n)
+    if ing.digits < width:
+        raise DomainError(f"ingredients solved at {ing.digits} digits, "
+                          f"n = {n} needs {width}")
+    with mp.workdps(width):
         nn = mpf(n)
         x = nn * mp.e * ing.xi
         av = airy(nn ** (mpf(2) / 3) * ing.zeta, ctx)

@@ -195,6 +195,16 @@ class TestMain:
         payload = json.loads(capsys.readouterr().out)
         assert payload["order"] == 3
 
+    def test_bm_takes_out_but_not_digits(self, tmp_path, capsys):
+        # the coefficients are exact rationals: no precision to set
+        target = tmp_path / "bm.json"
+        assert main(["bm", "--max", "2", "--out", str(target)]) == 0
+        assert json.loads(target.read_text()) == cmd_bm(2)
+        with pytest.raises(SystemExit) as exc:
+            main(["bm", "--digits", "5", "--max", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --digits" in capsys.readouterr().err
+
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         rc = main(["table1", "--n", "12", "--m", "0", "--digits", "40"])
         assert rc == 0

@@ -67,6 +67,8 @@ def test_parity_set_writes_every_output(parity, parity_set):
     assert codes == ["2"] * 6
     lines = (outdir / "theorem2.txt").read_text().splitlines()
     assert parity.THEOREM2_N == (100, 10 ** 4, 10 ** 6, 10 ** 9)
+    assert len(parity.THEOREM2_XI) == 12
+    assert {"0." + "9" * 126, "1." + "0" * 45 + "1"} < set(parity.THEOREM2_XI)
     assert len(lines) == \
         (2 * len(parity.THEOREM2_XI) + 1) * len(parity.THEOREM2_N)
     assert sum(line.startswith("theorem1 ") for line in lines) == \

@@ -4,7 +4,8 @@ from mpmath import mp, mpf
 
 from touchard import (BranchError, DomainError, SaddleKind, SaddlePair,
                       mk_context, mu_from_xi, scaled_touchard, theorem1_eval,
-                      theorem2_eval, uniform, uniform_ingredients, wrap_real)
+                      theorem2_eval, uniform, uniform_ingredients,
+                      working_digits, wrap_real)
 from touchard.numkernel import raw
 
 import width_ladder
@@ -53,16 +54,22 @@ class TestCoalescenceLimit:
 
     @pytest.mark.parametrize("digits", [40, 120])
     def test_double_saddle_only_inside_the_window(self, digits):
-        # uniform_ingredients builds the double saddle t0 = t1 = -1 itself
-        # within |xi - 1| <= 10^-(digits+5), its residual |mu - 1/e| within
-        # the certificate; a step outside, solve_saddles' pair
+        # the window is xi = 1 exactly at the ingredients' width w: there
+        # uniform_ingredients builds the double saddle t0 = t1 = -1 itself,
+        # its residual |mu - 1/e| within the certificate; 1 +- 10^-(w+5)
+        # reads as 1, while 1 +- 10^-(digits+6), inside the old window
+        # 10^-(digits+5), takes solve_saddles' pair
         ctx = mk_context(digits)
-        for k in (digits + 6, digits + 4):
+        w = working_digits(ctx, 100)
+        for k in (digits + 6, w + 5):
             for xi in ("1." + "0" * (k - 1) + "1", "0." + "9" * k):
-                saddles = uniform_ingredients(xi, ctx, 100).saddles
-                inside = k > digits + 5
-                assert (saddles.kind is SaddleKind.DOUBLE) == inside, xi
-                if not inside:
+                ing = uniform_ingredients(xi, ctx, 100)
+                saddles = ing.saddles
+                double = k > w
+                assert (saddles.kind is SaddleKind.DOUBLE) == double, xi
+                assert (ing.xi == 1) == double, xi
+                if not double:
+                    assert raw(saddles.t0) != raw(saddles.t1)
                     continue
                 assert raw(saddles.t0) == raw(saddles.t1) == -1
                 with mp.workdps(digits + 20):
@@ -72,7 +79,8 @@ class TestCoalescenceLimit:
                         mpf(10) ** -(digits - 10) * mu
 
     def test_seam_is_smooth(self, ctx60):
-        # crossing the closed forms' window must not move the value noticeably
+        # stepping off xi = 1, where the closed forms stand, must not move
+        # the value noticeably
         mid = raw(theorem2_eval(81, "1", ctx60))
         for xi in ("0.999999999", "1.000000001"):
             side = raw(theorem2_eval(81, xi, ctx60))
@@ -212,9 +220,9 @@ class TestEvaluator:
 
     @pytest.mark.parametrize("digits", [40, 120, 300])
     def test_full_precision_near_coalescence(self, digits):
-        # zeta cancels 1.5 log10(1/|xi - 1|) digits and B0 another 0.5 just
-        # outside the closed forms' window 10^-(digits+5); the value must
-        # still carry all digits, from |xi - 1| = 1e-3 down to that window
+        # zeta cancels 1.5 log10(1/|xi - 1|) digits and B0 another 0.5 near
+        # xi = 1; the value must still carry all digits, from |xi - 1| = 1e-3
+        # down to the width w(n) at which xi reads as 1
         ctx, ref = mk_context(digits), mk_context(2 * digits + 200)
         for k in sorted({3, 10, digits // 2, digits - 30, digits - 16,
                          digits - 15, digits - 5, digits + 4}):
@@ -227,6 +235,26 @@ class TestEvaluator:
                     err = abs(got / want - 1)
                 assert err < mpf(10) ** -(digits - 2), \
                     f"xi = 1 {'+-'[sgn < 0]} 1e-{k}: off by {mp.nstr(err, 3)}"
+        # text xi on both sides of the old window 10^-(digits+5) and of
+        # w(n), where n multiplies |xi - 1|: the width ladder's rule
+        for n in (100, 10 ** 6, 10 ** 9):
+            w = working_digits(ctx, n)
+            for k in (digits + 5, digits + 6, digits + 11, w - 1, w + 1):
+                for xi in ("1." + "0" * (k - 1) + "1", "0." + "9" * k):
+                    assert width_ladder.off_the_reference(
+                        lambda c: theorem2_eval(n, xi, c), digits) is None, \
+                        (n, xi[:4], k)
+
+    def test_narrow_ingredients_refused(self, ctx40):
+        # ingredients solved for n = 2 lack the digits n = 10^12 spends;
+        # wider ones serve a smaller n
+        narrow = uniform_ingredients("1.00001", ctx40, 2)
+        with pytest.raises(DomainError) as exc:
+            theorem2_eval(10 ** 12, "1.00001", ctx40, ingredients=narrow)
+        assert exc.value.exit_code == 2
+        wide = uniform_ingredients("1.00001", ctx40, 10 ** 12)
+        assert theorem2_eval(2, "1.00001", ctx40, ingredients=wide).to_str() \
+            == theorem2_eval(2, "1.00001", ctx40).to_str()
 
     def test_ingredients_reuse(self, ctx60):
         ing = uniform_ingredients("1.1", ctx60, 100)
