@@ -45,7 +45,7 @@ import random
 
 from touchard import (N_MAX_LIMIT, TouchardError, airy, leading_order,
                       mk_context, mu_from_xi, real_from, scaled_touchard,
-                      theorem1_eval, theorem2_eval)
+                      theorem1_eval, theorem2_eval, wrap_real)
 from touchard.cli import main as cli_main
 
 DIGITS = (40, 120, 300)
@@ -166,7 +166,8 @@ def airy_line(z: str, digits: int) -> str:
         got = airy(real_from(z, ctx), ctx)
     except TouchardError as exc:
         return f"z={z} digits={digits}: exit {exc.exit_code}\n"
-    return f"z={z} digits={digits}: {got.ai.to_str()} {got.ai_prime.to_str()}\n"
+    ai, aip = (wrap_real(v, ctx).to_str() for v in (got.ai, got.ai_prime))
+    return f"z={z} digits={digits}: {ai} {aip}\n"
 
 
 def contour_file(outdir: pathlib.Path, xi: str, digits: int) -> pathlib.Path:

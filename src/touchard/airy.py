@@ -20,8 +20,9 @@ slow route. On z < 0 the pass is also the faster route up to Z(d), so one
 limit serves both signs. AiryValue.method names each call's route.
 
 z is taken as held if an mpf or a BigReal, text at w digits. AiryValue
-keeps Ai and Ai' as their route leaves them, good to w digits, for
-theorem2_eval; BigReal.to_str prints them rounded to the context.
+keeps Ai and Ai' as plain mpf, as their route leaves them, good to w digits,
+for theorem2_eval to multiply; wrap_real rounds them to the context for
+printing.
 
 The pass runs in Python ints on a grid of 2^-p: z = man 2^exp is taken
 exactly, |z|^3 is cut to p bits, and each F_k and G_k is |F_k| or |G_k|
@@ -39,10 +40,11 @@ value by at most W ((16K + 13)(A + K^2) 2^-p + (K + 3)^2 + 2) units:
 _bound(), which also takes in the roundings of the combination at p + 4
 bits, with c2 = 1/(3^(1/3) Gamma(1/3)) and c1 = 3^(1/2)/(6 pi c2) from
 Gamma(1/3)^3 = 2^(4/3) pi^2 / (3^(1/4) agm(1, cos 15 deg)) (the singular
-value K(sin 15 deg) of the complete elliptic integral). mpmath.gamma(1/3)
-in its place prints the same Ai and Ai', but builds its Taylor
-coefficients afresh at each new precision: 13-16 ms at 470 bits, a tenth
-of a fresh process's first `eval`, and 1.6 s at 2130 bits (2-vCPU VM,
+value K(sin 15 deg) of the complete elliptic integral), kept at the most
+bits asked for; theorem1_eval takes Gamma(1/3) = 1/(3^(1/3) c2) from it too.
+mpmath.gamma(1/3) in its place prints the same Ai and Ai', but builds its
+Taylor coefficients afresh at each new precision: 13-16 ms at 470 bits, a
+tenth of a fresh process's first `eval`, and 1.6 s at 2130 bits (2-vCPU VM,
 mpmath 1.3.0).
 
 p carries w digits, _SLACK digits more, and the digits the sums
@@ -51,7 +53,8 @@ Ai) and (2/3) |z|^(3/2)/ln 10 for z < 0, where Ai and Ai' oscillate. A pass
 is accepted when its bound is at most 10^-w of |Ai| and of |Ai'|;
 near a zero of either it is not, and it reruns with p raised by the digits
 it fell short, at most MAX_RERUNS times, then raises
-PrecisionExhaustedError, at once if a shortfall is NaN.
+PrecisionExhaustedError, at once if a shortfall is NaN; its message names
+the pass, the target digits and the last p.
 """
 from __future__ import annotations
 
@@ -66,8 +69,7 @@ from mpmath.libmp import dps_to_prec
 
 from .errors import DomainError, PrecisionExhaustedError
 from .fixedpoint import _shift, _top
-from .numkernel import (_GUARD, BigReal, PrecisionContext, read_real,
-                        working_digits)
+from .numkernel import _GUARD, PrecisionContext, read_real, working_digits
 
 ABS_Z_LIMIT = 10 ** 6
 # Reruns the Maclaurin pass may make before PrecisionExhaustedError.
@@ -82,8 +84,8 @@ class AiryMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class AiryValue:
-    ai: BigReal
-    ai_prime: BigReal
+    ai: mpmath.mpf  # as the route leaves it, good to w digits
+    ai_prime: mpmath.mpf
     method: AiryMethod
 
 
@@ -146,7 +148,6 @@ def _by_maclaurin(zv, absz: float, digits: int):
     target = digits + _GUARD
     sign, man, exp, _ = zv._mpf_
     digits_p = target + _SLACK + _loss_digits(float(zv))
-    last = [None]
     for _ in range(MAX_RERUNS + 1):
         p = math.ceil(digits_p * math.log2(10))
         sf, sfp, sg, sgp, k, af, ag = _sums(man, exp, sign == 1, absz, p)
@@ -166,14 +167,13 @@ def _by_maclaurin(zv, absz: float, digits: int):
                      for v, e in ((ai, err), (aip, errp))]
         if all(s <= 0 for s in short):
             return ai, aip
-        last.append(ai)
         if any(mp.isnan(s) for s in short):
             break
         digits_p += float(max(short)) + 1
     raise PrecisionExhaustedError(
         f"airy(z={mp.nstr(zv, 8)}): the Maclaurin pass not certified to "
         f"{target} digits (shortfalls {mp.nstr(short, 3)} at {p} bits, "
-        f"{MAX_RERUNS} reruns allowed)", last_two=tuple(last[-2:]))
+        f"{MAX_RERUNS} reruns allowed)")
 
 
 def airy(z, ctx: PrecisionContext) -> AiryValue:
@@ -189,5 +189,4 @@ def airy(z, ctx: PrecisionContext) -> AiryValue:
         with mp.workdps(working_digits(ctx, 1)):
             ai, aip = mpmath.airyai(zv), mpmath.airyai(zv, 1)
         method = AiryMethod.MPMATH
-    return AiryValue(ai=BigReal(ai, ctx), ai_prime=BigReal(aip, ctx),
-                     method=method)
+    return AiryValue(ai=ai, ai_prime=aip, method=method)

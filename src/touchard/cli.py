@@ -24,14 +24,14 @@ import json
 import sys
 from dataclasses import dataclass
 
-from mpmath import mp, mpc
+from mpmath import mp, mpc, mpf
 
 from .coalescence import (_BM_CHECK, _sin_third, check_order, default_bm,
                           theorem1_eval)
 from .contours import ContourSet, contour_set
 from .errors import DomainError, InternalConsistencyError, TouchardError
-from .numkernel import (BigReal, PrecisionContext, _sci, mk_context, raw,
-                        real_from, working_digits, wrap_real)
+from .numkernel import (BigReal, _sci, mk_context, raw, real_from,
+                        working_digits, wrap_real)
 from .poincare import EXCLUSION_HALF_WIDTH, leading_order
 from .saddle import mu_at, mu_from_xi
 from .stirling import ExactValue, scaled_touchard
@@ -53,26 +53,26 @@ class ErrorRow:
     param: BigReal
     exact: BigReal
     approx: BigReal
-    rel_err: BigReal
+    rel_err: mpf  # printed at 4 digits
 
     def to_csv(self) -> str:
         return ",".join([str(self.n), self.param.to_str(),
                          self.exact.to_str(), self.approx.to_str(),
-                         _sci(self.rel_err.value, 4)])
+                         _sci(self.rel_err, 4)])
 
 
-def _relative_error(exact: BigReal, approx: BigReal, ctx: PrecisionContext) -> BigReal:
-    with mp.workdps(working_digits(ctx, 1)):
-        ev = raw(exact)
+def _relative_error(exact: BigReal, approx: BigReal) -> mpf:
+    with mp.workdps(working_digits(exact.ctx, 1)):
+        ev = exact.value
         if ev == 0:
             raise DomainError("relative error undefined against an exact zero")
-        return wrap_real(abs(raw(approx) - ev) / abs(ev), ctx)
+        return abs(approx.value - ev) / abs(ev)
 
 
-def make_row(n: int, param: BigReal, exact: BigReal, approx: BigReal,
-             ctx: PrecisionContext) -> ErrorRow:
+def make_row(n: int, param: BigReal, exact: BigReal,
+             approx: BigReal) -> ErrorRow:
     return ErrorRow(n=n, param=param, exact=exact, approx=approx,
-                    rel_err=_relative_error(exact, approx, ctx))
+                    rel_err=_relative_error(exact, approx))
 
 
 def rows_to_csv(rows) -> str:
@@ -87,18 +87,17 @@ def load_error_rows(text: str) -> list[ErrorRow]:
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 5:
+        if len(parts) != 5 or not parts[0].isdecimal():
             raise DomainError(f"malformed CSV row: {ln!r}")
         n = int(parts[0])
         param = BigReal.parse(parts[1])
         exact = BigReal.parse(parts[2])
         approx = BigReal.parse(parts[3])
-        ctx = exact.ctx
-        rel = _relative_error(exact, approx, ctx)
-        if _sci(rel.value, 4) != parts[4]:
+        rel = _relative_error(exact, approx)
+        if _sci(rel, 4) != parts[4]:
             raise InternalConsistencyError(
                 f"stored rel_err {parts[4]} does not match the value "
-                f"recomputed from the row ({_sci(rel.value, 4)})")
+                f"recomputed from the row ({_sci(rel, 4)})")
         rows.append(ErrorRow(n=n, param=param, exact=exact, approx=approx,
                              rel_err=rel))
     return rows
@@ -128,7 +127,7 @@ def cmd_table1(n_list=None, m_list=None, digits: int | None = None) -> str:
         _, exact = _exact_scaled(n, 1, ctx)
         for m in m_list:
             approx = theorem1_eval(n, m, ctx)
-            rows.append(make_row(n, real_from(m, ctx), exact.value, approx, ctx))
+            rows.append(make_row(n, real_from(m, ctx), exact.value, approx))
     return rows_to_csv(rows)
 
 
@@ -145,8 +144,8 @@ def cmd_table2(xi_list=None, n_list=None, digits: int | None = None) -> str:
         ing = uniform_ingredients(xi, ctx, max(n_list))
         for n in n_list:
             _, exact = _exact_scaled(n, xi_br, ctx)
-            approx = theorem2_eval(n, xi, ctx, ingredients=ing)
-            rows.append(make_row(n, xi_br, exact.value, approx, ctx))
+            approx = theorem2_eval(n, ing, ctx)
+            rows.append(make_row(n, xi_br, exact.value, approx))
     return rows_to_csv(rows)
 
 
@@ -157,11 +156,11 @@ def _error_entry(exc: TouchardError) -> dict:
     return {"error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
-def _method_entry(fn, exact: BigReal, ctx) -> dict:
+def _method_entry(fn, exact: BigReal) -> dict:
     try:
         value = fn()
         return {"value": value.to_str(),
-                "rel_err": _sci(_relative_error(exact, value, ctx).value, 4)}
+                "rel_err": _sci(_relative_error(exact, value), 4)}
     except TouchardError as exc:
         return _error_entry(exc)
 
@@ -185,13 +184,13 @@ def cmd_eval(n: int, xi, digits: int | None = None) -> dict:
         "exact": {
             "value": exact.value.to_str(),
             "cancellation_digits": exact.cancellation_digits,
-            "verified": exact.verified,
+            "verified": True,  # scaled_touchard certifies or raises
         },
         "methods": {},
     }
     if near_coalescence:
         report["methods"]["theorem1"] = _method_entry(
-            lambda: theorem1_eval(n, 6, ctx), exact.value, ctx)
+            lambda: theorem1_eval(n, 6, ctx), exact.value)
     try:
         ing = uniform_ingredients(xi, ctx, n)
     except TouchardError as exc:
@@ -199,8 +198,7 @@ def cmd_eval(n: int, xi, digits: int | None = None) -> dict:
         report["saddles"] = _error_entry(exc)
     else:
         report["methods"]["theorem2"] = _method_entry(
-            lambda: theorem2_eval(n, xi, ctx, ingredients=ing),
-            exact.value, ctx)
+            lambda: theorem2_eval(n, ing, ctx), exact.value)
 
         def text(v) -> str:  # rounded to ctx; a saddle as (re,im)
             if isinstance(v, mpc):
@@ -215,7 +213,7 @@ def cmd_eval(n: int, xi, digits: int | None = None) -> dict:
     if outside_band:
         report["methods"]["poincare"] = _method_entry(
             lambda: leading_order(n, mu_at(xi, working_digits(ctx, n)),
-                                  ctx).value, exact.value, ctx)
+                                  ctx).value, exact.value)
     return report
 
 
@@ -239,7 +237,7 @@ def contours_to_json(cs: ContourSet) -> dict:
             "kind": pl.kind,
             "launch_theta": pl.launch_theta,
             "stop_reason": pl.stop_reason,
-            "im_psi_drift": _sci(pl.im_psi_drift.value, 4),
+            "im_psi_drift": _sci(pl.im_psi_drift, 4),
             "points": [saddle, *([d30(p.real), d30(p.imag)]
                                  for p in pl.points[1:])],
         }

@@ -24,6 +24,12 @@ log10 n digits, and rounds only the value to ctx: for x = n e,
 
     (-1)^(n-1) e^(x-n)/(3 pi) * sum_m (-1)^m B_m Gamma((m+1)/3)
         * sin(pi(m+1)/3) / (n/6)^((m+1)/3).
+
+Only m = 0, 1 (mod 3) contribute, so every Gamma is Gamma(1/3) or
+Gamma(2/3) = 2 pi/(3^(1/2) Gamma(1/3)) times factors from
+Gamma(z + 1) = z Gamma(z). Gamma(1/3) = 1/(3^(1/3) c2) comes from the
+constant c2 = -Ai'(0) that airy keeps from the AGM; mpmath.gamma would
+build its Taylor coefficients afresh at each new working width.
 """
 from __future__ import annotations
 
@@ -31,9 +37,9 @@ import functools
 import math
 from fractions import Fraction
 
-import mpmath
 from mpmath import mp, mpf
 
+from .airy import _ai0
 from .errors import OrderError, SeriesConsistencyError
 from .numkernel import BigReal, PrecisionContext, working_digits, wrap_real
 
@@ -106,14 +112,17 @@ def theorem1_eval(n: int, order: int, ctx: PrecisionContext) -> BigReal:
     with mp.workdps(working_digits(ctx, n)):
         x = n * mp.e
         rt3_half = mp.sqrt(3) / 2
+        g13 = 1 / (mp.cbrt(3) * _ai0(mp.prec)[1])
+        gamma = [g13, mp.pi / (rt3_half * g13)]  # Gamma((m+1)/3) by m mod 3
         total = mpf(0)
         for m in range(order + 1):
             chi = _sin_third(m)
             if chi == 0:
                 continue
             bmv = mpf(bm[m].numerator) / bm[m].denominator
-            term = ((-1) ** m * bmv * mpmath.gamma(mpf(m + 1) / 3)
+            term = ((-1) ** m * bmv * gamma[m % 3]
                     * chi * rt3_half / (mpf(n) / 6) ** (mpf(m + 1) / 3))
+            gamma[m % 3] *= mpf(m + 1) / 3
             total += term
         value = (-1) ** (n - 1) * mp.exp(x - n) / (3 * mp.pi) * total
     return wrap_real(value, ctx)

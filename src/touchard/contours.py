@@ -63,7 +63,7 @@ from mpmath.libmp import (dps_to_prec, from_float, mpf_add, mpf_atan2,
 from .errors import DomainError, StepError
 from .numkernel import (MIN_DIGITS, BigReal, PrecisionContext,
                         log_branched_raw, raw, read_real, real_from,
-                        working_digits, wrap_real)
+                        working_digits)
 from .saddle import SaddleKind, mu_from_xi, solve_saddles
 
 RE_MAX = 8.4
@@ -93,7 +93,7 @@ class ContourPolyline:
     saddle: mpc  # rounded to the context
     kind: str  # "descent" or "ascent"
     points: tuple[complex, ...]  # points[0] is the saddle, rounded to a double
-    im_psi_drift: BigReal
+    im_psi_drift: mpf  # at 30 digits, printed at 4
     launch_theta: float
     stop_reason: str
 
@@ -201,8 +201,8 @@ def _passes(t, t_new, s, h) -> bool:
     return 0 < u < 1 and abs(w - u * d) < h
 
 
-def _trace(saddle_t, theta, kind, inv_mu, other, ctx: PrecisionContext,
-           step, max_len) -> ContourPolyline:
+def _trace(saddle_t, theta, kind, inv_mu, other, step,
+           max_len) -> ContourPolyline:
     sign = -1 if kind == "descent" else 1
     max_iters = int(max_len / step) * 8 + 600
     step, max_len = float(step), float(max_len)
@@ -261,12 +261,12 @@ def _trace(saddle_t, theta, kind, inv_mu, other, ctx: PrecisionContext,
         stop = "iteration_cap"
 
     prec = dps_to_prec(MIN_DIGITS)
-    est = pts, float(inv_mu), float(c), prec
-    low = max(chain([-math.inf], (v - b for _, v, b in _estimates(*est))))
+    est = list(_estimates(pts, float(inv_mu), float(c), prec))
+    low = max(chain([-math.inf], (v - b for _, v, b in est)))
     # on the real axis Im psi is 0 (t > 0) or -pi (t < 0) at 30 digits; c
     # keeps its LEVEL_DIGITS value, so a drift there shows pi's rounding
     axis = {t.real > 0: t for t in pts if not (t.imag or cmath.isnan(t))}
-    kept = (t for t, v, b in _estimates(*est) if not v + b < low)
+    kept = (t for t, v, b in est if not v + b < low)
     with mp.workdps(MIN_DIGITS):
         inv_mu = (+inv_mu)._mpf_
         drift = max((abs(mp.make_mpf(_im_psi(t, inv_mu, prec)) - c)
@@ -278,7 +278,7 @@ def _trace(saddle_t, theta, kind, inv_mu, other, ctx: PrecisionContext,
             "retry with a smaller --step")
     return ContourPolyline(
         saddle=saddle_t, kind=kind, points=tuple(pts),
-        im_psi_drift=wrap_real(drift, ctx), launch_theta=float(theta),
+        im_psi_drift=drift, launch_theta=float(theta),
         stop_reason=stop)
 
 
@@ -339,7 +339,7 @@ def contour_set(xi, ctx: PrecisionContext, step=None,
                 "contours need xi in about [9.34e-6, 7.735]")
     lines = tuple(_trace(sv, th, path, inv_mu,
                          None if t0 == t1 else t1 if sv == t0 else t0,
-                         ctx, step, max_len)
+                         step, max_len)
                   for sv, path, th in launch_plan(kind, t0, t1))
     return ContourSet(xi=real_from(xi, ctx), mu=mu, saddle_kind=kind,
                       polylines=lines)

@@ -39,15 +39,11 @@ class StepError(DomainError):
 class PrecisionExhaustedError(TouchardError):
     """A certified sum still failed its bound after the rerun cap.
 
-    The message names the sum that failed; last_two holds its estimates
-    from the last two passes (None for a pass that was not made).
+    The message names the sum that failed, the digits it was to reach and
+    its last working precision.
     """
 
     exit_code = 3
-
-    def __init__(self, message, last_two=None):
-        super().__init__(message)
-        self.last_two = last_two
 
 
 class InternalConsistencyError(TouchardError):

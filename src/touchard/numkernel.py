@@ -1,18 +1,19 @@
 """Arbitrary-precision numeric substrate.
 
-Wraps mpmath behind one small immutable value type, BigReal, an mpf plus
-the PrecisionContext it prints at. Every public operation pins its working
-precision with ``mp.workdps`` so results never depend on ambient global
-state; repeated calls with identical inputs are bit-identical. Values are
-rounded once, at the edge: the asymptotic routes keep plain mpf/mpc at
-working_digits(ctx, n) = ctx.digits + ceil(log10 n) + 10, as n multiplies
-them, read_real reads an outside number once at that width, and wrap_real
-rounds to ctx only what they return or print. The 10 guard digits, _GUARD,
-are stated here alone: every other layer that works past the context takes
-working_digits(ctx, 1), or _GUARD where it holds only a digit count.
+Wraps mpmath behind one small immutable value type, BigReal, an mpf rounded
+to the PrecisionContext it prints at, built by wrap_real alone. Every public
+operation pins its working precision with ``mp.workdps`` so results never
+depend on ambient global state; repeated calls with identical inputs are
+bit-identical. Values are rounded once, at the edge: the asymptotic routes
+keep plain mpf/mpc at working_digits(ctx, n) = ctx.digits + ceil(log10 n)
++ 10, as n multiplies them, read_real reads an outside number once at that
+width, and wrap_real rounds to ctx only what they return or print. The 10
+guard digits, _GUARD, are stated here alone: every other layer that works
+past the context takes working_digits(ctx, 1), or _GUARD where it holds only
+a digit count.
 ``_sci`` writes d digits of a value's held binary value, correctly rounded,
-the exponent padded to two digits; ``BigReal.to_str`` rounds to ctx first
-and appends ``@d``.
+the exponent padded to two digits; ``BigReal.to_str`` writes its value,
+already rounded to ctx, at ctx.digits and appends ``@d``.
 
 The one function the kernel adds is ``log_branched_raw``: the logarithm
 with arg z in [0, 2pi), cut along the positive real axis approached from
@@ -65,16 +66,14 @@ _SER_RE = re.compile(
 
 @dataclass(frozen=True)
 class BigReal:
-    """An mpmath real plus the context it prints at; wrap_real rounds the
-    value to ctx, airy keeps its route's digits."""
+    """An mpmath real rounded to the context it prints at; wrap_real, the
+    one place a BigReal is built, does the rounding."""
 
     value: mpf
     ctx: PrecisionContext
 
     def to_str(self) -> str:
-        d = self.ctx.digits
-        with mp.workdps(d):
-            return _sci(+self.value, d) + f"@{d}"
+        return _sci(self.value, self.ctx.digits) + f"@{self.ctx.digits}"
 
     @classmethod
     def parse(cls, text: str) -> "BigReal":

@@ -105,9 +105,8 @@ class StirlingTriangle:
 
 @dataclass(frozen=True)
 class ExactValue:
-    value: BigReal
+    value: BigReal  # certified: scaled_touchard raises where it cannot be
     cancellation_digits: int
-    verified: bool
 
 
 def build_triangle(keep: Iterable[int]) -> StirlingTriangle:
@@ -236,8 +235,8 @@ def _certified_sum(n: int, x: mpf, lx: float, log_tx: float,
     Both sums come from one fixedpoint.grid_sum pass at the larger of the
     two p that their predicted losses ask for, and a pass reruns until both
     are certified, each rerun sizing a failed sum from what that pass
-    measured. PrecisionExhaustedError names the sums that failed and carries
-    the first one's last two estimates: of T_n(-x), or of hi! S(n, hi).
+    measured. PrecisionExhaustedError names the sums that failed, the target
+    digits and the last p.
     """
     target = working_digits(ctx, 1)
     scale = 10 ** target
@@ -257,8 +256,6 @@ def _certified_sum(n: int, x: mpf, lx: float, log_tx: float,
     # T_n(-x) is an integer multiple of 2^grain, since every x^k, k <= n, is
     grain = n * min(exp, 0)
     value = window = None
-    # the estimates of the passes that failed, per sum
-    history = {"the value sum": [None], "the largest-term sum": [None]}
     for _ in range(MAX_ESCALATIONS + 1):
         # the largest term's p and g2 leave room for the descent to lo,
         # which can double a bound width - 1 times
@@ -278,7 +275,6 @@ def _certified_sum(n: int, x: mpf, lx: float, log_tx: float,
             elif grain >= g and abs(s) + bound < 1 << (grain - g):
                 value = 0, g  # nothing but zero lies within the bound
             else:
-                history["the value sum"].append((s, g))
                 log_sum, log_t = _remeasured(log_sum, log_t, n, a, s, bound, g)
         if window is None:
             found = fixedpoint.descend(
@@ -286,7 +282,6 @@ def _certified_sum(n: int, x: mpf, lx: float, log_tx: float,
             if all(e * scale <= abs(d) for d, e in found.values()):
                 window = {k: d for k, (d, _) in found.items()}, g2
             else:
-                history["the largest-term sum"].append((found[hi][0], g2))
                 # the D with the fewest certified bits sizes the rerun
                 d, e = min(found.values(), key=lambda de:
                            abs(de[0]).bit_length() - de[1].bit_length())
@@ -294,14 +289,13 @@ def _certified_sum(n: int, x: mpf, lx: float, log_tx: float,
                                            g2)
         if value and window:
             return *value, *window
-    failed = [what for what, done in zip(history, (value, window))
+    failed = [what for what, done in (("the value sum", value),
+                                      ("the largest-term sum", window))
               if done is None]
-    with mp.workdps(target):
-        last_two = tuple(v and mp.ldexp(*v) for v in history[failed[0]][-2:])
     raise PrecisionExhaustedError(
         f"scaled_touchard(n={n}): {' and '.join(failed)} not certified to "
         f"{target} digits after {MAX_ESCALATIONS} reruns (last working "
-        f"precision {p} bits)", last_two=last_two)
+        f"precision {p} bits)")
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +368,7 @@ def scaled_touchard(n: int, z: BigReal, ctx: PrecisionContext) -> ExactValue:
                           f"got {mp.nstr(zv, 8)}")
     if n == 0 or zv == 0:
         return ExactValue(value=wrap_real(int(n == 0), ctx),
-                          cancellation_digits=0, verified=True)
+                          cancellation_digits=0)
     x = mp.fneg(zv, exact=True)
     with mp.workdps(20):
         lx = float(mp.log(x))
@@ -394,5 +388,4 @@ def scaled_touchard(n: int, z: BigReal, ctx: PrecisionContext) -> ExactValue:
             cancel = max(int(n > 1),
                          int(mp.ceil(mp.log10(biggest / abs(total)))))
         scaled = total / math.factorial(n)
-    return ExactValue(value=wrap_real(scaled, ctx), cancellation_digits=cancel,
-                      verified=True)
+    return ExactValue(value=wrap_real(scaled, ctx), cancellation_digits=cancel)

@@ -36,9 +36,11 @@ Near xi = 1, psi(t1) - psi(t0) ~ |xi - 1|^{3/2} cancels
 field, the saddles included, as mpf/mpc at working_digits(ctx, n) for the
 largest n it serves plus max(0, ceil(2 log10(1/|xi - 1|)) - 5) digits; for
 |xi - 1| >= 0.01 that adds nothing. The ingredients record that width
-before the extra, and theorem2_eval refuses them for an n that asks for
-more. x + n Re beta cancels under a digit (it is near x/2 for large xi),
-and theorem2_eval rounds only its value.
+before the extra; theorem2_eval takes them in place of xi, so that they
+cannot disagree with it, and refuses them for an n that asks for more.
+x + n Re beta cancels under a digit (it is near x/2 for large xi), and
+theorem2_eval rounds only its value; the Airy values it multiplies are
+plain mpf at the width airy works at.
 """
 from __future__ import annotations
 
@@ -115,13 +117,13 @@ def uniform_ingredients(xi, ctx: PrecisionContext, n: int) -> UniformIngredients
                               saddles=saddles, digits=width)
 
 
-def theorem2_eval(n: int, xi, ctx: PrecisionContext,
-                  ingredients: UniformIngredients | None = None) -> BigReal:
-    """Two-term uniform approximation of T^_{n-1}(-x), x = n e xi, from
-    ingredients for this n or a larger one."""
+def theorem2_eval(n: int, xi, ctx: PrecisionContext) -> BigReal:
+    """Two-term uniform approximation of T^_{n-1}(-x), x = n e xi; xi may be
+    given as its UniformIngredients for this n or a larger one."""
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
-    ing = uniform_ingredients(xi, ctx, n) if ingredients is None else ingredients
+    ing = (xi if isinstance(xi, UniformIngredients)
+           else uniform_ingredients(xi, ctx, n))
     width = working_digits(ctx, n)
     if ing.digits < width:
         raise DomainError(f"ingredients solved at {ing.digits} digits, "
@@ -130,7 +132,7 @@ def theorem2_eval(n: int, xi, ctx: PrecisionContext,
         nn = mpf(n)
         x = nn * mp.e * ing.xi
         av = airy(nn ** (mpf(2) / 3) * ing.zeta, ctx)
-        brace = (ing.A0 * av.ai.value / nn ** (mpf(1) / 3)
-                 - ing.B0 * av.ai_prime.value / nn ** (mpf(2) / 3))
+        brace = (ing.A0 * av.ai / nn ** (mpf(1) / 3)
+                 - ing.B0 * av.ai_prime / nn ** (mpf(2) / 3))
         value = (-1) ** (n - 1) * mp.exp(x + nn * mp.re(ing.beta)) * brace
     return wrap_real(value, ctx)

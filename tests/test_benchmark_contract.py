@@ -1,8 +1,10 @@
-"""What the benchmark's tracer (perfbench/tracer.py) needs from the package.
+"""What the benchmark (perfbench/tracer.py and perfbench/worker.py) needs
+from the package.
 
 The tracer wraps functions by module and name, and reads its work counts
-from attributes of their results. Neither is checked anywhere else in the
-tier-1 suite, so a rename here would only show when a traced benchmark run
+from attributes of their results; the worker serializes the results of
+its operations by their attributes. None of this is checked anywhere else
+in the tier-1 suite, so a rename here would only show when a benchmark run
 broke.
 """
 import importlib
@@ -11,7 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from touchard import airy, build_triangle, contour_set, mk_context, real_from
+from mpmath import mp
+
+from touchard import (PoincareRegime, PoincareResult, airy, build_triangle,
+                      contour_set, leading_order, real_from, theorem1_eval,
+                      theorem2_eval)
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -47,3 +53,16 @@ def test_counts_read_the_results(tracer, ctx40):
     assert counts["contours.contour_set.points"] > 0
     assert counts["airy.airy.maclaurin_calls"] \
         + counts["airy.airy.asymptotic_calls"] == 1
+
+
+def test_worker_reads_the_results(ctx40):
+    # one call of each operation the worker serializes from a result type,
+    # made as its execute() makes it, read as its serialize() reads it
+    assert theorem2_eval(100, "1.03", ctx40).to_str().endswith("@40")
+    assert theorem1_eval(100, 6, ctx40).to_str().endswith("@40")
+    with mp.workdps(50):
+        mu = 1 / (mp.e * mp.mpf("0.5"))
+    result = leading_order(100, mu, ctx40)
+    assert isinstance(result, PoincareResult)
+    assert result.value.to_str().endswith("@40")
+    assert result.regime.value == PoincareRegime.ABOVE.value  # mu > 1/e

@@ -45,6 +45,11 @@ class TestTables:
         text = CSV_HEADER + "\n" + "15,only,three,cols\n"
         with pytest.raises(DomainError):
             load_error_rows(text)
+        # a table2 row whose n field is not an integer
+        head, row = cmd_table2(xi_list=["1.01"], n_list=[81],
+                               digits=40).splitlines()
+        with pytest.raises(DomainError, match="malformed CSV row: 'x81,"):
+            load_error_rows(head + "\nx" + row + "\n")
 
     def test_tampered_rel_err_detected(self):
         text = cmd_table1(n_list=[15], m_list=[0], digits=40)
@@ -298,4 +303,4 @@ class TestRowHelpers:
         zero = real_from(0, ctx)
         one = real_from(1, ctx)
         with pytest.raises(DomainError):
-            make_row(5, one, zero, one, ctx)
+            make_row(5, one, zero, one)

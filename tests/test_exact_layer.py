@@ -153,7 +153,6 @@ class TestCertifiedSum:
             z = negated(x)
             got = scaled_touchard(n - 1, z, ctx)
             want, cancel = integer_scaled_touchard(n - 1, raw(z))
-            assert got.verified
             assert_close(raw(got.value), want, mpf(10) ** -(DIGITS - 1))
             assert got.cancellation_digits == cancel, (n, x.to_str())
 
@@ -322,8 +321,8 @@ class TestExplicitSumCancels:
         assert exc.value.exit_code == 3
         assert "the largest-term sum not certified" in str(exc.value)
         assert "value" not in str(exc.value)
-        assert exc.value.last_two[0] is None
-        assert exc.value.last_two[1] > 0
+        assert "to 50 digits after 0 reruns (last working precision" \
+            in str(exc.value)
 
 
 class TestMisprediction:
@@ -360,14 +359,13 @@ class TestMisprediction:
             scaled_touchard(self.N, z, ctx)
         assert "the value sum not certified" in str(exc.value)
         assert "largest" not in str(exc.value)
-        assert exc.value.last_two[0] is None
-        assert exc.value.last_two[1] is not None
+        assert "to 50 digits after 0 reruns (last working precision" \
+            in str(exc.value)
 
     def test_default_reruns_certify(self, near_zero):
         ctx, z = near_zero
         got = scaled_touchard(self.N, z, ctx)
         want, cancel = integer_scaled_touchard(self.N, raw(z))
-        assert got.verified
         assert_close(raw(got.value), want, mpf(10) ** -39)
         assert got.cancellation_digits == cancel
 
@@ -438,7 +436,7 @@ class TestFarAboveN:
         # first pass; without it the envelope is log10 x digits too high
         monkeypatch.setattr(stirling, "MAX_ESCALATIONS", 0)
         ctx = mk_context(DIGITS)
-        assert scaled_touchard(999, negated(x_at(1000, xi, ctx)), ctx).verified
+        scaled_touchard(999, negated(x_at(1000, xi, ctx)), ctx)  # no raise
 
 
 class TestCliExactAtAmbientPrecision:

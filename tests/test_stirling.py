@@ -106,7 +106,6 @@ class TestEvaluation:
     def test_t2_at_minus_one_is_exact_zero(self, ctx60):
         got = scaled_touchard(2, real_from(-1, ctx60), ctx60)
         assert raw(got.value) == 0
-        assert got.verified
         # total cancellation: the sentinel counts every digit of the big term
         assert got.cancellation_digits >= ctx60.digits
 
@@ -120,7 +119,6 @@ class TestEvaluation:
         with mp.workdps(140):
             z = wrap_real(-121 * mp.e, ctx120)
         got = scaled_touchard(120, z, ctx120)
-        assert got.verified
         assert 10 < got.cancellation_digits < 60
         # sign (-1)^(n-1) with n-1 = 120
         assert raw(got.value) > 0 if 120 % 2 == 0 else raw(got.value) < 0
@@ -200,4 +198,5 @@ class TestEvaluation:
         with pytest.raises(PrecisionExhaustedError) as exc:
             scaled_touchard(2, z, ctx)
         assert exc.value.exit_code == 3
-        assert exc.value.last_two is not None
+        assert ("the value sum not certified to 40 digits after 1 reruns "
+                "(last working precision") in str(exc.value)

@@ -250,14 +250,16 @@ class TestEvaluator:
         # wider ones serve a smaller n
         narrow = uniform_ingredients("1.00001", ctx40, 2)
         with pytest.raises(DomainError) as exc:
-            theorem2_eval(10 ** 12, "1.00001", ctx40, ingredients=narrow)
+            theorem2_eval(10 ** 12, narrow, ctx40)
         assert exc.value.exit_code == 2
         wide = uniform_ingredients("1.00001", ctx40, 10 ** 12)
-        assert theorem2_eval(2, "1.00001", ctx40, ingredients=wide).to_str() \
+        assert theorem2_eval(2, wide, ctx40).to_str() \
             == theorem2_eval(2, "1.00001", ctx40).to_str()
 
     def test_ingredients_reuse(self, ctx60):
-        ing = uniform_ingredients("1.1", ctx60, 100)
-        a = theorem2_eval(100, "1.1", ctx60, ingredients=ing)
-        b = theorem2_eval(100, "1.1", ctx60)
-        assert a.to_str() == b.to_str()
+        # ingredients stand in for their xi: the value is the fresh call's
+        for xi in ("0.5", "1", "1.1", "1.5", "1.00001"):
+            ing = uniform_ingredients(xi, ctx60, 1000)
+            for n in (100, 1000):
+                assert theorem2_eval(n, ing, ctx60).to_str() \
+                    == theorem2_eval(n, xi, ctx60).to_str(), (xi, n)
