@@ -15,8 +15,9 @@ from .errors import (BranchError, CapacityError, DomainError,
                      OrderError, PrecisionExhaustedError, RegimeError,
                      SeriesConsistencyError, SolverError, StepError,
                      TouchardError)
-from .numkernel import (DEFAULT_DIGITS, MIN_DIGITS, BigReal, PrecisionContext,
-                        mk_context, real_from, working_digits, wrap_real)
+from .numkernel import (DEFAULT_DIGITS, MAX_DIGITS, MIN_DIGITS, BigReal,
+                        PrecisionContext, mk_context, real_from,
+                        working_digits, wrap_real)
 from .poincare import PoincareRegime, PoincareResult, leading_order
 from .saddle import SaddleKind, SaddlePair, mu_from_xi, solve_saddles
 from .stirling import (N_MAX_LIMIT, ExactValue, StirlingTriangle,
@@ -33,7 +34,7 @@ __all__ = [
     "InvalidPrecisionError", "OrderError", "PrecisionExhaustedError",
     "RegimeError", "SeriesConsistencyError", "SolverError", "StepError",
     "TouchardError",
-    "DEFAULT_DIGITS", "MIN_DIGITS", "BigReal", "PrecisionContext",
+    "DEFAULT_DIGITS", "MAX_DIGITS", "MIN_DIGITS", "BigReal", "PrecisionContext",
     "mk_context", "real_from", "working_digits", "wrap_real",
     "PoincareRegime", "PoincareResult", "leading_order",
     "SaddleKind", "SaddlePair", "mu_from_xi", "solve_saddles",

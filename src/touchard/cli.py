@@ -15,7 +15,7 @@ identical invocations produce byte-identical bytes. Exit codes: 0 success,
 2 domain error, 3 precision exhausted, 4 internal consistency failure.
 --xi, --step and --max-len are read by numkernel.real_from, so text that is
 not a finite number exits 2, as does an empty --xi list. --digits is the
-working precision in significant digits, at least 30; 120 when not given.
+working precision in significant digits, from 30 to 4300; 120 when not given.
 """
 from __future__ import annotations
 
@@ -311,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--max", dest="max_order", type=int, default=12)
     for p in (p1, p2, pe, pc):  # bm's coefficients are exact rationals
         p.add_argument("--digits", type=int, default=None,
-                       help="working precision in digits, >= 30 (default: 120)")
+                       help="working precision in digits, 30 to 4300 (default: 120)")
     for p in (p1, p2, pe, pc, pb):
         p.add_argument("--out", default=None, help="write output to this path")
     return ap

@@ -161,11 +161,23 @@ def grid_sum(n: int, man: int, exp: int, p: int, g: int, top: int,
             [u + v for u, v in zip(pos, neg)])
 
 
+def counted_bound(c: int, units: int, p: int, a: int) -> int:
+    """Grid units by which a sum of floored terms, with absolute sum a, can
+    miss its exact value when each term is off by at most c 2^-p <= 1/2 of
+    itself plus its share of `units` grid units in all.
+
+    The exact absolute sum is then at most 2 (a + units), so the sum misses
+    by at most c (a + units) 2^(1-p) + units; one unit more covers the floor
+    of the shift, and one is spare. The exact layer and both Airy passes
+    count their roundings into this one form.
+    """
+    return (c * (a + units) >> (p - 1)) + units + 2
+
+
 def bound(n: int, p: int, terms: int, a: int) -> int:
-    """Grid units by which a sum of `terms` floored terms, with absolute sum
-    a, can miss its exact value when each term is low by at most
-    9n 2^-p of itself plus one unit."""
-    return (9 * n * (a + terms + 1) >> (p - 1)) + terms + 3
+    """counted_bound for a sum of `terms` terms of the pass, each low by at
+    most 9n 2^-p of itself plus one unit, and one unit more."""
+    return counted_bound(9 * n, terms + 1, p, a)
 
 
 def descend(sums: list[int], bounds: list[int], lo: int,

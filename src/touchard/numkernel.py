@@ -35,6 +35,9 @@ from .errors import BranchError, DomainError, InvalidPrecisionError
 
 DEFAULT_DIGITS = 120
 MIN_DIGITS = 30
+# _sci writes d digits with one str() of a d-digit int, which Python refuses
+# past its default sys.get_int_max_str_digits() of 4300
+MAX_DIGITS = 4300
 _GUARD = 10  # guard digits the working width carries past ctx.digits
 
 
@@ -45,9 +48,11 @@ class PrecisionContext:
 
 def mk_context(digits: int | None = None) -> PrecisionContext:
     digits = DEFAULT_DIGITS if digits is None else digits
-    if not isinstance(digits, int) or isinstance(digits, bool) or digits < MIN_DIGITS:
+    if (not isinstance(digits, int) or isinstance(digits, bool)
+            or not MIN_DIGITS <= digits <= MAX_DIGITS):
         raise InvalidPrecisionError(
-            f"working precision must be an integer >= {MIN_DIGITS}, got {digits!r}")
+            f"working precision must be an integer in [{MIN_DIGITS}, "
+            f"{MAX_DIGITS}], got {digits!r}")
     return PrecisionContext(digits=digits)
 
 

@@ -1,13 +1,14 @@
 """Maclaurin-series oracle for Ai, Ai' and Ai''.
 
 The package takes Ai and Ai' from a fixed-point Maclaurin pass for
-|z| <= Z(d) = airy.maclaurin_limit(d), one limit for both signs, and from
-mpmath.airyai above it. This sums the same series in
-mpmath floats, with gamma values for Ai(0) and Ai'(0) where the package
-takes an AGM, so it checks the first route along a path that shares
-neither its arithmetic nor its bound, and the second without
-mpmath.airyai. Ai'' comes from the same series differentiated term by
-term, so the w'' = z w residual can be checked without finite differences.
+|z| <= Z(d) = airy.maclaurin_limit(d), one limit for both signs, and from a
+fixed-point pass over the asymptotic expansions above it. This sums the
+Maclaurin series in mpmath floats, with gamma values for Ai(0) and Ai'(0)
+where the package takes an AGM, so it checks the first pass along a path
+that shares neither its arithmetic nor its bound, and the second with
+neither the package's series nor mpmath.airyai. Ai'' comes from the same
+series differentiated term by term, so the w'' = z w residual can be
+checked without finite differences.
 
 The partial sums grow like exp((2/3)|z|^{3/2}) while Ai can be as small as
 exp(-(2/3)z^{3/2}), so the precision is raised by about

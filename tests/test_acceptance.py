@@ -9,7 +9,7 @@ One published cell is a misprint: Table 2 at (xi = 1.01, n = 81) prints
 5.300e-3 where the two-term uniform formula gives 5.296e-3. Criterion 2 checks
 that cell against TABLE2_ERRATA instead; the evidence is
 test_table2_erratum_independent_oracle, which re-derives the cell without the
-package's code. It shares only mpmath's lambertw and airyai with the package.
+package's code. It shares only mpmath's lambertw with the package.
 """
 import math
 import time

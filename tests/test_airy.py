@@ -1,6 +1,8 @@
 """Airy kernel: closed forms, the Maclaurin oracle, the ODE residual, the
-Wronskian across the whole supported range, and the two routes: where they
-switch, that they agree there, and the reruns of the Maclaurin pass."""
+Wronskian across the whole supported range, and the two passes: where they
+switch, that they agree there and with mpmath.airyai, their reruns, and the
+Maclaurin fallback and the refusal at zeros past the switchover."""
+import itertools
 import math
 import sys
 import time
@@ -11,8 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from touchard import (DomainError, PrecisionExhaustedError, airy, mk_context,
-                      real_from, theorem2_eval, wrap_real)
+from touchard import (ABS_Z_LIMIT, DomainError, PrecisionExhaustedError, airy,
+                      mk_context, real_from, theorem2_eval, wrap_real)
 from touchard.airy import maclaurin_limit
 from touchard.numkernel import raw
 
@@ -136,16 +138,17 @@ def mpmath_string(zb, ctx, derivative=0):
         return wrap_real(mpmath.airyai(raw(zb), derivative), ctx).to_str()
 
 
-def passes(monkeypatch):
-    """A list that records the working precision of each Maclaurin pass."""
+def passes(monkeypatch, name="_sums"):
+    """A list that records the working precision of each Maclaurin pass, or
+    of each pass of the function `name`."""
     made = []
-    sums = AIRY._sums
+    sums = getattr(AIRY, name)
 
     def counted(*args):
         made.append(args[-1])
         return sums(*args)
 
-    monkeypatch.setattr(AIRY, "_sums", counted)
+    monkeypatch.setattr(AIRY, name, counted)
     return made
 
 
@@ -158,8 +161,8 @@ class TestRoutes:
         for s in (-1, 1):
             for z, route in ((0, "maclaurin"), (limit / 2, "maclaurin"),
                              (limit, "maclaurin"),
-                             (limit * (1 + 1e-3), "mpmath"),
-                             (4 * limit, "mpmath")):
+                             (limit * (1 + 1e-3), "asymptotic"),
+                             (4 * limit, "asymptotic")):
                 got = airy(real_from(s * z, ctx), ctx)
                 assert got.method.value == route, (s * z, digits)
 
@@ -191,26 +194,20 @@ class TestRoutes:
                                          mpmath_string(zb, ctx, 1)), z
 
     @pytest.mark.parametrize("digits", ROUTE_DIGITS)
-    def test_mpmath_sums_its_series_past_the_positive_limit(self, digits,
-                                                            monkeypatch):
-        # above Z(d) mpmath's 2F0 sum of DLMF 9.7.5 converges: it never
-        # falls back on its slow route there
-        failed = []
-        hypsum = type(mp).hypsum
-
-        def counted(*args, **kwargs):
-            try:
-                return hypsum(*args, **kwargs)
-            except mpmath.libmp.NoConvergence:
-                failed.append(args)
-                raise
-
-        monkeypatch.setattr(type(mp), "hypsum", counted)
+    def test_series_certifies_past_the_positive_limit(self, digits,
+                                                      monkeypatch):
+        # above Z(d) the series' smallest term is below 2^-(b+35): one
+        # asymptotic pass certifies each z, with no rerun and no fallback
+        made = passes(monkeypatch, "_series")
         ctx = mk_context(digits)
-        for f in (1 + 1e-9, 1 + 1e-3, 1.5):
-            got = airy(real_from(maclaurin_limit(digits) * f, ctx), ctx)
-            assert got.method.value == "mpmath"
-        assert failed == []
+        limit = maclaurin_limit(digits)
+        zs = [limit * f for f in (1 + 1e-9, 1 + 1e-3, 1.5, 2, 4)]
+        zs += [limit * (ABS_Z_LIMIT / limit) ** (i / 24) for i in range(1, 25)]
+        for z in zs:
+            made.clear()
+            got = airy(real_from(z, ctx), ctx)
+            assert got.method.value == "asymptotic", z
+            assert len(made) == 1, z
 
     @pytest.mark.parametrize("digits", ROUTE_DIGITS)
     def test_both_routes_agree_at_the_limit(self, digits, monkeypatch):
@@ -219,15 +216,72 @@ class TestRoutes:
         zs = [real_from(s * limit * f, ctx)
               for s in (-1, 1) for f in (1 - 1e-3, 1, 1 + 1e-3)]
         by = {}
-        for name, forced in (("maclaurin", math.inf), ("mpmath", -1.0)):
+        for name, forced in (("maclaurin", math.inf), ("asymptotic", -1.0)):
             monkeypatch.setattr(AIRY, "maclaurin_limit", lambda d: forced)
             by[name] = [airy(zb, ctx) for zb in zs]
             assert {v.method.value for v in by[name]} == {name}
-        for zb, a, b in zip(zs, by["maclaurin"], by["mpmath"]):
+        for zb, a, b in zip(zs, by["maclaurin"], by["asymptotic"]):
             for u, v in ((a.ai, b.ai), (a.ai_prime, b.ai_prime)):
                 with mp.workdps(digits + 10):
                     assert abs(raw(u) - raw(v)) <= tol(digits, 1) * abs(raw(v)), \
                         f"z = {zb.to_str()}"
+
+    @pytest.mark.parametrize("digits", [30, 120, 300])
+    def test_each_route_forced_around_the_limit(self, digits, monkeypatch):
+        # either pass, forced on either side of +-Z(d), prints the strings of
+        # mpmath.airyai at 2d digits
+        ctx = mk_context(digits)
+        limit = maclaurin_limit(digits)
+        zs = [real_from(s * limit * f, ctx)
+              for s in (-1, 1) for f in (1 - 1e-3, 1 + 1e-9, 1 + 1e-3)]
+        for name, forced in (("maclaurin", math.inf), ("asymptotic", -1.0)):
+            monkeypatch.setattr(AIRY, "maclaurin_limit", lambda d: forced)
+            for zb in zs:
+                got = airy(zb, ctx)
+                assert got.method.value == name, zb.to_str()
+                assert printed(got, ctx) == (mpmath_string(zb, ctx),
+                                             mpmath_string(zb, ctx, 1)), \
+                    (name, zb.to_str())
+
+    @pytest.mark.parametrize("digits", [30, 120, 300])
+    @pytest.mark.parametrize("derivative", [0, 1])
+    def test_zeros_past_the_limit(self, digits, derivative, monkeypatch):
+        # a zero of Ai or Ai' rounded to d + 10 digits leaves the value about
+        # |z|^(3/2) 10^-(d+10) of its envelope. Just past -Z(d) the series'
+        # smallest term is above 10^-(d+10) of that, and the Maclaurin pass
+        # serves the zero; near -1e4 the series certifies it after a rerun
+        ctx = mk_context(digits)
+        limit = maclaurin_limit(digits)
+        with mp.workdps(15):
+            past = next(k for k in itertools.count(1)
+                        if -mpmath.airyaizero(k, derivative) > limit)
+        made = passes(monkeypatch, "_series")
+        for k, route in ((past, "maclaurin"), (212000, "asymptotic")):
+            with mp.workdps(digits + 10):
+                zv = +mpmath.airyaizero(k, derivative)
+            made.clear()
+            got = airy(zv, ctx)
+            assert (got.method.value, len(made)) == (route, 2), k
+            assert printed(got, ctx) == (mpmath_string(zv, ctx),
+                                         mpmath_string(zv, ctx, 1)), k
+        assert -zv > 9000
+
+    def test_zero_held_past_the_fallback_refused(self, ctx40):
+        # past 2 Z(d) the Maclaurin pass does not serve: a zero held to
+        # 3 (d + 10) digits, next to which the series' smallest term is above
+        # 10^-(d+10) of Ai, is refused with exit 3
+        limit = maclaurin_limit(40)
+        with mp.workdps(15):
+            k = next(k for k in itertools.count(1)
+                     if -mpmath.airyaizero(k) > 2 * limit)
+        with mp.workdps(150):
+            zv = +mpmath.airyaizero(k)
+        with pytest.raises(PrecisionExhaustedError,
+                           match="smallest term exceeds 10\\^-50") as info:
+            airy(zv, ctx40)
+        assert info.value.exit_code == 3
+        with mp.workdps(50):
+            assert airy(+zv, ctx40).method.value == "asymptotic"
 
     @pytest.mark.parametrize("z", ["0", "1e-300", "-1e-300", "2^-1000"])
     def test_tiny_z(self, z, ctx120):

@@ -15,9 +15,9 @@ import pytest
 
 from mpmath import mp
 
-from touchard import (PoincareRegime, PoincareResult, airy, build_triangle,
-                      contour_set, leading_order, real_from, theorem1_eval,
-                      theorem2_eval)
+from touchard import (AiryMethod, PoincareRegime, PoincareResult, airy,
+                      build_triangle, contour_set, leading_order, real_from,
+                      theorem1_eval, theorem2_eval)
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -53,6 +53,20 @@ def test_counts_read_the_results(tracer, ctx40):
     assert counts["contours.contour_set.points"] > 0
     assert counts["airy.airy.maclaurin_calls"] \
         + counts["airy.airy.asymptotic_calls"] == 1
+
+
+def test_airy_routes_are_named_as_the_tracer_reads_them(tracer, ctx40):
+    # the tracer counts "maclaurin" values as maclaurin_calls and every other
+    # value as asymptotic_calls
+    assert {m.value for m in AiryMethod} == {"maclaurin", "asymptotic"}
+    _, maclaurin = tracer.COUNTS["airy.airy.maclaurin_calls"]
+    _, asymptotic = tracer.COUNTS["airy.airy.asymptotic_calls"]
+    for z, route in ((1, "maclaurin"), (-100, "asymptotic"),
+                     (100, "asymptotic")):
+        got = airy(real_from(z, ctx40), ctx40)
+        assert got.method.value == route
+        assert (maclaurin(got), asymptotic(got)) == \
+            ((1, 0) if route == "maclaurin" else (0, 1))
 
 
 def test_worker_reads_the_results(ctx40):

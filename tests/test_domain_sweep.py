@@ -12,7 +12,8 @@ failure (exit 4) or a bare exception fails the sweep.
 
 Named cases add the edges of the ranges: `airy` just past its route
 switchover at 120 and 300 digits within AIRY_CEILING, and just past
-ABS_Z_LIMIT, and `scaled_touchard` just past N_MAX_LIMIT.
+ABS_Z_LIMIT, also from theorem2_eval at n = 10^1000, `scaled_touchard` just
+past N_MAX_LIMIT, and `--digits` at MAX_DIGITS and one past it.
 
 The sizes are capped to fit tier-1's time: n up to 300 where an exact sum
 runs, contours at a step of 0.5.
@@ -29,8 +30,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from touchard import (ABS_Z_LIMIT, N_MAX_LIMIT, BigReal, CapacityError,
-                      DomainError, PrecisionExhaustedError, TouchardError,
+from touchard import (ABS_Z_LIMIT, MAX_DIGITS, N_MAX_LIMIT, BigReal,
+                      CapacityError, DomainError, PrecisionExhaustedError,
+                      TouchardError,
                       airy, contour_set, leading_order, mk_context, mu_from_xi,
                       real_from, scaled_touchard, solve_saddles, theorem2_eval,
                       uniform_ingredients, working_digits)
@@ -204,6 +206,29 @@ def test_airy_past_abs_z_limit_refused(sign, ctx40):
     with pytest.raises(DomainError) as info:
         airy(real_from(sign * ABS_Z_LIMIT * (1 + 1e-9), ctx40), ctx40)
     assert info.value.exit_code == 2
+
+
+def test_huge_n_refused_with_a_finite_size():
+    # n^(2/3) zeta at n = 10^1000 is about 3e666, past ABS_Z_LIMIT and past
+    # the largest double; the refusal prints its size
+    for xi in ("1.5", "0.5"):
+        with pytest.raises(DomainError,
+                           match=r"\|z\| = \d\.\d+e\+666 exceeds") as info:
+            theorem2_eval(10 ** 1000, xi, mk_context(30))
+        assert info.value.exit_code == 2
+
+
+@pytest.mark.parametrize("digits, code", [(MAX_DIGITS, 0), (MAX_DIGITS + 1, 2)])
+def test_digits_at_the_ceiling(digits, code):
+    # past MAX_DIGITS a printed value would pass Python's default limit on
+    # int to str conversion, 4300 digits
+    for argv in (["eval", "--n", "100", "--xi", "0.9"],
+                 ["table1", "--n", "50", "--m", "0"]):
+        argv = [*argv, "--digits", str(digits)]
+        got, text = run(argv)
+        assert got == code, argv
+        if code == 0:
+            check_output(argv, text)
 
 
 def test_scaled_touchard_past_the_cap_refused(ctx40):

@@ -87,7 +87,7 @@ def test_parity_set_takes_only_outdir(parity, tmp_path, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
     assert sorted(p.name for p in SCRIPTS.glob("*.py")) == [
-        "error_decay.py", "parity_set.py"]
+        "bench_pairs.py", "error_decay.py", "parity_set.py"]
 
 
 def test_run_tables_writes_the_cli_tables(parity_set):
