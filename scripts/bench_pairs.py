@@ -1,16 +1,16 @@
-"""Paired benchmark runs of a parent tree and a changed tree.
+"""Paired benchmark runs of a parent tree and the working tree.
 
-    python3 scripts/bench_pairs.py --parent REV --label NAME [--change REV]
-        [--pairs 10] [--seeds 1,...,10] [--seconds 25] [--workloads a,b]
+    python3 scripts/bench_pairs.py --parent REV --label NAME
 
 Both trees are exported clean into a temporary directory: the parent with
-`git archive REV`, the change with `git archive` of --change or, without
-it, as the working tree's tracked and untracked files that .gitignore does
-not exclude. Pair i runs perfbench/run.py, unchanged, as a subprocess in
-both trees on every workload with the seed seeds[i % len(seeds)], the parent
-first in even pairs and the change first in odd ones, with
-PYTHONDONTWRITEBYTECODE=1 and no __pycache__ in either tree. Then each side
-runs once per workload with --trace 1 at the first seed.
+`git archive REV`, the change as the working tree's tracked and untracked
+files that .gitignore does not exclude. The workloads, end-to-end metrics
+and run length are those of BENCHMARK.json. Pair i of PAIRS runs
+perfbench/run.py, unchanged, as a subprocess in both trees on every
+workload with the seed SEEDS[i], the parent first in even pairs and the
+change first in odd ones, with PYTHONDONTWRITEBYTECODE=1 and no
+__pycache__ in either tree. Then each side runs once per workload with
+--trace 1 at the first seed.
 
 BENCH_<label>.json, written in the current directory, holds for each
 workload and end-to-end metric the median and quartiles of either side and
@@ -34,8 +34,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("paper-tables", "eval-ladder", "asymptotic-sweep", "contours")
-METRICS = ("setup_s", "pass_s", "peak_rss_mb")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
+METRICS = tuple(m["name"] for m in BENCHMARK["end_to_end"])
+SECONDS = BENCHMARK["run_seconds"]
+PAIRS = 10
+SEEDS = tuple(range(1, PAIRS + 1))
 SIDES = ("parent", "change")
 
 
@@ -97,8 +101,8 @@ def summarize(label: str, runs: list[tuple], traces: dict,
 
 
 def _export(rev: str | None, dest: Path) -> None:
-    """The tree of rev, or the working tree's files that git does not
-    ignore, into dest."""
+    """The tree of rev, or with rev None the working tree's files that git
+    does not ignore, into dest."""
     dest.mkdir(parents=True)
     if rev is not None:
         tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
@@ -117,14 +121,13 @@ def _export(rev: str | None, dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float,
-         trace: int) -> dict:
+def _run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     for cache in tree.rglob("__pycache__"):
         shutil.rmtree(cache)
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds),
+         "--seed", str(seed), "--seconds", str(SECONDS),
          "--trace", str(trace)],
         cwd=tree, env=env, capture_output=True, text=True, check=True)
     return result_line(proc.stdout)
@@ -133,30 +136,22 @@ def _run(tree: Path, workload: str, seed: int, seconds: float,
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True)
-    ap.add_argument("--change")
     ap.add_argument("--label", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seeds", default=",".join(map(str, range(1, 11))))
-    ap.add_argument("--seconds", type=float, default=25)
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
     args = ap.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
-    workloads = args.workloads.split(",")
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         _export(args.parent, trees["parent"])
-        _export(args.change, trees["change"])
+        _export(None, trees["change"])
         runs = []
-        for i, w, seed, side in schedule(args.pairs, seeds, workloads):
-            res = _run(trees[side], w, seed, args.seconds, 0)
+        for i, w, seed, side in schedule(PAIRS, list(SEEDS), WORKLOADS):
+            res = _run(trees[side], w, seed, 0)
             print(f"pair {i} {w} seed {seed} {side}: "
                   f"{json.dumps(res['metrics'])}", file=sys.stderr)
             runs.append((i, w, seed, side, res))
-        traces = {(w, side): _run(trees[side], w, seeds[0], args.seconds, 1)
-                  for w in workloads for side in SIDES}
-    meta = {"parent": args.parent, "change": args.change or "working tree",
-            "pairs": args.pairs, "seconds": args.seconds,
-            "seeds": [seeds[i % len(seeds)] for i in range(args.pairs)]}
+        traces = {(w, side): _run(trees[side], w, SEEDS[0], 1)
+                  for w in WORKLOADS for side in SIDES}
+    meta = {"parent": args.parent, "change": "working tree",
+            "pairs": PAIRS, "seconds": SECONDS, "seeds": list(SEEDS)}
     bench = summarize(args.label, runs, traces, meta)
     Path(f"BENCH_{args.label}.json").write_text(
         json.dumps(bench, indent=1) + "\n")

@@ -91,3 +91,19 @@ def test_summary_refuses_unmatched_pairs(bench):
             (1, "w", 2, "change", bench.result_line(line(0.2)))]
     with pytest.raises(ValueError, match="different pairs"):
         bench.summarize("x", runs, {}, {})
+
+
+def test_runs_are_set_by_the_benchmark(bench, capsys):
+    # workloads, metrics and run length come from BENCHMARK.json; pairs and
+    # seeds are constants, and no option may set any of them
+    declared = json.loads((SCRIPT.parent.parent / "BENCHMARK.json")
+                          .read_text())
+    assert bench.WORKLOADS == tuple(w["name"] for w in declared["workloads"])
+    assert bench.METRICS == tuple(m["name"] for m in declared["end_to_end"])
+    assert bench.SECONDS == declared["run_seconds"]
+    assert bench.PAIRS == 10 and bench.SEEDS == tuple(range(1, 11))
+    for extra in (["--change", "HEAD"], ["--pairs", "3"], ["--seeds", "1"],
+                  ["--seconds", "5"], ["--workloads", "contours"]):
+        with pytest.raises(SystemExit):
+            bench.main(["--parent", "HEAD", "--label", "x", *extra])
+    assert "unrecognized arguments" in capsys.readouterr().err

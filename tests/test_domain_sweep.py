@@ -45,8 +45,8 @@ from touchard.numkernel import raw
 CEILING = 3.0
 
 # The ceiling of one airy call at up to 300 digits near the switchover Z(d)
-# = airy.maclaurin_limit; mpmath.airyai's slow route, which it falls back on
-# just short of Z(d) for z > 0, takes 48-1762 ms a call
+# = airy.maclaurin_limit, where the Maclaurin pass carries its largest
+# cancellation and the asymptotic pass its most terms
 AIRY_CEILING = 0.06
 
 REFUSED = ["nan", "NaN", "inf", "-inf", "+inf", "0", "-0", "-1", "-1e-300",
