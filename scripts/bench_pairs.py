@@ -10,14 +10,17 @@ perfbench/run.py, unchanged, as a subprocess in both trees on every
 workload with the seed SEEDS[i], the parent first in even pairs and the
 change first in odd ones, with PYTHONDONTWRITEBYTECODE=1 and no
 __pycache__ in either tree. Then each side runs once per workload with
---trace 1 at the first seed.
+--trace 1 at the first seed, and once per workload a process of its own
+that imports touchard.cli and reports its resident set size, as
+perfbench's peak_rss_mb reads it (ru_maxrss).
 
 BENCH_<label>.json, written in the current directory, holds for each
 workload and end-to-end metric the median and quartiles of either side and
 the pairs the change won (lower; ties count for neither), with the values
-of every pair in pair order; the correct flag and failed count of every
-run; the traced per-layer figures of both sides; the seed of each pair and
-the run length.
+of every pair in pair order; the RSS right after import of either side,
+beside peak_rss_mb; the correct flag and failed count of every run; the
+traced per-layer figures of both sides; the seed of each pair and the run
+length.
 """
 from __future__ import annotations
 
@@ -41,6 +44,9 @@ SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10
 SEEDS = tuple(range(1, PAIRS + 1))
 SIDES = ("parent", "change")
+# run in a fresh process with the tree's src/ on PYTHONPATH
+IMPORT_RSS = ("import resource, touchard.cli; "
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)")
 
 
 def schedule(pairs: int, seeds: list[int], workloads) -> list[tuple]:
@@ -58,6 +64,11 @@ def result_line(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
 
+def import_rss(stdout: str) -> float:
+    """MiB from the last line of an IMPORT_RSS run."""
+    return float(stdout.strip().splitlines()[-1])
+
+
 def spread(values: list[float]) -> dict:
     """Median and quartiles (the inclusive method) of one side's values."""
     if len(values) == 1:
@@ -71,10 +82,11 @@ def wins(parent: list[float], change: list[float]) -> int:
     return sum(c < p for p, c in zip(parent, change, strict=True))
 
 
-def summarize(label: str, runs: list[tuple], traces: dict,
+def summarize(label: str, runs: list[tuple], traces: dict, imports: dict,
               meta: dict) -> dict:
     """The BENCH file from the untraced runs, (pair, workload, seed, side,
-    result) in any order, and the traced results, {(workload, side): result}.
+    result) in any order, the traced results, {(workload, side): result},
+    and the RSS after import in MiB, {(workload, side): value}.
     """
     out = {"label": label, **meta, "workloads": {}}
     for w in dict.fromkeys(r[1] for r in runs):
@@ -93,6 +105,10 @@ def summarize(label: str, runs: list[tuple], traces: dict,
                         for side in SIDES}
             entry[m]["wins"] = wins(vals["parent"], vals["change"])
             entry[m]["pairs"] = len(vals["parent"])
+            if m == "peak_rss_mb":
+                entry["import_rss_mb"] = {side: imports[w, side]
+                                          for side in SIDES
+                                          if (w, side) in imports}
         entry["trace"] = {side: {name: v["value"] for name, v in
                                  traces[w, side]["metrics"].items()}
                           for side in SIDES if (w, side) in traces}
@@ -121,16 +137,19 @@ def _export(rev: str | None, dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
-def _run(tree: Path, workload: str, seed: int, trace: int) -> dict:
+def _python(tree: Path, *args: str, **env: str) -> str:
+    """The standard output of python with args in tree, no bytecode cache."""
     for cache in tree.rglob("__pycache__"):
         shutil.rmtree(cache)
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(SECONDS),
-         "--trace", str(trace)],
-        cwd=tree, env=env, capture_output=True, text=True, check=True)
-    return result_line(proc.stdout)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", **env}
+    return subprocess.run([sys.executable, *args], cwd=tree, env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def _run(tree: Path, workload: str, seed: int, trace: int) -> dict:
+    return result_line(_python(
+        tree, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", str(SECONDS), "--trace", str(trace)))
 
 
 def main(argv=None) -> int:
@@ -150,9 +169,13 @@ def main(argv=None) -> int:
             runs.append((i, w, seed, side, res))
         traces = {(w, side): _run(trees[side], w, SEEDS[0], 1)
                   for w in WORKLOADS for side in SIDES}
+        imports = {(w, side): import_rss(_python(
+                       trees[side], "-c", IMPORT_RSS,
+                       PYTHONPATH=str(trees[side] / "src")))
+                   for w in WORKLOADS for side in SIDES}
     meta = {"parent": args.parent, "change": "working tree",
             "pairs": PAIRS, "seconds": SECONDS, "seeds": list(SEEDS)}
-    bench = summarize(args.label, runs, traces, meta)
+    bench = summarize(args.label, runs, traces, imports, meta)
     Path(f"BENCH_{args.label}.json").write_text(
         json.dumps(bench, indent=1) + "\n")
     return 0

@@ -91,11 +91,13 @@ MAX_RERUNS times, then raises PrecisionExhaustedError, at once if a
 shortfall is NaN; its message names the pass, the target digits and the
 last p. Near a zero on z < 0 the asymptotic pass may stop at its smallest
 term, 6 t_K units of its bound, above 10^-w of |Ai| or |Ai'|: no p lowers
-that. The Maclaurin pass then serves |z| <= _FALLBACK Z(d) (7.9 ms for
-the first zero past -Z(120), four passes in all), and past that airy
-raises PrecisionExhaustedError. There the smallest term is under
-2^-(2.8 (b + 35)), so only a z held to about three times w digits next to
-a zero reaches it.
+that. The pass tells it from t_K in floats, since on a grid too coarse for
+t_K it reads 0, and the Maclaurin pass then serves |z| <= _FALLBACK Z(d),
+starting at p raised by the digits the series fell short (2.5 ms warm
+for the first zero past -Z(120), one pass of each, 2-vCPU x86-64 VM);
+past that airy raises PrecisionExhaustedError. There the smallest term is
+under 2^-(2.8 (b + 35)), so only a z held to about three times w digits
+next to a zero reaches it.
 """
 from __future__ import annotations
 
@@ -237,15 +239,24 @@ def _series_pass(zv, p: int):
         ai, aip = mpf(su[0]), -mpf(sv[0])
     unit = mp.ldexp(pre, -p)
     rest = 2 * (counted_bound(k, k * k, p, a) + 3 * k) + 8
+    # the smallest term in floats, since on a grid too coarse for it t_K
+    # reads 0: t_m = u_m zeta^-m, u_m = Gamma(3m + 1/2)/(54^m m!
+    # Gamma(m + 1/2)) (DLMF 9.7.2), at m = floor(2 zeta) + 1, where
+    # (6m+1)(6m+5) > 72 (m+1) zeta first holds or one past it
+    m = math.floor(2 * zf) + 1
+    small = 6 * mp.ldexp(mp.exp(
+        math.lgamma(3 * m + 0.5) - math.lgamma(m + 0.5) - math.lgamma(m + 1)
+        - m * math.log(54 * zf)), p)
     return ((unit * ai, unit * q * aip),
             (unit * (rest + 6 * tk), unit * q * (rest + 6 * tk)),
-            (unit * 6 * tk, unit * q * 6 * tk))
+            (unit * small, unit * q * small))
 
 
 def _certified(route: str, pass_, zv, digits: int, digits_p: float):
-    """(Ai, Ai') from the first pass whose bounds are at most 10^-w of |Ai|
-    and |Ai'|, w = digits + _GUARD, each rerun at p raised by the digits the
-    last fell short; None once the part of a bound that no p lowers is not.
+    """((Ai, Ai'), digits_p) from the first pass whose bounds are at most
+    10^-w of |Ai| and |Ai'|, w = digits + _GUARD, each rerun at digits_p
+    raised by the digits the last fell short; (None, digits_p so raised)
+    once the part of a bound that no p lowers is not.
     """
     target = digits + _GUARD
     scale = 10 ** target
@@ -254,16 +265,16 @@ def _certified(route: str, pass_, zv, digits: int, digits_p: float):
         with mp.workprec(p + 4):
             vals, errs, fixed = pass_(zv, p)
             if all(e * scale <= abs(v) for v, e in zip(vals, errs)):
-                return vals  # not if either is NaN
+                return vals, digits_p  # not if either is NaN
             # digits short of the target; a value inside its own bound is
             # short by the whole target, and a NaN is short by NaN
             short = [target + mp.log10(e / max(abs(v), e))
                      for v, e in zip(vals, errs)]
             if any(mp.isnan(s) for s in short):
                 break
+            digits_p += float(max(short)) + 1
             if any(f * scale > abs(v) for v, f in zip(vals, fixed)):
-                return None
-        digits_p += float(max(short)) + 1
+                return None, digits_p
     raise PrecisionExhaustedError(
         f"airy(z={mp.nstr(zv, 8)}): the {route} pass not certified to "
         f"{target} digits (shortfalls {mp.nstr(short, 3)} at {p} bits, "
@@ -280,8 +291,8 @@ def airy(z, ctx: PrecisionContext) -> AiryValue:
     digits_p = ctx.digits + _GUARD + _SLACK
     vals, method = None, AiryMethod.ASYMPTOTIC
     if absz > limit:
-        vals = _certified("asymptotic", _series_pass, zv, ctx.digits,
-                          digits_p)
+        vals, digits_p = _certified("asymptotic", _series_pass, zv,
+                                    ctx.digits, digits_p)
         if vals is None and absz > _FALLBACK * limit:
             raise PrecisionExhaustedError(
                 f"airy(z={mp.nstr(zv, 8)}): the asymptotic series' smallest "
@@ -289,7 +300,9 @@ def airy(z, ctx: PrecisionContext) -> AiryValue:
                 f"the Maclaurin pass serves |z| <= {_FALLBACK} Z(d) = "
                 f"{_FALLBACK * limit:.1f} only")
     if vals is None:
-        vals = _certified("Maclaurin", _maclaurin_pass, zv, ctx.digits,
-                          digits_p + _loss_digits(float(zv)))
+        # past Z(d) digits_p carries the digits the series fell short,
+        # which the value's nearness to a zero sets for either pass
+        vals, _ = _certified("Maclaurin", _maclaurin_pass, zv, ctx.digits,
+                             digits_p + _loss_digits(float(zv)))
         method = AiryMethod.MACLAURIN
     return AiryValue(*vals, method)

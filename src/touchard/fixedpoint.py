@@ -1,12 +1,10 @@
 """The fixed-point pass of the exact layer (stirling.py): the cut powers
-j^n and the alternating sums over them, each with a counted bound.
+j^n and the alternating sum over them, with a counted bound.
 
 grid_sum makes, in one pass over j, the terms of
 T_n(-x) = sum_{j=1..n} (-1)^j j^n t_j E_{n-j}, t_j = x^j/j! and
-E_m = sum_{i<=m} t_i, and those of the explicit formula
-top! S(m, top) = sum_k (-1)^(top-k) C(top,k) k^m for m = n .. n + width - 1.
-descend takes the latter down to k! S(n,k) for the rest of a window of k.
-stirling.py sizes the pass, certifies its sums and reruns it.
+E_m = sum_{i<=m} t_i; stirling.py sizes the pass, certifies its sum and
+reruns it.
 
 Every t_j, E_m and j^n is positive, so the sum runs in Python ints at p bits:
 x = man 2^exp is taken exactly from the mpf; t_j is a p-bit mantissa and an
@@ -30,13 +28,9 @@ With one more cut for u_j, term j is low by under
 (c_j + 4j + 2 + 5(n - j)) 2^-p <= (5n + 4) 2^-p of itself when t_j is
 taken going up, and by under (c_j + 4(n + 1 - j) + 2 + 5(n - j)) 2^-p
 <= (9n - 3) 2^-p coming down, each plus one grid unit: every term is low
-by at most delta = 9n 2^-p of itself plus one grid unit. A term
-C(top, k) k^(n+i) of the explicit formula, the exact binomial times the cut
-k^n and k^i, floored onto its own grid of 2^g2, is low by under
-c_k 2^-p <= delta of itself plus one grid unit.
-
-A sum of N such terms with absolute sum A on the grid then misses its exact
-value by at most 2 delta (A + N + 1) + N + 2 grid units: bound().
+by at most 9n 2^-p of itself plus one grid unit, and the sum of the n terms
+with absolute sum A on the grid misses T_n(-x) 2^-g by at most
+counted_bound(9n, n + 1, p, A) grid units.
 """
 from __future__ import annotations
 
@@ -94,17 +88,12 @@ def cut_powers(n: int, p: int) -> Iterator[tuple[int, int]]:
         yield m, e
 
 
-def grid_sum(n: int, man: int, exp: int, p: int, g: int, top: int,
-             width: int, g2: int) -> tuple[int, int, list[int], list[int]]:
-    """(S, A, D, B). S = sum_j (-1)^j R_j and A = sum_j R_j over j = 1..n,
-    where R_j is j^n t_j E_{n-j} at x = man 2^exp rounded down to units of
-    2^g. D[i] = sum_k (-1)^(top-k) Q_ik and B[i] = sum_k Q_ik over
-    k = 1..top for i < width, where Q_ik is C(top, k) k^(n+i) rounded down
-    to units of 2^g2, so that D[i] 2^g2 is about top! S(n + i, top).
+def grid_sum(n: int, man: int, exp: int, p: int, g: int) -> tuple[int, int]:
+    """(S, A): S = sum_j (-1)^j R_j and A = sum_j R_j over j = 1..n, where
+    R_j is j^n t_j E_{n-j} at x = man 2^exp rounded down to units of 2^g.
 
-    One pass over k makes t_k, E_k and the cut power k^n, and for k <= top
-    adds the explicit formula's terms with the exact binomial. The term of
-    j pairs u_j = j^n t_j with E_{n-j}, so for 2k < n the pass holds E_k
+    One pass over k makes t_k, E_k and the cut power k^n. The term of j
+    pairs u_j = j^n t_j with E_{n-j}, so for 2k < n the pass holds E_k
     beside the k^n that cut_powers holds anyway, and each later k closes
     the terms of k and of n - k. The t_{n-k} of the second comes from
     t_{m-1} = t_m m/x, run down from the middle: held, it would add a third
@@ -115,9 +104,6 @@ def grid_sum(n: int, man: int, exp: int, p: int, g: int, top: int,
     tm, te = 1 << (p - 1), 1 - p  # t_k = tm 2^te, tm of p bits
     em, ee = 0, te                # E_k = em 2^ee
     s = a = 0
-    pos = [0] * width  # the explicit formula's terms of either sign
-    neg = [0] * width
-    binom = 1  # C(top, k)
     mb = man.bit_length() + 1  # keeps each quotient t_(m+1) (m+1)/x >= 2^p
     for k, (jm, je) in enumerate(cut_powers(n, p)):
         if k:
@@ -128,15 +114,6 @@ def grid_sum(n: int, man: int, exp: int, p: int, g: int, top: int,
         # larger p + 2 bits
         b = max(ee + em.bit_length(), te + p) - p - 2
         em, ee = _shift(em, ee - b) + _shift(tm, te - b), b
-        if k <= top:
-            # the term's sign picks the list; the shift is exact when sh >= 0
-            acc = neg if (top - k) & 1 else pos
-            sh = je - g2
-            v, down = binom * jm << max(sh, 0), max(-sh, 0)
-            for i in range(width):
-                acc[i] += v >> down
-                v *= k
-            binom = binom * (top - k) // (k + 1)
         if k < half:
             held.append((jm, je, em, ee))
             continue
@@ -157,8 +134,7 @@ def grid_sum(n: int, man: int, exp: int, p: int, g: int, top: int,
             r = _shift(um * em, ue + hje + de + ee - g)  # term m: u_m E_k
             a += r
             s += -r if m & 1 else r
-    return (s, a, [u - v for u, v in zip(pos, neg)],
-            [u + v for u, v in zip(pos, neg)])
+    return s, a
 
 
 def counted_bound(c: int, units: int, p: int, a: int) -> int:
@@ -172,26 +148,3 @@ def counted_bound(c: int, units: int, p: int, a: int) -> int:
     count their roundings into this one form.
     """
     return (c * (a + units) >> (p - 1)) + units + 2
-
-
-def bound(n: int, p: int, terms: int, a: int) -> int:
-    """counted_bound for a sum of `terms` terms of the pass, each low by at
-    most 9n 2^-p of itself plus one unit, and one unit more."""
-    return counted_bound(9 * n, terms + 1, p, a)
-
-
-def descend(sums: list[int], bounds: list[int], lo: int,
-            hi: int) -> dict[int, tuple[int, int]]:
-    """{k: (D_k(n), its bound)} for k = hi .. lo, in grid units, from
-    sums[i] = D_hi(n + i) within bounds[i], where D_k(m) = k! S(m, k).
-
-    S(m+1, k) = k S(m, k) + S(m, k-1) gives D_{k-1}(m) = D_k(m+1)/k - D_k(m).
-    The floored division adds one unit to the bound, and the bounds of
-    D_k(m+1)/k and D_k(m) add up.
-    """
-    window = {}
-    for k in range(hi, lo - 1, -1):
-        window[k] = sums[0], bounds[0]
-        sums = [b // k - a for a, b in zip(sums, sums[1:])]
-        bounds = [-(-eb // k) + ea + 1 for ea, eb in zip(bounds, bounds[1:])]
-    return window

@@ -12,10 +12,10 @@ n terms and no Stirling number. The sum divides by the exact integer n! last.
 
 The sum runs in Python ints at p bits in fixedpoint.grid_sum, each term
 rounded down onto a grid of 2^g; with S the alternating sum and A the sum
-of the grid terms, every term is low by at most delta = 9n 2^-p of itself
-plus one grid unit (fixedpoint's docstring counts the floors), so
+of the grid terms, every term is low by at most 9n 2^-p of itself plus one
+grid unit (fixedpoint's docstring counts the floors), so
 
-    |T_n(-x) - S 2^g| <= (2 delta (A + n + 1) + n + 2) 2^g,
+    |T_n(-x) - S 2^g| <= fixedpoint.counted_bound(9n, n + 1, p, A) 2^g,
 
 and the value is accepted when that bound is at most 10^-w |S 2^g|,
 w = numkernel.working_digits(ctx, 1), so it carries w correct significant
@@ -37,19 +37,23 @@ cancellation_digits is the least c >= 0 with max_k S(n,k) x^k <= 10^c
 |T_n(-x)|. T_n has only real zeros (Harper, 1967), so S(n,k) x^k is
 log-concave in k (Newton) and its mode lies within 1 of its mean
 T_{n+1}(x)/T_n(x) - x (Darroch, 1964), which Dobinski's series gives in
-floats before the sum, together with T_n(x). The same pass sums the
-explicit formula for D_top(m) = top! S(m, top), top = ceil(mean) + 1, over
-the same cut powers with exact binomials, each term floored onto a grid of
-2^g2; a descent in the grid ints gives D_k(n) = k! S(n,k) for the rest of
-the window [floor(mean) - 1, top]. Each D carries a counted bound of the
-same kind, a cut power being low by at most (4 Omega(k) - 2) 2^-p <= delta
-of itself, and is accepted at w digits. The explicit sum cancels
-on its own terms, about 0.43 n digits where top = n, so the pass works at
-the larger of the p that the value and the largest term ask for, the
-latter from log10 sum_k C(top,k) k^n against k! S(n,k) <= min(k^n,
-k! T_n(x)/x^k). A pass reruns until both sums are certified, each failed
-one resized from what it measured. A maximum on an inner edge of the
-window raises InternalConsistencyError.
+floats: the largest term lies in the window [floor(mean) - 1,
+ceil(mean) + 1], and one found on an inner edge of it raises
+InternalConsistencyError. k! S(n,k)/n! = [t^n] (e^t - 1)^k has
+non-negative coefficients, so a trapezoid sum on the circle through its
+saddle (Moser and Wyman, Duke Math. J. 25, 1958; Bornemann, Found. Comput.
+Math. 11, 2011, for the rule) does not cancel: _log_stirling_window takes
+the window's ln(k! S(n,k)/n!) in doubles from one such sum, each within a
+margin that counts its aliasing and its rounding, and |T_n(-x)| comes from
+the certified value. The count is taken from these unless the ratio's
+log10 lies within the margin of an integer, or another k's term within it
+of the largest; then the window's k! S(n,k) come exactly from the explicit
+formula in Python ints, one j ** n for each j up to the window's top, and
+the count from them at w digits. That fallback took 11.8 s at
+n = N_MAX_LIMIT with the window's top at n (2-vCPU x86-64 VM). Far below
+n, where the window holds a few small k, the circle through the middle
+k's saddle passes too far from the others', and the fallback, a few
+powers, serves: 107 of the parity set's 600 exact points, all with k <= 9.
 The terms rise to the mode and fall after it, so the alternating sums of
 the rise and of the fall have opposite signs and neither exceeds the largest
 term: for n >= 2, |T_n(-x)| < max term, and c >= 1 even where one term
@@ -62,6 +66,7 @@ perfbench/tracer.py names build_triangle in WRAPPED and COUNTS (--trace 1).
 """
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -85,9 +90,9 @@ _ROW_LIMIT = 4000
 MAX_ESCALATIONS = 8
 # Digits below the saddle envelope at which the first pass expects |T|: the
 # envelope leaves out the cosine for xi < 1 and the Airy scale near xi = 1.
-# The first pass expects each k! S(n,k) of the window as far below its bound.
 _ENVELOPE_MARGIN = 3
 _LOG10_2 = math.log10(2)
+_U = 2.0 ** -53  # the unit roundoff of a double
 
 
 @dataclass(frozen=True)
@@ -145,25 +150,6 @@ def _log10_term_sum(n: int, lx: float) -> float:
     return (top + math.log(total)) / math.log(10)
 
 
-def _log10_explicit_sum(n: int, top: int) -> float:
-    """log10 of top times the largest C(top, k) k^n, k = 1..top, a bound on
-    their sum from float logarithms.
-
-    ln C(top, k) + n ln k is concave in k, so the largest term is the first
-    whose successor is no larger: a bisection finds it.
-    """
-    lo, hi = 1, top
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if math.log((top - mid) / (mid + 1)) + n * math.log1p(1 / mid) > 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    k = lo
-    log_c = math.lgamma(top + 1) - math.lgamma(k + 1) - math.lgamma(top - k + 1)
-    return (log_c + n * math.log(k) + math.log(top)) / math.log(10)
-
-
 def _log10_envelope(n: int, x: mpf) -> float:
     """log10 of the saddle-point size of |T_n(-x)|.
 
@@ -210,33 +196,14 @@ def _require_finite(predictor: str, *sizes: float) -> None:
             f"{predictor} predicted {', '.join(map(str, sizes))}, not finite")
 
 
-def _remeasured(log_sum: float, log_t: float, terms: int, a: int, s: int,
-                bound: int, g: int) -> tuple[float, float]:
-    """What the next pass expects of a sum that failed: log10 of the sum of
-    its `terms` terms, a on the grid of 2^g, and log10 of its value, s
-    within bound. |T| >= |s| - bound once |s| >= 2 bound; below that only
-    |T| <= 2 bound, and the next pass expects at least twice the loss that
-    this one did."""
-    loss = log_sum - log_t
-    log_sum = math.log10(a + terms + 1) + g * _LOG10_2
-    log_t = math.log10(max(abs(s) - bound, bound)) + g * _LOG10_2
-    if abs(s) < 2 * bound:
-        log_t = min(log_t, log_sum - 2 * loss)
-    return log_sum, log_t
+def _certified_sum(n: int, x: mpf, lx: float,
+                   ctx: PrecisionContext) -> tuple[int, int]:
+    """(S, g) with T_n(-x) = S 2^g to working_digits(ctx, 1) significant
+    digits, for x > 0, lx = ln x and n >= 1.
 
-
-def _certified_sum(n: int, x: mpf, lx: float, log_tx: float,
-                   ctx: PrecisionContext, lo: int,
-                   hi: int) -> tuple[int, int, dict[int, int], int]:
-    """(S, g, D, g2) with T_n(-x) = S 2^g and D[k] 2^g2 = k! S(n, k) for
-    k = lo .. hi, each to working_digits(ctx, 1) significant digits, for x > 0,
-    lx = ln x, log_tx = ln T_n(x) and n >= 1.
-
-    Both sums come from one fixedpoint.grid_sum pass at the larger of the
-    two p that their predicted losses ask for, and a pass reruns until both
-    are certified, each rerun sizing a failed sum from what that pass
-    measured. PrecisionExhaustedError names the sums that failed, the target
-    digits and the last p.
+    One fixedpoint.grid_sum pass at the p that the predicted loss asks for,
+    rerun with the sizes it measured until the sum is certified.
+    PrecisionExhaustedError names the target digits and the last p.
     """
     target = working_digits(ctx, 1)
     scale = 10 ** target
@@ -246,63 +213,38 @@ def _certified_sum(n: int, x: mpf, lx: float, log_tx: float,
     # the envelope first, so that min keeps a NaN; +inf leaves log_sum
     log_t = min(_log10_envelope(n, x) - _ENVELOPE_MARGIN, log_sum)
     _require_finite("_log10_envelope", log_t)
-    log_b = _log10_explicit_sum(n, hi)
-    _require_finite("_log10_explicit_sum", log_b)
-    # k! S(n,k) counts the maps of n elements onto k, so it is at most k^n,
-    # and it is at most k! T_n(x)/x^k, within about 1.5 digits near the mode
-    log_d = min(min(n * math.log(k), log_tx + math.lgamma(k + 1) - k * lx)
-                for k in range(lo, hi + 1)) / math.log(10) - _ENVELOPE_MARGIN
-    width = hi - lo + 1
     # T_n(-x) is an integer multiple of 2^grain, since every x^k, k <= n, is
     grain = n * min(exp, 0)
-    value = window = None
     for _ in range(MAX_ESCALATIONS + 1):
-        # the largest term's p and g2 leave room for the descent to lo,
-        # which can double a bound width - 1 times
-        p = max(math.ceil((target + log_sum - log_t) / _LOG10_2
-                          + math.log2(9 * n)) + 2,
-                math.ceil((target + log_b - log_d) / _LOG10_2
-                          + math.log2(9 * n)) + width + 1)
+        p = math.ceil((target + log_sum - log_t) / _LOG10_2
+                      + math.log2(9 * n)) + 2
         g = math.floor((log_t - target) / _LOG10_2 - math.log2(n + 2)) - 2
-        g2 = (math.floor((log_d - target) / _LOG10_2 - math.log2(hi + 2))
-              - width - 1)
-        s, a, sums, absums = fixedpoint.grid_sum(n, man, exp, p, g, hi,
-                                                 width, g2)
-        if value is None:
-            bound = fixedpoint.bound(n, p, n, a)
-            if bound * scale <= abs(s):
-                value = s, g
-            elif grain >= g and abs(s) + bound < 1 << (grain - g):
-                value = 0, g  # nothing but zero lies within the bound
-            else:
-                log_sum, log_t = _remeasured(log_sum, log_t, n, a, s, bound, g)
-        if window is None:
-            found = fixedpoint.descend(
-                sums, [fixedpoint.bound(n, p, hi, b) for b in absums], lo, hi)
-            if all(e * scale <= abs(d) for d, e in found.values()):
-                window = {k: d for k, (d, _) in found.items()}, g2
-            else:
-                # the D with the fewest certified bits sizes the rerun
-                d, e = min(found.values(), key=lambda de:
-                           abs(de[0]).bit_length() - de[1].bit_length())
-                log_b, log_d = _remeasured(log_b, log_d, hi, absums[0], d, e,
-                                           g2)
-        if value and window:
-            return *value, *window
-    failed = [what for what, done in (("the value sum", value),
-                                      ("the largest-term sum", window))
-              if done is None]
+        s, a = fixedpoint.grid_sum(n, man, exp, p, g)
+        bound = fixedpoint.counted_bound(9 * n, n + 1, p, a)
+        if bound * scale <= abs(s):
+            return s, g
+        if grain >= g and abs(s) + bound < 1 << (grain - g):
+            return 0, g  # nothing but zero lies within the bound
+        # what the next pass expects: log10 of the terms' sum, a on the grid,
+        # and of the value, s within bound. |T| >= |s| - bound once
+        # |s| >= 2 bound; below that only |T| <= 2 bound, and the next pass
+        # expects at least twice the loss that this one did
+        loss = log_sum - log_t
+        log_sum = math.log10(a + n + 1) + g * _LOG10_2
+        log_t = math.log10(max(abs(s) - bound, bound)) + g * _LOG10_2
+        if abs(s) < 2 * bound:
+            log_t = min(log_t, log_sum - 2 * loss)
     raise PrecisionExhaustedError(
-        f"scaled_touchard(n={n}): {' and '.join(failed)} not certified to "
-        f"{target} digits after {MAX_ESCALATIONS} reruns (last working "
-        f"precision {p} bits)")
+        f"scaled_touchard(n={n}): the value sum not certified to {target} "
+        f"digits after {MAX_ESCALATIONS} reruns (last working precision "
+        f"{p} bits)")
 
 
 # ---------------------------------------------------------------------------
 # the largest Stirling term
 
-def _mode_mean(n: int, x: mpf, lx: float) -> tuple[float, float]:
-    """The mean of k under the weights S(n,k) x^k, and ln T_n(x), in floats.
+def _mode_mean(n: int, x: mpf, lx: float) -> float:
+    """The mean of k under the weights S(n,k) x^k, in floats.
 
     The mean is T_{n+1}(x)/T_n(x) - x, and by Dobinski's formula
     T_n(x) = e^-x sum_j j^n x^j/j!, so it is the mean of j under
@@ -310,12 +252,10 @@ def _mode_mean(n: int, x: mpf, lx: float) -> tuple[float, float]:
     first j with w_{j+1} < w_j, lies in [1, x + n]: a bisection finds it,
     and the sum runs outward from there until the weights fall below e^-40
     of the peak. From x = C(n,2) up the mode is n, since
-    S(n,n-1) x^(n-1) <= S(n,n) x^n there, and n is returned with n ln x,
-    which ln T_n(x) exceeds by at most C(n,2)/x <= 1, as
-    S(n, n-d) <= C(n,2)^d/d!.
+    S(n,n-1) x^(n-1) <= S(n,n) x^n there, and n is returned.
     """
     if x >= n * (n - 1) // 2:
-        return float(n), n * lx
+        return float(n)
     lo, hi = 1, int(x) + n
     while lo < hi:
         mid = (lo + hi) // 2
@@ -335,24 +275,148 @@ def _mode_mean(n: int, x: mpf, lx: float) -> tuple[float, float]:
             s0 += w
             s1 += j * w
             j += step
-    return s1 / s0 - float(x), top + math.log(s0) - float(x)
+    return s1 / s0 - float(x)
 
 
-def _largest_term(n: int, x: mpf, window: dict[int, int], g2: int) -> mpf:
-    """max_k S(n,k) x^k at the working precision over the window's k, from
-    window[k] 2^g2 = k! S(n, k)."""
-    lo, hi = min(window), max(window)
-    terms = {}
-    power = x ** lo
-    for k in range(lo, hi + 1):
-        terms[k] = mp.ldexp(window[k], g2) * power / math.factorial(k)
-        power *= x
-    best = max(terms, key=terms.get)
+def _saddle(mu: float) -> float:
+    """The t > 0 with t e^t/(e^t - 1) = mu, for mu > 1.
+
+    F(t) = t + mu expm1(-t) is convex, with F(0) = 0 and F'(0) < 0, and
+    t e^t/(e^t - 1) = t/2 + (t/2) coth(t/2) >= max(t, 1 + t/2) puts its
+    positive root at or below min(mu, 2 (mu - 1)). Newton's method falls to
+    it from there without overshooting; six steps took it to within 1e-15
+    of itself over mu = 1 + 1e-5 ... 1e4. Any t near the root serves.
+    """
+    t = min(mu, 2 * (mu - 1))
+    for _ in range(6):
+        t -= (t + mu * math.expm1(-t)) / (1 - mu * math.exp(-t))
+    return t
+
+
+def _log_stirling_window(n: int, lo: int,
+                         hi: int) -> dict[int, tuple[float, float]]:
+    """{k: (v, m)} for k = lo .. hi, with |ln(k! S(n,k)/n!) - v| <= m, from one
+    trapezoid sum on |t| = rho in doubles; m is inf where it says nothing.
+
+    a_m = k! S(m,k)/m! = [t^m] (e^t - 1)^k >= 0, zero for m < k, and the
+    mean of (e^t - 1)^k t^-n over N equally spaced points of |t| = rho is
+    sum_l a_(n+lN) rho^(lN): a_n and its aliases. N > n - lo leaves no
+    alias below n. Since the a_m are not negative, |(e^t - 1)^k| <=
+    (e^R - 1)^k on |t| = R and a_m <= (e^R - 1)^k R^-m, so the aliases
+    above n sum to at most B = (e^R - 1)^k R^-n q/(1 - q), q = (rho/R)^N,
+    for every R > rho. rho and R solve t e^t/(e^t - 1) = n/kc and
+    (n + N)/kc, kc the middle of the window, where the terms near t = rho
+    keep one sign; N doubles from 16 until it exceeds n - lo and B at kc is
+    under 2^-40 of (e^rho - 1)^kc rho^-n.
+
+    Each node t_j = rho e^(2 pi i j/N) makes h_j = ln(e^t - 1) once,
+    through a complex expm1 as in _log10_envelope, taken at -t where
+    Re t > 0 so that nothing overflows, and k takes exp(k (h_j - h_0))
+    e^(-2 pi i (n j mod N)/N), h_0 = ln(e^rho - 1): the next k is the
+    previous k times e^t - 1. The terms of j and N - j are conjugate. The
+    rounding bound takes each libm call as within 2 ulp and counts per node
+    the error of e^t - 1's parts, of t_j through |h'| <= (1 + |e^(+-t)|)
+    /|e^(+-t) - 1|, of the log and of k (h_j - h_0), relative to the term,
+    and N/2 + 1 ulp of the sum's size for adding the nodes. With E the mean
+    and dE the bound, a_n lies in [E - dE - 2B, E + dE] over
+    (e^rho - 1)^k rho^-n, and m is the log of the ratio of its ends, which
+    covers either end's distance from E, plus the rounding of
+    k h_0 - n ln rho + ln E.
+    """
+    kc = min((lo + hi) / 2, n - 0.5)
+    rho = _saddle(n / kc)
+    h0, lr = rho + math.log(-math.expm1(-rho)), math.log(rho)
+
+    def alias(k: float) -> float:
+        """ln B over (e^rho - 1)^k rho^-n."""
+        big = _saddle((n + N) / kc)
+        lq = math.log(big / rho)
+        return (k * (big + math.log(-math.expm1(-big)) - h0) - (n + N) * lq
+                - math.log(-math.expm1(-N * lq)))
+
+    N = 16
+    while N <= n - lo or alias(kc) > -40 * math.log(2):
+        N *= 2
+    acc = {k: [0.0, 0.0] for k in range(lo, hi + 1)}  # sum, error bound
+    for j in range(N // 2 + 1):
+        t = cmath.rect(rho, 2 * math.pi * j / N)
+        # z = e^(+-t) - 1, the sign that keeps |e^(+-t)| <= 1
+        a, b = (-t.real, -t.imag) if t.real > 0 else (t.real, t.imag)
+        em, ea, sb, c2 = (math.expm1(a), math.exp(a), math.sin(b),
+                          2 * math.sin(b / 2) ** 2)
+        z = complex(em * math.cos(b) - c2, ea * sb)
+        d = (t + cmath.log(-z) if t.real > 0 else cmath.log(z)) - h0
+        # the error of k d in ulp, over k, as the docstring counts it
+        ed = (8 * (abs(em) + c2 + ea * abs(sb) + 8 * rho * (1 + ea)) / abs(z)
+              + 18 * abs(d) + 16 * abs(h0) + 8 * rho + 64)
+        phase = 2 * math.pi * (n * j % N) / N
+        weight = 1 if j in (0, N // 2) else 2
+        for k, kept in acc.items():
+            size = weight * math.exp(k * d.real)
+            kept[0] += size * math.cos(k * d.imag - phase)
+            kept[1] += size * math.expm1((k * ed + N + 16) * _U)
+    for k, (total, err) in acc.items():  # N times E and dE; then (v, m)
+        low = total - err - 2 * N * math.exp(min(alias(k), 0))
+        le = math.log(total / N) if low > 0 else 0.0
+        m = math.log((total + err) / low) if low > 0 else math.inf
+        acc[k] = (k * h0 - n * lr + le,
+                  m + 4 * _U * (abs(k * h0) + abs(n * lr) + abs(le) + 1))
+    return acc
+
+
+def _exact_window(n: int, lo: int, hi: int) -> dict[int, int]:
+    """{k: k! S(n,k)} for k = lo .. hi by the explicit formula
+    k! S(n,k) = sum_j (-1)^(k-j) C(k,j) j^n, one j ** n for each j."""
+    window = dict.fromkeys(range(lo, hi + 1), 0)
+    signed = {k: (-1) ** k for k in window}  # (-1)^(k-j) C(k,j) at j = 0
+    for j in range(1, hi + 1):
+        power = j ** n
+        for k in window:  # C(k, j) = 0 for j > k
+            signed[k] = -signed[k] * (k - j + 1) // j
+            window[k] += signed[k] * power
+    return window
+
+
+def _cancellation_digits(n: int, x: mpf, s: int, g: int, lo: int, hi: int,
+                         ctx: PrecisionContext) -> int:
+    """cancellation_digits of T_n(-x) = S 2^g, the largest Stirling term
+    lying in the window [lo, hi].
+
+    With S != 0 the count is max(n > 1, ceil(l)), l = log10 of the largest
+    term over |S 2^g|; with S = 0 it is floor(l) - floor(g log10 2), l =
+    log10 of the largest term. From _log_stirling_window, l is known in
+    doubles within a counted margin, each double's magnitude times 16 ulp
+    more. The count is taken from it where the largest term's k stands
+    clear of the others' and the count is the same across the margin; else
+    from the window's exact integers at the working precision.
+    """
+    man, exp = x.man_exp
+    shift, log_s = (g, math.log(abs(s))) if s else (0, 0.0)
+
+    def count(l) -> int:
+        return (max(int(n > 1), int(mp.ceil(l))) if s else
+                int(mp.floor(l)) - math.floor(g * _LOG10_2))
+
+    est = {}  # k: (ln of the term, its margin)
+    for k, (v, m) in _log_stirling_window(n, lo, hi).items():
+        parts = (v, math.lgamma(n + 1), -math.lgamma(k + 1),
+                 k * math.log(man), (k * exp - shift) * math.log(2), -log_s)
+        est[k] = math.fsum(parts), m + 16 * _U * sum(map(abs, parts))
+    best = max(est, key=est.get)
+    top, gap = est[best]
+    low, high = (top - gap) / math.log(10), (top + gap) / math.log(10)
+    if not (all(top - gap > v + m for k, (v, m) in est.items() if k != best)
+            and math.isfinite(gap) and count(low) == count(high)):
+        with mp.workdps(working_digits(ctx, 1)):
+            terms = {k: d * x ** k / math.factorial(k)
+                     for k, d in _exact_window(n, lo, hi).items()}
+            best = max(terms, key=terms.get)
+            high = mp.log10(terms[best] / (abs(mp.ldexp(s, g)) if s else 1))
     if best == lo > 1 or best == hi < n:
         raise InternalConsistencyError(
             f"largest Stirling term of n = {n} at k = {best}, on an inner "
             f"edge of the window [{lo}, {hi}]: the float mean missed the mode")
-    return terms[best]
+    return count(high)
 
 
 # ---------------------------------------------------------------------------
@@ -372,20 +436,12 @@ def scaled_touchard(n: int, z: BigReal, ctx: PrecisionContext) -> ExactValue:
     x = mp.fneg(zv, exact=True)
     with mp.workdps(20):
         lx = float(mp.log(x))
-    mean, log_tx = _mode_mean(n, x, lx)
-    _require_finite("_mode_mean", mean, log_tx)
+    mean = _mode_mean(n, x, lx)
+    _require_finite("_mode_mean", mean)
     lo = min(n, max(1, math.floor(mean) - 1))
     hi = max(lo, min(n, math.ceil(mean) + 1))
-    s, g, window, g2 = _certified_sum(n, x, lx, log_tx, ctx, lo, hi)
+    s, g = _certified_sum(n, x, lx, ctx)
+    cancel = _cancellation_digits(n, x, s, g, lo, hi, ctx)
     with mp.workdps(working_digits(ctx, 1)):
-        biggest = _largest_term(n, x, window, g2)
-        total = mp.ldexp(s, g)
-        if s == 0:
-            # every digit of the largest term down to the grid cancelled
-            cancel = int(mp.floor(mp.log10(biggest))) - math.floor(g * _LOG10_2)
-        else:
-            # |T| < the largest term from n = 2 on (module docstring)
-            cancel = max(int(n > 1),
-                         int(mp.ceil(mp.log10(biggest / abs(total)))))
-        scaled = total / math.factorial(n)
+        scaled = mp.ldexp(s, g) / math.factorial(n)
     return ExactValue(value=wrap_real(scaled, ctx), cancellation_digits=cancel)

@@ -248,23 +248,48 @@ class TestRoutes:
     def test_zeros_past_the_limit(self, digits, derivative, monkeypatch):
         # a zero of Ai or Ai' rounded to d + 10 digits leaves the value about
         # |z|^(3/2) 10^-(d+10) of its envelope. Just past -Z(d) the series'
-        # smallest term is above 10^-(d+10) of that, and the Maclaurin pass
-        # serves the zero; near -1e4 the series certifies it after a rerun
+        # smallest term is above 10^-(d+10) of that, the first series pass
+        # tells it, and the Maclaurin pass serves the zero; near -1e4 the
+        # series certifies it after a rerun
         ctx = mk_context(digits)
         limit = maclaurin_limit(digits)
         with mp.workdps(15):
             past = next(k for k in itertools.count(1)
                         if -mpmath.airyaizero(k, derivative) > limit)
         made = passes(monkeypatch, "_series")
-        for k, route in ((past, "maclaurin"), (212000, "asymptotic")):
+        for k, route, count in ((past, "maclaurin", 1),
+                                (212000, "asymptotic", 2)):
             with mp.workdps(digits + 10):
                 zv = +mpmath.airyaizero(k, derivative)
             made.clear()
             got = airy(zv, ctx)
-            assert (got.method.value, len(made)) == (route, 2), k
+            assert (got.method.value, len(made)) == (route, count), k
             assert printed(got, ctx) == (mpmath_string(zv, ctx),
                                          mpmath_string(zv, ctx, 1)), k
         assert -zv > 9000
+
+    @pytest.mark.parametrize("digits", [120, 300])
+    def test_fallback_at_a_zero_takes_one_pass_of_each(self, digits,
+                                                        monkeypatch):
+        # at the first zero of Ai past -Z(d) the series' smallest term, read
+        # in floats, sends the first series pass to the Maclaurin pass, and
+        # that pass starts at the digits the series fell short: two passes
+        # where the smallest term on the grid and a Maclaurin pass at its
+        # predicted loss alone made four
+        ctx = mk_context(digits)
+        with mp.workdps(15):
+            k = next(k for k in itertools.count(1)
+                     if -mpmath.airyaizero(k) > maclaurin_limit(digits))
+        with mp.workdps(digits + 10):
+            zv = +mpmath.airyaizero(k)
+        series = passes(monkeypatch, "_series")
+        sums = passes(monkeypatch)
+        got = airy(zv, ctx)
+        assert got.method.value == "maclaurin"
+        assert (len(series), len(sums)) == (1, 1)
+        assert sums[0] > series[0]
+        assert printed(got, ctx) == (mpmath_string(zv, ctx),
+                                     mpmath_string(zv, ctx, 1))
 
     def test_zero_held_past_the_fallback_refused(self, ctx40):
         # past 2 Z(d) the Maclaurin pass does not serve: a zero held to

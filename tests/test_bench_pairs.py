@@ -69,11 +69,18 @@ def test_summary_shape(bench):
               ("asymptotic-sweep", "change"): traced}
     meta = {"parent": "abc", "change": "working tree", "pairs": 4,
             "seeds": [1, 2, 3, 4], "seconds": 5.0}
-    out = bench.summarize("x", runs, traces, meta)
+    imports = {("asymptotic-sweep", "parent"): 18.25,
+               ("asymptotic-sweep", "change"): 18.0}
+    out = bench.summarize("x", runs, traces, imports, meta)
     assert json.loads(json.dumps(out)) == out
     assert {k: out[k] for k in meta} == meta and out["label"] == "x"
     entry = out["workloads"]["asymptotic-sweep"]
-    assert set(entry) == {"parent", "change", "trace", *bench.METRICS}
+    assert set(entry) == {"parent", "change", "trace", "import_rss_mb",
+                          *bench.METRICS}
+    # beside peak_rss_mb, in the order the file is written
+    keys = list(entry)
+    assert keys.index("import_rss_mb") == keys.index("peak_rss_mb") + 1
+    assert entry["import_rss_mb"] == {"parent": 18.25, "change": 18.0}
     assert entry["change"] == {"correct": [True, True, True, False],
                                "failed": [0, 0, 0, 1]}
     p = entry["pass_s"]
@@ -90,7 +97,14 @@ def test_summary_refuses_unmatched_pairs(bench):
     runs = [(0, "w", 1, "parent", bench.result_line(line(0.2))),
             (1, "w", 2, "change", bench.result_line(line(0.2)))]
     with pytest.raises(ValueError, match="different pairs"):
-        bench.summarize("x", runs, {}, {})
+        bench.summarize("x", runs, {}, {}, {})
+
+
+def test_import_rss_reads_the_last_line(bench):
+    # the IMPORT_RSS program prints ru_maxrss in MiB as its last line
+    assert bench.import_rss("warning: something\n18.5\n") == 18.5
+    assert "import resource, touchard.cli" in bench.IMPORT_RSS
+    assert "ru_maxrss / 1024" in bench.IMPORT_RSS
 
 
 def test_runs_are_set_by_the_benchmark(bench, capsys):

@@ -190,8 +190,9 @@ class TestCertifiedSum:
         g = -12
         for n in (1, 2, 3, 4, 10, 31, 64, 121):
             exact = sum(c * (-x) ** k for k, c in enumerate(stirling2_row(n)))
-            s, a, _, _ = fixedpoint.grid_sum(n, man, exp, p, g, 1, 1, 0)
-            assert abs(s - exact * 2 ** -g) <= fixedpoint.bound(n, p, n, a), n
+            s, a = fixedpoint.grid_sum(n, man, exp, p, g)
+            assert abs(s - exact * 2 ** -g) <= \
+                fixedpoint.counted_bound(9 * n, n + 1, p, a), n
 
     def test_old_exhaustion_input_now_certifies(self, monkeypatch):
         # the n = 121 table point at 30 digits exhausted the double-and-
@@ -227,8 +228,7 @@ class TestLargestTerm:
         mode_mean = stirling._mode_mean
 
         def mean_too_high(n, x, lx):
-            mean, log_tx = mode_mean(n, x, lx)
-            return mean + 3, log_tx
+            return mode_mean(n, x, lx) + 3
 
         monkeypatch.setattr(stirling, "_mode_mean", mean_too_high)
         ctx = mk_context(40)
@@ -241,11 +241,12 @@ class TestLargestTerm:
 class TestExplicitSumCancels:
     # From x = C(n,2) up the window's top is n, and the explicit formula
     # n! = sum_k (-1)^(n-k) C(n,k) k^n cancels about 0.43 n digits, as much
-    # as the value's own sum, though one Stirling term dominates |T_n(-x)|.
-    # Far below n the window is a few small k, and the descent to D_1(n) = 1
-    # or D_3(n) from D_top loses about 0.3 n digits where the value loses
-    # none, so the largest term sets the pass's precision. The n = 999
-    # strings are those of the exact-power layer.
+    # as the value's own sum, though one Stirling term dominates |T_n(-x)|;
+    # far below n the window is a few small k, whose explicit sums cancel
+    # about 0.3 n digits. The Cauchy estimate in doubles does not cancel
+    # there, and the exact fallback sums the formula in integers, so one
+    # pass of the value sum serves. The n = 999 strings are those of the
+    # exact-power layer.
     N999 = {
         -400: "-6.755387404507406443725911521746086720711e-2962@40",
         -100: "1.049062880341199709589425527276538749537e-2351@40",
@@ -260,12 +261,12 @@ class TestExplicitSumCancels:
 
     @staticmethod
     def passes(monkeypatch):
-        """The (p, top) of each grid_sum pass, as they are made."""
+        """The p of each grid_sum pass, as they are made."""
         made, grid_sum = [], fixedpoint.grid_sum
 
-        def counted(n, man, exp, p, g, top, width, g2):
-            made.append((p, top))
-            return grid_sum(n, man, exp, p, g, top, width, g2)
+        def counted(n, man, exp, p, g):
+            made.append(p)
+            return grid_sum(n, man, exp, p, g)
 
         monkeypatch.setattr(fixedpoint, "grid_sum", counted)
         return made
@@ -279,9 +280,7 @@ class TestExplicitSumCancels:
         want, cancel = integer_scaled_touchard(300, raw(z))
         assert got.value.to_str() == wrap_real(want, ctx).to_str()
         assert got.cancellation_digits == cancel == 1
-        # one pass, at the top n wherever x >= C(n,2)
         assert len(made) == 1
-        assert (made[0][1] == 300) == (k > 0)
 
     @pytest.mark.parametrize("k", sorted(N999))
     def test_n_999_prints_the_exact_power_layer(self, k, monkeypatch):
@@ -292,37 +291,79 @@ class TestExplicitSumCancels:
         assert got.cancellation_digits == 1
         assert len(made) == 1
 
-    @pytest.mark.parametrize("k", [-400, -100])
-    def test_a_prediction_far_too_low_reruns_and_certifies(self, k,
-                                                            monkeypatch):
-        # with the explicit sum predicted 1000 digits smaller, the first pass
-        # takes the value's p, some 300 digits short for the largest term
-        ctx = mk_context(40)
-        z = self.z_at(999, k, ctx)
-        explicit = stirling._log10_explicit_sum
-        monkeypatch.setattr(stirling, "_log10_explicit_sum",
-                            lambda n, top: explicit(n, top) - 1000)
-        made = self.passes(monkeypatch)
-        got = scaled_touchard(999, z, ctx)
-        assert got.value.to_str() == self.N999[k]
-        assert got.cancellation_digits == 1
-        assert 1 < len(made) <= stirling.MAX_ESCALATIONS + 1
-        assert made[0][0] < made[-1][0]
 
-    def test_a_largest_term_not_certified_names_it(self, monkeypatch):
+class TestStirlingEstimate:
+    # ln(k! S(n,k)/n!) from one trapezoid sum in doubles, against the
+    # exact integers, on the window of k around the largest term at
+    # x = n e xi
+    @staticmethod
+    def window(n, xi):
+        x = mpf(n) * mp.e * mpf(xi)
+        mean = stirling._mode_mean(n, x, float(mp.log(x)))
+        lo = min(n, max(1, math.floor(mean) - 1))
+        return lo, max(lo, min(n, math.ceil(mean) + 1))
+
+    @pytest.mark.parametrize("n,xi", [
+        (2, "1"), (10, "0.5"), (50, "1"), (80, "0.9"), (121, "1.4"),
+        (300, "1.03"), (1000, "0.5"), (1000, "1.1"), (2000, "0.9"),
+        (3000, "1e-3"), (3000, "3")])
+    def test_within_the_counted_margin(self, n, xi):
+        lo, hi = self.window(n, xi)
+        got = stirling._log_stirling_window(n, lo, hi)
+        exact = stirling._exact_window(n, lo, hi)
+        with mp.workdps(60):
+            log_nf = mp.log(mp.factorial(n))
+            for k, (v, m) in got.items():
+                assert abs(v - (mp.log(exact[k]) - log_nf)) <= m, (n, k)
+                if xi != "1e-3":  # far below n the window's ends lie far
+                    assert m < 1e-9, (n, k, m)  # off the circle's saddle
+
+    @pytest.mark.parametrize("n,lo,hi", [(1, 1, 1), (7, 1, 7), (30, 27, 30),
+                                         (200, 1, 3)])
+    def test_exact_window_is_the_row(self, n, lo, hi):
+        row = stirling2_row(n)
+        assert stirling._exact_window(n, lo, hi) == {
+            k: math.factorial(k) * row[k] for k in range(lo, hi + 1)}
+
+    @pytest.mark.parametrize("digits", [40, 120])
+    def test_forced_exact_fallback_prints_the_same_digits(self, digits,
+                                                           monkeypatch):
+        # with every margin widened by a whole digit no count is decided,
+        # and the exact window gives each point's count
+        ctx = mk_context(digits)
+        points = [(n - 1, x_at(n, xi, ctx)) for n in (2, 50, 121, 300)
+                  for xi in ("1e-40", "0.9", "1", "1.4", "1e40")]
+        want = [scaled_touchard(n, negated(x), ctx) for n, x in points]
+        estimate, exact = stirling._log_stirling_window, stirling._exact_window
+        calls = []
+
+        def wide(n, lo, hi):
+            return {k: (v, m + math.log(10))
+                    for k, (v, m) in estimate(n, lo, hi).items()}
+
+        def counted(n, lo, hi):
+            calls.append(n)
+            return exact(n, lo, hi)
+
+        monkeypatch.setattr(stirling, "_log_stirling_window", wide)
+        monkeypatch.setattr(stirling, "_exact_window", counted)
+        for (n, x), before in zip(points, want):
+            got = scaled_touchard(n, negated(x), ctx)
+            assert got == before, (n, x.to_str())
+        assert calls == [n for n, _ in points]
+
+    def test_mean_off_the_window_refused_on_the_exact_path(self,
+                                                          monkeypatch):
+        mode_mean = stirling._mode_mean
+        estimate = stirling._log_stirling_window
+        monkeypatch.setattr(stirling, "_mode_mean",
+                            lambda n, x, lx: mode_mean(n, x, lx) + 3)
+        monkeypatch.setattr(stirling, "_log_stirling_window",
+                            lambda n, lo, hi: {k: (v, math.inf) for k, (v, _)
+                                               in estimate(n, lo, hi).items()})
         ctx = mk_context(40)
-        z = self.z_at(999, -100, ctx)
-        explicit = stirling._log10_explicit_sum
-        monkeypatch.setattr(stirling, "_log10_explicit_sum",
-                            lambda n, top: explicit(n, top) - 1000)
-        monkeypatch.setattr(stirling, "MAX_ESCALATIONS", 0)
-        with pytest.raises(PrecisionExhaustedError) as exc:
-            scaled_touchard(999, z, ctx)
-        assert exc.value.exit_code == 3
-        assert "the largest-term sum not certified" in str(exc.value)
-        assert "value" not in str(exc.value)
-        assert "to 50 digits after 0 reruns (last working precision" \
-            in str(exc.value)
+        with pytest.raises(InternalConsistencyError, match="inner edge"):
+            scaled_touchard(99, negated(x_at(100, 1, ctx)), ctx)
 
 
 class TestMisprediction:
@@ -386,11 +427,10 @@ class TestSizingFailsClosed:
     # a predicted size that is not finite sizes no pass: eval exits 4 and
     # names the predictor, a NaN envelope included, which min() would drop
     @pytest.mark.parametrize("name,size", [
-        ("_log10_term_sum", math.nan), ("_log10_explicit_sum", math.nan),
-        ("_mode_mean", (math.nan, math.nan)), ("_log10_envelope", -math.inf),
-        ("_log10_envelope", math.nan)],
-        ids=["term_sum-nan", "explicit_sum-nan", "mode_mean-nan",
-             "envelope-minus_inf", "envelope-nan"])
+        ("_log10_term_sum", math.nan), ("_mode_mean", math.nan),
+        ("_log10_envelope", -math.inf), ("_log10_envelope", math.nan)],
+        ids=["term_sum-nan", "mode_mean-nan", "envelope-minus_inf",
+             "envelope-nan"])
     def test_non_finite_prediction_is_an_internal_error(self, name, size,
                                                         monkeypatch, capsys):
         monkeypatch.setattr(stirling, name, lambda *args: size)

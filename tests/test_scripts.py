@@ -87,7 +87,43 @@ def test_parity_set_takes_only_outdir(parity, tmp_path, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
     assert sorted(p.name for p in SCRIPTS.glob("*.py")) == [
-        "bench_pairs.py", "error_decay.py", "parity_set.py"]
+        "bench_pairs.py", "code_lines.py", "error_decay.py", "parity_set.py"]
+
+
+CANNED = '''"""A module docstring
+over two lines."""
+import math  # a comment after code counts
+
+# a comment alone
+
+
+class A:
+    """A class docstring."""
+
+    def f(self, x):
+        """One line."""
+        s = """a string that is
+        not a docstring"""
+        return (x +
+                1)
+
+
+def g():
+    return "text"
+'''
+
+
+def test_code_lines_counts_code_outside_docstrings_and_comments(capsys):
+    counter = load_script("code_lines")
+    # import, class, def f, the two lines of s, the two of the return, def g
+    # and its return
+    assert counter.code_lines(CANNED) == 9
+    assert counter.docstring_lines(CANNED) == {1, 2, 9, 12}
+    assert counter.main([]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1].endswith(" total")
+    assert int(out[-1].split()[0]) == sum(int(o.split()[0]) for o in out[:-1])
+    assert len(out) == len(list(counter.SRC.glob("*.py"))) + 1
 
 
 def test_run_tables_writes_the_cli_tables(parity_set):

@@ -15,7 +15,7 @@ from mpmath import mp, mpf
 from touchard import (CapacityError, DomainError, PrecisionExhaustedError,
                       build_triangle, mk_context, real_from, scaled_touchard,
                       wrap_real)
-from touchard import fixedpoint, stirling
+from touchard import stirling
 from touchard.numkernel import raw
 
 from recurrence_oracle import touchard_recurrence
@@ -55,19 +55,13 @@ class TestTriangle:
         want = stirling_inclusion_exclusion(n, k)
         assert want.denominator == 1
         assert stirling2_row(n)[k] == want.numerator
-        # the explicit formula in the sum's pass gives k! S(n,k), at x = 1:
-        # exactly at a p that cuts no power and a grid of 2^0
+        # the exact fallback of cancellation_digits sums the explicit
+        # formula for k! S(n,k), and the Cauchy estimate in doubles lies
+        # within its margin of it
         exact = want.numerator * math.factorial(k)
-        wide = n * n.bit_length() + 1
-        _, _, sums, _ = fixedpoint.grid_sum(n, 1, 0, wide, 0, k, 1, 0)
-        assert sums == [exact]
-        # and within its bound of the oracle's row at a p that cuts every
-        # power past 2^12, on a grid of 2^-4
-        oracle = stirling2_row(n)[k] * math.factorial(k)
-        _, _, sums, absums = fixedpoint.grid_sum(n, 1, 0, 12, 0, k, 1, -4)
-        assert sums != [oracle << 4]
-        assert abs(sums[0] - (oracle << 4)) <= \
-            fixedpoint.bound(n, 12, k, absums[0])
+        assert stirling._exact_window(n, k, k) == {k: exact}
+        v, m = stirling._log_stirling_window(n, k, k)[k]
+        assert abs(v - math.log(exact / math.factorial(n))) <= m < 1e-9
 
     def test_known_values(self):
         assert stirling2_row(4)[2] == 7
