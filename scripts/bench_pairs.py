@@ -11,16 +11,17 @@ workload with the seed SEEDS[i], the parent first in even pairs and the
 change first in odd ones, with PYTHONDONTWRITEBYTECODE=1 and no
 __pycache__ in either tree. Then each side runs once per workload with
 --trace 1 at the first seed, and once per workload a process of its own
-that imports touchard.cli and reports its resident set size, as
-perfbench's peak_rss_mb reads it (ru_maxrss).
+that imports touchard.cli and reports the wall time of that import and its
+resident set size after it, as perfbench's peak_rss_mb reads it
+(ru_maxrss).
 
 BENCH_<label>.json, written in the current directory, holds for each
 workload and end-to-end metric the median and quartiles of either side and
 the pairs the change won (lower; ties count for neither), with the values
-of every pair in pair order; the RSS right after import of either side,
-beside peak_rss_mb; the correct flag and failed count of every run; the
-traced per-layer figures of both sides; the seed of each pair and the run
-length.
+of every pair in pair order; the RSS right after import and the import
+time of either side, beside peak_rss_mb; the correct flag and failed count
+of every run; the traced per-layer figures of both sides; the seed of each
+pair and the run length.
 """
 from __future__ import annotations
 
@@ -45,8 +46,9 @@ PAIRS = 10
 SEEDS = tuple(range(1, PAIRS + 1))
 SIDES = ("parent", "change")
 # run in a fresh process with the tree's src/ on PYTHONPATH
-IMPORT_RSS = ("import resource, touchard.cli; "
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)")
+IMPORT_PROBE = ("import resource, time; t = time.perf_counter(); "
+                "import touchard.cli; print(time.perf_counter() - t, "
+                "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)")
 
 
 def schedule(pairs: int, seeds: list[int], workloads) -> list[tuple]:
@@ -64,9 +66,11 @@ def result_line(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
 
-def import_rss(stdout: str) -> float:
-    """MiB from the last line of an IMPORT_RSS run."""
-    return float(stdout.strip().splitlines()[-1])
+def import_figures(stdout: str) -> tuple[float, float]:
+    """(import time in s, RSS in MiB) from the last line of an IMPORT_PROBE
+    run."""
+    seconds, mib = map(float, stdout.strip().splitlines()[-1].split())
+    return seconds, mib
 
 
 def spread(values: list[float]) -> dict:
@@ -86,7 +90,7 @@ def summarize(label: str, runs: list[tuple], traces: dict, imports: dict,
               meta: dict) -> dict:
     """The BENCH file from the untraced runs, (pair, workload, seed, side,
     result) in any order, the traced results, {(workload, side): result},
-    and the RSS after import in MiB, {(workload, side): value}.
+    and the import figures, {(workload, side): (seconds, MiB)}.
     """
     out = {"label": label, **meta, "workloads": {}}
     for w in dict.fromkeys(r[1] for r in runs):
@@ -106,9 +110,9 @@ def summarize(label: str, runs: list[tuple], traces: dict, imports: dict,
             entry[m]["wins"] = wins(vals["parent"], vals["change"])
             entry[m]["pairs"] = len(vals["parent"])
             if m == "peak_rss_mb":
-                entry["import_rss_mb"] = {side: imports[w, side]
-                                          for side in SIDES
-                                          if (w, side) in imports}
+                for i, name in ((1, "import_rss_mb"), (0, "import_s")):
+                    entry[name] = {side: imports[w, side][i] for side in SIDES
+                                   if (w, side) in imports}
         entry["trace"] = {side: {name: v["value"] for name, v in
                                  traces[w, side]["metrics"].items()}
                           for side in SIDES if (w, side) in traces}
@@ -169,8 +173,8 @@ def main(argv=None) -> int:
             runs.append((i, w, seed, side, res))
         traces = {(w, side): _run(trees[side], w, SEEDS[0], 1)
                   for w in WORKLOADS for side in SIDES}
-        imports = {(w, side): import_rss(_python(
-                       trees[side], "-c", IMPORT_RSS,
+        imports = {(w, side): import_figures(_python(
+                       trees[side], "-c", IMPORT_PROBE,
                        PYTHONPATH=str(trees[side] / "src")))
                    for w in WORKLOADS for side in SIDES}
     meta = {"parent": args.parent, "change": "working tree",

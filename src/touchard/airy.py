@@ -104,7 +104,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpf
@@ -126,8 +126,7 @@ class AiryMethod(enum.Enum):
     MACLAURIN = "maclaurin"
 
 
-@dataclass(frozen=True)
-class AiryValue:
+class AiryValue(NamedTuple):
     ai: mpmath.mpf  # as the route leaves it, good to w digits
     ai_prime: mpmath.mpf
     method: AiryMethod

@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 
@@ -47,8 +47,7 @@ DEFAULT_XI_TABLE2 = ("0.80", "0.90", "0.95", "0.99", "1.00",
 DEFAULT_N_TABLE2 = (81, 100)
 
 
-@dataclass(frozen=True)
-class ErrorRow:
+class ErrorRow(NamedTuple):
     n: int
     param: BigReal
     exact: BigReal

@@ -52,8 +52,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (dps_to_prec, from_float, mpf_add, mpf_atan2,
@@ -88,8 +88,7 @@ _SADDLE_FIELD_TOL = 1e-6  # |psi'| under this, far enough along, stops a path
 MAX_LEN_OVER_STEP = 64000
 
 
-@dataclass(frozen=True)
-class ContourPolyline:
+class ContourPolyline(NamedTuple):
     saddle: mpc  # rounded to the context
     kind: str  # "descent" or "ascent"
     points: tuple[complex, ...]  # points[0] is the saddle, rounded to a double
@@ -98,8 +97,7 @@ class ContourPolyline:
     stop_reason: str
 
 
-@dataclass(frozen=True)
-class ContourSet:
+class ContourSet(NamedTuple):
     xi: BigReal
     mu: BigReal
     saddle_kind: SaddleKind

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_ln2, mpf_ln10,
@@ -41,8 +41,7 @@ MAX_DIGITS = 4300
 _GUARD = 10  # guard digits the working width carries past ctx.digits
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class PrecisionContext(NamedTuple):
     digits: int
 
 
@@ -69,8 +68,7 @@ _SER_RE = re.compile(
     r"^(?P<mant>[+-]?\d(?:\.\d+)?)e(?P<exp>[+-]\d+)@(?P<digits>\d+)$")
 
 
-@dataclass(frozen=True)
-class BigReal:
+class BigReal(NamedTuple):
     """An mpmath real rounded to the context it prints at; wrap_real, the
     one place a BigReal is built, does the rounding."""
 

@@ -22,7 +22,7 @@ band |mu e - 1| <= 0.05 is refused.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 
@@ -39,8 +39,7 @@ class PoincareRegime(enum.Enum):
     ABOVE = "above"
 
 
-@dataclass(frozen=True)
-class PoincareResult:
+class PoincareResult(NamedTuple):
     value: BigReal
     regime: PoincareRegime
     t0_used: mpc

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import fp, mp, mpc, mpf
 
@@ -40,8 +40,7 @@ class SaddleKind(enum.Enum):
     CONJUGATE_PAIR = "conjugate_pair"
 
 
-@dataclass(frozen=True)
-class SaddlePair:
+class SaddlePair(NamedTuple):
     kind: SaddleKind
     t0: mpc
     t1: mpc

@@ -50,10 +50,12 @@ log10 lies within the margin of an integer, or another k's term within it
 of the largest; then the window's k! S(n,k) come exactly from the explicit
 formula in Python ints, one j ** n for each j up to the window's top, and
 the count from them at w digits. That fallback took 11.8 s at
-n = N_MAX_LIMIT with the window's top at n (2-vCPU x86-64 VM). Far below
-n, where the window holds a few small k, the circle through the middle
-k's saddle passes too far from the others', and the fallback, a few
-powers, serves: 107 of the parity set's 600 exact points, all with k <= 9.
+n = N_MAX_LIMIT with the window's top at n (2-vCPU x86-64 VM). A window
+whose top k is at most _EXACT_TOP takes the exact integers without the
+estimate, since there its few powers cost less than the estimate's
+(n - lo)/2 or more nodes: 163 of the parity set's 600 exact points. Far
+below n the circle through the middle k's saddle also passes too far from
+the others' to decide such a window.
 The terms rise to the mode and fall after it, so the alternating sums of
 the rise and of the fall have opposite signs and neither exceeds the largest
 term: for n >= 2, |T_n(-x)| < max term, and c >= 1 even where one term
@@ -69,7 +71,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import fp, mp, mpf
 
@@ -93,10 +95,15 @@ MAX_ESCALATIONS = 8
 _ENVELOPE_MARGIN = 3
 _LOG10_2 = math.log10(2)
 _U = 2.0 ** -53  # the unit roundoff of a double
+# Windows whose top k is at most this take _exact_window without the
+# estimate: there its hi powers cost less than the estimate's N/2 + 1 nodes,
+# N > n - lo. Estimate against exact window, ms (2-vCPU x86-64 VM): 2.9
+# against 0.01 at n = 1000, hi = 3; 3.2 against 0.34 at n = 1000, hi = 33;
+# 15 against 0.04, 3.3 and 9.0 at n = 7000, hi = 3, 33 and 65.
+_EXACT_TOP = 32
 
 
-@dataclass(frozen=True)
-class StirlingTriangle:
+class StirlingTriangle(NamedTuple):
     """The rows of S(n,k) that were kept, by row index n."""
 
     rows: Mapping[int, tuple[int, ...]]
@@ -108,8 +115,7 @@ class StirlingTriangle:
         return self.rows[n]
 
 
-@dataclass(frozen=True)
-class ExactValue:
+class ExactValue(NamedTuple):
     value: BigReal  # certified: scaled_touchard raises where it cannot be
     cancellation_digits: int
 
@@ -387,8 +393,9 @@ def _cancellation_digits(n: int, x: mpf, s: int, g: int, lo: int, hi: int,
     log10 of the largest term. From _log_stirling_window, l is known in
     doubles within a counted margin, each double's magnitude times 16 ulp
     more. The count is taken from it where the largest term's k stands
-    clear of the others' and the count is the same across the margin; else
-    from the window's exact integers at the working precision.
+    clear of the others' and the count is the same across the margin; else,
+    and for every window whose top k is at most _EXACT_TOP, from the
+    window's exact integers at the working precision.
     """
     man, exp = x.man_exp
     shift, log_s = (g, math.log(abs(s))) if s else (0, 0.0)
@@ -397,16 +404,21 @@ def _cancellation_digits(n: int, x: mpf, s: int, g: int, lo: int, hi: int,
         return (max(int(n > 1), int(mp.ceil(l))) if s else
                 int(mp.floor(l)) - math.floor(g * _LOG10_2))
 
-    est = {}  # k: (ln of the term, its margin)
-    for k, (v, m) in _log_stirling_window(n, lo, hi).items():
-        parts = (v, math.lgamma(n + 1), -math.lgamma(k + 1),
-                 k * math.log(man), (k * exp - shift) * math.log(2), -log_s)
-        est[k] = math.fsum(parts), m + 16 * _U * sum(map(abs, parts))
-    best = max(est, key=est.get)
-    top, gap = est[best]
-    low, high = (top - gap) / math.log(10), (top + gap) / math.log(10)
-    if not (all(top - gap > v + m for k, (v, m) in est.items() if k != best)
-            and math.isfinite(gap) and count(low) == count(high)):
+    decided = False
+    if hi > _EXACT_TOP:
+        est = {}  # k: (ln of the term, its margin)
+        for k, (v, m) in _log_stirling_window(n, lo, hi).items():
+            parts = (v, math.lgamma(n + 1), -math.lgamma(k + 1),
+                     k * math.log(man), (k * exp - shift) * math.log(2),
+                     -log_s)
+            est[k] = math.fsum(parts), m + 16 * _U * sum(map(abs, parts))
+        best = max(est, key=est.get)
+        top, gap = est[best]
+        low, high = (top - gap) / math.log(10), (top + gap) / math.log(10)
+        decided = (all(top - gap > v + m for k, (v, m) in est.items()
+                       if k != best)
+                   and math.isfinite(gap) and count(low) == count(high))
+    if not decided:
         with mp.workdps(working_digits(ctx, 1)):
             terms = {k: d * x ** k / math.factorial(k)
                      for k, d in _exact_window(n, lo, hi).items()}

@@ -45,7 +45,7 @@ plain mpf at the width airy works at.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 
@@ -57,8 +57,7 @@ from .saddle import (SaddleKind, SaddlePair, mu_at, psi2_at_saddle_raw,
                      psi_reduced_raw, solve_saddles)
 
 
-@dataclass(frozen=True)
-class UniformIngredients:
+class UniformIngredients(NamedTuple):
     xi: mpf
     zeta: mpf
     beta: mpc

@@ -69,18 +69,20 @@ def test_summary_shape(bench):
               ("asymptotic-sweep", "change"): traced}
     meta = {"parent": "abc", "change": "working tree", "pairs": 4,
             "seeds": [1, 2, 3, 4], "seconds": 5.0}
-    imports = {("asymptotic-sweep", "parent"): 18.25,
-               ("asymptotic-sweep", "change"): 18.0}
+    imports = {("asymptotic-sweep", "parent"): (0.041, 18.25),
+               ("asymptotic-sweep", "change"): (0.026, 18.0)}
     out = bench.summarize("x", runs, traces, imports, meta)
     assert json.loads(json.dumps(out)) == out
     assert {k: out[k] for k in meta} == meta and out["label"] == "x"
     entry = out["workloads"]["asymptotic-sweep"]
     assert set(entry) == {"parent", "change", "trace", "import_rss_mb",
-                          *bench.METRICS}
+                          "import_s", *bench.METRICS}
     # beside peak_rss_mb, in the order the file is written
     keys = list(entry)
     assert keys.index("import_rss_mb") == keys.index("peak_rss_mb") + 1
+    assert keys.index("import_s") == keys.index("import_rss_mb") + 1
     assert entry["import_rss_mb"] == {"parent": 18.25, "change": 18.0}
+    assert entry["import_s"] == {"parent": 0.041, "change": 0.026}
     assert entry["change"] == {"correct": [True, True, True, False],
                                "failed": [0, 0, 0, 1]}
     p = entry["pass_s"]
@@ -100,11 +102,19 @@ def test_summary_refuses_unmatched_pairs(bench):
         bench.summarize("x", runs, {}, {}, {})
 
 
-def test_import_rss_reads_the_last_line(bench):
-    # the IMPORT_RSS program prints ru_maxrss in MiB as its last line
-    assert bench.import_rss("warning: something\n18.5\n") == 18.5
-    assert "import resource, touchard.cli" in bench.IMPORT_RSS
-    assert "ru_maxrss / 1024" in bench.IMPORT_RSS
+def test_import_rss_reads_the_last_line(bench, capsys):
+    # the IMPORT_PROBE program prints the import time in s and ru_maxrss in
+    # MiB as its last line
+    assert bench.import_figures("warning: something\n0.0241 18.5\n") == \
+        (0.0241, 18.5)
+    assert "import touchard.cli; print(time.perf_counter() - t" in \
+        bench.IMPORT_PROBE
+    assert "ru_maxrss / 1024" in bench.IMPORT_PROBE
+    # run here, where the package is imported already: the line it prints
+    # reads back as a time and a size
+    exec(bench.IMPORT_PROBE, {})
+    seconds, mib = bench.import_figures(capsys.readouterr().out)
+    assert 0 <= seconds < 1 and mib > 1
 
 
 def test_runs_are_set_by_the_benchmark(bench, capsys):

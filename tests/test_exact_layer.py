@@ -352,6 +352,28 @@ class TestStirlingEstimate:
             assert got == before, (n, x.to_str())
         assert calls == [n for n, _ in points]
 
+    @pytest.mark.parametrize("n,xi", [(30, "1"), (1200, "1e-300"),
+                                      (7000, "1e-400")])
+    def test_small_window_skips_the_estimate(self, n, xi, monkeypatch):
+        # windows [25, 28], [1, 3] and [6, 9]: the exact integers alone give
+        # the count the estimate gives first, decided or not
+        assert self.window(n, xi)[1] <= stirling._EXACT_TOP
+        ctx = mk_context(40)
+        z = negated(x_at(n, xi, ctx))
+        estimate = stirling._log_stirling_window
+        calls = []
+
+        def counted(n, lo, hi):
+            calls.append((n, lo, hi))
+            return estimate(n, lo, hi)
+
+        monkeypatch.setattr(stirling, "_log_stirling_window", counted)
+        got = scaled_touchard(n, z, ctx)
+        assert calls == []
+        monkeypatch.setattr(stirling, "_EXACT_TOP", 0)
+        assert scaled_touchard(n, z, ctx) == got
+        assert len(calls) == 1
+
     def test_mean_off_the_window_refused_on_the_exact_path(self,
                                                           monkeypatch):
         mode_mean = stirling._mode_mean
