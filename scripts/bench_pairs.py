@@ -9,17 +9,18 @@ and run length are those of BENCHMARK.json. Pair i of PAIRS runs
 perfbench/run.py, unchanged, as a subprocess in both trees on every
 workload with the seed SEEDS[i], the parent first in even pairs and the
 change first in odd ones, with PYTHONDONTWRITEBYTECODE=1 and no
-__pycache__ in either tree. Then each side runs once per workload with
---trace 1 at the first seed, and once per workload a process of its own
-that imports touchard.cli and reports the wall time of that import and its
-resident set size after it, as perfbench's peak_rss_mb reads it
-(ru_maxrss).
+__pycache__ in either tree; after the workloads, in the same side order,
+each side runs IMPORT_PROBE, a process of its own that imports
+touchard.cli and reports the wall time of that import and its resident set
+size after it, as perfbench's peak_rss_mb reads it (ru_maxrss). Then each
+side runs once per workload with --trace 1 at the first seed.
 
 BENCH_<label>.json, written in the current directory, holds for each
 workload and end-to-end metric the median and quartiles of either side and
 the pairs the change won (lower; ties count for neither), with the values
-of every pair in pair order; the RSS right after import and the import
-time of either side, beside peak_rss_mb; the correct flag and failed count
+of every pair in pair order; the same for the import time (import_s) and
+the RSS right after import (import_rss_mb), once for the file, since the
+import does not depend on the workload; the correct flag and failed count
 of every run; the traced per-layer figures of both sides; the seed of each
 pair and the run length.
 """
@@ -52,12 +53,14 @@ IMPORT_PROBE = ("import resource, time; t = time.perf_counter(); "
 
 
 def schedule(pairs: int, seeds: list[int], workloads) -> list[tuple]:
-    """(pair, workload, seed, side) for every untraced run, in run order."""
+    """(pair, workload, seed, side) for every untraced run, in run order;
+    workload None is the pair's IMPORT_PROBE run, after its workloads."""
     runs = []
     for i in range(pairs):
         seed = seeds[i % len(seeds)]
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        runs += [(i, w, seed, side) for w in workloads for side in order]
+        runs += [(i, w, seed, side) for w in (*workloads, None)
+                 for side in order]
     return runs
 
 
@@ -86,33 +89,47 @@ def wins(parent: list[float], change: list[float]) -> int:
     return sum(c < p for p, c in zip(parent, change, strict=True))
 
 
-def summarize(label: str, runs: list[tuple], traces: dict, imports: dict,
+def _paired(name: str, got: dict) -> dict[str, list]:
+    """{side: its results in pair order} from {side: [(pair, result)]},
+    refused unless both sides ran the same pairs."""
+    got = {side: sorted(got[side], key=lambda r: r[0]) for side in SIDES}
+    if [i for i, _ in got["parent"]] != [i for i, _ in got["change"]]:
+        raise ValueError(f"{name}: the two sides ran different pairs")
+    return {side: [res for _, res in got[side]] for side in SIDES}
+
+
+def _metric(vals: dict[str, list[float]]) -> dict:
+    """One metric's summary from {side: its values in pair order}."""
+    return {**{side: {**spread(vals[side]), "values": vals[side]}
+               for side in SIDES},
+            "wins": wins(vals["parent"], vals["change"]),
+            "pairs": len(vals["parent"])}
+
+
+def summarize(label: str, runs: list[tuple], traces: dict, imports: list,
               meta: dict) -> dict:
     """The BENCH file from the untraced runs, (pair, workload, seed, side,
     result) in any order, the traced results, {(workload, side): result},
-    and the import figures, {(workload, side): (seconds, MiB)}.
+    and the IMPORT_PROBE figures, (pair, side, (seconds, MiB)) in any order.
     """
-    out = {"label": label, **meta, "workloads": {}}
+    probes = _paired("import", {side: [(i, f) for i, s, f in imports
+                                       if s == side] for side in SIDES})
+    out = {"label": label, **meta}
+    for k, name in enumerate(("import_s", "import_rss_mb")):
+        out[name] = _metric({side: [f[k] for f in probes[side]]
+                             for side in SIDES})
+    out["workloads"] = {}
     for w in dict.fromkeys(r[1] for r in runs):
-        got = {side: sorted((r[0], r[4]) for r in runs
-                            if r[1] == w and r[3] == side)
-               for side in SIDES}
-        if [i for i, _ in got["parent"]] != [i for i, _ in got["change"]]:
-            raise ValueError(f"{w}: the two sides ran different pairs")
-        entry = {side: {"correct": [res["correct"] for _, res in got[side]],
-                        "failed": [res["failed"] for _, res in got[side]]}
+        got = _paired(w, {side: [(r[0], r[4]) for r in runs
+                                 if r[1] == w and r[3] == side]
+                          for side in SIDES})
+        entry = {side: {"correct": [res["correct"] for res in got[side]],
+                        "failed": [res["failed"] for res in got[side]]}
                  for side in SIDES}
         for m in METRICS:
-            vals = {side: [res["metrics"][m]["value"] for _, res in got[side]]
-                    for side in SIDES}
-            entry[m] = {side: {**spread(vals[side]), "values": vals[side]}
-                        for side in SIDES}
-            entry[m]["wins"] = wins(vals["parent"], vals["change"])
-            entry[m]["pairs"] = len(vals["parent"])
-            if m == "peak_rss_mb":
-                for i, name in ((1, "import_rss_mb"), (0, "import_s")):
-                    entry[name] = {side: imports[w, side][i] for side in SIDES
-                                   if (w, side) in imports}
+            entry[m] = _metric({side: [res["metrics"][m]["value"]
+                                       for res in got[side]]
+                                for side in SIDES})
         entry["trace"] = {side: {name: v["value"] for name, v in
                                  traces[w, side]["metrics"].items()}
                           for side in SIDES if (w, side) in traces}
@@ -165,18 +182,21 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         _export(args.parent, trees["parent"])
         _export(None, trees["change"])
-        runs = []
+        runs, imports = [], []
         for i, w, seed, side in schedule(PAIRS, list(SEEDS), WORKLOADS):
+            if w is None:
+                imports.append((i, side, import_figures(_python(
+                    trees[side], "-c", IMPORT_PROBE,
+                    PYTHONPATH=str(trees[side] / "src")))))
+                print(f"pair {i} import {side}: {imports[-1][2]}",
+                      file=sys.stderr)
+                continue
             res = _run(trees[side], w, seed, 0)
             print(f"pair {i} {w} seed {seed} {side}: "
                   f"{json.dumps(res['metrics'])}", file=sys.stderr)
             runs.append((i, w, seed, side, res))
         traces = {(w, side): _run(trees[side], w, SEEDS[0], 1)
                   for w in WORKLOADS for side in SIDES}
-        imports = {(w, side): import_figures(_python(
-                       trees[side], "-c", IMPORT_PROBE,
-                       PYTHONPATH=str(trees[side] / "src")))
-                   for w in WORKLOADS for side in SIDES}
     meta = {"parent": args.parent, "change": "working tree",
             "pairs": PAIRS, "seconds": SECONDS, "seeds": list(SEEDS)}
     bench = summarize(args.label, runs, traces, imports, meta)

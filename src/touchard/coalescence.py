@@ -108,9 +108,10 @@ def theorem1_eval(n: int, order: int, ctx: PrecisionContext) -> BigReal:
     if n < 2:
         raise OrderError(f"n must be >= 2, got {n}")
     check_order(order)
-    bm = default_bm(max(order, DEFAULT_ORDER))
     with mp.workdps(working_digits(ctx, n)):
+        bm = default_bm(max(order, DEFAULT_ORDER))
         x = n * mp.e
+        c = mp.cbrt(mpf(n) / 6)
         rt3_half = mp.sqrt(3) / 2
         g13 = 1 / (mp.cbrt(3) * _ai0(mp.prec)[1])
         gamma = [g13, mp.pi / (rt3_half * g13)]  # Gamma((m+1)/3) by m mod 3
@@ -120,9 +121,7 @@ def theorem1_eval(n: int, order: int, ctx: PrecisionContext) -> BigReal:
             if chi == 0:
                 continue
             bmv = mpf(bm[m].numerator) / bm[m].denominator
-            term = ((-1) ** m * bmv * gamma[m % 3]
-                    * chi * rt3_half / (mpf(n) / 6) ** (mpf(m + 1) / 3))
+            total += (-1) ** m * chi * bmv * gamma[m % 3] / c ** (m + 1)
             gamma[m % 3] *= mpf(m + 1) / 3
-            total += term
-        value = (-1) ** (n - 1) * mp.exp(x - n) / (3 * mp.pi) * total
+        value = (-1) ** (n - 1) * mp.exp(x - n) * rt3_half / (3 * mp.pi) * total
     return wrap_real(value, ctx)

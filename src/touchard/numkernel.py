@@ -31,7 +31,8 @@ from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_ln2, mpf_ln10,
                           mpf_mul, mpf_pow_int, round_ceiling, round_floor,
                           to_int)
 
-from .errors import BranchError, DomainError, InvalidPrecisionError
+from .errors import (BranchError, CapacityError, DomainError,
+                     InvalidPrecisionError)
 
 DEFAULT_DIGITS = 120
 MIN_DIGITS = 30
@@ -39,6 +40,9 @@ MIN_DIGITS = 30
 # past its default sys.get_int_max_str_digits() of 4300
 MAX_DIGITS = 4300
 _GUARD = 10  # guard digits the working width carries past ctx.digits
+# Widest working width: theorem1_eval(n, MAX_ORDER) takes 12.8-13.3 s at it
+# and 15.2 s at 40000 against a 15 s budget (README, "Size limit")
+MAX_WIDTH = 35000
 
 
 class PrecisionContext(NamedTuple):
@@ -57,8 +61,12 @@ def mk_context(digits: int | None = None) -> PrecisionContext:
 
 def working_digits(ctx: PrecisionContext, n: int) -> int:
     """The working width for values that n multiplies: ctx.digits, the
-    ceil(log10 n) digits the product spends, and the guard."""
-    return ctx.digits + math.ceil(math.log10(n)) + _GUARD
+    ceil(log10 n) digits the product spends, and the guard; CapacityError
+    past MAX_WIDTH."""
+    width = ctx.digits + math.ceil(math.log10(n)) + _GUARD
+    if width > MAX_WIDTH:
+        raise CapacityError(f"working width {width} digits past {MAX_WIDTH}")
+    return width
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,10 @@ w = numkernel.working_digits(ctx, 1), so it carries w correct significant
 digits before the final rounding. p and g come from a predicted loss:
 log10 sum_j j^n t_j E_{n-j} from float logarithms, and log10 |T_n(-x)|
 from the saddle point t0 = W_0(-(n+1)/x) of the Cauchy integral, taken
-with mpmath's lambertw in floats and lowered by _ENVELOPE_MARGIN digits.
+in floats and lowered by _ENVELOPE_MARGIN digits. Both take x only as
+ln x = ln(man) + exp ln 2: with L = ln(n+1) - ln x, t0 e^t0 = -e^L gives
+-x expm1(t0) = (n+1)(1 - e^-t0)/t0 and ln|t0| = L - Re t0, so neither
+needs x itself, which may lie far past the doubles' range.
 The prediction only sizes the pass, and one that is not finite raises
 InternalConsistencyError; the bound decides. When it fails, the pass
 reruns with both logarithms measured from the failed pass, at most
@@ -156,43 +159,46 @@ def _log10_term_sum(n: int, lx: float) -> float:
     return (top + math.log(total)) / math.log(10)
 
 
-def _log10_envelope(n: int, x: mpf) -> float:
-    """log10 of the saddle-point size of |T_n(-x)|.
+def _log10_envelope(n: int, lx: float) -> float:
+    """log10 of the saddle-point size of |T_n(-x)|, from lx = ln x.
 
     T_n(-x)/n! = (1/2 pi i) oint exp(x + f(t)) dt with f(t) = -x e^t
-    - (n+1) log t, whose saddle t0 = W_0(-(n+1)/x) gives the exponent
-    x + Re f(t0) = Re(-x expm1(t0)) - (n+1) log|t0|; expm1 keeps it
-    accurate when x is large against n. With x e^t0 = -(n+1)/t0,
-    f''(t0) = (n+1)(1 + t0)/t0^2, and the Gaussian prefactor
+    - (n+1) log t, whose saddle t0 = W_0(-e^L), L = ln(n+1) - ln x, gives
+    the exponent x + Re f(t0) = Re(-x expm1(t0)) - (n+1) log|t0|. Since
+    t0 e^t0 = -e^L, x e^t0 = -(n+1)/t0, so that
+
+        -x expm1(t0) = (n+1) (1 - e^-t0)/t0,   log|t0| = L - Re t0,
+
+    and neither holds x: the exponent is (n+1) (Re((1 - e^-t0)/t0) - L
+    + Re t0). f''(t0) = (n+1)(1 + t0)/t0^2, and the Gaussian prefactor
     |t0|/sqrt(2 pi (n+1) |1 + t0|) is taken when it is below 1. Once x is
     far above n it is about sqrt(n)/x, a loss of log10 x digits that the
     exponent alone would miss. Near the coalescence t0 = -1 the Gaussian
     form fails; there the factor is about n^(-1/3), and 1 stands in for it.
 
-    The exponent is stationary in t0, so t0 need not be exact: wherever
-    -(n+1)/x is a float, mpmath's float-context lambertw, 10 to 40 times
-    faster than its mpf one, gives t0, and the rest is taken in floats, with
-    Re expm1(a + ib) = expm1(a) cos b - 2 sin(b/2)^2. lambertw fails at
-    exactly -1/e, and a relative nudge of 1e-12 moves t0 off it by 1.4e-6
-    and the exponent by nothing. Past the float range mpf at 15 digits
-    does the same.
+    The exponent is stationary in t0, so t0 need not be exact: for
+    |L| < 690 mpmath's float-context lambertw, 10 to 40 times faster than
+    its mpf one, gives t0, beyond it the mpf one, and the rest is taken in
+    doubles. lambertw fails at exactly -1/e, and a relative nudge of 1e-12
+    moves t0 off it by 1.4e-6 and the exponent by nothing. t0 is complex
+    with |t0| >= 1 for L > -1, where 1 - e^-t0 does not cancel, and real in
+    (-1, 0) below, where expm1 keeps it; t0 underflows to 0 past
+    L = -745, where (1 - e^-t0)/t0 is 1.
     """
-    with mp.workdps(15):
-        y = -(n + 1) / x
-        if 1e-300 < -y < 1e300:
-            t0 = complex(fp.lambertw(float(y) * (1 + 1e-12)))
-            rex = (math.expm1(t0.real) * math.cos(t0.imag)
-                   - 2 * math.sin(t0.imag / 2) ** 2)
-            gauss = (math.log(abs(t0))
-                     - math.log(2 * math.pi * (n + 1) * abs(1 + t0)) / 2)
-            v = (-float(x) * rex - (n + 1) * math.log(abs(t0))
-                 + math.lgamma(n + 1) + min(gauss, 0))
-            return v / math.log(10)
-        t0 = mp.lambertw(y)
-        gauss = mp.log(abs(t0)) - mp.log(2 * mp.pi * (n + 1) * abs(1 + t0)) / 2
-        v = (mp.re(-x * mp.expm1(t0)) - (n + 1) * mp.log(abs(t0))
-             + mp.loggamma(n + 1) + min(gauss, 0))
-        return float(v / mp.ln10)
+    L = math.log(n + 1) - lx
+    if abs(L) < 690:
+        t0 = complex(fp.lambertw(-math.exp(L) * (1 + 1e-12)))
+    else:
+        with mp.workdps(15):
+            t0 = complex(mp.lambertw(-mp.exp(L)))
+    a = t0.real
+    if t0.imag:
+        q = ((1 - cmath.exp(-t0)) / t0).real
+    else:
+        q = -math.expm1(-a) / a if a else 1.0
+    gauss = L - a - math.log(2 * math.pi * (n + 1) * abs(1 + t0)) / 2
+    v = (n + 1) * (q - L + a) + math.lgamma(n + 1) + min(gauss, 0)
+    return v / math.log(10)
 
 
 def _require_finite(predictor: str, *sizes: float) -> None:
@@ -217,7 +223,7 @@ def _certified_sum(n: int, x: mpf, lx: float,
     log_sum = _log10_term_sum(n, lx)
     _require_finite("_log10_term_sum", log_sum)
     # the envelope first, so that min keeps a NaN; +inf leaves log_sum
-    log_t = min(_log10_envelope(n, x) - _ENVELOPE_MARGIN, log_sum)
+    log_t = min(_log10_envelope(n, lx) - _ENVELOPE_MARGIN, log_sum)
     _require_finite("_log10_envelope", log_t)
     # T_n(-x) is an integer multiple of 2^grain, since every x^k, k <= n, is
     grain = n * min(exp, 0)
@@ -316,7 +322,8 @@ def _log_stirling_window(n: int, lo: int,
     under 2^-40 of (e^rho - 1)^kc rho^-n.
 
     Each node t_j = rho e^(2 pi i j/N) makes h_j = ln(e^t - 1) once,
-    through a complex expm1 as in _log10_envelope, taken at -t where
+    through the complex expm1 e^(a+ib) - 1 = expm1(a) cos b - 2 sin(b/2)^2
+    + i e^a sin b, which does not cancel near t = 0, taken at -t where
     Re t > 0 so that nothing overflows, and k takes exp(k (h_j - h_0))
     e^(-2 pi i (n j mod N)/N), h_0 = ln(e^rho - 1): the next k is the
     previous k times e^t - 1. The terms of j and N - j are conjugate. The
@@ -446,8 +453,7 @@ def scaled_touchard(n: int, z: BigReal, ctx: PrecisionContext) -> ExactValue:
         return ExactValue(value=wrap_real(int(n == 0), ctx),
                           cancellation_digits=0)
     x = mp.fneg(zv, exact=True)
-    with mp.workdps(20):
-        lx = float(mp.log(x))
+    lx = math.log(x.man) + x.exp * math.log(2)
     mean = _mode_mean(n, x, lx)
     _require_finite("_mode_mean", mean)
     lo = min(n, max(1, math.floor(mean) - 1))

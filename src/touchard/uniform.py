@@ -71,8 +71,8 @@ def _cubic_map(saddles: SaddlePair, digits: int):
     """(zeta, beta, A0, B0) at digits from a classified saddle pair."""
     with mp.workdps(digits):
         if saddles.kind is SaddleKind.DOUBLE:
-            return (mpf(0), mpc(-1) - 1j * mp.pi, mpf(2) ** (mpf(1) / 3),
-                    -(mpf(5) / 6) * mpf(2) ** (mpf(2) / 3))
+            c = mp.cbrt(2)
+            return mpf(0), mpc(-1) - 1j * mp.pi, c, -(mpf(5) / 6) * c * c
         t0, t1 = saddles.t0, saddles.t1
         p0, p1 = psi_reduced_raw(t0), psi_reduced_raw(t1)
         above = saddles.kind is SaddleKind.REAL_PAIR
@@ -82,11 +82,10 @@ def _cubic_map(saddles: SaddlePair, digits: int):
         if not rr > 0:
             raise BranchError(
                 f"zeta right-hand side must be positive, got {mp.nstr(rr, 5)}")
-        mag = (mpf(3) / 2 * rr) ** (mpf(2) / 3)
-        sq = unit * mp.sqrt(mag)
+        sq = unit * mp.cbrt(3 * rr / 2)  # zeta^{1/2}, so that zeta = sq^2
         gp = mp.sqrt(2 * sq / psi2_at_saddle_raw(t0))
         gm = mp.sqrt(-2 * sq / psi2_at_saddle_raw(t1))
-        return (mag if above else -mag, (p0 + p1) / 2,
+        return (mp.re(sq * sq), (p0 + p1) / 2,
                 _require_real((gp + gm) / 2, digits, "A0"),
                 _require_real((gp - gm) / (2 * sq), digits, "B0"))
 
@@ -130,8 +129,8 @@ def theorem2_eval(n: int, xi, ctx: PrecisionContext) -> BigReal:
     with mp.workdps(width):
         nn = mpf(n)
         x = nn * mp.e * ing.xi
-        av = airy(nn ** (mpf(2) / 3) * ing.zeta, ctx)
-        brace = (ing.A0 * av.ai / nn ** (mpf(1) / 3)
-                 - ing.B0 * av.ai_prime / nn ** (mpf(2) / 3))
+        c = mp.cbrt(nn)
+        av = airy(c * c * ing.zeta, ctx)
+        brace = (ing.A0 * av.ai - ing.B0 * av.ai_prime / c) / c
         value = (-1) ** (n - 1) * mp.exp(x + nn * mp.re(ing.beta)) * brace
     return wrap_real(value, ctx)

@@ -30,12 +30,16 @@ def line(pass_s, setup_s=0.1, rss=21.5, correct=True, failed=0):
 
 def test_schedule_alternates_with_the_same_seeds(bench):
     runs = bench.schedule(4, [7, 8, 9], ["a", "b"])
-    assert len(runs) == 16
+    assert len(runs) == 24
     for i in range(4):
         mine = [r for r in runs if r[0] == i]
+        assert mine == runs[6 * i:6 * i + 6]  # pair by pair
         assert {r[2] for r in mine} == {[7, 8, 9, 7][i]}
         first = "parent" if i % 2 == 0 else "change"
-        for w in ("a", "b"):
+        # the import probe (workload None) once per side, after the pair's
+        # workloads, in the pair's side order
+        assert [r[1] for r in mine] == ["a", "a", "b", "b", None, None]
+        for w in ("a", "b", None):
             sides = [r[3] for r in mine if r[1] == w]
             assert sides == [first, *({"parent", "change"} - {first})]
 
@@ -69,20 +73,30 @@ def test_summary_shape(bench):
               ("asymptotic-sweep", "change"): traced}
     meta = {"parent": "abc", "change": "working tree", "pairs": 4,
             "seeds": [1, 2, 3, 4], "seconds": 5.0}
-    imports = {("asymptotic-sweep", "parent"): (0.041, 18.25),
-               ("asymptotic-sweep", "change"): (0.026, 18.0)}
+    # one probe per side and pair, in any order
+    seconds = {"parent": [0.060, 0.041, 0.102, 0.050],
+               "change": [0.045, 0.040, 0.065, 0.050]}
+    imports = [(i, side, (seconds[side][i], 18.25 if side == "parent"
+                          else 18.0 + i / 8))
+               for i in (2, 0, 3, 1) for side in ("change", "parent")]
     out = bench.summarize("x", runs, traces, imports, meta)
     assert json.loads(json.dumps(out)) == out
     assert {k: out[k] for k in meta} == meta and out["label"] == "x"
+    # once for the file, before the workloads, summarized as a metric is
+    assert list(out)[-3:] == ["import_s", "import_rss_mb", "workloads"]
+    imp = out["import_s"]
+    assert imp["parent"]["values"] == seconds["parent"]
+    assert imp["change"]["values"] == seconds["change"]
+    assert imp["parent"]["median"] == pytest.approx(0.055)
+    assert imp["change"]["median"] == pytest.approx(0.0475)
+    assert imp["wins"] == 3 and imp["pairs"] == 4  # pair 3 ties
+    rss = out["import_rss_mb"]
+    assert rss["change"]["values"] == [18.0, 18.125, 18.25, 18.375]
+    assert rss["parent"] == {"median": 18.25, "q1": 18.25, "q3": 18.25,
+                             "values": [18.25] * 4}
+    assert rss["wins"] == 2  # pair 2 ties
     entry = out["workloads"]["asymptotic-sweep"]
-    assert set(entry) == {"parent", "change", "trace", "import_rss_mb",
-                          "import_s", *bench.METRICS}
-    # beside peak_rss_mb, in the order the file is written
-    keys = list(entry)
-    assert keys.index("import_rss_mb") == keys.index("peak_rss_mb") + 1
-    assert keys.index("import_s") == keys.index("import_rss_mb") + 1
-    assert entry["import_rss_mb"] == {"parent": 18.25, "change": 18.0}
-    assert entry["import_s"] == {"parent": 0.041, "change": 0.026}
+    assert set(entry) == {"parent", "change", "trace", *bench.METRICS}
     assert entry["change"] == {"correct": [True, True, True, False],
                                "failed": [0, 0, 0, 1]}
     p = entry["pass_s"]
@@ -96,10 +110,15 @@ def test_summary_shape(bench):
 
 
 def test_summary_refuses_unmatched_pairs(bench):
+    probes = [(0, "parent", (0.05, 18.0)), (0, "change", (0.05, 18.0))]
     runs = [(0, "w", 1, "parent", bench.result_line(line(0.2))),
             (1, "w", 2, "change", bench.result_line(line(0.2)))]
-    with pytest.raises(ValueError, match="different pairs"):
-        bench.summarize("x", runs, {}, {}, {})
+    with pytest.raises(ValueError, match="w: the two sides ran different"):
+        bench.summarize("x", runs, {}, probes, {})
+    matched = [(0, "w", 1, side, bench.result_line(line(0.2)))
+               for side in ("parent", "change")]
+    with pytest.raises(ValueError, match="import: the two sides ran"):
+        bench.summarize("x", matched, {}, probes[:1], {})
 
 
 def test_import_rss_reads_the_last_line(bench, capsys):

@@ -1,6 +1,8 @@
 """Steepest-path tracer: launch geometry, drift budget, regime topology."""
 import cmath
+import inspect
 import math
+import sys
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -15,6 +17,7 @@ from touchard.contours import (DRIFT_BUDGET, LEVEL_DIGITS, MAX_LEN_OVER_STEP,
                                contour_set)
 from touchard.numkernel import MIN_DIGITS, log_branched_raw, raw
 
+from test_contour_port import MONOTONE_SLACK, re_psi_backtrack
 from test_scripts import load_script
 
 EPS = 2.0 ** -52
@@ -241,6 +244,56 @@ class TestControls:
             assert 9.34e-6 < float(xi) < 7.735
             for pl in cs.polylines:
                 assert len(pl.points) > 2, (pl.kind, pl.stop_reason)
+                assert raw(pl.im_psi_drift) < DRIFT_BUDGET
+
+
+def retry_hits(call):
+    """call() and the times _trace took its projection-failure retry, the
+    h = h / 2 under `if proj is None and headway`, counted by a line trace."""
+    lines, start = inspect.getsourcelines(contours._trace)
+    line = start + 1 + next(i for i, text in enumerate(lines)
+                            if "if proj is None and headway:" in text)
+    code, hits = contours._trace.__code__, []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == line:
+            hits.append(frame.f_lineno)
+        return local
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code is code else None)
+    try:
+        got = call()
+    finally:
+        sys.settrace(before)
+    return got, len(hits)
+
+
+class TestProjectionRetry:
+    # a coarse step whose RK4 point makes headway but cannot be projected
+    # back onto the level is retried at half the step; these two sets reach
+    # that branch, no golden contour or workload does
+    STOPS = {
+        "0.3": ["im_max", "re_max", "re_max", "origin",
+                "re_max", "im_max", "re_max", "origin"],
+        "7": ["re_max", "re_max", "origin", "saddle",
+              "saddle", "re_min", "re_max", "re_max"],
+    }
+
+    @pytest.mark.parametrize("digits", [40, 120])
+    @pytest.mark.parametrize("xi, step, retries", [("0.3", 1, 2),
+                                                   ("7", 2, 1)])
+    def test_retry_keeps_the_flow_and_the_budget(self, xi, step, retries,
+                                                 digits):
+        cs, hits = retry_hits(lambda: contour_set(xi, mk_context(digits),
+                                                  step=step))
+        assert hits == retries
+        assert [pl.stop_reason for pl in cs.polylines] == self.STOPS[xi]
+        with mp.workdps(50):
+            mu = raw(cs.mu)
+            for pl in cs.polylines:
+                assert re_psi_backtrack(pl, mu) <= MONOTONE_SLACK
                 assert raw(pl.im_psi_drift) < DRIFT_BUDGET
 
 

@@ -13,7 +13,8 @@ failure (exit 4) or a bare exception fails the sweep.
 Named cases add the edges of the ranges: `airy` just past its route
 switchover at 120 and 300 digits within AIRY_CEILING, and just past
 ABS_Z_LIMIT, also from theorem2_eval at n = 10^1000, `scaled_touchard` just
-past N_MAX_LIMIT, and `--digits` at MAX_DIGITS and one past it.
+past N_MAX_LIMIT, `--digits` at MAX_DIGITS and one past it, and the
+asymptotic routes at an n whose working width is MAX_WIDTH and one past it.
 
 The sizes are capped to fit tier-1's time: n up to 300 where an exact sum
 runs, contours at a step of 0.5.
@@ -30,15 +31,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from touchard import (ABS_Z_LIMIT, MAX_DIGITS, N_MAX_LIMIT, BigReal,
-                      CapacityError, DomainError, PrecisionExhaustedError,
-                      TouchardError,
+from touchard import (ABS_Z_LIMIT, MAX_DIGITS, MAX_ORDER, N_MAX_LIMIT,
+                      BigReal, CapacityError, DomainError,
+                      PrecisionExhaustedError, TouchardError,
                       airy, contour_set, leading_order, mk_context, mu_from_xi,
-                      real_from, scaled_touchard, solve_saddles, theorem2_eval,
-                      uniform_ingredients, working_digits)
+                      real_from, scaled_touchard, solve_saddles, theorem1_eval,
+                      theorem2_eval, uniform_ingredients, working_digits)
 from touchard.airy import maclaurin_limit
 from touchard.cli import main
-from touchard.numkernel import raw
+from touchard.numkernel import MAX_WIDTH, raw
 
 # The slowest call seen over about 1000 unseeded examples took 0.15 s (eval
 # at 286 digits); the ceiling leaves room for a loaded host.
@@ -229,6 +230,28 @@ def test_digits_at_the_ceiling(digits, code):
         assert got == code, argv
         if code == 0:
             check_output(argv, text)
+
+
+def test_asymptotic_width_at_the_ceiling():
+    # n acts as precision through working_digits: at 30 digits n = 10^(W -
+    # 40) asks for a width of W digits. At MAX_WIDTH the cheapest route, the
+    # xi = 1 closed forms, returns; one digit past it every asymptotic route
+    # refuses before any work, theorem1_eval before its B_m
+    ctx = mk_context(30)
+    n = 10 ** (MAX_WIDTH - 40)
+    assert working_digits(ctx, n) == MAX_WIDTH
+    got = uniform_ingredients("1", ctx, n)
+    assert got.digits == MAX_WIDTH and mp.isfinite(got.B0)
+    for call in (lambda m: theorem1_eval(m, MAX_ORDER, ctx),
+                 lambda m: theorem2_eval(m, "1", ctx),
+                 lambda m: uniform_ingredients("1", ctx, m),
+                 lambda m: leading_order(m, "0.1", ctx),
+                 lambda m: working_digits(ctx, m)):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"past {MAX_WIDTH}") as info:
+            call(10 * n)
+        assert info.value.exit_code == 2
+        assert time.perf_counter() - start < 0.1
 
 
 def test_scaled_touchard_past_the_cap_refused(ctx40):

@@ -441,8 +441,58 @@ class TestMisprediction:
         with mp.workdps(50):
             z = wrap_real(-600 * mp.e * mpf(xi), ctx)
         want = scaled_touchard(599, z, ctx).value.to_str()
-        monkeypatch.setattr(stirling, "_log10_envelope", lambda n, x: mp.inf)
+        monkeypatch.setattr(stirling, "_log10_envelope", lambda n, lx: mp.inf)
         assert scaled_touchard(599, z, ctx).value.to_str() == want
+
+
+class TestEnvelope:
+    # log10 of the saddle envelope of |T_n(-x)| from ln x alone, against the
+    # formula of the code that took it from x: t0 = W_0(-(n+1)/x) and
+    # Re(-x expm1(t0)) - (n+1) ln|t0| + ln n! + min(gauss, 0), all in mpmath
+    # at 30 digits with x = e^(ln x), written out here. x is n e xi, or
+    # gives L = ln(n+1) - ln x: just inside and just past +-690, where t0
+    # comes from mpmath's float lambertw inside and its mpf one past it, and
+    # L = -750, where t0 underflows to 0
+    REFERENCE = [
+        (1, "xi", 0.5, -0.29328226759815),
+        (1, "xi", 1, 0.194879035370806),
+        (1, "xi", 3, 1.04095940710345),
+        (1, "L", 689.9, -5.66805371274692),
+        (1, "L", 690.1, -5.66830787667829),
+        (1, "L", -689.9, 299.938747096849),
+        (1, "L", -690.1, 300.02560599323),
+        (1, "L", -750, 326.039845459234),
+        (100, "xi", 0.5, 191.10092601359),
+        (100, "xi", 1, 231.61866627903),
+        (100, "xi", 3, 288.258669497401),
+        (100, "L", 689.9, -128.266708839004),
+        (100, "L", 690.1, -128.279544117538),
+        (100, "L", -689.9, 30162.4088022112),
+        (100, "L", -690.1, 30171.0946918493),
+        (100, "L", -750, 32772.5186384498),
+        (7000, "xi", 0.5, 26296.0011774592),
+        (7000, "xi", 1, 29100.193129491),
+        (7000, "xi", 3, 33091.4326333077),
+        (7000, "L", 689.9, 4036.01987311822),
+        (7000, "L", 690.1, 4035.13023581733),
+        (7000, "L", -689.9, 2124254.46200411),
+        (7000, "L", -690.1, 2124862.47427877),
+        (7000, "L", -750, 2306962.15054081),
+    ]
+
+    @pytest.mark.parametrize("n,kind,v,want", REFERENCE)
+    def test_against_the_formula_in_x(self, n, kind, v, want, monkeypatch):
+        lx = (math.log(n * math.e * v) if kind == "xi"
+              else math.log(n + 1) - v)
+        routes = []
+        for name, mpctx in (("float", stirling.fp), ("mpf", stirling.mp)):
+            real = mpctx.lambertw
+            monkeypatch.setattr(mpctx, "lambertw", lambda z, real=real,
+                                name=name: routes.append(name) or real(z))
+        got = stirling._log10_envelope(n, lx)
+        assert abs(got - want) < 1e-4
+        mpf_route = kind == "L" and abs(v) > 690
+        assert routes == ["mpf" if mpf_route else "float"]
 
 
 class TestSizingFailsClosed:
