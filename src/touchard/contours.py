@@ -35,12 +35,14 @@ point that set it reaches, so pass 2 recomputes at 30 digits only the
 points whose v + b is not under low, and the real axis, where Im psi is 0
 or -pi, once a side. A drift not under 1e-8 raises StepError.
 
-Paths stop at the frame Re t in (-8.5, 8.4), |Im t| <= 7.5 (generous around
-the Im t = +/- pi asymptotes), at |t| < 0.05 near the logarithmic
-singularity, on reaching another saddle, or at the arclength cap. A saddle
-outside that frame would give paths of two points, so contour_set refuses
-it: the inner saddle |t0| ~ 1/(e xi) enters the origin disc above
-xi = 7.735, and the conjugate pair passes Re t = 8.4 below xi = 9.34e-6.
+Paths stop past the frame -8.5 <= Re t <= 8.4, |Im t| <= 7.5 (generous
+around the Im t = +/- pi asymptotes), |t| >= 0.05 (around the logarithmic
+singularity), edges included, on reaching another saddle, or at the
+arclength cap. _outside states the frame once: it names the edge a point
+lies past. A saddle past one would give paths of two points, so
+contour_set refuses it and names that edge: the inner saddle
+|t0| ~ 1/(e xi) enters the origin disc above xi = 7.735, and the
+conjugate pair passes Re t = 8.4 below xi = 9.34e-6.
 A pair closer than LAUNCH_OFFSET, each in the other's launch circle, is
 traced as one double saddle at its midpoint (xi = 1 and 1 +- 10^-k,
 k >= 17): contour_set's one rule for the double saddle.
@@ -56,9 +58,6 @@ from itertools import chain
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (dps_to_prec, from_float, mpf_add, mpf_atan2,
-                          mpf_exp, mpf_mul, mpf_neg, mpf_pi, mpf_shift,
-                          mpf_sin)
 
 from .errors import DomainError, StepError
 from .numkernel import (MIN_DIGITS, BigReal, PrecisionContext,
@@ -167,29 +166,37 @@ def _psi(t, inv_mu):
     return -mp.exp(t) * inv_mu - log_branched_raw(t)
 
 
-def _im_psi(t: complex, inv_mu, prec):
-    """Im psi at the exact value of t = x + iy as an mpf tuple, inv_mu an mpf
-    tuple, rounded to prec bits: -e^x sin(y) inv_mu - arg, with
-    arg = atan2(y, x) moved into [0, 2 pi) as log_branched_raw takes it."""
-    x, y = from_float(t.real), from_float(t.imag)
-    arg = mpf_atan2(y, x, prec, "n")
-    if arg[0]:  # negative
-        arg = mpf_add(arg, mpf_shift(mpf_pi(prec, "n"), 1), prec, "n")
-    e_sin = mpf_mul(mpf_exp(x, prec, "n"), mpf_sin(y, prec, "n"), prec, "n")
-    return mpf_neg(mpf_add(mpf_mul(e_sin, inv_mu, prec, "n"), arg, prec, "n"))
+def _im_psi(t: complex, inv_mu):
+    """Im psi at the exact value of t = x + iy, at the ambient precision:
+    -e^x sin(y) inv_mu - arg, with arg = atan2(y, x) moved into [0, 2 pi) as
+    log_branched_raw takes it. exp, sin and atan2 each land within an ulp;
+    2 pi, the shift, the two products and the difference each round once."""
+    arg = mp.atan2(t.imag, t.real)
+    arg += 2 * mp.pi if arg < 0 else 0
+    return -mp.exp(t.real) * mp.sin(t.imag) * inv_mu - arg
 
 
-def _estimates(pts, inv_mu: float, c: float, prec):
+def _estimates(pts, inv_mu: float, c: float):
     """(t, v, b) per t of pts off the real axis or NaN: v = |Im psi(t) - c| in
-    doubles, within b of _im_psi's at prec bits: 16 eps for the doubles'
-    rounding, 2^(4 - prec) for prec's, each on |e^x sin y / mu| + arg + |c|."""
-    rel = 16 * 2.0 ** -52 + 2.0 ** (4 - prec)
+    doubles, within b of _im_psi's at the ambient mp.prec bits, each term on
+    |e^x sin y / mu| + arg + |c|: 16 eps for the doubles' rounding, and
+    2^(4 - prec) for the roundings of _im_psi, of inv_mu to prec bits and of
+    the difference from c, fewer than 16 of 2^-prec each."""
+    rel = 16 * 2.0 ** -52 + 2.0 ** (4 - mp.prec)
     for t in pts:
         if t.imag or cmath.isnan(t):
             a = math.exp(t.real) * math.sin(t.imag) * inv_mu
             arg = math.atan2(t.imag, t.real)
             arg += 2 * math.pi if arg < 0 else 0.0
             yield t, abs(a + arg + c), rel * (abs(a) + arg + abs(c))
+
+
+def _outside(t) -> str | None:
+    """The edge of the tracing frame that t lies past, as a stop reason, or
+    None for t in the frame, edges included."""
+    return ("re_max" if t.real > RE_MAX else "re_min" if t.real < RE_MIN
+            else "im_max" if abs(t.imag) > IM_MAX
+            else "origin" if abs(t) < R_MIN else None)
 
 
 def _passes(t, t_new, s, h) -> bool:
@@ -217,13 +224,9 @@ def _trace(saddle_t, theta, kind, inv_mu, other, step,
     h = arclen = LAUNCH_OFFSET
     for _ in range(max_iters):
         d0, t = flow.dpsi(u), s + u
-        stop = ("max_len" if arclen >= max_len
-                else "re_max" if t.real > RE_MAX
-                else "re_min" if t.real < RE_MIN
-                else "im_max" if abs(t.imag) > IM_MAX
-                else "origin" if abs(t) < R_MIN
-                else "saddle" if arclen > 0.3 and abs(d0) < _SADDLE_FIELD_TOL
-                else None)
+        stop = ("max_len" if arclen >= max_len else _outside(t) or (
+            "saddle" if arclen > 0.3 and abs(d0) < _SADDLE_FIELD_TOL
+            else None))
         if stop:
             break
         k1 = flow.direction(d0)
@@ -258,16 +261,15 @@ def _trace(saddle_t, theta, kind, inv_mu, other, step,
     else:
         stop = "iteration_cap"
 
-    prec = dps_to_prec(MIN_DIGITS)
-    est = list(_estimates(pts, float(inv_mu), float(c), prec))
-    low = max(chain([-math.inf], (v - b for _, v, b in est)))
     # on the real axis Im psi is 0 (t > 0) or -pi (t < 0) at 30 digits; c
     # keeps its LEVEL_DIGITS value, so a drift there shows pi's rounding
     axis = {t.real > 0: t for t in pts if not (t.imag or cmath.isnan(t))}
-    kept = (t for t, v, b in est if not v + b < low)
     with mp.workdps(MIN_DIGITS):
-        inv_mu = (+inv_mu)._mpf_
-        drift = max((abs(mp.make_mpf(_im_psi(t, inv_mu, prec)) - c)
+        est = list(_estimates(pts, float(inv_mu), float(c)))
+        low = max(chain([-math.inf], (v - b for _, v, b in est)))
+        kept = (t for t, v, b in est if not v + b < low)
+        inv_mu = +inv_mu
+        drift = max((abs(_im_psi(t, inv_mu) - c)
                      for t in chain(axis.values(), kept)),
                     key=lambda d: d if d == d else mp.inf)  # NaN on top
     if not drift < DRIFT_BUDGET:
@@ -325,15 +327,10 @@ def contour_set(xi, ctx: PrecisionContext, step=None,
             kind, t0 = SaddleKind.DOUBLE, (t0 + t1) / 2
             t1 = t0
     for sv in (t0, t1):
-        outside = (f"|t| < R_MIN = {R_MIN}" if abs(sv) < R_MIN
-                   else f"Re t <= RE_MIN = {RE_MIN}" if sv.real <= RE_MIN
-                   else f"Re t >= RE_MAX = {RE_MAX}" if sv.real >= RE_MAX
-                   else f"|Im t| > IM_MAX = {IM_MAX}" if abs(sv.imag) > IM_MAX
-                   else None)
-        if outside:
+        if edge := _outside(sv):
             raise DomainError(
                 f"the saddle t = {mp.nstr(sv, 5)} lies outside the tracing "
-                f"frame ({outside}), so its paths would stop at once; "
+                f"frame ({edge}), so its paths would stop at once; "
                 "contours need xi in about [9.34e-6, 7.735]")
     lines = tuple(_trace(sv, th, path, inv_mu,
                          None if t0 == t1 else t1 if sv == t0 else t0,

@@ -59,14 +59,18 @@ def mk_context(digits: int | None = None) -> PrecisionContext:
     return PrecisionContext(digits=digits)
 
 
+def capped_width(width: int) -> int:
+    """width, or CapacityError past MAX_WIDTH."""
+    if width > MAX_WIDTH:
+        raise CapacityError(f"working width {width} digits past {MAX_WIDTH}")
+    return width
+
+
 def working_digits(ctx: PrecisionContext, n: int) -> int:
     """The working width for values that n multiplies: ctx.digits, the
     ceil(log10 n) digits the product spends, and the guard; CapacityError
     past MAX_WIDTH."""
-    width = ctx.digits + math.ceil(math.log10(n)) + _GUARD
-    if width > MAX_WIDTH:
-        raise CapacityError(f"working width {width} digits past {MAX_WIDTH}")
-    return width
+    return capped_width(ctx.digits + math.ceil(math.log10(n)) + _GUARD)
 
 
 # ---------------------------------------------------------------------------

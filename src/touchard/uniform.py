@@ -35,9 +35,12 @@ Near xi = 1, psi(t1) - psi(t0) ~ |xi - 1|^{3/2} cancels
 0.5 log10(1/|xi - 1|) of B0. uniform_ingredients therefore keeps every
 field, the saddles included, as mpf/mpc at working_digits(ctx, n) for the
 largest n it serves plus max(0, ceil(2 log10(1/|xi - 1|)) - 5) digits; for
-|xi - 1| >= 0.01 that adds nothing. The ingredients record that width
-before the extra; theorem2_eval takes them in place of xi, so that they
-cannot disagree with it, and refuses them for an n that asks for more.
+|xi - 1| >= 0.01 that adds nothing. The sum meets the same MAX_WIDTH
+ceiling as working_digits, before any solving: an mpf xi is read as held,
+so one exactly near 1 could otherwise ask for any width. The ingredients
+record the width before the extra; theorem2_eval takes them in place of
+xi, so that they cannot disagree with it, and refuses them for an n that
+asks for more.
 x + n Re beta cancels under a digit (it is near x/2 for large xi), and
 theorem2_eval rounds only its value; the Airy values it multiplies are
 plain mpf at the width airy works at.
@@ -51,8 +54,8 @@ from mpmath import mp, mpc, mpf
 
 from .airy import airy
 from .errors import BranchError, DomainError
-from .numkernel import (BigReal, PrecisionContext, _require_real, read_real,
-                        working_digits, wrap_real)
+from .numkernel import (BigReal, PrecisionContext, _require_real,
+                        capped_width, read_real, working_digits, wrap_real)
 from .saddle import (SaddleKind, SaddlePair, mu_at, psi2_at_saddle_raw,
                      psi_reduced_raw, solve_saddles)
 
@@ -105,7 +108,7 @@ def uniform_ingredients(xi, ctx: PrecisionContext, n: int) -> UniformIngredients
     xv = read_real(xi, width)
     gap = mp.fsub(xv, 1, exact=True)
     if gap:
-        digits = width + _extra_digits(gap)
+        digits = capped_width(width + _extra_digits(gap))
         saddles = solve_saddles(mu_at(xv, digits), digits)
     else:  # the double saddle, of residual |mu - 1/e| = 0 at xi = 1
         digits = width

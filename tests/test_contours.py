@@ -6,14 +6,14 @@ import sys
 
 import pytest
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import dps_to_prec, fnan
 
 from touchard import (DomainError, SaddleKind, StepError, mk_context,
                       mu_from_xi, solve_saddles, working_digits)
 from touchard import contours
 from touchard.cli import _sci, cmd_contours, contours_to_json
-from touchard.contours import (DRIFT_BUDGET, LEVEL_DIGITS, MAX_LEN_OVER_STEP,
-                               R_MIN, _TERMS, _Flow, _im_psi, _psi,
+from touchard.contours import (DRIFT_BUDGET, IM_MAX, LEVEL_DIGITS,
+                               MAX_LEN_OVER_STEP, R_MIN, RE_MAX, RE_MIN,
+                               _TERMS, _Flow, _im_psi, _outside, _psi,
                                contour_set)
 from touchard.numkernel import MIN_DIGITS, log_branched_raw, raw
 
@@ -233,18 +233,34 @@ class TestControls:
         # above xi = 7.735 the inner saddle |t0| ~ 1/(e xi) lies in the
         # |t| < R_MIN origin disc, and below 9.34e-6 the conjugate pair lies
         # right of RE_MAX: their paths would stop after 2 points, so the set
-        # is refused up front
+        # is refused up front, naming the edge as the step loop would
         try:
             cs = contour_set(xi, ctx40)
         except DomainError as exc:
             assert not 9.34e-6 < float(xi) < 7.735
-            assert "tracing frame" in str(exc)
+            edge = "origin" if float(xi) > 1 else "re_max"
+            assert f"tracing frame ({edge})" in str(exc)
             assert exc.exit_code == 2
         else:
             assert 9.34e-6 < float(xi) < 7.735
             for pl in cs.polylines:
                 assert len(pl.points) > 2, (pl.kind, pl.stop_reason)
                 assert raw(pl.im_psi_drift) < DRIFT_BUDGET
+
+    @pytest.mark.parametrize("edge, inside, past", [
+        ("re_max", complex(RE_MAX, 1), complex(math.nextafter(RE_MAX, 9), 1)),
+        ("re_min", complex(RE_MIN, 1), complex(math.nextafter(RE_MIN, -9), 1)),
+        ("im_max", complex(1, IM_MAX), complex(1, math.nextafter(IM_MAX, 9))),
+        ("im_max", complex(1, -IM_MAX),
+         complex(1, -math.nextafter(IM_MAX, 9))),
+        ("origin", complex(R_MIN, 0), complex(math.nextafter(R_MIN, 0), 0)),
+        ("origin", complex(0, -R_MIN), complex(0, -math.nextafter(R_MIN, 0))),
+    ])
+    def test_frame_edges_are_inside(self, edge, inside, past):
+        # one frame for the step loop (complex) and the refusal (mpc)
+        for kind in (complex, mpc):
+            assert _outside(kind(inside)) is None
+            assert _outside(kind(past)) == edge
 
 
 def retry_hits(call):
@@ -324,10 +340,9 @@ class TestDriftCertificate:
         *(R_MIN * complex(mp.expjpi(k / 8)) for k in range(16)),
     ])
     def test_real_im_psi_on_the_branch_cut(self, t):
-        prec = dps_to_prec(MIN_DIGITS)
         with mp.workdps(MIN_DIGITS):
             mu = 1 / mp.e
-            got = mp.make_mpf(_im_psi(complex(t), (1 / mu)._mpf_, prec))
+            got = _im_psi(complex(t), 1 / mu)
             want = oracle_im_psi(mpc(t.real, t.imag), mu)
             tol = mpf("1e-28") * max(1, abs(want))
             assert abs(got - want) <= tol
@@ -344,7 +359,7 @@ class TestDriftCertificate:
 
     def test_nan_drift_is_refused(self, ctx40, monkeypatch):
         # NaN compares false both ways, so the budget test must be `not <`
-        monkeypatch.setattr(contours, "_im_psi", lambda t, inv_mu, prec: fnan)
+        monkeypatch.setattr(contours, "_im_psi", lambda t, inv_mu: mp.nan)
         with pytest.raises(StepError, match="drift nan exceeds"):
             contour_set("1.8", ctx40)
 
@@ -359,19 +374,17 @@ class TestDriftCertificate:
         monkeypatch.setattr(contours, "_im_psi",
                             lambda t, *a: seen.add(t) or _im_psi(t, *a))
         cs = contour_set(xi, ctx40, step=step)
-        prec = dps_to_prec(MIN_DIGITS)
         with mp.workdps(ctx40.digits + 10):
             inv_mu = 1 / raw(cs.mu)
         for pl in cs.polylines:
             with mp.workdps(LEVEL_DIGITS):
                 c = _psi(raw(pl.saddle), inv_mu).imag
             with mp.workdps(MIN_DIGITS):
-                inv30 = (+inv_mu)._mpf_
-                drifts = {t: abs(mp.make_mpf(_im_psi(t, inv30, prec)) - c)
-                          for t in pl.points}
+                inv30 = +inv_mu
+                drifts = {t: abs(_im_psi(t, inv30) - c) for t in pl.points}
                 assert raw(pl.im_psi_drift) == max(drifts.values())
-            est = list(contours._estimates(pl.points, float(inv_mu),
-                                           float(c), prec))
+                est = list(contours._estimates(pl.points, float(inv_mu),
+                                               float(c)))
             for t, v, b in est:
                 assert abs(v - drifts[t]) <= b
             low = max((v - b for _, v, b in est), default=-math.inf)
@@ -425,7 +438,7 @@ class TestDriftCertificate:
         target = next(ts[1] for ts in recomputed if len(ts) > 1)
         monkeypatch.setattr(
             contours, "_im_psi",
-            lambda t, *a: fnan if t == target else _im_psi(t, *a))
+            lambda t, *a: mp.nan if t == target else _im_psi(t, *a))
         with pytest.raises(StepError, match="drift nan exceeds"):
             contour_set("0.8", ctx40)
 

@@ -254,6 +254,25 @@ def test_asymptotic_width_at_the_ceiling():
         assert time.perf_counter() - start < 0.1
 
 
+def test_uniform_width_of_an_mpf_xi_at_the_ceiling():
+    # an mpf xi is read as held, so one exactly near 1 adds about
+    # 2 log10(1/|xi - 1|) digits past working_digits: 2^-200000 asks for
+    # about 120000 and is refused before solving, 2^-2000 (about 1200) is not
+    ctx = mk_context(30)
+    far = mp.fadd(1, mp.ldexp(1, -200000), exact=True)
+    for call in (lambda: uniform_ingredients(far, ctx, 100),
+                 lambda: theorem2_eval(100, far, ctx)):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"past {MAX_WIDTH}") as info:
+            call()
+        assert info.value.exit_code == 2
+        assert time.perf_counter() - start < 0.1
+    near = mp.fadd(1, mp.ldexp(1, -2000), exact=True)
+    got = uniform_ingredients(near, ctx, 100)
+    assert got.xi == near and got.zeta > 0 and mp.isfinite(got.B0)
+    assert mp.isfinite(raw(theorem2_eval(100, got, ctx)))
+
+
 def test_scaled_touchard_past_the_cap_refused(ctx40):
     with pytest.raises(CapacityError) as info:
         scaled_touchard(N_MAX_LIMIT + 1, real_from("-1", ctx40), ctx40)

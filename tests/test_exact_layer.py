@@ -24,6 +24,7 @@ from touchard import fixedpoint, stirling
 from touchard.cli import cmd_eval, cmd_table1, main
 from touchard.numkernel import BigReal, raw
 
+from cauchy_oracle import cauchy_scaled_touchard
 from stirling_oracle import integer_scaled_touchard, stirling2_row
 
 DIGITS = 120
@@ -549,6 +550,32 @@ class TestFarAboveN:
         monkeypatch.setattr(stirling, "MAX_ESCALATIONS", 0)
         ctx = mk_context(DIGITS)
         scaled_touchard(999, negated(x_at(1000, xi, ctx)), ctx)  # no raise
+
+
+class TestCauchyOracle:
+    # past the Stirling-row oracle's reach, T_n(-x)/n! as a trapezoid sum on
+    # the circle through the saddle (tests/cauchy_oracle.py)
+    D = 40
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 40, 150])
+    @pytest.mark.parametrize("xi", ["0.05", "0.9", "1", "4"])
+    def test_oracle_against_the_integer_row(self, n, xi):
+        with mp.workdps(self.D + 10):
+            z = -(n * mp.e * mpf(xi))
+        got, nodes, loss = cauchy_scaled_touchard(n, z, self.D)
+        want, _ = integer_scaled_touchard(n, z)
+        assert_close(got, want, mpf(10) ** -(self.D + 4))
+        assert nodes <= 4096 and 0 <= loss < 5
+
+    @pytest.mark.parametrize("n", [1500, 3000])
+    @pytest.mark.parametrize("xi", ["0.9", "1", "1.1"])
+    def test_exact_layer_past_n_1000(self, n, xi):
+        ctx = mk_context(self.D)
+        z = negated(x_at(n, xi, ctx))
+        want, nodes, loss = cauchy_scaled_touchard(n, raw(z), self.D)
+        assert nodes <= 4096 and loss < 5
+        got = scaled_touchard(n, z, ctx)
+        assert_close(raw(got.value), want, mpf(10) ** -self.D)
 
 
 class TestCliExactAtAmbientPrecision:
