@@ -26,8 +26,7 @@ def poincare_sweep(mu_str: str, n_values, ctx) -> None:
     for n in n_values:
         with mp.workdps(ctx.digits + 10):
             x = wrap_real(n / raw(mu), ctx)
-            mz = wrap_real(-raw(x), ctx)
-        exact = scaled_touchard(n - 1, mz, ctx)
+        exact = scaled_touchard(n - 1, x, ctx)
         approx = leading_order(n, mu, ctx)
         with mp.workdps(ctx.digits):
             rel = abs(raw(approx.value) / raw(exact.value) - 1)
@@ -37,8 +36,7 @@ def poincare_sweep(mu_str: str, n_values, ctx) -> None:
 def truncation_sweep(n: int, max_order: int, ctx) -> None:
     with mp.workdps(ctx.digits + 10):
         x = wrap_real(n * mp.e, ctx)
-        mz = wrap_real(-raw(x), ctx)
-    exact = scaled_touchard(n - 1, mz, ctx)
+    exact = scaled_touchard(n - 1, x, ctx)
     print(f"# coalescence series truncation, n = {n}")
     print("order,rel_err")
     for m in range(max_order + 1):

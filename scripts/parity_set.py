@@ -133,7 +133,7 @@ def exact_points(seed: int) -> list[tuple[int, str, int]]:
 def exact_line(n: int, x: str, digits: int) -> str:
     ctx = mk_context(digits)
     try:
-        got = scaled_touchard(n, real_from("-" + x, ctx), ctx)
+        got = scaled_touchard(n, real_from(x, ctx), ctx)
     except TouchardError as exc:
         return f"n={n} x={x} digits={digits}: exit {exc.exit_code}\n"
     return (f"n={n} x={x} digits={digits}: {got.value.to_str()} "

@@ -16,7 +16,7 @@ from .errors import (BranchError, CapacityError, DomainError,
                      SeriesConsistencyError, SolverError, StepError,
                      TouchardError)
 from .numkernel import (DEFAULT_DIGITS, MAX_DIGITS, MIN_DIGITS, BigReal,
-                        PrecisionContext, mk_context, real_from,
+                        PrecisionContext, mk_context, read_int, real_from,
                         working_digits, wrap_real)
 from .poincare import PoincareRegime, PoincareResult, leading_order
 from .saddle import SaddleKind, SaddlePair, mu_from_xi, solve_saddles
@@ -35,7 +35,7 @@ __all__ = [
     "RegimeError", "SeriesConsistencyError", "SolverError", "StepError",
     "TouchardError",
     "DEFAULT_DIGITS", "MAX_DIGITS", "MIN_DIGITS", "BigReal", "PrecisionContext",
-    "mk_context", "real_from", "working_digits", "wrap_real",
+    "mk_context", "read_int", "real_from", "working_digits", "wrap_real",
     "PoincareRegime", "PoincareResult", "leading_order",
     "SaddleKind", "SaddlePair", "mu_from_xi", "solve_saddles",
     "N_MAX_LIMIT", "ExactValue", "StirlingTriangle", "build_triangle",

@@ -183,9 +183,9 @@ def _sums(man: int, exp: int, neg: bool, absz: float, p: int):
 def _maclaurin_pass(zv, p: int):
     """(Ai, Ai'), their bounds, and (0, 0): no part of them outlasts a
     larger p."""
-    sign, man, exp, _ = zv._mpf_
+    man, exp = zv.man_exp  # the mantissa unsigned
     az = abs(zv)
-    sf, sfp, sg, sgp, k, af, ag = _sums(man, exp, sign == 1, float(az), p)
+    sf, sfp, sg, sgp, k, af, ag = _sums(man, exp, zv < 0, float(az), p)
     c1, c2 = _ai0(p + 4)
     z2 = zv * zv
     ef, eg = (mp.ldexp(counted_bound(8 * k + 7, (k + 3) ** 2, p, a), -p)
@@ -225,7 +225,7 @@ def _series_pass(zv, p: int):
         q = mp.sqrt(az)
         zeta = 2 * az * q / 3
         phase = zeta - mp.pi / 4
-    _, zm, ze, _ = zeta._mpf_
+    zm, ze = zeta.man_exp
     su, sv, k, a, tk = _series(zm, ze, zf, zv < 0, p)
     q = +q  # |z|^(1/2), rounded to p + 4 bits
     r = mp.sqrt(q)  # |z|^(1/4)

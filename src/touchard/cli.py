@@ -29,8 +29,9 @@ from mpmath import mp, mpc, mpf
 from .coalescence import (_BM_CHECK, _sin_third, check_order, default_bm,
                           theorem1_eval)
 from .contours import ContourSet, contour_set
-from .errors import DomainError, InternalConsistencyError, TouchardError
-from .numkernel import (BigReal, _sci, mk_context, raw, real_from,
+from .errors import (DomainError, InternalConsistencyError, OrderError,
+                     TouchardError)
+from .numkernel import (BigReal, _sci, mk_context, raw, read_int, real_from,
                         working_digits, wrap_real)
 from .poincare import EXCLUSION_HALF_WIDTH, leading_order
 from .saddle import mu_at, mu_from_xi
@@ -109,12 +110,12 @@ def _exact_scaled(n: int, xi, ctx) -> tuple[BigReal, ExactValue]:
     """(x, T^_{n-1}(-x)) at x = n e xi."""
     with mp.workdps(working_digits(ctx, 1)):
         x = wrap_real(n * mp.e * raw(xi), ctx)
-        z = wrap_real(-x.value, ctx)  # exact: x has ctx digits
-    return x, scaled_touchard(n - 1, z, ctx)
+    return x, scaled_touchard(n - 1, x, ctx)
 
 
 def cmd_table1(n_list=None, m_list=None, digits: int | None = None) -> str:
-    n_list = list(DEFAULT_N_TABLE1 if n_list is None else n_list)
+    n_list = [read_int(n, 2, error=OrderError) for n in
+              (DEFAULT_N_TABLE1 if n_list is None else n_list)]
     m_list = list(DEFAULT_M_TABLE1 if m_list is None else m_list)
     if not n_list or not m_list:
         raise DomainError("table1 needs a non-empty --n and --m list")
@@ -132,7 +133,8 @@ def cmd_table1(n_list=None, m_list=None, digits: int | None = None) -> str:
 
 def cmd_table2(xi_list=None, n_list=None, digits: int | None = None) -> str:
     xi_list = list(DEFAULT_XI_TABLE2 if xi_list is None else xi_list)
-    n_list = list(DEFAULT_N_TABLE2 if n_list is None else n_list)
+    n_list = [read_int(n, 2) for n in
+              (DEFAULT_N_TABLE2 if n_list is None else n_list)]
     if not xi_list or not n_list:
         raise DomainError("table2 needs a non-empty --xi and --n list")
     ctx = mk_context(digits)
@@ -165,8 +167,7 @@ def _method_entry(fn, exact: BigReal) -> dict:
 
 
 def cmd_eval(n: int, xi, digits: int | None = None) -> dict:
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
+    read_int(n, 2)
     ctx = mk_context(digits)
     xi_br = real_from(xi, ctx)
     mu = mu_from_xi(xi_br, ctx)

@@ -41,7 +41,8 @@ from mpmath import mp, mpf
 
 from .airy import _ai0
 from .errors import OrderError, SeriesConsistencyError
-from .numkernel import BigReal, PrecisionContext, working_digits, wrap_real
+from .numkernel import (BigReal, PrecisionContext, read_int, working_digits,
+                        wrap_real)
 
 DEFAULT_ORDER = 12
 # Largest series order. `touchard bm --max 150` takes 10.5 s and 20 MiB,
@@ -59,8 +60,7 @@ _BM_CHECK = {
 
 
 def check_order(order: int) -> None:
-    if not 0 <= order <= MAX_ORDER:
-        raise OrderError(f"series order must lie in [0, {MAX_ORDER}], got {order}")
+    read_int(order, 0, MAX_ORDER, "series order", OrderError)
 
 
 @functools.lru_cache(maxsize=None)
@@ -105,8 +105,7 @@ def _sin_third(m: int) -> int:
 
 def theorem1_eval(n: int, order: int, ctx: PrecisionContext) -> BigReal:
     """Descending-powers approximation of T^_{n-1}(-x) at exact coalescence x = n e."""
-    if n < 2:
-        raise OrderError(f"n must be >= 2, got {n}")
+    read_int(n, 2, error=OrderError)
     check_order(order)
     with mp.workdps(working_digits(ctx, n)):
         bm = default_bm(max(order, DEFAULT_ORDER))

@@ -17,11 +17,13 @@ class DomainError(TouchardError):
 
 
 class InvalidPrecisionError(DomainError):
-    """Working precision below the 30 digit floor, or not an integer."""
+    """A digit count that is not an integer in its range: a context's
+    digits outside [30, 4300], or a saddle solve's outside [30, 35000]."""
 
 
 class CapacityError(DomainError):
-    """Structural size limit exceeded (exact-sum degree, rows, series order)."""
+    """Structural size limit exceeded (exact-sum degree, working width,
+    Stirling rows)."""
 
 
 class OrderError(DomainError):

@@ -7,7 +7,9 @@ depend on ambient global state; repeated calls with identical inputs are
 bit-identical. Values are rounded once, at the edge: the asymptotic routes
 keep plain mpf/mpc at working_digits(ctx, n) = ctx.digits + ceil(log10 n)
 + 10, as n multiplies them, read_real reads an outside number once at that
-width, and wrap_real rounds to ctx only what they return or print. The 10
+width, read_int reads every integer argument (digits, n, a series order)
+and refuses with the caller's error class anything but an int in range,
+and wrap_real rounds to ctx only what they return or print. The 10
 guard digits, _GUARD, are stated here alone: every other layer that works
 past the context takes working_digits(ctx, 1), or _GUARD where it holds only
 a digit count.
@@ -32,7 +34,7 @@ from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_ln2, mpf_ln10,
                           to_int)
 
 from .errors import (BranchError, CapacityError, DomainError,
-                     InvalidPrecisionError)
+                     InvalidPrecisionError, TouchardError)
 
 DEFAULT_DIGITS = 120
 MIN_DIGITS = 30
@@ -49,14 +51,21 @@ class PrecisionContext(NamedTuple):
     digits: int
 
 
+def read_int(v, least: int, most: float = math.inf, what: str = "n",
+             error: type[TouchardError] = DomainError) -> int:
+    """v, an int and not a bool in [least, most]; else `error`.
+
+    The one reader of integer arguments: digit counts, n and series orders.
+    """
+    if not isinstance(v, int) or isinstance(v, bool) or not least <= v <= most:
+        raise error(f"{what} must be an integer in [{least}, {most}], got {v!r}")
+    return v
+
+
 def mk_context(digits: int | None = None) -> PrecisionContext:
-    digits = DEFAULT_DIGITS if digits is None else digits
-    if (not isinstance(digits, int) or isinstance(digits, bool)
-            or not MIN_DIGITS <= digits <= MAX_DIGITS):
-        raise InvalidPrecisionError(
-            f"working precision must be an integer in [{MIN_DIGITS}, "
-            f"{MAX_DIGITS}], got {digits!r}")
-    return PrecisionContext(digits=digits)
+    return PrecisionContext(read_int(
+        DEFAULT_DIGITS if digits is None else digits, MIN_DIGITS, MAX_DIGITS,
+        "working precision", InvalidPrecisionError))
 
 
 def capped_width(width: int) -> int:
@@ -70,7 +79,8 @@ def working_digits(ctx: PrecisionContext, n: int) -> int:
     """The working width for values that n multiplies: ctx.digits, the
     ceil(log10 n) digits the product spends, and the guard; CapacityError
     past MAX_WIDTH."""
-    return capped_width(ctx.digits + math.ceil(math.log10(n)) + _GUARD)
+    return capped_width(ctx.digits + math.ceil(math.log10(read_int(n, 1)))
+                        + _GUARD)
 
 
 # ---------------------------------------------------------------------------

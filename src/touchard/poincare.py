@@ -26,9 +26,10 @@ from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 
-from .errors import DomainError, RegimeError
+from .errors import RegimeError
 from .numkernel import (BigReal, PrecisionContext, _require_real,
-                        log_branched_raw, read_real, working_digits, wrap_real)
+                        log_branched_raw, read_int, read_real, working_digits,
+                        wrap_real)
 from .saddle import solve_saddle
 
 EXCLUSION_HALF_WIDTH = mpf("0.05")
@@ -47,9 +48,7 @@ class PoincareResult(NamedTuple):
 
 def leading_order(n: int, mu, ctx: PrecisionContext) -> PoincareResult:
     """Leading-order T^_{n-1}(-n/mu) for mu outside the coalescence band."""
-    if n < 10:
-        raise DomainError(f"n must be >= 10 for the leading-order form, got {n}")
-    digits = working_digits(ctx, n)
+    digits = working_digits(ctx, read_int(n, 10))
     muv = read_real(mu, digits)
     with mp.workdps(digits):
         if abs(muv * mp.e - 1) <= EXCLUSION_HALF_WIDTH:

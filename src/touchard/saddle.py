@@ -29,8 +29,9 @@ from typing import NamedTuple
 
 from mpmath import fp, mp, mpc, mpf
 
-from .errors import DomainError, SolverError
-from .numkernel import (_GUARD, BigReal, PrecisionContext, log_branched_raw,
+from .errors import DomainError, InvalidPrecisionError, SolverError
+from .numkernel import (_GUARD, MAX_WIDTH, MIN_DIGITS, BigReal,
+                        PrecisionContext, log_branched_raw, read_int,
                         read_real, working_digits, wrap_real)
 
 
@@ -105,7 +106,9 @@ def _lambertw(z: mpf, k: int):
 
 def solve_saddle(mu, k: int, digits: int) -> tuple[mpc, mpf]:
     """W_k(-mu) at digits, certified by its residual |t e^t + mu|
-    <= 10^-(digits - _GUARD) mu, which is returned with it."""
+    <= 10^-(digits - _GUARD) mu, which is returned with it; digits lies in
+    [MIN_DIGITS, MAX_WIDTH]."""
+    read_int(digits, MIN_DIGITS, MAX_WIDTH, "digits", InvalidPrecisionError)
     mu = read_real(mu, digits)
     if not mu > 0:
         raise DomainError(f"mu must be positive, got {mp.nstr(mu, 8)}")

@@ -3,12 +3,15 @@
 T_n(z) = sum_k S(n,k) z^k with S(n,k) the Stirling numbers of the second
 kind. The explicit formula k! S(n,k) = sum_j (-1)^(k-j) C(k,j) j^n (Graham,
 Knuth and Patashnik, Concrete Mathematics, ch. 6), summed over k with the
-two sums swapped, gives for z = -x <= 0
+two sums swapped, gives for x >= 0
 
     T_n(-x) = sum_{j=1..n} (-1)^j j^n t_j E_{n-j},
     t_j = x^j/j!,   E_m = sum_{i<=m} t_i,
 
 n terms and no Stirling number. The sum divides by the exact integer n! last.
+scaled_touchard takes x itself, as numkernel.read_real reads it: an mpf or a
+BigReal as held, so that no caller negates it and the sum is exact at x's
+binary value.
 
 The sum runs in Python ints at p bits in fixedpoint.grid_sum, each term
 rounded down onto a grid of 2^g; with S the alternating sum and A the sum
@@ -81,8 +84,8 @@ from mpmath import fp, mp, mpf
 from . import fixedpoint
 from .errors import (CapacityError, DomainError, InternalConsistencyError,
                      PrecisionExhaustedError)
-from .numkernel import (BigReal, PrecisionContext, raw, working_digits,
-                        wrap_real)
+from .numkernel import (BigReal, PrecisionContext, read_int, read_real,
+                        working_digits, wrap_real)
 
 # Largest n of an exact value. `touchard eval --n 7000` takes 3.5-4.1 s and
 # 36-38 MiB at 120 digits; memory sets the cap, as --n 8000 takes 43 MiB
@@ -125,10 +128,8 @@ class ExactValue(NamedTuple):
 
 def build_triangle(keep: Iterable[int]) -> StirlingTriangle:
     """The rows named in keep, from one rolling pass up to the largest."""
-    wanted = frozenset(keep)
-    outside = sorted(n for n in wanted if not 0 <= n <= _ROW_LIMIT)
-    if outside:
-        raise CapacityError(f"rows {outside} outside [0, {_ROW_LIMIT}]")
+    wanted = frozenset(read_int(n, 0, _ROW_LIMIT, "row", CapacityError)
+                       for n in keep)
     rows = {}
     row = [1]
     for n in range(max(wanted, default=-1) + 1):
@@ -390,10 +391,11 @@ def _exact_window(n: int, lo: int, hi: int) -> dict[int, int]:
     return window
 
 
-def _cancellation_digits(n: int, x: mpf, s: int, g: int, lo: int, hi: int,
+def _cancellation_digits(n: int, x: mpf, lx: float, s: int, g: int,
                          ctx: PrecisionContext) -> int:
-    """cancellation_digits of T_n(-x) = S 2^g, the largest Stirling term
-    lying in the window [lo, hi].
+    """cancellation_digits of T_n(-x) = S 2^g, lx = ln x, the largest
+    Stirling term lying in the window [lo, hi] of k within 1 of the floor
+    and ceiling of _mode_mean (module docstring).
 
     With S != 0 the count is max(n > 1, ceil(l)), l = log10 of the largest
     term over |S 2^g|; with S = 0 it is floor(l) - floor(g log10 2), l =
@@ -404,6 +406,10 @@ def _cancellation_digits(n: int, x: mpf, s: int, g: int, lo: int, hi: int,
     and for every window whose top k is at most _EXACT_TOP, from the
     window's exact integers at the working precision.
     """
+    mean = _mode_mean(n, x, lx)
+    _require_finite("_mode_mean", mean)
+    lo = min(n, max(1, math.floor(mean) - 1))
+    hi = max(lo, min(n, math.ceil(mean) + 1))
     man, exp = x.man_exp
     shift, log_s = (g, math.log(abs(s))) if s else (0, 0.0)
 
@@ -441,25 +447,20 @@ def _cancellation_digits(n: int, x: mpf, s: int, g: int, lo: int, hi: int,
 # ---------------------------------------------------------------------------
 # public entry point
 
-def scaled_touchard(n: int, z: BigReal, ctx: PrecisionContext) -> ExactValue:
-    """T_n(z)/n! for finite z <= 0, dividing by the exact integer factorial last."""
-    if not 0 <= n <= N_MAX_LIMIT:
-        raise CapacityError(f"n = {n} outside [0, {N_MAX_LIMIT}]")
-    zv = raw(z)
-    if not mp.isfinite(zv) or zv > 0:
-        raise DomainError(f"scaled_touchard needs a finite z <= 0, "
-                          f"got {mp.nstr(zv, 8)}")
-    if n == 0 or zv == 0:
+def scaled_touchard(n: int, x, ctx: PrecisionContext) -> ExactValue:
+    """T_n(-x)/n! for finite x >= 0, dividing by the exact integer factorial
+    last. x is read by read_real at working_digits(ctx, 1): an mpf or a
+    BigReal as held, so the sum is exact at x's binary value."""
+    read_int(n, 0, N_MAX_LIMIT, "n", CapacityError)
+    x = read_real(x, working_digits(ctx, 1))
+    if x < 0:
+        raise DomainError(f"scaled_touchard needs x >= 0, got {mp.nstr(x, 8)}")
+    if n == 0 or x == 0:
         return ExactValue(value=wrap_real(int(n == 0), ctx),
                           cancellation_digits=0)
-    x = mp.fneg(zv, exact=True)
     lx = math.log(x.man) + x.exp * math.log(2)
-    mean = _mode_mean(n, x, lx)
-    _require_finite("_mode_mean", mean)
-    lo = min(n, max(1, math.floor(mean) - 1))
-    hi = max(lo, min(n, math.ceil(mean) + 1))
     s, g = _certified_sum(n, x, lx, ctx)
-    cancel = _cancellation_digits(n, x, s, g, lo, hi, ctx)
+    cancel = _cancellation_digits(n, x, lx, s, g, ctx)
     with mp.workdps(working_digits(ctx, 1)):
         scaled = mp.ldexp(s, g) / math.factorial(n)
     return ExactValue(value=wrap_real(scaled, ctx), cancellation_digits=cancel)

@@ -55,7 +55,8 @@ from mpmath import mp, mpc, mpf
 from .airy import airy
 from .errors import BranchError, DomainError
 from .numkernel import (BigReal, PrecisionContext, _require_real,
-                        capped_width, read_real, working_digits, wrap_real)
+                        capped_width, read_int, read_real, working_digits,
+                        wrap_real)
 from .saddle import (SaddleKind, SaddlePair, mu_at, psi2_at_saddle_raw,
                      psi_reduced_raw, solve_saddles)
 
@@ -121,8 +122,7 @@ def uniform_ingredients(xi, ctx: PrecisionContext, n: int) -> UniformIngredients
 def theorem2_eval(n: int, xi, ctx: PrecisionContext) -> BigReal:
     """Two-term uniform approximation of T^_{n-1}(-x), x = n e xi; xi may be
     given as its UniformIngredients for this n or a larger one."""
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
+    read_int(n, 2)
     ing = (xi if isinstance(xi, UniformIngredients)
            else uniform_ingredients(xi, ctx, n))
     width = working_digits(ctx, n)

@@ -1,6 +1,6 @@
 """Cauchy-integral oracle for the exact layer past the Stirling-row oracle.
 
-T_n(z)/n! is the coefficient of t^n in e^(z(e^t - 1)), so for z = -x
+T_n(z)/n! is the coefficient of t^n in e^(z(e^t - 1)), so for z = -x < 0
 
     T_n(-x)/n! = (1/2 pi i) oint e^(-x(e^t - 1)) t^(-n-1) dt
                = (1/N) sum_k e^(-x(e^(t_k) - 1)) t_k^(-n),
@@ -22,10 +22,11 @@ FIRST_NODES = 1024
 MAX_NODES = 1 << 16
 
 
-def cauchy_scaled_touchard(n: int, z, digits: int):
-    """(T_n(z)/n! at digits + GUARD, nodes N, loss in digits) for z < 0."""
+def cauchy_scaled_touchard(n: int, x, digits: int):
+    """(T_n(-x)/n! at digits + GUARD, nodes N, loss in digits) for x > 0,
+    x taken as scaled_touchard takes it."""
     with mp.workdps(digits + GUARD):
-        x = -mpf(z)  # negated here, at the oracle's own digits
+        x = mpf(x)
         r = abs(mp.lambertw(-n / x))
 
         def node(k, nodes):

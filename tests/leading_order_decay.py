@@ -22,7 +22,7 @@ def halving_ratios(ctx=None):
     with mp.workdps(ctx.digits + 10):
         for n in LADDER:
             x = wrap_real(mpf(n) / raw(mu), ctx)
-            exact = scaled_touchard(n - 1, wrap_real(-raw(x), ctx), ctx)
+            exact = scaled_touchard(n - 1, x, ctx)
             approx = leading_order(n, mu, ctx)
             errs.append(abs(raw(approx.value) / raw(exact.value) - 1))
         return (float(errs[1] / errs[0]), float(errs[2] / errs[1]))

@@ -2,10 +2,11 @@
 
 The package sums T_m(-x) without a single Stirling number. This oracle builds
 the row S(m, k), k = 0..m, from S(j, k) = k S(j-1, k) + S(j-1, k-1) in Python
-ints and sums it by Horner at the exact dyadic value of the argument:
-z = p / 2^s, so T_m(z) 2^(s m) = sum_k S(m,k) p^k 2^(s (m-k)) is an integer,
-and so is every term. Values and cancellation digits are then exact, with no
-working precision involved, for either sign of z.
+ints and sums it by Horner at the exact dyadic value of z = -x, taking x as
+scaled_touchard does: z = p / 2^s, so T_m(z) 2^(s m) = sum_k S(m,k) p^k
+2^(s (m-k)) is an integer, and so is every term. Values and cancellation
+digits are then exact, with no working precision involved, for either sign
+of x.
 """
 import math
 
@@ -25,17 +26,17 @@ def stirling2_row(m: int) -> tuple[int, ...]:
     return _ROWS[m]
 
 
-def integer_scaled_touchard(m: int, z):
-    """(T_m(z)/m! at 400 digits, cancellation digits), both from integers.
+def integer_scaled_touchard(m: int, x):
+    """(T_m(-x)/m! at 400 digits, cancellation digits), both from integers.
 
     The cancellation is the least c >= 0 with
-    max_k |S(m,k) z^k| <= 10^c |T_m(z)|; T_m(z) must not be zero.
+    max_k |S(m,k) x^k| <= 10^c |T_m(-x)|; T_m(-x) must not be zero.
     """
     row = stirling2_row(m)
     with mp.workdps(400):
-        z = mpf(z)
-    man, exp = z.man_exp
-    p = -man if z < 0 else man
+        x = mpf(x)
+    man, exp = x.man_exp
+    p = -man if x > 0 else man  # z = -x = p 2^exp
     s = max(0, -exp)
     if exp > 0:
         p <<= exp
@@ -43,7 +44,7 @@ def integer_scaled_touchard(m: int, z):
     for k in range(m, -1, -1):
         acc = acc * p + (row[k] << (s * (m - k)))
     if acc == 0:
-        raise ValueError(f"T_{m}({z}) is zero: no cancellation count")
+        raise ValueError(f"T_{m}(-{x}) is zero: no cancellation count")
     # the largest term, exactly, among those within float rounding of the top
     logs = {k: math.log2(c) + k * math.log2(abs(p) or 1) + s * (m - k)
             for k, c in enumerate(row) if c and (p or k == 0)}

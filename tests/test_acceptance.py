@@ -136,7 +136,7 @@ def test_criterion_1_table1_cells():
     with mp.workdps(DIGITS + 20):
         for n in (50, 80, 121):
             x = wrap_real(n * mp.e, ctx)
-            exact = scaled_touchard(n - 1, wrap_real(-raw(x), ctx), ctx)
+            exact = scaled_touchard(n - 1, x, ctx)
             for m in (0, 1, 3, 4, 6):
                 rel = rel_against_exact(theorem1_eval(n, m, ctx), exact)
                 margins[(n, m)] = ulp_margin(rel, TABLE1_PRINTED[(n, m)])
@@ -160,7 +160,7 @@ def test_criterion_2_table2_cells():
                    "1.01", "1.05", "1.10", "1.20", "1.40"):
             xi_br = real_from(xi, ctx)
             for n in (81, 100):
-                x = wrap_real(-n * mp.e * raw(xi_br), ctx)
+                x = wrap_real(n * mp.e * raw(xi_br), ctx)
                 exact = scaled_touchard(n - 1, x, ctx)
                 rel = rel_against_exact(theorem2_eval(n, xi_br, ctx), exact)
                 computed[(xi, n)] = rel
@@ -203,7 +203,7 @@ def test_table2_erratum_independent_oracle():
         # agrees with the package's uniform route against its exact sum
         n = cell[1]
         xi_br = real_from(cell[0], ctx)
-        x = wrap_real(-n * mp.e * raw(xi_br), ctx)
+        x = wrap_real(n * mp.e * raw(xi_br), ctx)
         exact = scaled_touchard(n - 1, x, ctx)
         pkg = rel_against_exact(theorem2_eval(n, xi_br, ctx), exact)
         assert abs(pkg / rel - 1) < mpf("1e-10"), \
@@ -262,21 +262,21 @@ def test_criterion_5_exact_value_cross_checks():
         tol = mpf(10) ** (-(DIGITS - 10))
         worst = mpf(0)
         for n, x in pairs:
-            z = wrap_real(-x, ctx)
-            a = raw(scaled_touchard(n - 1, z, ctx).value) \
+            x = wrap_real(x, ctx)
+            a = raw(scaled_touchard(n - 1, x, ctx).value) \
                 * math.factorial(n - 1)
-            b = touchard_recurrence(n - 1, raw(z), ctx.digits)
+            b = touchard_recurrence(n - 1, -raw(x), ctx.digits)  # exact here
             scale = max(abs(a), mpf(1))
             worst = max(worst, abs(a - b) / scale)
         assert worst < tol, \
             f"criterion 5: FAIL - exact sum vs recurrence gap {mp.nstr(worst, 3)}"
     bells = aitken_bells(60)
-    one = real_from(1, ctx)
+    minus_one = real_from(-1, ctx)
     for n in range(61):
-        # z = 1 lies outside the package's domain: the oracle sums it
+        # x = -1 lies outside the package's domain: the oracle sums it
         row_sum = sum(stirling2_row(n))
         with mp.workdps(DIGITS + 20):
-            poly = int(mp.nint(integer_scaled_touchard(n, raw(one))[0]
+            poly = int(mp.nint(integer_scaled_touchard(n, raw(minus_one))[0]
                                * math.factorial(n)))
         assert row_sum == bells[n] == poly, \
             f"criterion 5: FAIL - row sum identity breaks at n={n}"

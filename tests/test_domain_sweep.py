@@ -16,6 +16,10 @@ ABS_Z_LIMIT, also from theorem2_eval at n = 10^1000, `scaled_touchard` just
 past N_MAX_LIMIT, `--digits` at MAX_DIGITS and one past it, and the
 asymptotic routes at an n whose working width is MAX_WIDTH and one past it.
 
+Every integer argument of a public function, digits, n and series order,
+goes through numkernel.read_int: 2.5, "5", True, None and the value one
+below its least are each refused with exit 2 and read_int's message.
+
 The sizes are capped to fit tier-1's time: n up to 300 where an exact sum
 runs, contours at a step of 0.5.
 """
@@ -31,14 +35,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from touchard import (ABS_Z_LIMIT, MAX_DIGITS, MAX_ORDER, N_MAX_LIMIT,
-                      BigReal, CapacityError, DomainError,
+from touchard import (ABS_Z_LIMIT, MAX_DIGITS, MAX_ORDER, MIN_DIGITS,
+                      N_MAX_LIMIT, BigReal, CapacityError, DomainError,
+                      InvalidPrecisionError, OrderError,
                       PrecisionExhaustedError, TouchardError,
-                      airy, contour_set, leading_order, mk_context, mu_from_xi,
-                      real_from, scaled_touchard, solve_saddles, theorem1_eval,
-                      theorem2_eval, uniform_ingredients, working_digits)
+                      airy, contour_set, default_bm, leading_order, mk_context,
+                      mu_from_xi, real_from, scaled_touchard, solve_saddles,
+                      theorem1_eval, theorem2_eval, uniform_ingredients,
+                      working_digits)
 from touchard.airy import maclaurin_limit
-from touchard.cli import main
+from touchard.cli import cmd_bm, cmd_eval, cmd_table1, cmd_table2, main
 from touchard.numkernel import MAX_WIDTH, raw
 
 # The slowest call seen over about 1000 unseeded examples took 0.15 s (eval
@@ -275,5 +281,71 @@ def test_uniform_width_of_an_mpf_xi_at_the_ceiling():
 
 def test_scaled_touchard_past_the_cap_refused(ctx40):
     with pytest.raises(CapacityError) as info:
-        scaled_touchard(N_MAX_LIMIT + 1, real_from("-1", ctx40), ctx40)
+        scaled_touchard(N_MAX_LIMIT + 1, real_from("1", ctx40), ctx40)
+    assert info.value.exit_code == 2
+
+
+CTX = mk_context(30)
+# (name, least, call taking the integer, the error read_int raises): each
+# public function with an integer argument, through its own signature
+INT_ARGUMENTS = [
+    ("mk_context", MIN_DIGITS, mk_context, InvalidPrecisionError),
+    ("working_digits", 1, lambda v: working_digits(CTX, v), DomainError),
+    ("scaled_touchard", 0, lambda v: scaled_touchard(v, "1", CTX),
+     CapacityError),
+    ("theorem1_eval n", 2, lambda v: theorem1_eval(v, 6, CTX), OrderError),
+    ("theorem1_eval order", 0, lambda v: theorem1_eval(50, v, CTX),
+     OrderError),
+    ("theorem2_eval", 2, lambda v: theorem2_eval(v, "0.9", CTX), DomainError),
+    ("uniform_ingredients", 1, lambda v: uniform_ingredients("0.9", CTX, v),
+     DomainError),
+    ("leading_order", 10, lambda v: leading_order(v, "0.2", CTX),
+     DomainError),
+    ("default_bm", 0, default_bm, OrderError),
+    ("solve_saddles", MIN_DIGITS,
+     lambda v: solve_saddles(mu_from_xi("0.9", CTX), v),
+     InvalidPrecisionError),
+    ("cmd_eval", 2, lambda v: cmd_eval(v, "0.9", 30), DomainError),
+    ("cmd_table1 n", 2, lambda v: cmd_table1([v], [0], 30), OrderError),
+    ("cmd_table1 m", 0, lambda v: cmd_table1([50], [v], 30), OrderError),
+    ("cmd_table1 digits", MIN_DIGITS, lambda v: cmd_table1([50], [0], v),
+     InvalidPrecisionError),
+    ("cmd_table2", 2, lambda v: cmd_table2(["0.9"], [v], 30), DomainError),
+    ("cmd_bm", 0, cmd_bm, OrderError),
+]
+
+
+@pytest.mark.parametrize("call, bad, error", [
+    pytest.param(call, bad, error, id=f"{name}-{bad!r}")
+    for name, least, call, error in INT_ARGUMENTS
+    for bad in (2.5, "5", True, None, least - 1)
+    # None stands for DEFAULT_DIGITS in a context's digits
+    if not (bad is None and name in ("mk_context", "cmd_table1 digits"))])
+def test_integer_arguments_refuse_what_is_not_an_integer_in_range(
+        call, bad, error):
+    default_bm(1)  # so that default_bm(True) cannot be served from the cache
+    start = time.perf_counter()
+    with pytest.raises(error, match=r"must be an integer in \[") as info:
+        call(bad)
+    assert info.value.exit_code == 2
+    assert time.perf_counter() - start < CEILING
+
+
+@pytest.mark.parametrize("call", [lambda: cmd_table1([50, "5"], [0], 30),
+                                  lambda: cmd_table2(["0.9"], [81, "5"], 30)])
+def test_tables_read_each_n_of_a_mixed_list(call):
+    # table2 compares its n in max(n_list): each is read before
+    with pytest.raises(DomainError, match=r"must be an integer in \["):
+        call()
+
+
+def test_table2_n_0_exits_2():
+    # n = 0 is refused before any width is taken from log10 n
+    assert run(["table2", "--n", "0"]) == (2, "")
+
+
+@pytest.mark.parametrize("x", ["abc", -1])
+def test_scaled_touchard_refuses_what_is_not_a_number_at_least_0(x):
+    with pytest.raises(DomainError) as info:
+        scaled_touchard(5, x, CTX)
     assert info.value.exit_code == 2

@@ -50,11 +50,6 @@ def table_points():
     return points
 
 
-def negated(x: BigReal) -> BigReal:
-    with mp.workdps(x.ctx.digits):
-        return wrap_real(-raw(x), x.ctx)
-
-
 def x_at(n: int, xi, ctx) -> BigReal:
     """x = n e xi as the CLI rounds it."""
     with mp.workdps(ctx.digits + 10):
@@ -151,9 +146,8 @@ class TestCertifiedSum:
     def test_table_points_match_integer_horner(self):
         ctx = mk_context(DIGITS)
         for n, x in table_points():
-            z = negated(x)
-            got = scaled_touchard(n - 1, z, ctx)
-            want, cancel = integer_scaled_touchard(n - 1, raw(z))
+            got = scaled_touchard(n - 1, x, ctx)
+            want, cancel = integer_scaled_touchard(n - 1, raw(x))
             assert_close(raw(got.value), want, mpf(10) ** -(DIGITS - 1))
             assert got.cancellation_digits == cancel, (n, x.to_str())
 
@@ -164,9 +158,9 @@ class TestCertifiedSum:
         ctx = mk_context(digits)
         for n in PR4_N:
             for xi in PR4_XI:
-                z = negated(x_at(n, xi, ctx))
-                got = scaled_touchard(n - 1, z, ctx)
-                want, cancel = integer_scaled_touchard(n - 1, raw(z))
+                x = x_at(n, xi, ctx)
+                got = scaled_touchard(n - 1, x, ctx)
+                want, cancel = integer_scaled_touchard(n - 1, raw(x))
                 assert got.value.to_str() == wrap_real(want, ctx).to_str(), (n, xi)
                 assert got.cancellation_digits == cancel, (n, xi)
 
@@ -175,9 +169,9 @@ class TestCertifiedSum:
     def test_sweep_matches_the_oracle(self, n, log10_xi):
         # xi log-uniform in [1e-3, 1e3] at 40 digits
         ctx = mk_context(40)
-        z = negated(x_at(n + 1, mpf(10) ** log10_xi, ctx))
-        got = scaled_touchard(n, z, ctx)
-        want, cancel = integer_scaled_touchard(n, raw(z))
+        x = x_at(n + 1, mpf(10) ** log10_xi, ctx)
+        got = scaled_touchard(n, x, ctx)
+        want, cancel = integer_scaled_touchard(n, raw(x))
         assert_close(raw(got.value), want, mpf(10) ** -39)
         assert got.cancellation_digits == cancel
 
@@ -201,9 +195,9 @@ class TestCertifiedSum:
         monkeypatch.setattr(stirling, "MAX_ESCALATIONS", 1)
         ctx = mk_context(30)
         with mp.workdps(50):
-            z = wrap_real(-121 * mp.e, ctx)
-        got = scaled_touchard(120, z, ctx)
-        want, cancel = integer_scaled_touchard(120, raw(z))
+            x = wrap_real(121 * mp.e, ctx)
+        got = scaled_touchard(120, x, ctx)
+        want, cancel = integer_scaled_touchard(120, raw(x))
         assert_close(raw(got.value), want, mpf(10) ** -29)
         assert got.cancellation_digits == cancel
 
@@ -218,9 +212,9 @@ class TestLargestTerm:
         ctx = mk_context(digits)
         for k in (-400, -100, 100, 400):
             with mp.workdps(digits + 10):
-                z = wrap_real(-(n + 1) * mp.e * mpf(10) ** k, ctx)
-            got = scaled_touchard(n, z, ctx)
-            want, cancel = integer_scaled_touchard(n, raw(z))
+                x = wrap_real((n + 1) * mp.e * mpf(10) ** k, ctx)
+            got = scaled_touchard(n, x, ctx)
+            want, cancel = integer_scaled_touchard(n, raw(x))
             assert got.value.to_str() == wrap_real(want, ctx).to_str(), (n, k)
             assert got.cancellation_digits == cancel == 1, (n, k)
 
@@ -234,7 +228,7 @@ class TestLargestTerm:
         monkeypatch.setattr(stirling, "_mode_mean", mean_too_high)
         ctx = mk_context(40)
         with pytest.raises(InternalConsistencyError) as exc:
-            scaled_touchard(99, negated(x_at(100, 1, ctx)), ctx)
+            scaled_touchard(99, x_at(100, 1, ctx), ctx)
         assert exc.value.exit_code == 4
         assert "n = 99" in str(exc.value)
 
@@ -256,9 +250,9 @@ class TestExplicitSumCancels:
     }
 
     @staticmethod
-    def z_at(n, k, ctx):
+    def x_at(n, k, ctx):
         with mp.workdps(ctx.digits + 10):
-            return wrap_real(-(n + 1) * mp.e * mpf(10) ** k, ctx)
+            return wrap_real((n + 1) * mp.e * mpf(10) ** k, ctx)
 
     @staticmethod
     def passes(monkeypatch):
@@ -275,10 +269,10 @@ class TestExplicitSumCancels:
     @pytest.mark.parametrize("k", [-400, -100, 100, 400])
     def test_n_300_prints_the_oracle(self, k, monkeypatch):
         ctx = mk_context(DIGITS)
-        z = self.z_at(300, k, ctx)
+        x = self.x_at(300, k, ctx)
         made = self.passes(monkeypatch)
-        got = scaled_touchard(300, z, ctx)
-        want, cancel = integer_scaled_touchard(300, raw(z))
+        got = scaled_touchard(300, x, ctx)
+        want, cancel = integer_scaled_touchard(300, raw(x))
         assert got.value.to_str() == wrap_real(want, ctx).to_str()
         assert got.cancellation_digits == cancel == 1
         assert len(made) == 1
@@ -287,7 +281,7 @@ class TestExplicitSumCancels:
     def test_n_999_prints_the_exact_power_layer(self, k, monkeypatch):
         ctx = mk_context(40)
         made = self.passes(monkeypatch)
-        got = scaled_touchard(999, self.z_at(999, k, ctx), ctx)
+        got = scaled_touchard(999, self.x_at(999, k, ctx), ctx)
         assert got.value.to_str() == self.N999[k]
         assert got.cancellation_digits == 1
         assert len(made) == 1
@@ -334,7 +328,7 @@ class TestStirlingEstimate:
         ctx = mk_context(digits)
         points = [(n - 1, x_at(n, xi, ctx)) for n in (2, 50, 121, 300)
                   for xi in ("1e-40", "0.9", "1", "1.4", "1e40")]
-        want = [scaled_touchard(n, negated(x), ctx) for n, x in points]
+        want = [scaled_touchard(n, x, ctx) for n, x in points]
         estimate, exact = stirling._log_stirling_window, stirling._exact_window
         calls = []
 
@@ -349,7 +343,7 @@ class TestStirlingEstimate:
         monkeypatch.setattr(stirling, "_log_stirling_window", wide)
         monkeypatch.setattr(stirling, "_exact_window", counted)
         for (n, x), before in zip(points, want):
-            got = scaled_touchard(n, negated(x), ctx)
+            got = scaled_touchard(n, x, ctx)
             assert got == before, (n, x.to_str())
         assert calls == [n for n, _ in points]
 
@@ -360,7 +354,7 @@ class TestStirlingEstimate:
         # the count the estimate gives first, decided or not
         assert self.window(n, xi)[1] <= stirling._EXACT_TOP
         ctx = mk_context(40)
-        z = negated(x_at(n, xi, ctx))
+        x = x_at(n, xi, ctx)
         estimate = stirling._log_stirling_window
         calls = []
 
@@ -369,10 +363,10 @@ class TestStirlingEstimate:
             return estimate(n, lo, hi)
 
         monkeypatch.setattr(stirling, "_log_stirling_window", counted)
-        got = scaled_touchard(n, z, ctx)
+        got = scaled_touchard(n, x, ctx)
         assert calls == []
         monkeypatch.setattr(stirling, "_EXACT_TOP", 0)
-        assert scaled_touchard(n, z, ctx) == got
+        assert scaled_touchard(n, x, ctx) == got
         assert len(calls) == 1
 
     def test_mean_off_the_window_refused_on_the_exact_path(self,
@@ -386,7 +380,7 @@ class TestStirlingEstimate:
                                                in estimate(n, lo, hi).items()})
         ctx = mk_context(40)
         with pytest.raises(InternalConsistencyError, match="inner edge"):
-            scaled_touchard(99, negated(x_at(100, 1, ctx)), ctx)
+            scaled_touchard(99, x_at(100, 1, ctx), ctx)
 
 
 class TestMisprediction:
@@ -406,30 +400,30 @@ class TestMisprediction:
             a, b = next((a, b) for a, b in zip(grid, grid[1:])
                         if t(a) * t(b) < 0)
             root = mp.findroot(t, (a, b), solver="anderson")
-            z = wrap_real(-root * (1 + mpf(10) ** -30), ctx)
-        return ctx, z
+            x = wrap_real(root * (1 + mpf(10) ** -30), ctx)
+        return ctx, x
 
     def test_no_rerun_allowed_raises(self, near_zero, monkeypatch):
-        ctx, z = near_zero
+        ctx, x = near_zero
         monkeypatch.setattr(stirling, "MAX_ESCALATIONS", 0)
         with pytest.raises(PrecisionExhaustedError) as exc:
-            scaled_touchard(self.N, z, ctx)
+            scaled_touchard(self.N, x, ctx)
         assert exc.value.exit_code == 3
 
     def test_a_value_not_certified_names_it(self, near_zero, monkeypatch):
-        ctx, z = near_zero
+        ctx, x = near_zero
         monkeypatch.setattr(stirling, "MAX_ESCALATIONS", 0)
         with pytest.raises(PrecisionExhaustedError) as exc:
-            scaled_touchard(self.N, z, ctx)
+            scaled_touchard(self.N, x, ctx)
         assert "the value sum not certified" in str(exc.value)
         assert "largest" not in str(exc.value)
         assert "to 50 digits after 0 reruns (last working precision" \
             in str(exc.value)
 
     def test_default_reruns_certify(self, near_zero):
-        ctx, z = near_zero
-        got = scaled_touchard(self.N, z, ctx)
-        want, cancel = integer_scaled_touchard(self.N, raw(z))
+        ctx, x = near_zero
+        got = scaled_touchard(self.N, x, ctx)
+        want, cancel = integer_scaled_touchard(self.N, raw(x))
         assert_close(raw(got.value), want, mpf(10) ** -39)
         assert got.cancellation_digits == cancel
 
@@ -440,10 +434,10 @@ class TestMisprediction:
         # gained about digits + 10 each and ran out
         ctx = mk_context(30)
         with mp.workdps(50):
-            z = wrap_real(-600 * mp.e * mpf(xi), ctx)
-        want = scaled_touchard(599, z, ctx).value.to_str()
+            x = wrap_real(600 * mp.e * mpf(xi), ctx)
+        want = scaled_touchard(599, x, ctx).value.to_str()
         monkeypatch.setattr(stirling, "_log10_envelope", lambda n, lx: mp.inf)
-        assert scaled_touchard(599, z, ctx).value.to_str() == want
+        assert scaled_touchard(599, x, ctx).value.to_str() == want
 
 
 class TestEnvelope:
@@ -549,7 +543,7 @@ class TestFarAboveN:
         # first pass; without it the envelope is log10 x digits too high
         monkeypatch.setattr(stirling, "MAX_ESCALATIONS", 0)
         ctx = mk_context(DIGITS)
-        scaled_touchard(999, negated(x_at(1000, xi, ctx)), ctx)  # no raise
+        scaled_touchard(999, x_at(1000, xi, ctx), ctx)  # no raise
 
 
 class TestCauchyOracle:
@@ -561,9 +555,9 @@ class TestCauchyOracle:
     @pytest.mark.parametrize("xi", ["0.05", "0.9", "1", "4"])
     def test_oracle_against_the_integer_row(self, n, xi):
         with mp.workdps(self.D + 10):
-            z = -(n * mp.e * mpf(xi))
-        got, nodes, loss = cauchy_scaled_touchard(n, z, self.D)
-        want, _ = integer_scaled_touchard(n, z)
+            x = n * mp.e * mpf(xi)
+        got, nodes, loss = cauchy_scaled_touchard(n, x, self.D)
+        want, _ = integer_scaled_touchard(n, x)
         assert_close(got, want, mpf(10) ** -(self.D + 4))
         assert nodes <= 4096 and 0 <= loss < 5
 
@@ -571,10 +565,10 @@ class TestCauchyOracle:
     @pytest.mark.parametrize("xi", ["0.9", "1", "1.1"])
     def test_exact_layer_past_n_1000(self, n, xi):
         ctx = mk_context(self.D)
-        z = negated(x_at(n, xi, ctx))
-        want, nodes, loss = cauchy_scaled_touchard(n, raw(z), self.D)
+        x = x_at(n, xi, ctx)
+        want, nodes, loss = cauchy_scaled_touchard(n, raw(x), self.D)
         assert nodes <= 4096 and loss < 5
-        got = scaled_touchard(n, z, ctx)
+        got = scaled_touchard(n, x, ctx)
         assert_close(raw(got.value), want, mpf(10) ** -self.D)
 
 
@@ -585,7 +579,7 @@ class TestCliExactAtAmbientPrecision:
         with mp.workprec(53):
             report = cmd_eval(n, xi)
         x = x_at(n, xi, mk_context(DIGITS))
-        want, cancel = integer_scaled_touchard(n - 1, raw(negated(x)))
+        want, cancel = integer_scaled_touchard(n - 1, raw(x))
         assert report["x"] == x.to_str()
         assert_close(raw(BigReal.parse(report["exact"]["value"])), want, "1e-110")
         assert report["exact"]["cancellation_digits"] == cancel
@@ -596,6 +590,6 @@ class TestCliExactAtAmbientPrecision:
         ctx = mk_context(DIGITS)
         for line in csv.splitlines()[1:]:
             n = int(line.split(",")[0])
-            want, _ = integer_scaled_touchard(n - 1, raw(negated(x_at(n, 1, ctx))))
+            want, _ = integer_scaled_touchard(n - 1, raw(x_at(n, 1, ctx)))
             assert_close(raw(BigReal.parse(line.split(",")[2])), want, "1e-110")
 

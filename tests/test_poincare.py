@@ -56,7 +56,7 @@ class TestAccuracy:
         n = 100
         res = leading_order(n, mu, ctx60)
         with mp.workdps(80):
-            x = wrap_real(-mpf(n) / mpf(mu), ctx60)
+            x = wrap_real(mpf(n) / mpf(mu), ctx60)
         exact = scaled_touchard(n - 1, x, ctx60)
         with mp.workdps(80):
             rel = abs(raw(res.value) / raw(exact.value) - 1)

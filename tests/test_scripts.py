@@ -163,11 +163,19 @@ def test_contour_sweep_subset_keeps_the_golden_paths(parity, golden_contours):
 
 
 def test_error_decay_prints_both_studies(capsys):
-    load_script("error_decay").main(["--n-ladder", "50", "100", "--n", "50",
-                                     "--max-order", "4", "--digits", "40"])
-    out = capsys.readouterr().out
-    assert "# poincare, mu = 0.2" in out
-    assert "# coalescence series truncation, n = 50" in out
+    load_script("error_decay").main(["--n-ladder", "20", "40", "--n", "30",
+                                     "--max-order", "3", "--digits", "30"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["# poincare, mu = 0.2", "n,rel_err,n_times_rel_err"]
+    assert lines[4:7] == ["", "# coalescence series truncation, n = 30",
+                          "order,rel_err"]
+    poincare = [[float(v) for v in line.split(",")] for line in lines[2:4]]
+    assert [row[0] for row in poincare] == [20, 40]
+    # n rel_err flattens: the leading order's unit coefficient
+    assert 0.9 < poincare[1][2] / poincare[0][2] < 1.1
+    series = [[float(v) for v in line.split(",")] for line in lines[7:]]
+    assert [row[0] for row in series] == [0, 1, 3]  # order 2 adds nothing
+    assert series[0][1] > series[1][1] > series[2][1] > 0
 
 
 def test_exact_sweep_subset_prints_the_oracle(parity):
@@ -185,8 +193,7 @@ def test_exact_sweep_subset_prints_the_oracle(parity):
         assert value.endswith(f"@{digits}")
         if n <= 150:
             ctx = mk_context(digits)
-            z = real_from("-" + x, ctx)
-            want, count = integer_scaled_touchard(n, raw(z))
+            want, count = integer_scaled_touchard(n, raw(real_from(x, ctx)))
             assert value == wrap_real(want, ctx).to_str(), text
             assert int(cancel) == count, text
 

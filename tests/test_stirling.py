@@ -98,55 +98,53 @@ class TestTriangle:
 
 class TestEvaluation:
     def test_t2_at_minus_one_is_exact_zero(self, ctx60):
-        got = scaled_touchard(2, real_from(-1, ctx60), ctx60)
+        got = scaled_touchard(2, real_from(1, ctx60), ctx60)
         assert raw(got.value) == 0
         # total cancellation: the sentinel counts every digit of the big term
         assert got.cancellation_digits >= ctx60.digits
 
     def test_row_sum_is_bell(self, ctx60):
-        # z = 1 lies outside the package's domain: the oracle sums it
-        got, _ = integer_scaled_touchard(40, real_from(1, ctx60).value)
+        # x = -1 lies outside the package's domain: the oracle sums it
+        got, _ = integer_scaled_touchard(40, real_from(-1, ctx60).value)
         with mp.workdps(80):
             assert mp.nint(got * math.factorial(40)) == sum(stirling2_row(40))
 
     def test_table_point_cancellation(self, ctx120):
         with mp.workdps(140):
-            z = wrap_real(-121 * mp.e, ctx120)
-        got = scaled_touchard(120, z, ctx120)
+            x = wrap_real(121 * mp.e, ctx120)
+        got = scaled_touchard(120, x, ctx120)
         assert 10 < got.cancellation_digits < 60
         # sign (-1)^(n-1) with n-1 = 120
         assert raw(got.value) > 0 if 120 % 2 == 0 else raw(got.value) < 0
 
     def test_scaled_matches_unscaled(self, ctx60):
         # against T_12(-7/2) summed exactly in rationals over the integer row
-        z = real_from("-3.5", ctx60)
+        x = real_from("3.5", ctx60)
         a = sum(s * Fraction(-7, 2) ** k for k, s in enumerate(stirling2_row(12)))
-        b = scaled_touchard(12, z, ctx60)
+        b = scaled_touchard(12, x, ctx60)
         with mp.workdps(80):
             a = mpf(a.numerator) / a.denominator
             assert abs(a / math.factorial(12) - raw(b.value)) \
                 <= mpf(10) ** (-(ctx60.digits - 5)) * abs(raw(b.value))
 
     @given(st.integers(min_value=0, max_value=35),
-           st.floats(min_value=-30, max_value=0))
+           st.floats(min_value=0, max_value=30))
     def test_recurrence_agrees_with_triangle(self, n, x):
         ctx = mk_context(40)
-        z = real_from(x, ctx)
-        a = scaled_touchard(n, z, ctx)
-        b = touchard_recurrence(n, raw(z), ctx.digits)
+        a = scaled_touchard(n, x, ctx)
+        b = touchard_recurrence(n, -x, ctx.digits)  # a float: -x is exact
         with mp.workdps(60):
             a = raw(a.value) * math.factorial(n)
             scale = max(abs(a), abs(b), mpf(1))
             assert abs(a - b) <= mpf(10) ** (-(40 - 10)) * scale
 
     @given(st.integers(min_value=0, max_value=35),
-           st.floats(min_value=0, max_value=30, exclude_min=True))
+           st.floats(min_value=-30, max_value=0, exclude_max=True))
     def test_recurrence_agrees_with_oracle_row(self, n, x):
-        # the positive half of the sweep above, on the oracle's integer row
+        # the negative half of the sweep above, on the oracle's integer row
         ctx = mk_context(40)
-        z = real_from(x, ctx)
-        a, _ = integer_scaled_touchard(n, raw(z))
-        b = touchard_recurrence(n, raw(z), ctx.digits)
+        a, _ = integer_scaled_touchard(n, x)
+        b = touchard_recurrence(n, -x, ctx.digits)
         with mp.workdps(60):
             a = a * math.factorial(n)
             scale = max(abs(a), abs(b), mpf(1))
@@ -158,14 +156,14 @@ class TestEvaluation:
     def test_capacity_checks(self, ctx60):
         for n in (-1, stirling.N_MAX_LIMIT + 1):
             with pytest.raises(CapacityError) as exc:
-                scaled_touchard(n, real_from(-1, ctx60), ctx60)
+                scaled_touchard(n, real_from(1, ctx60), ctx60)
             assert exc.value.exit_code == 2
 
-    @pytest.mark.parametrize("z", ["1", "1e-30", "inf", "-inf", "nan"])
-    def test_refuses_what_the_certificate_does_not_cover(self, z, ctx60):
-        # the certificate needs every term positive: z <= 0, and finite
+    @pytest.mark.parametrize("x", ["-1", "-1e-30", "inf", "-inf", "nan"])
+    def test_refuses_what_the_certificate_does_not_cover(self, x, ctx60):
+        # the certificate needs every term positive: x >= 0, and finite
         with pytest.raises(DomainError) as exc:
-            scaled_touchard(5, real_from(z, ctx60), ctx60)
+            scaled_touchard(5, x, ctx60)
         assert exc.value.exit_code == 2
 
     def test_zero_only_inside_the_grain(self, ctx60):
@@ -173,9 +171,9 @@ class TestEvaluation:
         # bound at x = 1 + 2^-300 must go on to the nonzero value, since T is
         # a multiple of 2^-600 there, not stop at zero
         with mp.workprec(400):
-            z = -(1 + mp.ldexp(1, -300))
-            want = z * (z + 1) / 2
-        got = scaled_touchard(2, z, ctx60)
+            x = 1 + mp.ldexp(1, -300)
+            want = x * (x - 1) / 2
+        got = scaled_touchard(2, x, ctx60)
         with mp.workprec(400):
             assert abs(raw(got.value) / want - 1) < mpf(10) ** -59
 
@@ -188,9 +186,9 @@ class TestEvaluation:
         monkeypatch.setattr(stirling, "MAX_ESCALATIONS", 1)
         ctx = mk_context(30)
         with mp.workprec(400):
-            z = -(1 + mp.ldexp(1, -300))
+            x = 1 + mp.ldexp(1, -300)
         with pytest.raises(PrecisionExhaustedError) as exc:
-            scaled_touchard(2, z, ctx)
+            scaled_touchard(2, x, ctx)
         assert exc.value.exit_code == 3
         assert ("the value sum not certified to 40 digits after 1 reruns "
                 "(last working precision") in str(exc.value)
