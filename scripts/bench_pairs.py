@@ -13,7 +13,11 @@ __pycache__ in either tree; after the workloads, in the same side order,
 each side runs IMPORT_PROBE, a process of its own that imports
 touchard.cli and reports the wall time of that import and its resident set
 size after it, as perfbench's peak_rss_mb reads it (ru_maxrss). Then each
-side runs once per workload with --trace 1 at the first seed.
+side runs once per workload with --trace 1 at the first seed. Last, each
+tree writes its parity set with its own scripts/parity_set.py; this comes
+after the probes, since a child process reports in ru_maxrss the resident
+set of the process it was forked from, and reading the sets raises this
+one's.
 
 BENCH_<label>.json, written in the current directory, holds for each
 workload and end-to-end metric the median and quartiles of either side and
@@ -22,12 +26,15 @@ of every pair in pair order; the same for the import time (import_s) and
 the RSS right after import (import_rss_mb), once for the file, since the
 import does not depend on the workload; the correct flag and failed count
 of every run; the traced per-layer figures of both sides; the seed of each
-pair and the run length.
+pair and the run length; and under "parity" the two parity sets' file
+counts and every line, by file and line number, whose strings differ, with
+both strings (null for a line or file that one side lacks).
 """
 from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import os
 import shutil
@@ -137,6 +144,26 @@ def summarize(label: str, runs: list[tuple], traces: dict, imports: list,
     return out
 
 
+def parity_diff(parent: Path, change: Path) -> dict:
+    """The file count of each parity set and every (file, line) whose
+    strings differ between them, the line numbered from 1 and a string None
+    where its side lacks the line or the file; trailing newlines count as
+    an empty last line."""
+    roots = dict(zip(SIDES, (parent, change)))
+    files = {side: {p.relative_to(root).as_posix()
+                    for p in root.rglob("*") if p.is_file()}
+             for side, root in roots.items()}
+    differing = []
+    for name in sorted(files["parent"] | files["change"]):
+        lines = [(roots[side] / name).read_bytes().decode().split("\n")
+                 if name in files[side] else [] for side in SIDES]
+        differing += [{"file": name, "line": i, "parent": a, "change": b}
+                      for i, (a, b) in enumerate(
+                          itertools.zip_longest(*lines), start=1) if a != b]
+    return {"files": {side: len(files[side]) for side in SIDES},
+            "differing": differing}
+
+
 def _export(rev: str | None, dest: Path) -> None:
     """The tree of rev, or with rev None the working tree's files that git
     does not ignore, into dest."""
@@ -197,9 +224,17 @@ def main(argv=None) -> int:
             runs.append((i, w, seed, side, res))
         traces = {(w, side): _run(trees[side], w, SEEDS[0], 1)
                   for w in WORKLOADS for side in SIDES}
+        for side in SIDES:
+            _python(trees[side], "scripts/parity_set.py", "--outdir",
+                    str(Path(tmp) / "parity" / side),
+                    PYTHONPATH=str(trees[side] / "src"))
+        parity = parity_diff(*(Path(tmp) / "parity" / side for side in SIDES))
+        print(f"parity: {parity['files']} files, "
+              f"{len(parity['differing'])} differing lines", file=sys.stderr)
     meta = {"parent": args.parent, "change": "working tree",
             "pairs": PAIRS, "seconds": SECONDS, "seeds": list(SEEDS)}
-    bench = summarize(args.label, runs, traces, imports, meta)
+    bench = {**summarize(args.label, runs, traces, imports, meta),
+             "parity": parity}
     Path(f"BENCH_{args.label}.json").write_text(
         json.dumps(bench, indent=1) + "\n")
     return 0

@@ -21,7 +21,7 @@ from .numkernel import (DEFAULT_DIGITS, MAX_DIGITS, MIN_DIGITS, BigReal,
 from .poincare import PoincareRegime, PoincareResult, leading_order
 from .saddle import SaddleKind, SaddlePair, mu_from_xi, solve_saddles
 from .stirling import (N_MAX_LIMIT, ExactValue, StirlingTriangle,
-                       build_triangle, scaled_touchard)
+                       build_triangle, scaled_touchard, scaled_value)
 from .uniform import UniformIngredients, theorem2_eval, uniform_ingredients
 
 __version__ = "0.1.0"
@@ -39,7 +39,7 @@ __all__ = [
     "PoincareRegime", "PoincareResult", "leading_order",
     "SaddleKind", "SaddlePair", "mu_from_xi", "solve_saddles",
     "N_MAX_LIMIT", "ExactValue", "StirlingTriangle", "build_triangle",
-    "scaled_touchard",
+    "scaled_touchard", "scaled_value",
     "UniformIngredients", "theorem2_eval", "uniform_ingredients",
     "__version__",
 ]

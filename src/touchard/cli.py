@@ -29,13 +29,13 @@ from mpmath import mp, mpc, mpf
 from .coalescence import (_BM_CHECK, _sin_third, check_order, default_bm,
                           theorem1_eval)
 from .contours import ContourSet, contour_set
-from .errors import (DomainError, InternalConsistencyError, OrderError,
-                     TouchardError)
+from .errors import (CapacityError, DomainError, InternalConsistencyError,
+                     OrderError, TouchardError)
 from .numkernel import (BigReal, _sci, mk_context, raw, read_int, real_from,
                         working_digits, wrap_real)
 from .poincare import EXCLUSION_HALF_WIDTH, leading_order
 from .saddle import mu_at, mu_from_xi
-from .stirling import ExactValue, scaled_touchard
+from .stirling import N_MAX_LIMIT, scaled_touchard, scaled_value
 from .uniform import theorem2_eval, uniform_ingredients
 
 CSV_HEADER = "n,param,exact,approx,rel_err"
@@ -106,11 +106,12 @@ def load_error_rows(text: str) -> list[ErrorRow]:
 # ---------------------------------------------------------------------------
 # table commands
 
-def _exact_scaled(n: int, xi, ctx) -> tuple[BigReal, ExactValue]:
-    """(x, T^_{n-1}(-x)) at x = n e xi."""
+def _exact_x(n: int, xi, ctx) -> BigReal:
+    """x = n e xi of the exact row T^_{n-1}(-x); an n whose row lies past
+    N_MAX_LIMIT is refused first, by the n the user gave."""
+    read_int(n, 2, N_MAX_LIMIT + 1, "n", CapacityError)
     with mp.workdps(working_digits(ctx, 1)):
-        x = wrap_real(n * mp.e * raw(xi), ctx)
-    return x, scaled_touchard(n - 1, x, ctx)
+        return wrap_real(n * mp.e * raw(xi), ctx)
 
 
 def cmd_table1(n_list=None, m_list=None, digits: int | None = None) -> str:
@@ -124,10 +125,10 @@ def cmd_table1(n_list=None, m_list=None, digits: int | None = None) -> str:
     ctx = mk_context(digits)
     rows = []
     for n in n_list:
-        _, exact = _exact_scaled(n, 1, ctx)
+        exact = scaled_value(n - 1, _exact_x(n, 1, ctx), ctx)
         for m in m_list:
             approx = theorem1_eval(n, m, ctx)
-            rows.append(make_row(n, real_from(m, ctx), exact.value, approx))
+            rows.append(make_row(n, real_from(m, ctx), exact, approx))
     return rows_to_csv(rows)
 
 
@@ -144,9 +145,9 @@ def cmd_table2(xi_list=None, n_list=None, digits: int | None = None) -> str:
         # exact at xi rounded to ctx, as printed; approx at the text xi
         ing = uniform_ingredients(xi, ctx, max(n_list))
         for n in n_list:
-            _, exact = _exact_scaled(n, xi_br, ctx)
+            exact = scaled_value(n - 1, _exact_x(n, xi_br, ctx), ctx)
             approx = theorem2_eval(n, ing, ctx)
-            rows.append(make_row(n, xi_br, exact.value, approx))
+            rows.append(make_row(n, xi_br, exact, approx))
     return rows_to_csv(rows)
 
 
@@ -174,7 +175,8 @@ def cmd_eval(n: int, xi, digits: int | None = None) -> dict:
     with mp.workdps(working_digits(ctx, 1)):
         near_coalescence = abs(raw(xi_br) - 1) < THEOREM1_XI_WINDOW
         outside_band = abs(raw(mu) * mp.e - 1) > EXCLUSION_HALF_WIDTH
-    x, exact = _exact_scaled(n, xi_br, ctx)
+    x = _exact_x(n, xi_br, ctx)
+    exact = scaled_touchard(n - 1, x, ctx)
     report = {
         "n": n,
         "xi": xi_br.to_str(),

@@ -9,9 +9,13 @@ two sums swapped, gives for x >= 0
     t_j = x^j/j!,   E_m = sum_{i<=m} t_i,
 
 n terms and no Stirling number. The sum divides by the exact integer n! last.
-scaled_touchard takes x itself, as numkernel.read_real reads it: an mpf or a
-BigReal as held, so that no caller negates it and the sum is exact at x's
-binary value.
+There are two entry points: scaled_value(n, x, ctx) gives the certified
+value alone, and scaled_touchard(n, x, ctx) gives it with
+cancellation_digits, the count below, in an ExactValue. Both take x itself,
+as numkernel.read_real reads it: an mpf or a BigReal as held, so that no
+caller negates it and the sum is exact at x's binary value. They share the
+reading, the refusals and the sum, and only scaled_touchard pays for the
+count: the error tables, which print no count, take scaled_value.
 
 The sum runs in Python ints at p bits in fixedpoint.grid_sum, each term
 rounded down onto a grid of 2^g; with S the alternating sum and A the sum
@@ -445,22 +449,37 @@ def _cancellation_digits(n: int, x: mpf, lx: float, s: int, g: int,
 
 
 # ---------------------------------------------------------------------------
-# public entry point
+# public entry points
 
-def scaled_touchard(n: int, x, ctx: PrecisionContext) -> ExactValue:
-    """T_n(-x)/n! for finite x >= 0, dividing by the exact integer factorial
-    last. x is read by read_real at working_digits(ctx, 1): an mpf or a
-    BigReal as held, so the sum is exact at x's binary value."""
+def _scaled(n: int, x,
+            ctx: PrecisionContext) -> tuple[BigReal, tuple | None]:
+    """(T_n(-x)/n! as a BigReal, and (x, lx, S, g) with T_n(-x) = S 2^g,
+    lx = ln x, or None where n = 0 or x = 0): scaled_touchard's reading,
+    refusals and certified sum, which scaled_value shares."""
     read_int(n, 0, N_MAX_LIMIT, "n", CapacityError)
     x = read_real(x, working_digits(ctx, 1))
     if x < 0:
         raise DomainError(f"scaled_touchard needs x >= 0, got {mp.nstr(x, 8)}")
     if n == 0 or x == 0:
-        return ExactValue(value=wrap_real(int(n == 0), ctx),
-                          cancellation_digits=0)
+        return wrap_real(int(n == 0), ctx), None
     lx = math.log(x.man) + x.exp * math.log(2)
     s, g = _certified_sum(n, x, lx, ctx)
-    cancel = _cancellation_digits(n, x, lx, s, g, ctx)
     with mp.workdps(working_digits(ctx, 1)):
         scaled = mp.ldexp(s, g) / math.factorial(n)
-    return ExactValue(value=wrap_real(scaled, ctx), cancellation_digits=cancel)
+    return wrap_real(scaled, ctx), (x, lx, s, g)
+
+
+def scaled_value(n: int, x, ctx: PrecisionContext) -> BigReal:
+    """scaled_touchard(n, x, ctx).value, certified, without the
+    cancellation_digits count: the same reading, refusals and sum."""
+    return _scaled(n, x, ctx)[0]
+
+
+def scaled_touchard(n: int, x, ctx: PrecisionContext) -> ExactValue:
+    """T_n(-x)/n! for finite x >= 0, dividing by the exact integer factorial
+    last, with its cancellation_digits. x is read by read_real at
+    working_digits(ctx, 1): an mpf or a BigReal as held, so the sum is exact
+    at x's binary value."""
+    value, summed = _scaled(n, x, ctx)
+    cancel = _cancellation_digits(n, *summed, ctx) if summed else 0
+    return ExactValue(value=value, cancellation_digits=cancel)

@@ -150,3 +150,39 @@ def test_runs_are_set_by_the_benchmark(bench, capsys):
         with pytest.raises(SystemExit):
             bench.main(["--parent", "HEAD", "--label", "x", *extra])
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def write_tree(root: Path, files: dict) -> Path:
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+def test_parity_of_identical_sets_reads_nothing(bench, tmp_path):
+    files = {"d40/table1.csv": "n,param\n50,0\n", "exact_seed1.txt": "a 1\n",
+             "contours/c.json": "{}\n"}
+    parent = write_tree(tmp_path / "parent", files)
+    change = write_tree(tmp_path / "change", files)
+    assert bench.parity_diff(parent, change) == {
+        "files": {"parent": 3, "change": 3}, "differing": []}
+
+
+def test_parity_names_each_differing_line(bench, tmp_path):
+    parent = write_tree(tmp_path / "parent", {
+        "d40/table1.csv": "n,param\n50,0\n80,1\n",
+        "d40/refusals.txt": "eval: exit 2\n", "same.txt": "x\n"})
+    change = write_tree(tmp_path / "change", {
+        "d40/table1.csv": "n,param\n50,9\n80,1\n",
+        "d40/extra.json": "{}\n", "same.txt": "x\n"})
+    out = bench.parity_diff(parent, change)
+    assert json.loads(json.dumps(out)) == out
+    assert out["files"] == {"parent": 3, "change": 3}
+    assert out["differing"] == [
+        {"file": "d40/extra.json", "line": 1, "parent": None, "change": "{}"},
+        {"file": "d40/extra.json", "line": 2, "parent": None, "change": ""},
+        {"file": "d40/refusals.txt", "line": 1, "parent": "eval: exit 2",
+         "change": None},
+        {"file": "d40/refusals.txt", "line": 2, "parent": "", "change": None},
+        {"file": "d40/table1.csv", "line": 2, "parent": "50,0",
+         "change": "50,9"}]

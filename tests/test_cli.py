@@ -260,7 +260,17 @@ class TestMain:
         start = time.monotonic()
         assert main(["eval", "--n", str(N_MAX_LIMIT + 2), "--xi", "1"]) == 2
         assert time.monotonic() - start < 1
-        assert str(N_MAX_LIMIT) in capsys.readouterr().err
+        assert f"[2, {N_MAX_LIMIT + 1}], got {N_MAX_LIMIT + 2}" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--xi", "1"], ["table1", "--m", "0"], ["table2"]])
+    def test_row_beyond_size_limit_names_the_n_given(self, command, capsys):
+        # the message names the user's n, not the row n - 1 the sum takes
+        assert main([*command, "--n", str(N_MAX_LIMIT + 2)]) == 2
+        assert capsys.readouterr().err == (
+            f"touchard: error: n must be an integer in [2, {N_MAX_LIMIT + 1}]"
+            f", got {N_MAX_LIMIT + 2}\n")
 
     def test_contour_beyond_size_limit_exits_2_at_once(self, capsys):
         # max_len/step = 4e7: refused before any path is traced

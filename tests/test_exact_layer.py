@@ -17,11 +17,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from touchard import (CapacityError, InternalConsistencyError,
-                      PrecisionExhaustedError, build_triangle, mk_context,
-                      scaled_touchard, wrap_real)
+from touchard import (N_MAX_LIMIT, CapacityError, InternalConsistencyError,
+                      PrecisionExhaustedError, TouchardError, build_triangle,
+                      mk_context, scaled_touchard, scaled_value, wrap_real)
 from touchard import fixedpoint, stirling
-from touchard.cli import cmd_eval, cmd_table1, main
+from touchard.cli import cmd_eval, cmd_table1, cmd_table2, main
 from touchard.numkernel import BigReal, raw
 
 from cauchy_oracle import cauchy_scaled_touchard
@@ -593,3 +593,49 @@ class TestCliExactAtAmbientPrecision:
             want, _ = integer_scaled_touchard(n - 1, raw(x_at(n, 1, ctx)))
             assert_close(raw(BigReal.parse(line.split(",")[2])), want, "1e-110")
 
+
+class TestValueAlone:
+    """scaled_value is scaled_touchard's value without the count, and the
+    tables, which print no count, take it."""
+
+    @pytest.mark.parametrize("digits", [40, 120])
+    def test_tables_compute_no_count(self, digits, monkeypatch):
+        want = cmd_table1(digits=digits) + cmd_table2(digits=digits)
+
+        def refuse(*args):
+            raise AssertionError("the tables computed cancellation_digits")
+
+        monkeypatch.setattr(stirling, "_cancellation_digits", refuse)
+        assert cmd_table1(digits=digits) + cmd_table2(digits=digits) == want
+
+    def test_eval_computes_the_count_once(self, monkeypatch):
+        counts = []
+        count = stirling._cancellation_digits
+
+        def counted(*args):
+            counts.append(count(*args))
+            return counts[-1]
+
+        monkeypatch.setattr(stirling, "_cancellation_digits", counted)
+        report = cmd_eval(100, "0.9")
+        assert counts == [report["exact"]["cancellation_digits"]]
+
+    @pytest.mark.parametrize("n, x", [
+        *((n - 1, x) for n, x in table_points()),
+        (0, "1.5"), (5, 0), (2, 1)])  # T_0 = 1, x = 0, the exact zero T_2(-1)
+    def test_same_value_as_scaled_touchard(self, n, x):
+        ctx = mk_context(DIGITS)
+        assert scaled_value(n, x, ctx).to_str() == \
+            scaled_touchard(n, x, ctx).value.to_str()
+
+    @pytest.mark.parametrize("n, x", [
+        (10, -1), (10, "-1e-30"), (10, "abc"), (10, None), (10, "nan"),
+        (10, "inf"), (N_MAX_LIMIT + 1, 1), (-1, 1), (2.5, 1)])
+    def test_same_refusal_as_scaled_touchard(self, n, x):
+        ctx = mk_context(40)
+        with pytest.raises(TouchardError) as want:
+            scaled_touchard(n, x, ctx)
+        with pytest.raises(TouchardError) as got:
+            scaled_value(n, x, ctx)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
