@@ -14,9 +14,8 @@ import argparse
 
 from mpmath import mp
 
-from touchard import (leading_order, mk_context, real_from, scaled_touchard,
-                      theorem1_eval, wrap_real)
-from touchard.numkernel import raw
+from touchard import (leading_order, mk_context, real_from, scaled_value,
+                      theorem1_eval, working_digits, wrap_real)
 
 
 def poincare_sweep(mu_str: str, n_values, ctx) -> None:
@@ -24,19 +23,19 @@ def poincare_sweep(mu_str: str, n_values, ctx) -> None:
     print(f"# poincare, mu = {mu_str}")
     print("n,rel_err,n_times_rel_err")
     for n in n_values:
-        with mp.workdps(ctx.digits + 10):
-            x = wrap_real(n / raw(mu), ctx)
-        exact = scaled_touchard(n - 1, x, ctx)
+        with mp.workdps(working_digits(ctx, 1)):
+            x = wrap_real(n / mu.value, ctx)
+        exact = scaled_value(n - 1, x, ctx)
         approx = leading_order(n, mu, ctx)
         with mp.workdps(ctx.digits):
-            rel = abs(raw(approx.value) / raw(exact.value) - 1)
+            rel = abs(approx.value.value / exact.value - 1)
         print(f"{n},{mp.nstr(rel, 6)},{mp.nstr(n * rel, 6)}")
 
 
 def truncation_sweep(n: int, max_order: int, ctx) -> None:
-    with mp.workdps(ctx.digits + 10):
+    with mp.workdps(working_digits(ctx, 1)):
         x = wrap_real(n * mp.e, ctx)
-    exact = scaled_touchard(n - 1, x, ctx)
+    exact = scaled_value(n - 1, x, ctx)
     print(f"# coalescence series truncation, n = {n}")
     print("order,rel_err")
     for m in range(max_order + 1):
@@ -44,7 +43,7 @@ def truncation_sweep(n: int, max_order: int, ctx) -> None:
             continue
         approx = theorem1_eval(n, m, ctx)
         with mp.workdps(ctx.digits):
-            rel = abs(raw(approx) / raw(exact.value) - 1)
+            rel = abs(approx.value / exact.value - 1)
         print(f"{m},{mp.nstr(rel, 6)}")
 
 

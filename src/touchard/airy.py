@@ -251,13 +251,12 @@ def _series_pass(zv, p: int):
             (unit * small, unit * q * small))
 
 
-def _certified(route: str, pass_, zv, digits: int, digits_p: float):
+def _certified(route: str, pass_, zv, target: int, digits_p: float):
     """((Ai, Ai'), digits_p) from the first pass whose bounds are at most
-    10^-w of |Ai| and |Ai'|, w = digits + _GUARD, each rerun at digits_p
-    raised by the digits the last fell short; (None, digits_p so raised)
-    once the part of a bound that no p lowers is not.
+    10^-target of |Ai| and |Ai'|, each rerun at digits_p raised by the
+    digits the last fell short; (None, digits_p so raised) once the part of
+    a bound that no p lowers is not.
     """
-    target = digits + _GUARD
     scale = 10 ** target
     for _ in range(MAX_RERUNS + 1):
         p = math.ceil(digits_p * math.log2(10))
@@ -282,26 +281,27 @@ def _certified(route: str, pass_, zv, digits: int, digits_p: float):
 
 def airy(z, ctx: PrecisionContext) -> AiryValue:
     """Ai(z) and Ai'(z) for real finite z, |z| <= 1e6."""
-    zv = read_real(z, working_digits(ctx, 1))
+    w = working_digits(ctx, 1)
+    zv = read_real(z, w)
     if abs(zv) > ABS_Z_LIMIT:
         raise DomainError(f"|z| = {mp.nstr(abs(zv), 8)} exceeds the "
                           f"supported range {ABS_Z_LIMIT}")
     absz, limit = abs(float(zv)), maclaurin_limit(ctx.digits)
-    digits_p = ctx.digits + _GUARD + _SLACK
+    digits_p = w + _SLACK
     vals, method = None, AiryMethod.ASYMPTOTIC
     if absz > limit:
-        vals, digits_p = _certified("asymptotic", _series_pass, zv,
-                                    ctx.digits, digits_p)
+        vals, digits_p = _certified("asymptotic", _series_pass, zv, w,
+                                    digits_p)
         if vals is None and absz > _FALLBACK * limit:
             raise PrecisionExhaustedError(
                 f"airy(z={mp.nstr(zv, 8)}): the asymptotic series' smallest "
-                f"term exceeds 10^-{ctx.digits + _GUARD} of Ai or Ai', and "
+                f"term exceeds 10^-{w} of Ai or Ai', and "
                 f"the Maclaurin pass serves |z| <= {_FALLBACK} Z(d) = "
                 f"{_FALLBACK * limit:.1f} only")
     if vals is None:
         # past Z(d) digits_p carries the digits the series fell short,
         # which the value's nearness to a zero sets for either pass
-        vals, _ = _certified("Maclaurin", _maclaurin_pass, zv, ctx.digits,
+        vals, _ = _certified("Maclaurin", _maclaurin_pass, zv, w,
                              digits_p + _loss_digits(float(zv)))
         method = AiryMethod.MACLAURIN
     return AiryValue(*vals, method)

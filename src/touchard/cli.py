@@ -274,15 +274,19 @@ def cmd_bm(max_order: int = 12) -> dict:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+def _str_list(text: str) -> list[str]:
+    return [p.strip() for p in text.split(",") if p.strip() != ""]
+
+
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p.strip() != ""]
+        return [int(p) for p in _str_list(text)]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
-def _str_list(text: str) -> list[str]:
-    return [p.strip() for p in text.split(",") if p.strip() != ""]
+def _json(report: dict) -> str:
+    return json.dumps(report, indent=2) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -293,58 +297,50 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p1 = sub.add_parser("table1", help="error table for the coalescence series")
-    p1.add_argument("--n", type=_int_list, default=None)
-    p1.add_argument("--m", type=_int_list, default=None)
+    p1.add_argument("--n", type=_int_list)
+    p1.add_argument("--m", type=_int_list)
+    p1.set_defaults(run=lambda a: cmd_table1(a.n, a.m, a.digits))
 
     p2 = sub.add_parser("table2", help="error table for the uniform approximation")
-    p2.add_argument("--xi", type=_str_list, default=None)
-    p2.add_argument("--n", type=_int_list, default=None)
+    p2.add_argument("--xi", type=_str_list)
+    p2.add_argument("--n", type=_int_list)
+    p2.set_defaults(run=lambda a: cmd_table2(a.xi, a.n, a.digits))
 
     pe = sub.add_parser("eval", help="evaluate one (n, xi) point by all methods")
     pe.add_argument("--n", type=int, required=True)
     pe.add_argument("--xi", required=True)
+    pe.set_defaults(run=lambda a: _json(cmd_eval(a.n, a.xi, a.digits)))
 
     pc = sub.add_parser("contours", help="trace steepest descent/ascent paths")
     pc.add_argument("--xi", required=True)
-    pc.add_argument("--step", default=None)
-    pc.add_argument("--max-len", dest="max_len", default=None)
+    pc.add_argument("--step")
+    pc.add_argument("--max-len", dest="max_len")
+    pc.set_defaults(run=lambda a: _json(
+        cmd_contours(a.xi, a.digits, a.step, a.max_len)))
 
     pb = sub.add_parser("bm", help="export the series coefficients as JSON")
     pb.add_argument("--max", dest="max_order", type=int, default=12)
+    pb.set_defaults(run=lambda a: _json(cmd_bm(a.max_order)))
     for p in (p1, p2, pe, pc):  # bm's coefficients are exact rationals
-        p.add_argument("--digits", type=int, default=None,
+        p.add_argument("--digits", type=int,
                        help="working precision in digits, 30 to 4300 (default: 120)")
     for p in (p1, p2, pe, pc, pb):
-        p.add_argument("--out", default=None, help="write output to this path")
+        p.add_argument("--out", help="write output to this path")
     return ap
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "table1":
-            _emit(cmd_table1(args.n, args.m, args.digits), args.out)
-        elif args.command == "table2":
-            _emit(cmd_table2(args.xi, args.n, args.digits), args.out)
-        elif args.command == "eval":
-            report = cmd_eval(args.n, args.xi, args.digits)
-            _emit(json.dumps(report, indent=2) + "\n", args.out)
-        elif args.command == "contours":
-            report = cmd_contours(args.xi, args.digits, args.step, args.max_len)
-            _emit(json.dumps(report, indent=2) + "\n", args.out)
-        elif args.command == "bm":
-            _emit(json.dumps(cmd_bm(args.max_order), indent=2) + "\n", args.out)
+        text = args.run(args)
     except TouchardError as exc:
         print(f"touchard: error: {exc}", file=sys.stderr)
         return exc.exit_code
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
     return 0
 
 

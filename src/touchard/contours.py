@@ -20,10 +20,11 @@ the order-1 terms cancelling exactly. Near s (see _TERMS) the loop sums
 this series, with s + 1 from the saddle at the context's digits, so a_2 is
 0 at the double saddle (xi = 1), where -e^t/mu - log t in doubles would
 lose psi' (about 1e-16 at the launch offset) to cancellation; further out
-it takes that global formula minus psi(s). The level c = Im psi(s), s + 1,
-the launch direction and the other saddle come from mpmath at LEVEL_DIGITS
-= 50, so the points, s + u as stepped, depend on the context's digits only
-through s, from mu at those digits: at xi = 1 - 1e-16, a pair 2.8e-8 apart,
+it takes that global formula minus psi(s). psi(s), as 1/s - log s
+(saddle.psi_reduced_raw), the level c = Im psi(s), s + 1, the launch
+direction and the other saddle come from mpmath at LEVEL_DIGITS = 50, so
+the points, s + u as stepped, depend on the context's digits only through
+s, from mu at those digits: at xi = 1 - 1e-16, a pair 2.8e-8 apart,
 mu's rounding to 30 digits moves s by 4e-24 and points next to it by an ulp.
 The projection holds Im psi to max(1e-12, 16 eps |e^t/mu|), which doubles
 can meet near Re t = 8.4. The drift is max |Im psi - c| on the exact points
@@ -60,10 +61,9 @@ from typing import NamedTuple
 from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, StepError
-from .numkernel import (MIN_DIGITS, BigReal, PrecisionContext,
-                        log_branched_raw, raw, read_real, real_from,
-                        working_digits)
-from .saddle import SaddleKind, mu_from_xi, solve_saddles
+from .numkernel import (MIN_DIGITS, BigReal, PrecisionContext, raw,
+                        read_real, real_from, working_digits)
+from .saddle import SaddleKind, mu_from_xi, psi_reduced_raw, solve_saddles
 
 RE_MAX = 8.4
 RE_MIN = -8.5
@@ -161,11 +161,6 @@ class _Flow:
         return None
 
 
-def _psi(t, inv_mu):
-    """psi(t) = -e^t/mu - log t in mpmath, at the ambient precision."""
-    return -mp.exp(t) * inv_mu - log_branched_raw(t)
-
-
 def _im_psi(t: complex, inv_mu):
     """Im psi at the exact value of t = x + iy, at the ambient precision:
     -e^x sin(y) inv_mu - arg, with arg = atan2(y, x) moved into [0, 2 pi) as
@@ -212,11 +207,11 @@ def _trace(saddle_t, theta, kind, inv_mu, other, step,
     max_iters = int(max_len / step) * 8 + 600
     step, max_len = float(step), float(max_len)
     with mp.workdps(LEVEL_DIGITS):
-        psi_s = _psi(saddle_t, inv_mu)
+        psi_s = psi_reduced_raw(saddle_t)
         flow, c = _Flow(saddle_t, psi_s, inv_mu, sign), psi_s.imag
         u = complex(LAUNCH_OFFSET * mp.expjpi(theta / mp.pi))
         if other is not None:
-            re_other = float(mp.re(_psi(other, inv_mu) - psi_s))
+            re_other = float(mp.re(psi_reduced_raw(other) - psi_s))
             other = complex(other - saddle_t)
     u, p = flow.project(u, LAUNCH_OFFSET) or (u, flow.phase(u)[0])
     s = flow.s

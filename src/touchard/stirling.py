@@ -71,6 +71,13 @@ the rise and of the fall have opposite signs and neither exceeds the largest
 term: for n >= 2, |T_n(-x)| < max term, and c >= 1 even where one term
 dominates to within the working precision.
 
+Each saddle the layer takes in floats comes from W_0(z), the principal
+root of w e^w = z (Corless et al., Adv. Comput. Math. 5, 1996), through
+the one helper _w0 over mpmath's lambertw: the envelope's
+t0 = W_0(-(n+1)/x), the Dobinski peak near n/W_0(n/x), from which the
+mean's sum starts, and the trapezoid circle's radius mu + W_0(-mu e^-mu),
+the root of t e^t/(e^t - 1) = mu.
+
 build_triangle and StirlingTriangle are the Stirling rows of the previous
 exact layer; nothing in the package calls them, and rows past _ROW_LIMIT,
 where their O(n^2.7) build was last measured, are refused. They stay since
@@ -164,6 +171,20 @@ def _log10_term_sum(n: int, lx: float) -> float:
     return (top + math.log(total)) / math.log(10)
 
 
+def _w0(L: float, sign: int = -1) -> complex:
+    """W_0(sign e^L) in floats, for sign = -1 or 1.
+
+    mpmath's float-context lambertw, 10 to 40 times faster than its mpf
+    one, serves |L| < 690; past that e^L leaves the doubles' range and the
+    mpf one runs at 15 digits. lambertw fails at exactly -1/e, which a
+    caller that may reach it moves off by nudging L.
+    """
+    if abs(L) < 690:
+        return complex(fp.lambertw(sign * math.exp(L)))
+    with mp.workdps(15):
+        return complex(mp.lambertw(sign * mp.exp(L)))
+
+
 def _log10_envelope(n: int, lx: float) -> float:
     """log10 of the saddle-point size of |T_n(-x)|, from lx = ln x.
 
@@ -181,21 +202,15 @@ def _log10_envelope(n: int, lx: float) -> float:
     exponent alone would miss. Near the coalescence t0 = -1 the Gaussian
     form fails; there the factor is about n^(-1/3), and 1 stands in for it.
 
-    The exponent is stationary in t0, so t0 need not be exact: for
-    |L| < 690 mpmath's float-context lambertw, 10 to 40 times faster than
-    its mpf one, gives t0, beyond it the mpf one, and the rest is taken in
-    doubles. lambertw fails at exactly -1/e, and a relative nudge of 1e-12
-    moves t0 off it by 1.4e-6 and the exponent by nothing. t0 is complex
-    with |t0| >= 1 for L > -1, where 1 - e^-t0 does not cancel, and real in
-    (-1, 0) below, where expm1 keeps it; t0 underflows to 0 past
-    L = -745, where (1 - e^-t0)/t0 is 1.
+    The exponent is stationary in t0, so t0 need not be exact: _w0 gives
+    it, and the rest is taken in doubles. L is nudged by 1e-12, which
+    moves t0 off the branch point -1 by 1.4e-6 and the exponent by
+    nothing. t0 is complex with |t0| >= 1 for L > -1, where 1 - e^-t0 does
+    not cancel, and real in (-1, 0) below, where expm1 keeps it; t0
+    underflows to 0 past L = -745, where (1 - e^-t0)/t0 is 1.
     """
     L = math.log(n + 1) - lx
-    if abs(L) < 690:
-        t0 = complex(fp.lambertw(-math.exp(L) * (1 + 1e-12)))
-    else:
-        with mp.workdps(15):
-            t0 = complex(mp.lambertw(-mp.exp(L)))
+    t0 = _w0(L + 1e-12)
     a = t0.real
     if t0.imag:
         q = ((1 - cmath.exp(-t0)) / t0).real
@@ -265,27 +280,24 @@ def _mode_mean(n: int, x: mpf, lx: float) -> float:
 
     The mean is T_{n+1}(x)/T_n(x) - x, and by Dobinski's formula
     T_n(x) = e^-x sum_j j^n x^j/j!, so it is the mean of j under
-    w_j = j^n x^j/j!, less x. ln w_j is concave in j, and its peak, the
-    first j with w_{j+1} < w_j, lies in [1, x + n]: a bisection finds it,
-    and the sum runs outward from there until the weights fall below e^-40
-    of the peak. From x = C(n,2) up the mode is n, since
+    w_j = j^n x^j/j!, less x. ln w_j is concave in j, and with ln j! taken
+    as j ln j - j it peaks where ln j - n/j = ln x, at j = n/W_0(n/x). The
+    sum starts at the nearest integer, a step or two from the peak, and
+    runs outward until the weights fall below e^-40 of that start: the
+    peak's weight only lowers that floor. Up to n = N_MAX_LIMIT the peak's
+    weight is at most e^185 times the start's (a peak at 2 started from 1),
+    so no weight overflows. From x = C(n,2) up the mode is n, since
     S(n,n-1) x^(n-1) <= S(n,n) x^n there, and n is returned.
     """
     if x >= n * (n - 1) // 2:
         return float(n)
-    lo, hi = 1, int(x) + n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if n * math.log1p(1 / mid) + lx < math.log(mid + 1):
-            hi = mid
-        else:
-            lo = mid + 1
+    start = max(1, round(n / _w0(math.log(n) - lx, 1).real))
     # ln w_j = n ln j + j lx - ln j!, inline: this loop runs about 20 sqrt(x)
     # times
     log, lgamma = math.log, math.lgamma
-    top = n * log(lo) + lo * lx - lgamma(lo + 1)
+    top = n * log(start) + start * lx - lgamma(start + 1)
     s0 = s1 = 0.0
-    for j, step in ((lo, 1), (lo - 1, -1)):
+    for j, step in ((start, 1), (start - 1, -1)):
         while j >= 1 and (
                 lw := n * log(j) + j * lx - lgamma(j + 1) - top) > -40:
             w = math.exp(lw)
@@ -298,16 +310,14 @@ def _mode_mean(n: int, x: mpf, lx: float) -> float:
 def _saddle(mu: float) -> float:
     """The t > 0 with t e^t/(e^t - 1) = mu, for mu > 1.
 
-    F(t) = t + mu expm1(-t) is convex, with F(0) = 0 and F'(0) < 0, and
-    t e^t/(e^t - 1) = t/2 + (t/2) coth(t/2) >= max(t, 1 + t/2) puts its
-    positive root at or below min(mu, 2 (mu - 1)). Newton's method falls to
-    it from there without overshooting; six steps took it to within 1e-15
-    of itself over mu = 1 + 1e-5 ... 1e4. Any t near the root serves.
+    t = mu (1 - e^-t) puts u = t - mu on u e^u = -mu e^-mu, whose root
+    above -1 is W_0, the other being u = -mu, t = 0: t = mu + W_0(-mu
+    e^-mu), from _w0 in floats. Near mu = 1 the argument nears -1/e, where
+    W_0 turns its rounding into up to about 2^-52/(mu - 1)^2 of t, 2e-8 at
+    mu = 1 + 1e-4. Any t near the root serves, since the alias bound holds
+    for any R > rho and the margins count the roundings at the rho taken.
     """
-    t = min(mu, 2 * (mu - 1))
-    for _ in range(6):
-        t -= (t + mu * math.expm1(-t)) / (1 - mu * math.exp(-t))
-    return t
+    return mu + _w0(math.log(mu) - mu).real
 
 
 def _log_stirling_window(n: int, lo: int,

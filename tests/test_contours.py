@@ -13,9 +13,9 @@ from touchard import contours
 from touchard.cli import _sci, cmd_contours, contours_to_json
 from touchard.contours import (DRIFT_BUDGET, IM_MAX, LEVEL_DIGITS,
                                MAX_LEN_OVER_STEP, R_MIN, RE_MAX, RE_MIN,
-                               _TERMS, _Flow, _im_psi, _outside, _psi,
-                               contour_set)
+                               _TERMS, _Flow, _im_psi, _outside, contour_set)
 from touchard.numkernel import MIN_DIGITS, log_branched_raw, raw
+from touchard.saddle import psi_reduced_raw
 
 from test_contour_port import MONOTONE_SLACK, re_psi_backtrack
 from test_scripts import load_script
@@ -313,6 +313,12 @@ class TestProjectionRetry:
                 assert raw(pl.im_psi_drift) < DRIFT_BUDGET
 
 
+def oracle_psi(t, inv_mu):
+    """psi(t) = -e^t/mu - log t with the branched log, at the ambient
+    precision."""
+    return -mp.exp(t) * inv_mu - log_branched_raw(t)
+
+
 def oracle_im_psi(t, mu):
     """Im psi in complex arithmetic with the branched log, at the ambient
     precision."""
@@ -378,7 +384,7 @@ class TestDriftCertificate:
             inv_mu = 1 / raw(cs.mu)
         for pl in cs.polylines:
             with mp.workdps(LEVEL_DIGITS):
-                c = _psi(raw(pl.saddle), inv_mu).imag
+                c = psi_reduced_raw(raw(pl.saddle)).imag
             with mp.workdps(MIN_DIGITS):
                 inv30 = +inv_mu
                 drifts = {t: abs(_im_psi(t, inv30) - c) for t in pl.points}
@@ -538,7 +544,7 @@ class TestLocalSeries:
             inv_mu = 1 / raw(mu_from_xi(xi, ctx))
             for s in {complex(raw(saddles.t0)): raw(saddles.t0),
                       complex(raw(saddles.t1)): raw(saddles.t1)}.values():
-                psi_s = _psi(s, inv_mu)
+                psi_s = oracle_psi(s, inv_mu)
                 flow = _Flow(s, psi_s, inv_mu, -1)
                 # |u| from 1e-8 to just inside the series' edge
                 top = flow.edge * (1 - 4 * EPS)
@@ -554,7 +560,7 @@ class TestLocalSeries:
         p, d, _ = flow.phase(u)
         assert flow.dpsi(u) == d
         t = s + mpc(u.real, u.imag)  # exact at LEVEL_DIGITS
-        want_p = _psi(t, inv_mu) - psi_s
+        want_p = oracle_psi(t, inv_mu) - psi_s
         want_d = -mp.exp(t) * inv_mu - 1 / t
         if relative:
             # at odd multiples of pi/8: a few ulps relative

@@ -490,6 +490,65 @@ class TestEnvelope:
         assert routes == ["mpf" if mpf_route else "float"]
 
 
+def dobinski_mean(n, x):
+    """sum j w_j / sum w_j - x, w_j = j^n x^j/j!, at 40 digits: every j
+    from 1 until j > x + n and the next term is below 10^-40 of the sum."""
+    with mp.workdps(40):
+        x = mpf(x)
+        w, s0, s1, j = x, mpf(0), mpf(0), 1  # w = w_1
+        while j <= x + n or w >= s0 * mpf(10) ** -40:
+            s0 += w
+            s1 += j * w
+            w *= (mpf(j + 1) / j) ** n * x / (j + 1)
+            j += 1
+        return s1 / s0 - x
+
+
+class TestFloatSaddles:
+    # the three float saddles of the exact layer come from stirling._w0
+
+    @pytest.mark.parametrize("L,sign", [
+        (L, sign) for L in (-800, -746, -690, -1 - 1e-6, -1, -1 + 1e-6, 0, 5,
+                            689.9, 690, 800)
+        for sign in (-1, 1) if (L, sign) != (-1, -1)])
+    def test_w0_against_mpmath(self, L, sign):
+        # W_0(sign e^L) against mpmath's at 30 digits from the same double L,
+        # within a few ulps over |1 + W|, the condition number of W at its
+        # branch point; below the doubles' normal range it underflows as a
+        # double does. W_0(-1/e), at L = -1, is where lambertw fails
+        got = stirling._w0(L, sign)
+        with mp.workdps(30):
+            want = mp.lambertw(sign * mp.exp(L))
+            tol = 4 * 2.0 ** -53 * abs(want) / min(1, abs(1 + want))
+            assert abs(got - want) <= tol + sys.float_info.min, (L, sign)
+        assert (got.imag != 0) == (sign == -1 and L > -1)
+
+    def test_saddle_solves_its_equation(self):
+        # t e^t/(e^t - 1) = mu from mu = 1 + 1e-4 to 1e4. Near mu = 1 the
+        # argument -mu e^-mu of W_0 nears -1/e and its rounding moves t by
+        # about 2^-52/(mu - 1)^2 of itself
+        for mu in ([1 + 10 ** (i / 20) for i in range(-80, 1)]
+                   + [10 ** (i / 20) for i in range(7, 81)]):
+            got = stirling._saddle(mu)
+            with mp.workdps(40):
+                want = mp.findroot(lambda t: t + mu * mp.expm1(-t),
+                                   min(mu, 2 * (mu - 1)))
+                tol = max(1e-12, 2.0 ** -48 / (mu - 1) ** 2)
+                assert abs(got - want) <= tol * want, mu
+
+    @pytest.mark.parametrize("n", [2, 5, 50, 300])
+    def test_mode_mean_against_dobinski(self, n):
+        # from x = 1e-400 to just below C(n,2), where n is returned; s1/s0 - x
+        # keeps the float noise of s1/s0, about x + n, up to 4e-10 here
+        top = mpf(n * (n - 1) // 2)
+        for x in (mpf("1e-400"), mpf("1e-100"), mpf("1e-10"), mpf("0.01"),
+                  mpf(1), mpf(n), top / 3, top - mpf("0.001")):
+            if x < top:
+                lx = math.log(x.man) + x.exp * math.log(2)
+                got = stirling._mode_mean(n, x, lx)
+                assert abs(got - dobinski_mean(n, x)) <= 1e-9, (n, x)
+
+
 class TestSizingFailsClosed:
     # a predicted size that is not finite sizes no pass: eval exits 4 and
     # names the predictor, a NaN envelope included, which min() would drop
